@@ -1,4 +1,4 @@
-//! Ablation study for the design choices DESIGN.md calls out:
+//! Ablation study for three design choices of the DTAS reproduction:
 //!
 //! 1. **library-specific rules** — Figure 3 with and without the nine
 //!    LSI rules (paper §7: they are needed "to fully utilize" the

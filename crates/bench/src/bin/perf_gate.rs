@@ -9,6 +9,10 @@
 //! * `warm_start` ratio (`warm_first_ms / cold_first_ms`) — the
 //!   restart/warm-start win, compared as a ratio so machine speed
 //!   cancels out;
+//! * `warm_start.warm_speedup` (≥ 25) — a self-contained floor on the
+//!   same two timings (`cold_first_ms / warm_first_ms`): a warm first
+//!   answer decodes its own answer section, never the design space, so
+//!   it must stay far under a cold solve;
 //! * `service.saturation_qps` — the admission-controlled service's
 //!   saturation throughput;
 //! * `service.deadline_vs_plain` — a self-contained floor (≥ 0.95, no
@@ -218,6 +222,17 @@ fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
         ratio(current),
         tolerance,
         0.05,
+        &mut findings,
+    );
+
+    // The same two timings as a floor, self-contained in the current
+    // run: a warm first answer decodes one answer section, so it must
+    // stay at least 25x under the cold solve it replaces. Decoding the
+    // whole persisted space on the first hit lands near 11x.
+    gate_floor(
+        "warm_start.warm_speedup".to_string(),
+        25.0,
+        ratio(current).map(|r| 1.0 / r.max(1e-12)),
         &mut findings,
     );
 
@@ -450,16 +465,17 @@ mod tests {
     fn real_regressions_fail() {
         let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
         // Memo hit became a re-solve (ms scale), warm start broke (warm
-        // ~= cold), service throughput collapsed below the health floor,
-        // the wire path collapsed with it, and the RTT tail blew past
-        // both the tolerance and the noise floor.
+        // ~= cold, failing both the ratio and the speedup floor), service
+        // throughput collapsed below the health floor, the wire path
+        // collapsed with it, and the RTT tail blew past both the
+        // tolerance and the noise floor.
         let cur = snapshot_with_serve(50.0, 90.0, 100.0, 5_000.0, 500.0, 500_000.0);
         let findings = run_gate(&base, &cur, 3.0);
-        // The deadline floor (4th finding) and the two store floors (last
-        // two) stay healthy in this scenario.
+        // The deadline floor (5th finding) and the store and incremental
+        // floors (last three) stay healthy in this scenario.
         assert_eq!(
             verdicts(&findings),
-            vec![true, true, true, false, true, true, false, false, false]
+            vec![true, true, true, true, false, true, true, false, false, false]
         );
     }
 
@@ -485,6 +501,21 @@ mod tests {
             failed,
             ["store.full_over_lazy_load", "store.base_over_delta_bytes"]
         );
+    }
+
+    #[test]
+    fn warm_speedup_below_the_floor_fails() {
+        // An 11x warm start (the whole space decoded on the first hit)
+        // fails the floor even against a baseline that was just as slow.
+        let slow = snapshot(0.005, 7.75, 88.2, 500_000.0);
+        let failed: Vec<String> = run_gate(&slow, &slow, 3.0)
+            .into_iter()
+            .filter(|f| f.verdict == Verdict::Fail)
+            .map(|f| f.metric)
+            .collect();
+        assert_eq!(failed, ["warm_start.warm_speedup"]);
+        let fast = snapshot(0.005, 1.5, 88.2, 500_000.0);
+        assert!(verdicts(&run_gate(&slow, &fast, 3.0)).iter().all(|f| !f));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! * [`databook`] parses and prints a plain-text data book format;
 //! * [`lsi`] ships the 30-cell subset used in the paper's §6 evaluation,
 //!   reconstructed from its description (the original 1987 databook is
-//!   proprietary — see `DESIGN.md` for the substitution notes).
+//!   proprietary — the [`lsi`] module docs carry the substitution notes).
 //!
 //! # Examples
 //!

@@ -11,8 +11,8 @@ use crate::space::{
 };
 use crate::store::mem::{MemStore, ResultCell, SharedState};
 use crate::store::{
-    DirtySet, EngineSnapshot, LoadOutcome, PersistentStore, ResultStore, SaveReport, StoreError,
-    StoreKey, WarmSource,
+    DirtySet, EngineSnapshot, LoadOutcome, PersistentStore, Rejection, ResultStore, SaveReport,
+    StoreError, StoreKey, WarmSource,
 };
 use crate::template::{NetlistTemplate, SpecModelCache};
 use cells::CellLibrary;
@@ -38,8 +38,10 @@ pub struct CacheStats {
     /// Whole result sets currently memoized.
     pub cached_results: usize,
     /// Specification nodes whose fronts are currently solved and reusable.
+    /// Zero while a warm-started engine serves its chain undecoded.
     pub cached_fronts: usize,
-    /// Specification nodes in the engine's shared design space.
+    /// Specification nodes in the engine's shared design space. Zero while
+    /// a warm-started engine serves its chain undecoded.
     pub spec_nodes: usize,
     /// Number of result-memo shards (fixed per engine).
     pub result_shards: usize,
@@ -312,7 +314,7 @@ struct StoreMetrics {
     /// `checkpoint()` is not paid a second time on drop.
     flushed_settled: AtomicU64,
     /// Why the last rejected snapshot was rejected (diagnostics).
-    reject_reason: std::sync::Mutex<Option<String>>,
+    reject_reason: std::sync::Mutex<Option<Rejection>>,
 }
 
 impl StoreMetrics {
@@ -330,7 +332,7 @@ impl StoreMetrics {
         *self.reject_reason.lock().expect("reject reason poisoned") = None;
     }
 
-    fn reject(&self, reason: String) {
+    fn reject(&self, reason: Rejection) {
         self.rejects.fetch_add(1, Ordering::Relaxed);
         *self.reject_reason.lock().expect("reject reason poisoned") = Some(reason);
     }
@@ -338,20 +340,28 @@ impl StoreMetrics {
 
 /// The engine's handle on a loaded chain — the lazy read path. The
 /// source starts *unhydrated*: nothing is decoded at load beyond the
-/// headers. The first operation that needs live space state decodes the
-/// chain once ([`Dtas::ensure_hydrated`]); individual results stay
-/// encoded (and the base stays memory-mapped) until their spec is
-/// actually queried.
+/// headers, and each answer decodes from its own section when its spec is
+/// first queried. The space and fronts decode into live state only for
+/// the operations that rewrite it — `update_rules`, `update_config` and a
+/// full save ([`Dtas::ensure_hydrated`]). Until then the live space stays
+/// empty and misses solve on private state.
 #[derive(Default)]
 struct WarmState {
     source: Option<WarmSource>,
     hydrated: bool,
 }
 
+impl WarmState {
+    /// True while a loaded chain's space is not live state.
+    fn undecoded(&self) -> bool {
+        self.source.is_some() && !self.hydrated
+    }
+}
+
 /// The checkpoint watermark: what the chain on the backing store already
-/// contains, so a checkpoint can emit just the difference. Unprimed
-/// (after construction, a reset, or a failed hydration) means "unknown"
-/// and forces the safe full save.
+/// contains, so a checkpoint can emit just the difference. A warm load
+/// primes it from the chain's index; unprimed (a cold start, a reset, an
+/// update) means "unknown" and forces the safe full save.
 #[derive(Default)]
 struct FlushState {
     primed: bool,
@@ -360,11 +370,10 @@ struct FlushState {
     generation: u64,
     /// Nodes `0..nodes` are already persisted.
     nodes: usize,
-    /// Which of those nodes had solved fronts at the last flush.
+    /// Which of those nodes had solved fronts at the last flush (empty
+    /// while the chain is undecoded: no live front can exist then).
     solved: Vec<bool>,
-    /// Specs whose memoized results are already persisted (or were
-    /// deliberately skipped as unencodable cold-fallback results — they
-    /// are final either way).
+    /// Specs whose memoized results are already persisted.
     results: HashSet<ComponentSpec>,
     /// A base segment exists on the store for this chain.
     has_base: bool,
@@ -416,11 +425,13 @@ struct FlushState {
 ///
 /// With [`DtasConfig::persist_path`] set (or a backend attached through
 /// [`Dtas::builder`]), the cached state also survives the
-/// engine: construction loads a compatible snapshot — the explored design
-/// space, every solved front, and the memoized results — and the state is
+/// engine: construction maps a compatible snapshot — the explored design
+/// space, every solved front, and the memoized answers — and the state is
 /// flushed back by [`checkpoint`](Self::checkpoint) or on drop. A second
-/// process pointed at the same directory answers its first query from the
-/// memo in microseconds instead of re-paying the cold solve. Snapshot
+/// process pointed at the same directory answers a persisted query by
+/// decoding that answer's own section (about a millisecond for ALU64)
+/// instead of re-paying the cold solve; the space itself is decoded only
+/// by an update or a full save. Snapshot
 /// compatibility is strict (codec format version + library + rule-set +
 /// configuration fingerprints); anything else is rejected and the engine
 /// starts cold. [`clear_cache`](Self::clear_cache) only clears the
@@ -786,13 +797,15 @@ impl Dtas {
             dirty_nodes: dirty_count,
         });
         if let Some(store) = &self.store {
-            if self.store_key() == old_key && dirty_count > 0 {
+            if self.store_key() == old_key && (dirty_count > 0 || dropped_results > 0) {
                 // The change is invisible to the rule-set fingerprint
                 // (same rule names, different bodies): the stored chain
                 // would warm-load stale answers under the new rules, so
-                // drop it now. (With no dirty nodes the diff just proved
-                // the chain still valid — prefault made live ⊇ stored —
-                // so it is deliberately kept.)
+                // drop it now. Answers solved on private state have no
+                // nodes in the live space for the diff to check, so
+                // dropping one counts as dirt too. (Otherwise the diff
+                // just proved the chain still valid — prefault made live
+                // ⊇ stored — so it is deliberately kept.)
                 if store.supersede(&old_key).is_ok() {
                     report.reasons.push(InvalidationReason::StoreSuperseded);
                 }
@@ -898,7 +911,9 @@ impl Dtas {
         // On → on: the interesting delta paths.
         if node_shaping || root_shaping || uniform {
             // The lazy chain indexes state this update is about to thin
-            // out; hydrate it into the live state first, then drop it.
+            // out; make it live first (so the report counts it), then
+            // drop it.
+            self.prefault();
             self.ensure_hydrated();
             let mut warm = self.lock_warm();
             warm.source = None;
@@ -1034,11 +1049,23 @@ impl Dtas {
         match store.load(&self.store_key()) {
             LoadOutcome::Loaded { source, bytes } => {
                 // O(index) work so far: headers validated, nothing
-                // decoded. The chain hydrates on the first operation
-                // that needs live state (see `ensure_hydrated`), and
-                // each result decodes on its first query.
+                // decoded. Each answer decodes on its first query; the
+                // space only for an update or a full save (see
+                // `ensure_hydrated`).
                 self.metrics.loads.fetch_add(1, Ordering::Relaxed);
                 self.metrics.bytes.store(bytes, Ordering::Relaxed);
+                // Everything the chain indexes is on the store already,
+                // so the next checkpoint appends only what is new.
+                *self.lock_flush() = FlushState {
+                    primed: true,
+                    generation: self.mem.read_state().generation,
+                    nodes: source.node_count(),
+                    solved: Vec::new(),
+                    results: source.pending_specs().into_iter().collect(),
+                    has_base: true,
+                    base_bytes: source.base_bytes,
+                    delta_bytes: source.delta_bytes,
+                };
                 let mut warm = self.lock_warm();
                 warm.source = Some(*source);
                 warm.hydrated = false;
@@ -1049,10 +1076,10 @@ impl Dtas {
     }
 
     /// Decodes the loaded chain's space and fronts into the shared state,
-    /// once per engine lifetime — called before any operation that reads
-    /// or grows the space, so persisted node ids and live node ids can
-    /// never diverge. A chain that fails structural validation here is
-    /// dropped whole (counted in
+    /// once per engine lifetime — called only by the operations that
+    /// rewrite live state (`update_rules`, `update_config`, a full save),
+    /// each after [`prefault`](Self::prefault). A chain that fails
+    /// structural validation here is dropped whole (counted in
     /// [`CacheStats::snapshot_rejects`](CacheStats)) and the engine
     /// continues cold; no partial state is ever installed.
     fn ensure_hydrated(&self) {
@@ -1060,7 +1087,7 @@ impl Dtas {
             return;
         }
         let mut warm = self.lock_warm();
-        if warm.hydrated {
+        if !warm.undecoded() {
             return;
         }
         warm.hydrated = true;
@@ -1069,47 +1096,29 @@ impl Dtas {
         };
         match source.hydrate_state() {
             Ok((space, fronts)) => {
-                let (generation, nodes, solved) = {
-                    let mut state = self.mem.write_state();
-                    if !state.space.nodes.is_empty() {
-                        // The space grew before hydration — impossible
-                        // through the public API (every growth path
-                        // hydrates first), so don't risk clobbering
-                        // live state; just drop the source.
-                        drop(state);
-                        warm.source = None;
-                        return;
-                    }
-                    state.space = space;
-                    state.fronts = fronts;
-                    let nodes = state.space.nodes.len();
-                    let solved = (0..nodes)
-                        .map(|id| state.fronts.fronts.get(id).is_some_and(Option::is_some))
-                        .collect();
-                    (state.generation, nodes, solved)
-                };
-                // Prime the checkpoint watermark: everything in the
-                // chain is on the store already. No result has been
-                // materialized yet (materialization requires hydration,
-                // which is happening right now under the warm lock), so
-                // the pending index is exactly the persisted set.
-                let results = source.pending_specs().into_iter().collect();
-                *self.lock_flush() = FlushState {
-                    primed: true,
-                    generation,
-                    nodes,
-                    solved,
-                    results,
-                    has_base: true,
-                    base_bytes: source.base_bytes,
-                    delta_bytes: source.delta_bytes,
-                };
+                let mut state = self.mem.write_state();
+                if !state.space.nodes.is_empty() {
+                    // Misses on an undecoded chain solve privately, so the
+                    // space cannot have grown; don't risk clobbering live
+                    // state if it somehow did — just drop the source.
+                    drop(state);
+                    warm.source = None;
+                    return;
+                }
+                state.space = space;
+                state.fronts = fronts;
             }
             Err(reason) => {
                 warm.source = None;
                 self.metrics.reject(reason);
             }
         }
+    }
+
+    /// True while a loaded chain is served undecoded: misses then solve on
+    /// private state, leaving the live space empty.
+    fn chain_undecoded(&self) -> bool {
+        self.lock_warm().undecoded()
     }
 
     /// Decodes the persisted result for `spec`, if the loaded chain has
@@ -1120,20 +1129,8 @@ impl Dtas {
         if !self.config.cache {
             return None;
         }
-        {
-            // Cheap pre-check without forcing hydration: cold specs on a
-            // warm engine must not pay the chain decode.
-            let warm = self.lock_warm();
-            match &warm.source {
-                Some(source) if source.has_result(spec) => {}
-                _ => return None,
-            }
-        }
-        self.ensure_hydrated();
-        let mut warm = self.lock_warm();
-        let source = warm.source.as_mut()?;
-        let state = self.mem.read_state();
-        match source.take_result(spec, &state.space)? {
+        let decoded = self.lock_warm().source.as_mut()?.take_result(spec)?;
+        match decoded {
             Ok(result) => {
                 self.metrics
                     .lazy_materialized
@@ -1141,7 +1138,6 @@ impl Dtas {
                 Some(result)
             }
             Err(reason) => {
-                drop(state);
                 self.metrics.reject(reason);
                 None
             }
@@ -1165,12 +1161,11 @@ impl Dtas {
     /// memo right now, returning how many were materialized. Queries
     /// normally pay this per spec on first request; `prefault` is the
     /// eager-load escape hatch (and what the perf harness uses to price
-    /// lazy vs. full loading).
+    /// lazy vs. full loading). It decodes answers only, never the space.
     pub fn prefault(&self) -> usize {
         if !self.config.cache {
             return 0;
         }
-        self.ensure_hydrated();
         let pending = {
             let warm = self.lock_warm();
             match &warm.source {
@@ -1192,7 +1187,7 @@ impl Dtas {
     /// Why the bound store's snapshot was rejected at the last warm-start
     /// attempt, if it was (surfaced by `dtas map --stats`). `None` after
     /// a successful load or a plain cold start.
-    pub fn last_snapshot_rejection(&self) -> Option<String> {
+    pub fn last_snapshot_rejection(&self) -> Option<Rejection> {
         self.metrics
             .reject_reason
             .lock()
@@ -1238,17 +1233,20 @@ impl Dtas {
             self.metrics.skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(CheckpointOutcome::Skipped));
         }
-        let snapshot = self.mem.export_snapshot();
+        let mut snapshot = self.mem.export_snapshot();
         let ratio = self.config.compaction_ratio;
+        // Only this call (holding the watermark) or `&mut self` updates
+        // hydrate, so the answer stays true for the whole flush.
+        let undecoded = self.chain_undecoded();
         let delta_eligible = flush.primed
             && flush.has_base
             && flush.generation == snapshot.generation
-            && snapshot.space.nodes.len() >= flush.nodes
+            && (snapshot.space.nodes.len() >= flush.nodes || undecoded)
             && ratio.is_finite()
             && ratio >= 0.0;
         if delta_eligible {
             let dirty = Self::compute_dirty(&flush, &snapshot);
-            if dirty.first_new_node == snapshot.space.nodes.len()
+            if dirty.first_new_node >= snapshot.space.nodes.len()
                 && dirty.front_ids.is_empty()
                 && dirty.result_indices.is_empty()
             {
@@ -1266,7 +1264,10 @@ impl Dtas {
                 if let Some(report) = store.save_delta(&self.store_key(), &snapshot, &dirty)? {
                     self.metrics.delta_saves.fetch_add(1, Ordering::Relaxed);
                     flush.delta_bytes += report.bytes;
+                    // An undecoded chain keeps its node count.
+                    let nodes = flush.nodes.max(snapshot.space.nodes.len());
                     Self::advance_watermark(&mut flush, &snapshot);
+                    flush.nodes = nodes;
                     self.finish_flush(&report, settled_at_start);
                     return Ok(Some(CheckpointOutcome::Delta(report)));
                 }
@@ -1274,6 +1275,13 @@ impl Dtas {
                 // describes (another writer moved it): fall through to
                 // the always-safe full rewrite.
             }
+        }
+        if undecoded {
+            // A full save rewrites the chain from live state alone, so
+            // every persisted answer and node must be live first.
+            self.prefault();
+            self.ensure_hydrated();
+            snapshot = self.mem.export_snapshot();
         }
         let report = store.save_full(&self.store_key(), &snapshot)?;
         if delta_eligible {
@@ -1322,9 +1330,6 @@ impl Dtas {
         flush.solved = (0..flush.nodes)
             .map(|id| snapshot.fronts.fronts.get(id).is_some_and(Option::is_some))
             .collect();
-        // Unencodable (cold-fallback) results are included on purpose:
-        // they are final, so retrying them every checkpoint would be
-        // wasted work — matching what a full save effectively does.
         flush.results = snapshot
             .results
             .iter()
@@ -1834,9 +1839,13 @@ impl Dtas {
         root_cap: usize,
         start: Instant,
     ) -> Result<DesignSet, SynthError> {
-        // Growing the space requires the persisted space first: hydrating
-        // after an expansion would mis-align persisted node ids.
-        self.ensure_hydrated();
+        if self.chain_undecoded() {
+            // Growing the live space would mis-align the chain's node
+            // ids, and decoding the chain costs more than this solve:
+            // solve privately, as a fresh engine would.
+            let mut private = SharedState::default();
+            return self.solve_in(spec, &mut private, root_filter, root_cap, start);
+        }
         let (space, fronts, models, generation, root) = {
             let mut state = self.mem.write_state();
             let first_new = state.space.nodes.len();
@@ -1943,9 +1952,12 @@ impl Dtas {
         specs: &[&ComponentSpec],
         start: Instant,
     ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
-        // As in `solve_shared_with`: the persisted space must be in place
-        // before this batch's expansions append nodes.
-        self.ensure_hydrated();
+        if self.chain_undecoded() {
+            // As in `solve_shared_with`: the batch shares one private
+            // state instead of the undecoded chain's space.
+            let mut private = SharedState::default();
+            return self.batch_in(specs, &mut private, start);
+        }
         let (space, fronts, models, generation, mut plan) = {
             let mut state = self.mem.write_state();
             let plan = self.expand_batch(specs, &mut state);
@@ -1962,8 +1974,9 @@ impl Dtas {
         self.finish_batch(specs, plan, start)
     }
 
-    /// The cache-off batch path: one private state is still shared by the
-    /// whole batch — batching *is* the single shared-space pass.
+    /// The private-state batch path (cache off, or an undecoded chain):
+    /// one private state is still shared by the whole batch — batching
+    /// *is* the single shared-space pass.
     fn batch_in(
         &self,
         distinct: &[&ComponentSpec],

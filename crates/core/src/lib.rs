@@ -104,8 +104,8 @@ pub use service::{
 };
 pub use space::{DesignSpace, FilterPolicy, FrontStore, Policy, SolveConfig, Solver};
 pub use store::{
-    CacheKeyEntry, DirtySet, EngineSnapshot, GcItem, GcPlan, GcReason, LoadOutcome,
-    MemSnapshotStore, PersistentStore, ResultStore, SaveReport, StoreError, StoreKey, WarmSource,
-    FORMAT_VERSION,
+    AnswerDefect, CacheKeyEntry, DirtySet, EngineSnapshot, GcItem, GcPlan, GcReason, LoadOutcome,
+    MemSnapshotStore, PersistentStore, Rejection, ResultStore, SaveReport, StoreError, StoreKey,
+    WarmSource, FORMAT_VERSION,
 };
 pub use template::{NetlistTemplate, Signal, SpecModelCache, TemplateBuilder};

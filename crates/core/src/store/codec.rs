@@ -17,14 +17,18 @@
 //! section can only ever produce an [`Err`]`(reason)`, never a panic or a
 //! wrong design.
 //!
-//! Results are persisted as *policies over the serialized space*, not as
-//! implementation trees: the hierarchical implementations are rebuilt at
-//! load time with the same [`extract`] used on the solve path, which both
-//! shrinks the artifact (implementation trees unfold exponentially) and
-//! guarantees warm-start results are bit-identical to cold-solve results.
+//! An answer is persisted as what the paper calls an implementation: a
+//! hierarchical netlist whose leaves are library cells (§5). Each answer
+//! section holds the de-duplicated DAG of its alternatives — one node per
+//! distinct (spec, cell or template + children) — and only the templates
+//! that DAG uses, so it decodes straight into [`Implementation`] trees
+//! without the design space. The space and its fronts are still persisted
+//! (sections of their own) for the operations that grow or rewrite live
+//! state, but serving a persisted answer never touches them.
 
+use super::{AnswerDefect, Rejection};
 use crate::cost::Timing;
-use crate::extract::{self, ImplKind, Implementation};
+use crate::extract::{ImplKind, Implementation};
 use crate::report::{Alternative, DesignSet, SynthStats};
 use crate::space::{
     CellChoice, DesignPoint, DesignSpace, FrontStore, ImplChoice, Policy, SpecId, SpecNode,
@@ -53,8 +57,10 @@ pub(crate) type ResultEntry = (ComponentSpec, Result<Arc<DesignSet>, SynthError>
 /// chain, see the `segment` module); v3 adds the canonicalization-scheme
 /// fingerprint to the segment header and key — memo entries are keyed by
 /// canonical specs, so chains written under one scheme must never warm an
-/// engine running another.
-pub const FORMAT_VERSION: u32 = 3;
+/// engine running another; v4 stores each answer as its implementation
+/// DAG instead of per-alternative policies over the space, and delta taint
+/// sets list only the delta's own nodes.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Recursion guard for [`Signal`] trees (real wiring nests a handful of
 /// levels; anything deeper is a damaged file).
@@ -828,72 +834,6 @@ fn check_policy_bounds(space: &DesignSpace, policy: &Policy) -> Result<(), Strin
     Ok(())
 }
 
-/// Reconstructs the policy an implementation tree encodes, by walking it
-/// against the space: cells match by (unique) data-book name,
-/// decomposition templates by `Arc` identity with a structural-equality
-/// fallback. The fallback matters for results solved on a *private* cold
-/// space (the taint fallback path, where mutually-recursive rules forced
-/// a fresh expansion): their template `Arc`s are different allocations,
-/// but whenever the shared space carries a structurally identical
-/// template for the same node, the reconstructed policy re-extracts to a
-/// value-identical implementation tree. Returns `None` when a node or
-/// template has no counterpart in this space — such results are simply
-/// not persisted and re-solve on demand.
-fn policy_of(space: &DesignSpace, implementation: &Implementation) -> Option<Policy> {
-    let mut policy = Policy::new();
-    let mut assigned: HashSet<SpecId> = HashSet::new();
-    let mut stack: Vec<&Implementation> = vec![implementation];
-    while let Some(node) = stack.pop() {
-        let id = space.id_of(&node.spec)?;
-        if !assigned.insert(id) {
-            continue;
-        }
-        let spec_node = &space.nodes[id];
-        let choice = match &node.kind {
-            ImplKind::Cell { name } => spec_node
-                .impls
-                .iter()
-                .position(|c| matches!(c, ImplChoice::Cell(cell) if cell.cell == *name))?,
-            ImplKind::Netlist { template, children } => {
-                let idx = spec_node.impls.iter().position(|c| match c {
-                    ImplChoice::Netlist(t) => Arc::ptr_eq(t, template) || **t == **template,
-                    ImplChoice::Cell(_) => false,
-                })?;
-                for child in children {
-                    stack.push(child);
-                }
-                idx
-            }
-        };
-        policy.set(id, choice);
-    }
-    Some(policy)
-}
-
-/// Validates that `policy` fully covers the subgraph its own choices
-/// select under `root`, so the subsequent [`extract`] cannot panic.
-fn check_policy_covers(space: &DesignSpace, root: SpecId, policy: &Policy) -> Result<(), String> {
-    let mut seen: HashSet<SpecId> = HashSet::new();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
-            continue;
-        }
-        let node = &space.nodes[id];
-        let choice = policy
-            .get(id)
-            .ok_or_else(|| format!("policy misses node {id}"))?;
-        if choice >= node.impls.len() {
-            return Err(format!(
-                "policy picks choice {choice} of {} at node {id}",
-                node.impls.len()
-            ));
-        }
-        stack.extend(node.children[choice].iter().copied());
-    }
-    Ok(())
-}
-
 pub(crate) fn put_synth_error(w: &mut Writer, error: &SynthError) {
     match error {
         SynthError::Expand(m) => {
@@ -959,126 +899,317 @@ pub(crate) fn decode_fronts_section(
     Ok(fronts)
 }
 
-/// Encodes every persistable memoized result as its own section, so a
-/// segment's header can index them for lazy per-spec decode. `Ok` results
-/// are persisted as per-alternative policies; results whose
-/// implementations were not built from the shared space (cold-fallback
-/// solves) are skipped — they will be re-solved on demand, which is
-/// always correct.
-pub(crate) fn encode_result_sections(
-    space: &DesignSpace,
-    results: &[ResultEntry],
-) -> Vec<(ComponentSpec, Vec<u8>)> {
-    let mut out: Vec<(ComponentSpec, Vec<u8>)> = Vec::new();
-    'results: for (spec, result) in results {
-        let mut policies = Vec::new();
-        if let Ok(set) = result {
-            if space.id_of(spec).is_none() {
-                continue;
-            }
-            for alt in &set.alternatives {
-                match policy_of(space, &alt.implementation) {
-                    Some(policy) => policies.push(policy),
-                    None => continue 'results,
+/// Encodes every memoized answer as its own section, so a segment's
+/// header can index them for lazy per-spec decode. Sections are
+/// self-contained: an `Ok` answer carries its implementation DAG and the
+/// templates it uses, whichever space (shared or private) it was solved
+/// on.
+pub(crate) fn encode_result_sections(results: &[ResultEntry]) -> Vec<(ComponentSpec, Vec<u8>)> {
+    results
+        .iter()
+        .map(|(spec, result)| {
+            let mut w = Writer::new();
+            match result {
+                Err(error) => {
+                    w.u8(0);
+                    put_synth_error(&mut w, error);
+                }
+                Ok(set) => {
+                    w.u8(1);
+                    put_answer(&mut w, set);
                 }
             }
-        }
-        let mut w = Writer::new();
-        match result {
-            Err(error) => {
-                w.u8(0);
-                put_synth_error(&mut w, error);
-            }
-            Ok(set) => {
-                w.u8(1);
-                w.usize32(set.alternatives.len());
-                for (alt, policy) in set.alternatives.iter().zip(&policies) {
-                    w.f64(alt.area);
-                    w.f64(alt.delay);
-                    put_timing(&mut w, &alt.timing);
-                    put_policy(&mut w, policy);
-                }
-                w.f64(set.unconstrained_size);
-                w.f64(set.unconstrained_log10);
-                match set.uniform_size {
-                    None => w.bool(false),
-                    Some(n) => {
-                        w.bool(true);
-                        w.u64(n);
-                    }
-                }
-                w.u64(set.stats.spec_nodes as u64);
-                w.u64(set.stats.impl_choices as u64);
-                w.u64(set.stats.truncated_combinations);
-            }
-        }
-        out.push((spec.clone(), w.into_bytes()));
-    }
-    out
+            (spec.clone(), w.into_bytes())
+        })
+        .collect()
 }
 
-/// Decodes one result body for `spec` against the (possibly grown)
-/// hydrated space. This is the lazy read path: it runs when a spec is
-/// first requested, not at load, and rebuilds the implementation trees
-/// with the solve path's own [`extract`] so warm answers stay
-/// bit-identical to cold ones.
+/// Hash-conses the alternatives' implementation trees into one DAG whose
+/// nodes are `(spec, choice)` pairs. Nodes are pushed bottom-up, so every
+/// child index is below its parent's. Specs, cell names and templates
+/// are interned into tables of their own, so the node table is plain
+/// integers.
+#[derive(Default)]
+struct DagWriter<'a> {
+    specs: Vec<&'a ComponentSpec>,
+    spec_index: HashMap<&'a ComponentSpec, u32>,
+    names: Vec<&'a str>,
+    name_index: HashMap<&'a str, u32>,
+    templates: Vec<&'a NetlistTemplate>,
+    template_index: HashMap<*const NetlistTemplate, u32>,
+    nodes: Vec<DagNode>,
+    node_index: HashMap<DagNode, u32>,
+    /// Shared subtrees are walked once (extraction `Arc`-shares every
+    /// occurrence of a spec within one alternative).
+    by_ptr: HashMap<*const Implementation, u32>,
+}
+
+/// One node of an answer's implementation DAG: table indices plus the
+/// child node refs (empty for a cell).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct DagNode {
+    spec: u32,
+    netlist: bool,
+    /// Cell-name index for a cell, template index for a netlist.
+    index: u32,
+    children: Vec<u32>,
+}
+
+/// Interns `key` into `table`, returning its index.
+fn intern<K: std::hash::Hash + Eq, V>(
+    table: &mut Vec<V>,
+    index: &mut HashMap<K, u32>,
+    key: K,
+    value: V,
+) -> u32 {
+    *index.entry(key).or_insert_with(|| {
+        table.push(value);
+        (table.len() - 1) as u32
+    })
+}
+
+impl<'a> DagWriter<'a> {
+    fn node(&mut self, implementation: &'a Implementation) -> u32 {
+        let spec = &implementation.spec;
+        let spec = intern(&mut self.specs, &mut self.spec_index, spec, spec);
+        let node = match &implementation.kind {
+            ImplKind::Cell { name } => DagNode {
+                spec,
+                netlist: false,
+                index: intern(&mut self.names, &mut self.name_index, name, name),
+                children: Vec::new(),
+            },
+            ImplKind::Netlist { template, children } => DagNode {
+                spec,
+                netlist: true,
+                index: intern(
+                    &mut self.templates,
+                    &mut self.template_index,
+                    Arc::as_ptr(template),
+                    template,
+                ),
+                children: children.iter().map(|child| self.shared(child)).collect(),
+            },
+        };
+        intern(&mut self.nodes, &mut self.node_index, node.clone(), node)
+    }
+
+    fn shared(&mut self, implementation: &'a Arc<Implementation>) -> u32 {
+        let ptr = Arc::as_ptr(implementation);
+        if let Some(&id) = self.by_ptr.get(&ptr) {
+            return id;
+        }
+        let id = self.node(implementation);
+        self.by_ptr.insert(ptr, id);
+        id
+    }
+}
+
+/// Writes an `Ok` answer. The node table comes first and is fixed-width
+/// but for its child lists: per node, spec index, kind (0 cell, 1
+/// netlist), cell-name or template index, child count, child refs. Then
+/// the spec, cell-name and template tables, the alternatives (each
+/// pointing at its root node) and the accounting.
+fn put_answer(w: &mut Writer, set: &DesignSet) {
+    let mut dag = DagWriter::default();
+    let roots: Vec<u32> = set
+        .alternatives
+        .iter()
+        .map(|alt| dag.node(&alt.implementation))
+        .collect();
+    w.usize32(dag.specs.len());
+    w.usize32(dag.nodes.len());
+    for node in &dag.nodes {
+        w.u32(node.spec);
+        w.bool(node.netlist);
+        w.u32(node.index);
+        w.usize32(node.children.len());
+        for &child in &node.children {
+            w.u32(child);
+        }
+    }
+    for spec in &dag.specs {
+        put_spec(w, spec);
+    }
+    w.usize32(dag.names.len());
+    for name in &dag.names {
+        w.str(name);
+    }
+    w.usize32(dag.templates.len());
+    for template in &dag.templates {
+        put_template(w, template);
+    }
+    w.usize32(set.alternatives.len());
+    for (alt, root) in set.alternatives.iter().zip(roots) {
+        w.f64(alt.area);
+        w.f64(alt.delay);
+        put_timing(w, &alt.timing);
+        w.u32(root);
+    }
+    w.f64(set.unconstrained_size);
+    w.f64(set.unconstrained_log10);
+    match set.uniform_size {
+        None => w.bool(false),
+        Some(n) => {
+            w.bool(true);
+            w.u64(n);
+        }
+    }
+    w.u64(set.stats.spec_nodes as u64);
+    w.u64(set.stats.impl_choices as u64);
+    w.u64(set.stats.truncated_combinations);
+}
+
+/// Decodes an implementation DAG and checks it node by node: every child
+/// below its parent, every template index in range, one child per module
+/// (none for a cell), and each child implementing exactly its module's
+/// spec.
+fn get_dag(r: &mut Reader) -> Result<Vec<Arc<Implementation>>, Rejection> {
+    let spec_count = r.len("answer spec")?;
+    let node_count = r.len("implementation node")?;
+    let mut table = Vec::with_capacity(node_count);
+    for _ in 0..node_count {
+        let spec = r.u32("node spec")?;
+        let netlist = r.bool("node kind")?;
+        let index = r.u32("node cell or template")?;
+        let children = (0..r.len("child ref")?)
+            .map(|_| r.u32("child ref"))
+            .collect::<Result<Vec<u32>, String>>()?;
+        table.push(DagNode {
+            spec,
+            netlist,
+            index,
+            children,
+        });
+    }
+    let specs = (0..spec_count)
+        .map(|_| get_spec(r))
+        .collect::<Result<Vec<_>, String>>()?;
+    let names = (0..r.len("cell name")?)
+        .map(|_| r.str("cell name"))
+        .collect::<Result<Vec<_>, String>>()?;
+    let templates = (0..r.len("template")?)
+        .map(|_| get_template(r).map(Arc::new))
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut nodes: Vec<Arc<Implementation>> = Vec::with_capacity(node_count);
+    for (node, entry) in table.into_iter().enumerate() {
+        let spec = specs
+            .get(entry.spec as usize)
+            .ok_or_else(|| format!("node {node} names spec {} of {spec_count}", entry.spec))?;
+        let index = entry.index as usize;
+        let kind = if entry.netlist {
+            let template = templates
+                .get(index)
+                .ok_or(AnswerDefect::TemplateOutOfRange {
+                    node,
+                    index,
+                    templates: templates.len(),
+                })?;
+            if entry.children.len() != template.modules.len() {
+                return Err(Rejection::Answer(AnswerDefect::ChildCount {
+                    node,
+                    children: entry.children.len(),
+                    modules: template.modules.len(),
+                }));
+            }
+            let mut children = Vec::with_capacity(entry.children.len());
+            for (module, (&child, instance)) in
+                entry.children.iter().zip(&template.modules).enumerate()
+            {
+                let child = child as usize;
+                // Only the nodes below this one are built yet.
+                let built = nodes
+                    .get(child)
+                    .ok_or(AnswerDefect::ChildNotBelowParent { node, child })?;
+                if built.spec != instance.spec {
+                    return Err(Rejection::Answer(AnswerDefect::ChildSpec { node, module }));
+                }
+                children.push(Arc::clone(built));
+            }
+            ImplKind::Netlist {
+                template: Arc::clone(template),
+                children,
+            }
+        } else {
+            if !entry.children.is_empty() {
+                return Err(Rejection::Answer(AnswerDefect::ChildCount {
+                    node,
+                    children: entry.children.len(),
+                    modules: 0,
+                }));
+            }
+            let name = names
+                .get(index)
+                .ok_or_else(|| format!("node {node} names cell {index} of {}", names.len()))?;
+            ImplKind::Cell { name: name.clone() }
+        };
+        nodes.push(Arc::new(Implementation {
+            spec: spec.clone(),
+            kind,
+        }));
+    }
+    Ok(nodes)
+}
+
+fn get_answer(r: &mut Reader, spec: &ComponentSpec) -> Result<DesignSet, Rejection> {
+    let nodes = get_dag(r)?;
+    let alt_count = r.len("alternative")?;
+    let mut alternatives = Vec::with_capacity(alt_count);
+    for alternative in 0..alt_count {
+        let area = r.f64("alternative area")?;
+        let delay = r.f64("alternative delay")?;
+        let timing = get_timing(r)?;
+        let root = r.u32("alternative root")? as usize;
+        let implementation = nodes
+            .get(root)
+            .filter(|node| node.spec == *spec)
+            .ok_or(AnswerDefect::Root { alternative })?;
+        alternatives.push(Alternative {
+            area,
+            delay,
+            timing,
+            implementation: Implementation::clone(implementation),
+        });
+    }
+    let unconstrained_size = r.f64("unconstrained size")?;
+    let unconstrained_log10 = r.f64("unconstrained log10")?;
+    let uniform_size = if r.bool("uniform presence")? {
+        Some(r.u64("uniform size")?)
+    } else {
+        None
+    };
+    let stats = SynthStats {
+        spec_nodes: r.u64("stat spec_nodes")? as usize,
+        impl_choices: r.u64("stat impl_choices")? as usize,
+        // Restamped per call on delivery.
+        elapsed: Duration::ZERO,
+        truncated_combinations: r.u64("stat truncation")?,
+    };
+    Ok(DesignSet {
+        spec: spec.clone(),
+        alternatives,
+        unconstrained_size,
+        unconstrained_log10,
+        uniform_size,
+        stats,
+    })
+}
+
+/// Decodes one answer section for `spec`. This is the lazy read path: it
+/// runs when a spec is first requested, not at load, and needs nothing
+/// but the section's own bytes.
 pub(crate) fn decode_result_body(
     bytes: &[u8],
-    space: &DesignSpace,
     spec: &ComponentSpec,
-) -> Result<Result<Arc<DesignSet>, SynthError>, String> {
+) -> Result<Result<Arc<DesignSet>, SynthError>, Rejection> {
     let mut r = Reader::new(bytes);
     let result = match r.u8("result tag")? {
         0 => Err(get_synth_error(&mut r)?),
-        1 => {
-            let root = space
-                .id_of(spec)
-                .ok_or_else(|| format!("result spec {spec} not in space"))?;
-            let alt_count = r.len("alternative")?;
-            let mut alternatives = Vec::with_capacity(alt_count);
-            for _ in 0..alt_count {
-                let area = r.f64("alternative area")?;
-                let delay = r.f64("alternative delay")?;
-                let timing = get_timing(&mut r)?;
-                let policy = get_policy(&mut r, space.nodes.len())?;
-                check_policy_covers(space, root, &policy)?;
-                // Rebuilding through the solve path's own `extract`
-                // pins warm implementations bit-identical to cold.
-                let implementation = extract::extract(space, root, &policy);
-                alternatives.push(Alternative {
-                    area,
-                    delay,
-                    timing,
-                    implementation,
-                });
-            }
-            let unconstrained_size = r.f64("unconstrained size")?;
-            let unconstrained_log10 = r.f64("unconstrained log10")?;
-            let uniform_size = if r.bool("uniform presence")? {
-                Some(r.u64("uniform size")?)
-            } else {
-                None
-            };
-            let stats = SynthStats {
-                spec_nodes: r.u64("stat spec_nodes")? as usize,
-                impl_choices: r.u64("stat impl_choices")? as usize,
-                // Restamped per call on delivery.
-                elapsed: Duration::ZERO,
-                truncated_combinations: r.u64("stat truncation")?,
-            };
-            Ok(Arc::new(DesignSet {
-                spec: spec.clone(),
-                alternatives,
-                unconstrained_size,
-                unconstrained_log10,
-                uniform_size,
-                stats,
-            }))
-        }
-        other => return Err(format!("unknown result tag {other}")),
+        1 => Ok(Arc::new(get_answer(&mut r, spec)?)),
+        other => return Err(format!("unknown result tag {other}").into()),
     };
     if r.remaining() != 0 {
-        return Err(format!("{} trailing bytes after result", r.remaining()));
+        return Err(format!("{} trailing bytes after result", r.remaining()).into());
     }
     Ok(result)
 }
@@ -1087,11 +1218,12 @@ pub(crate) fn decode_result_body(
 // Delta payloads: the O(dirty) sections of a delta segment.
 
 /// Encodes the space *extension* a delta carries: the nodes appended
-/// since `first_new` (with a self-contained template table) plus the full
-/// taint set (small, and replacing it wholesale keeps hydration simple
-/// and order-independent).
+/// since `first_new` (with a self-contained template table) plus which of
+/// them are tainted. Taint is fixed when a node is created, so hydration
+/// unions each delta's set into the chain's. An engine serving an
+/// undecoded chain has no live nodes and extends the chain by none.
 pub(crate) fn encode_space_extension(space: &DesignSpace, first_new: usize) -> Vec<u8> {
-    let new_nodes = &space.nodes[first_new..];
+    let new_nodes = space.nodes.get(first_new..).unwrap_or_default();
     let (templates, template_index) = intern_templates(new_nodes);
     let mut w = Writer::new();
     w.usize32(templates.len());
@@ -1103,7 +1235,13 @@ pub(crate) fn encode_space_extension(space: &DesignSpace, first_new: usize) -> V
         put_spec(&mut w, &node.spec);
         put_node_body(&mut w, node, &template_index);
     }
-    put_tainted(&mut w, &space.tainted);
+    let tainted: HashSet<SpecId> = space
+        .tainted
+        .iter()
+        .copied()
+        .filter(|&id| id >= first_new)
+        .collect();
+    put_tainted(&mut w, &tainted);
     w.into_bytes()
 }
 
@@ -1140,6 +1278,9 @@ pub(crate) fn decode_space_extension(
         });
     }
     let tainted = get_tainted(&mut r, node_count)?;
+    if let Some(id) = tainted.iter().find(|&&id| id < prev_nodes) {
+        return Err(format!("extension taints node {id} below {prev_nodes}"));
+    }
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after extension", r.remaining()));
     }

@@ -6,8 +6,8 @@
 //! *generation* number:
 //!
 //! ```text
-//! dtas-v3-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003.base
-//! dtas-v3-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003-d0001.delta
+//! dtas-v4-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003.base
+//! dtas-v4-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003-d0001.delta
 //! ```
 //!
 //! Every write goes to a dot-prefixed temporary in the same directory and
@@ -27,8 +27,8 @@
 
 use crate::store::mmap::SegmentBytes;
 use crate::store::{
-    fresh_base_id, segment, DirtySet, EngineSnapshot, LoadOutcome, ResultStore, SaveReport,
-    StoreError, StoreKey, FORMAT_VERSION,
+    fresh_base_id, segment, DirtySet, EngineSnapshot, LoadOutcome, Rejection, ResultStore,
+    SaveReport, StoreError, StoreKey, FORMAT_VERSION,
 };
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -352,7 +352,7 @@ impl PersistentStore {
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(LoadOutcome::Missing),
             Err(e) => {
                 return Ok(LoadOutcome::Rejected {
-                    reason: format!("{}: {e}", self.dir.display()),
+                    reason: Rejection::Unreadable(format!("{}: {e}", self.dir.display())),
                 })
             }
         };
@@ -370,7 +370,7 @@ impl PersistentStore {
             Err(e) if e.kind() == ErrorKind::NotFound => return Err(true),
             Err(e) => {
                 return Ok(LoadOutcome::Rejected {
-                    reason: format!("{}: {e}", base_path.display()),
+                    reason: Rejection::Unreadable(format!("{}: {e}", base_path.display())),
                 })
             }
         };
@@ -392,7 +392,7 @@ impl PersistentStore {
                 Err(e) if e.kind() == ErrorKind::NotFound => break,
                 Err(e) => {
                     return Ok(LoadOutcome::Rejected {
-                        reason: format!("{}: {e}", path.display()),
+                        reason: Rejection::Unreadable(format!("{}: {e}", path.display())),
                     })
                 }
             }
@@ -416,9 +416,7 @@ impl PersistentStore {
                     bytes,
                 })
             }
-            Err(reason) => Ok(LoadOutcome::Rejected {
-                reason: format!("{}: {reason}", base_path.display()),
-            }),
+            Err(reason) => Ok(LoadOutcome::Rejected { reason }),
         }
     }
 
@@ -719,10 +717,10 @@ impl ResultStore for PersistentStore {
             }
         }
         LoadOutcome::Rejected {
-            reason: format!(
+            reason: Rejection::Unreadable(format!(
                 "{}: cache directory changed concurrently during load",
                 self.dir.display()
-            ),
+            )),
         }
     }
 
@@ -760,7 +758,7 @@ impl ResultStore for PersistentStore {
                 generation: gen,
                 next_seq: 1,
                 last_link: encoded.header_checksum,
-                node_count: snapshot.space.nodes.len() as u32,
+                node_count: encoded.node_count,
             },
         );
         Ok(SaveReport {
@@ -796,7 +794,7 @@ impl ResultStore for PersistentStore {
         )?;
         chain.next_seq += 1;
         chain.last_link = encoded.header_checksum;
-        chain.node_count = snapshot.space.nodes.len() as u32;
+        chain.node_count = encoded.node_count;
         Ok(Some(SaveReport {
             bytes: encoded.bytes.len() as u64,
             results: encoded.results,

@@ -12,7 +12,10 @@
 //! (see the `segment` module). Loading returns a [`WarmSource`] — a
 //! validated but mostly *undecoded* view of the chain: the base is
 //! memory-mapped where the platform supports it, and the engine decodes
-//! each stored result only when its spec is first requested. Saving is
+//! each stored answer only when its spec is first requested. Since
+//! format version 4 an answer is stored as its own hierarchical netlist
+//! (see the `codec` module), so serving it never decodes the design
+//! space. Saving is
 //! either a full base rewrite ([`ResultStore::save_full`], also the
 //! compaction step) or an appended delta carrying just the engine's
 //! [`DirtySet`] ([`ResultStore::save_delta`]).
@@ -115,7 +118,9 @@ impl EngineSnapshot {
 /// What an engine changed since its last flush — the payload of a delta
 /// checkpoint, O(dirty) rather than O(space).
 pub struct DirtySet {
-    /// Nodes `first_new_node..` were appended since the last flush.
+    /// Nodes `first_new_node..` were appended since the last flush. An
+    /// engine still serving an undecoded chain has an empty live space;
+    /// its deltas carry answers only and keep the chain's node count.
     pub first_new_node: usize,
     /// Node ids whose fronts were solved since the last flush.
     pub front_ids: Vec<usize>,
@@ -143,11 +148,137 @@ pub enum LoadOutcome {
     /// a different format version, or mismatched fingerprints. The engine
     /// falls back to a clean cold solve.
     Rejected {
-        /// Human-readable cause, kept by the engine (see
+        /// The cause, kept by the engine (see
         /// [`Dtas::last_snapshot_rejection`](crate::Dtas::last_snapshot_rejection))
         /// and printed by `dtas map --stats`.
-        reason: String,
+        reason: Rejection,
     },
+}
+
+/// Why a persisted chain, or one answer in it, was refused. Every
+/// rejection falls back to a cold solve, which is always correct.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Rejection {
+    /// The chain was written by another codec [`FORMAT_VERSION`].
+    FormatVersion {
+        /// The version the segment header carries.
+        found: u32,
+        /// The version this build reads.
+        supported: u32,
+    },
+    /// Intact bytes that belong to some other chain: mismatched
+    /// fingerprints, a delta of another base, a broken chain link.
+    Mismatch(String),
+    /// Damaged bytes: truncation, a checksum mismatch, or a field no
+    /// decoder accepts.
+    Damaged(String),
+    /// The backing medium could not be read.
+    Unreadable(String),
+    /// An answer section whose implementation DAG is inconsistent.
+    Answer(AnswerDefect),
+}
+
+impl From<String> for Rejection {
+    /// Decoder errors are damage unless a check says otherwise.
+    fn from(reason: String) -> Self {
+        Rejection::Damaged(reason)
+    }
+}
+
+impl From<AnswerDefect> for Rejection {
+    fn from(defect: AnswerDefect) -> Self {
+        Rejection::Answer(defect)
+    }
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::FormatVersion { found, supported } => {
+                write!(f, "format version {found} (this build reads {supported})")
+            }
+            Rejection::Mismatch(m) | Rejection::Damaged(m) | Rejection::Unreadable(m) => {
+                f.write_str(m)
+            }
+            Rejection::Answer(defect) => write!(f, "answer section: {defect}"),
+        }
+    }
+}
+
+/// A structural defect in a persisted answer's implementation DAG. DAG
+/// nodes are numbered bottom-up: children always precede their parent.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AnswerDefect {
+    /// A child reference that does not point below its parent.
+    ChildNotBelowParent {
+        /// The parent node.
+        node: usize,
+        /// The offending child reference.
+        child: usize,
+    },
+    /// A template index past the section's template table.
+    TemplateOutOfRange {
+        /// The netlist node.
+        node: usize,
+        /// The offending index.
+        index: usize,
+        /// Templates the section holds.
+        templates: usize,
+    },
+    /// A netlist node whose child count differs from its template's
+    /// module count.
+    ChildCount {
+        /// The netlist node.
+        node: usize,
+        /// Child references stored.
+        children: usize,
+        /// Modules the template instantiates.
+        modules: usize,
+    },
+    /// A child that implements a different spec than its module asks for.
+    ChildSpec {
+        /// The netlist node.
+        node: usize,
+        /// The module (and child) position.
+        module: usize,
+    },
+    /// An alternative whose root is out of range or implements a spec
+    /// other than the answer's.
+    Root {
+        /// The alternative's position.
+        alternative: usize,
+    },
+}
+
+impl fmt::Display for AnswerDefect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnswerDefect::ChildNotBelowParent { node, child } => {
+                write!(f, "child {child} not below node {node}")
+            }
+            AnswerDefect::TemplateOutOfRange {
+                node,
+                index,
+                templates,
+            } => write!(f, "node {node} names template {index} of {templates}"),
+            AnswerDefect::ChildCount {
+                node,
+                children,
+                modules,
+            } => write!(
+                f,
+                "node {node} has {children} children for a template of {modules} modules"
+            ),
+            AnswerDefect::ChildSpec { node, module } => write!(
+                f,
+                "child {module} of node {node} implements another spec than its module"
+            ),
+            AnswerDefect::Root { alternative } => write!(
+                f,
+                "alternative {alternative} is rooted outside the answer's spec"
+            ),
+        }
+    }
 }
 
 /// What a successful save wrote.
@@ -155,8 +286,7 @@ pub enum LoadOutcome {
 pub struct SaveReport {
     /// Encoded segment size in bytes.
     pub bytes: u64,
-    /// Memoized results persisted (results solved on private cold state
-    /// are skipped — see the codec docs).
+    /// Memoized answers (successes and failures) persisted.
     pub results: usize,
 }
 
@@ -348,7 +478,7 @@ impl ResultStore for MemSnapshotStore {
                 base_id,
                 next_seq: 1,
                 last_link: encoded.header_checksum,
-                node_count: snapshot.space.nodes.len() as u32,
+                node_count: encoded.node_count,
                 deltas: Vec::new(),
             },
         );
@@ -382,7 +512,7 @@ impl ResultStore for MemSnapshotStore {
         };
         chain.next_seq += 1;
         chain.last_link = encoded.header_checksum;
-        chain.node_count = snapshot.space.nodes.len() as u32;
+        chain.node_count = encoded.node_count;
         chain.deltas.push(encoded.bytes);
         Ok(Some(report))
     }

@@ -2,9 +2,9 @@
 //!
 //! A key's persisted state is a *chain*: one immutable **base** segment
 //! (the whole design space, every solved front, an index of memoized
-//! results) plus zero or more **delta** segments, each carrying only what
+//! answers) plus zero or more **delta** segments, each carrying only what
 //! changed since the previous flush — appended nodes, newly solved
-//! fronts, new results. Every segment is self-framing:
+//! fronts, new answers. Every segment is self-framing:
 //!
 //! ```text
 //! magic "DTASSEG2" · format version · kind (base/delta)
@@ -20,10 +20,10 @@
 //! the header checksum and the section bounds, then leaves the body bytes
 //! untouched (and, on 64-bit unix, memory-mapped — see the `mmap`
 //! module). Sections are checksummed individually and verified on first
-//! *access*: the space and fronts when an engine first has to grow the
-//! space, each result body when its spec is first requested. Deltas are
-//! small, so they are verified eagerly at load — a damaged delta rejects
-//! the whole load before any of it can be served.
+//! *access*: each answer when its spec is first requested, the space and
+//! fronts only when an engine hydrates them (a rules or config update, or
+//! a full save). Deltas are small, so they are verified eagerly at load —
+//! a damaged delta rejects the whole load before any of it can be served.
 //!
 //! Chains are validated strictly at assembly: sequence numbers must be
 //! contiguous from 1, every delta must name the base's random id, carry
@@ -36,13 +36,13 @@
 
 use super::codec::{self, Reader, ResultEntry, Writer};
 use super::mmap::SegmentBytes;
-use super::{DirtySet, EngineSnapshot, StoreKey};
+use super::{DirtySet, EngineSnapshot, Rejection, StoreKey};
 use crate::report::DesignSet;
-use crate::space::{DesignSpace, FrontStore};
+use crate::space::{DesignPoint, DesignSpace, FrontStore, SpecId, SpecNode};
 use crate::SynthError;
 use genus::spec::ComponentSpec;
 use rtl_base::hash::fnv1a_64;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Magic prefix of every tiered-store segment (unchanged since v2 of the
@@ -158,38 +158,38 @@ fn put_header_fields(
 /// and future). Everything else is covered by the checksum, then every
 /// section descriptor is bounds-checked against the file, so no later
 /// access can read out of range.
-pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader, String> {
+pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader, Rejection> {
     let mut r = Reader::new(bytes);
     let magic = r.take(SEGMENT_MAGIC.len(), "magic")?;
     if magic != SEGMENT_MAGIC {
-        return Err("not a DTAS segment (bad magic)".into());
+        return Err(Rejection::Damaged("not a DTAS segment (bad magic)".into()));
     }
     let version = r.u32("format version")?;
     if version != key.format_version {
-        return Err(format!(
-            "format version {version} (this build reads {})",
-            key.format_version
-        ));
+        return Err(Rejection::FormatVersion {
+            found: version,
+            supported: key.format_version,
+        });
     }
     let kind = r.u8("segment kind")?;
     if kind != KIND_BASE && kind != KIND_DELTA {
-        return Err(format!("unknown segment kind {kind}"));
+        return Err(format!("unknown segment kind {kind}").into());
     }
-    let library = r.u64("library fingerprint")?;
-    if library != key.library {
-        return Err("library fingerprint mismatch".into());
-    }
-    let rules = r.u64("rule-set fingerprint")?;
-    if rules != key.rules {
-        return Err("rule-set fingerprint mismatch".into());
-    }
-    let config = r.u64("config fingerprint")?;
-    if config != key.config {
-        return Err("configuration fingerprint mismatch".into());
-    }
-    let canon = r.u64("canonicalization fingerprint")?;
-    if canon != key.canon {
-        return Err("canonicalization fingerprint mismatch".into());
+    // Fingerprints come before the checksum, so damage here can read as
+    // a mismatch; either way the chain is refused.
+    for (stored, wanted, what) in [
+        (r.u64("library fingerprint")?, key.library, "library"),
+        (r.u64("rule-set fingerprint")?, key.rules, "rule-set"),
+        (r.u64("config fingerprint")?, key.config, "configuration"),
+        (
+            r.u64("canonicalization fingerprint")?,
+            key.canon,
+            "canonicalization",
+        ),
+    ] {
+        if stored != wanted {
+            return Err(Rejection::Mismatch(format!("{what} fingerprint mismatch")));
+        }
     }
     let base_id = r.u64("base id")?;
     let seq = r.u32("segment seq")?;
@@ -210,7 +210,8 @@ pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader
     if stored != computed {
         return Err(format!(
             "header checksum mismatch (stored {stored:016x}, computed {computed:016x})"
-        ));
+        )
+        .into());
     }
     let header_end = checksum_at + 8;
     let check_bounds = |desc: &SectionDesc, what: &str| -> Result<(), String> {
@@ -231,15 +232,19 @@ pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader
     }
     match kind {
         KIND_BASE if seq != 0 || prev_link != 0 || prev_nodes != 0 => {
-            return Err("base segment carries chain fields".into())
+            return Err(Rejection::Damaged(
+                "base segment carries chain fields".into(),
+            ))
         }
-        KIND_DELTA if seq == 0 => return Err("delta segment with sequence 0".into()),
+        KIND_DELTA if seq == 0 => {
+            return Err(Rejection::Damaged("delta segment with sequence 0".into()))
+        }
         _ => {}
     }
     if prev_nodes > node_count {
-        return Err(format!(
-            "node count shrinks across segment ({prev_nodes} -> {node_count})"
-        ));
+        return Err(
+            format!("node count shrinks across segment ({prev_nodes} -> {node_count})").into(),
+        );
     }
     Ok(SegmentHeader {
         kind,
@@ -281,6 +286,8 @@ pub(crate) struct EncodedSegment {
     pub(crate) header_checksum: u64,
     /// Memoized results indexed in this segment.
     pub(crate) results: usize,
+    /// The chain's node count once this segment is applied.
+    pub(crate) node_count: u32,
 }
 
 /// Frames pre-encoded sections into one segment. Two passes: the header's
@@ -353,6 +360,7 @@ fn encode_segment(
         bytes,
         header_checksum,
         results: result_bodies.len(),
+        node_count,
     }
 }
 
@@ -365,7 +373,7 @@ pub(crate) fn encode_base(
     let node_count = snapshot.space.nodes.len();
     let space = codec::encode_space_section(&snapshot.space);
     let fronts = codec::encode_fronts_section(&snapshot.fronts, node_count);
-    let results = codec::encode_result_sections(&snapshot.space, &snapshot.results);
+    let results = codec::encode_result_sections(&snapshot.results);
     encode_segment(
         key,
         KIND_BASE,
@@ -381,7 +389,9 @@ pub(crate) fn encode_base(
 }
 
 /// Encodes the dirty slice of a snapshot as delta segment `seq` chained
-/// onto the segment whose header checksum is `prev_link`.
+/// onto the segment whose header checksum is `prev_link`. A snapshot with
+/// fewer live nodes than the chain (an engine that never hydrated it)
+/// appends answers only.
 pub(crate) fn encode_delta(
     snapshot: &EngineSnapshot,
     dirty: &DirtySet,
@@ -390,7 +400,7 @@ pub(crate) fn encode_delta(
     seq: u32,
     prev_link: u64,
 ) -> EncodedSegment {
-    let node_count = snapshot.space.nodes.len();
+    let node_count = snapshot.space.nodes.len().max(dirty.first_new_node);
     let space = codec::encode_space_extension(&snapshot.space, dirty.first_new_node);
     let fronts = codec::encode_front_updates(&snapshot.fronts, &dirty.front_ids);
     let entries: Vec<ResultEntry> = dirty
@@ -398,7 +408,7 @@ pub(crate) fn encode_delta(
         .iter()
         .map(|&i| snapshot.results[i].clone())
         .collect();
-    let results = codec::encode_result_sections(&snapshot.space, &entries);
+    let results = codec::encode_result_sections(&entries);
     encode_segment(
         key,
         KIND_DELTA,
@@ -421,10 +431,12 @@ pub(crate) struct BaseSegment {
 }
 
 impl BaseSegment {
-    pub(crate) fn open(bytes: SegmentBytes, key: &StoreKey) -> Result<BaseSegment, String> {
+    pub(crate) fn open(bytes: SegmentBytes, key: &StoreKey) -> Result<BaseSegment, Rejection> {
         let header = parse_header(&bytes, key)?;
         if header.kind != KIND_BASE {
-            return Err("expected a base segment, found a delta".into());
+            return Err(Rejection::Mismatch(
+                "expected a base segment, found a delta".into(),
+            ));
         }
         Ok(BaseSegment { bytes, header })
     }
@@ -438,16 +450,6 @@ impl BaseSegment {
         let slice = verified_section(&self.bytes, &self.header.fronts, "fronts")?;
         codec::decode_fronts_section(slice, space, self.header.node_count as usize)
     }
-
-    fn decode_result(
-        &self,
-        idx: usize,
-        space: &DesignSpace,
-    ) -> Result<Result<Arc<DesignSet>, SynthError>, String> {
-        let (spec, desc) = &self.header.results[idx];
-        let slice = verified_section(&self.bytes, desc, &format!("result {spec}"))?;
-        codec::decode_result_body(slice, space, spec)
-    }
 }
 
 /// An opened delta segment. Deltas are eagerly *checksum*-verified (every
@@ -460,10 +462,12 @@ pub(crate) struct DeltaSegment {
 }
 
 impl DeltaSegment {
-    pub(crate) fn open(bytes: SegmentBytes, key: &StoreKey) -> Result<DeltaSegment, String> {
+    pub(crate) fn open(bytes: SegmentBytes, key: &StoreKey) -> Result<DeltaSegment, Rejection> {
         let header = parse_header(&bytes, key)?;
         if header.kind != KIND_DELTA {
-            return Err("expected a delta segment, found a base".into());
+            return Err(Rejection::Mismatch(
+                "expected a delta segment, found a base".into(),
+            ));
         }
         verified_section(&bytes, &header.space, "space extension")?;
         verified_section(&bytes, &header.fronts, "front updates")?;
@@ -473,15 +477,7 @@ impl DeltaSegment {
         Ok(DeltaSegment { bytes, header })
     }
 
-    fn decode_extension(
-        &self,
-    ) -> Result<
-        (
-            Vec<crate::space::SpecNode>,
-            std::collections::HashSet<usize>,
-        ),
-        String,
-    > {
+    fn decode_extension(&self) -> Result<(Vec<SpecNode>, HashSet<SpecId>), String> {
         let slice = verified_section(&self.bytes, &self.header.space, "space extension")?;
         codec::decode_space_extension(
             slice,
@@ -490,34 +486,21 @@ impl DeltaSegment {
         )
     }
 
-    fn decode_front_updates(
-        &self,
-    ) -> Result<Vec<(usize, u64, Vec<crate::space::DesignPoint>)>, String> {
+    fn decode_front_updates(&self) -> Result<Vec<(SpecId, u64, Vec<DesignPoint>)>, String> {
         let slice = verified_section(&self.bytes, &self.header.fronts, "front updates")?;
         codec::decode_front_updates(slice, self.header.node_count as usize)
-    }
-
-    fn decode_result(
-        &self,
-        idx: usize,
-        space: &DesignSpace,
-    ) -> Result<Result<Arc<DesignSet>, SynthError>, String> {
-        let (spec, desc) = &self.header.results[idx];
-        let slice = verified_section(&self.bytes, desc, &format!("result {spec}"))?;
-        codec::decode_result_body(slice, space, spec)
     }
 }
 
 /// A validated chain, held by a warm-started engine as its lazy read
-/// path: the base stays mapped (where supported), results decode on first
-/// request, and the space/fronts hydrate only when a query actually needs
-/// to grow the space.
+/// path: the base stays mapped (where supported), each answer decodes from
+/// its own section on first request, and the space/fronts hydrate only
+/// when an update or a full save needs them as live state.
 pub struct WarmSource {
     base: BaseSegment,
     deltas: Vec<DeltaSegment>,
     /// spec -> (segment: 0 = base, i+1 = deltas[i]; result index within
-    /// it). Later segments win, so a result skipped by the base (cold
-    /// fallback) but persisted by a later delta resolves to the delta's.
+    /// it). Later segments win.
     index: HashMap<ComponentSpec, (usize, usize)>,
     /// Encoded size of the base segment.
     pub(crate) base_bytes: u64,
@@ -549,12 +532,6 @@ impl WarmSource {
         self.base.bytes.is_mapped()
     }
 
-    /// True when this chain indexes a result for `spec` that has not been
-    /// materialized yet.
-    pub(crate) fn has_result(&self, spec: &ComponentSpec) -> bool {
-        self.index.contains_key(spec)
-    }
-
     /// The base's random id (for watermark bookkeeping).
     pub(crate) fn base_id(&self) -> u64 {
         self.base.header.base_id
@@ -569,23 +546,28 @@ impl WarmSource {
             .unwrap_or(self.base.header.header_checksum)
     }
 
-    /// Decodes (and consumes) the stored result for `spec` against the
-    /// hydrated `space`. Returns `None` when no result is indexed;
-    /// `Some(Err)` when the stored bytes are damaged — the entry is
-    /// removed either way, so a damaged result is reported once and then
-    /// re-solved, never retried against the same bad bytes.
+    /// Decodes (and consumes) the stored answer for `spec` from its own
+    /// section. Returns `None` when no answer is indexed; `Some(Err)` when
+    /// the stored bytes are damaged — the entry is removed either way, so
+    /// a damaged answer is reported once and then re-solved, never
+    /// retried against the same bad bytes.
     pub(crate) fn take_result(
         &mut self,
         spec: &ComponentSpec,
-        space: &DesignSpace,
-    ) -> Option<Result<Result<Arc<DesignSet>, SynthError>, String>> {
+    ) -> Option<Result<Result<Arc<DesignSet>, SynthError>, Rejection>> {
         let (seg, idx) = self.index.remove(spec)?;
-        let decoded = if seg == 0 {
-            self.base.decode_result(idx, space)
+        let (bytes, header) = if seg == 0 {
+            (&self.base.bytes, &self.base.header)
         } else {
-            self.deltas[seg - 1].decode_result(idx, space)
+            let delta = &self.deltas[seg - 1];
+            (&delta.bytes, &delta.header)
         };
-        Some(decoded)
+        let (spec, desc) = &header.results[idx];
+        Some(
+            verified_section(bytes, desc, &format!("result {spec}"))
+                .map_err(Rejection::from)
+                .and_then(|slice| codec::decode_result_body(slice, spec)),
+        )
     }
 
     /// Every spec with a pending stored result, for diagnostics.
@@ -593,39 +575,31 @@ impl WarmSource {
         self.index.keys().cloned().collect()
     }
 
-    /// Fully decodes the chain into live engine state: the base space and
-    /// fronts, then every delta folded on top in sequence order. Any
+    /// Fully decodes the chain's space and fronts into live engine state:
+    /// the base, then every delta folded on top in sequence order. Any
     /// validation failure rejects the whole hydration — the engine drops
     /// the source and re-solves cold.
-    pub(crate) fn hydrate_state(&self) -> Result<(DesignSpace, FrontStore), String> {
+    pub(crate) fn hydrate_state(&self) -> Result<(DesignSpace, FrontStore), Rejection> {
         let mut space = self.base.decode_space()?;
         if space.nodes.len() != self.base.header.node_count as usize {
             return Err(format!(
                 "base space has {} nodes, header recorded {}",
                 space.nodes.len(),
                 self.base.header.node_count
-            ));
+            )
+            .into());
         }
         let mut fronts = self.base.decode_fronts(&space)?;
         for delta in &self.deltas {
-            if delta.header.prev_nodes as usize != space.nodes.len() {
-                return Err(format!(
-                    "delta {} expects {} prior nodes, chain has {}",
-                    delta.header.seq,
-                    delta.header.prev_nodes,
-                    space.nodes.len()
-                ));
-            }
             let (nodes, tainted) = delta.decode_extension()?;
             for node in nodes {
                 let id = space.nodes.len();
                 if space.memo.insert(node.spec.clone(), id).is_some() {
-                    return Err(format!("duplicate spec node {} in delta", node.spec));
+                    return Err(format!("duplicate spec node {} in delta", node.spec).into());
                 }
                 space.nodes.push(node);
             }
-            // The taint set is written whole in every delta: last wins.
-            space.tainted = tainted;
+            space.tainted.extend(tainted);
             while fronts.fronts.len() < space.nodes.len() {
                 fronts.fronts.push(None);
                 fronts.truncated.push(0);
@@ -650,7 +624,7 @@ pub(crate) fn assemble_chain(
     base: SegmentBytes,
     deltas: Vec<SegmentBytes>,
     key: &StoreKey,
-) -> Result<WarmSource, String> {
+) -> Result<WarmSource, Rejection> {
     let base_bytes = base.len() as u64;
     let base = BaseSegment::open(base, key)?;
     let mut index: HashMap<ComponentSpec, (usize, usize)> = HashMap::new();
@@ -665,29 +639,31 @@ pub(crate) fn assemble_chain(
         let expected_seq = (i + 1) as u32;
         delta_bytes += bytes.len() as u64;
         let delta = DeltaSegment::open(bytes, key)?;
-        if delta.header.base_id != base.header.base_id {
-            return Err(format!(
+        let broken = if delta.header.base_id != base.header.base_id {
+            Some(format!(
                 "delta {} belongs to a different base ({:016x}, chain base {:016x})",
                 delta.header.seq, delta.header.base_id, base.header.base_id
-            ));
-        }
-        if delta.header.seq != expected_seq {
-            return Err(format!(
+            ))
+        } else if delta.header.seq != expected_seq {
+            Some(format!(
                 "delta sequence mismatch (found {}, expected {expected_seq})",
                 delta.header.seq
-            ));
-        }
-        if delta.header.prev_link != link {
-            return Err(format!(
+            ))
+        } else if delta.header.prev_link != link {
+            Some(format!(
                 "delta {} chain link mismatch (file was not written against its predecessor)",
                 delta.header.seq
-            ));
-        }
-        if delta.header.prev_nodes != node_count {
-            return Err(format!(
+            ))
+        } else if delta.header.prev_nodes != node_count {
+            Some(format!(
                 "delta {} expects {} prior nodes, chain has {node_count}",
                 delta.header.seq, delta.header.prev_nodes
-            ));
+            ))
+        } else {
+            None
+        };
+        if let Some(reason) = broken {
+            return Err(Rejection::Mismatch(reason));
         }
         link = delta.header.header_checksum;
         node_count = delta.header.node_count;

@@ -65,8 +65,9 @@
 //! ```
 //!
 //! See `examples/` for the paper's scenarios (the Figure-3 64-bit ALU,
-//! the Figure-2 LEGEND counter, and the full Figure-1 GCD flow) and
-//! `EXPERIMENTS.md` for measured-vs-paper results.
+//! the Figure-2 LEGEND counter, and the full Figure-1 GCD flow), and the
+//! paper-claim tests (`tests/paper_claims.rs`, `tests/figure3_shape.rs`,
+//! `tests/adder16_space.rs`) for the measured-vs-paper bands.
 
 pub mod flow;
 

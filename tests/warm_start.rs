@@ -7,11 +7,15 @@
 //! clean cold solve without ever panicking.
 
 use cells::lsi::lsi_logic_subset;
-use dtas::{CheckpointOutcome, DesignSet, Dtas, DtasConfig, MemSnapshotStore, RuleSet, SaveReport};
+use dtas::{
+    AnswerDefect, CheckpointOutcome, DesignSet, Dtas, DtasConfig, MemSnapshotStore, Rejection,
+    RuleSet, SaveReport,
+};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
 use proptest::prelude::*;
+use rtl_base::hash::fnv1a_64;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -24,6 +28,17 @@ fn add_spec(w: usize) -> ComponentSpec {
 
 fn mux_spec(w: usize, n: usize) -> ComponentSpec {
     ComponentSpec::new(ComponentKind::Mux, w).with_inputs(n)
+}
+
+fn enc_spec(inputs: usize) -> ComponentSpec {
+    ComponentSpec::new(ComponentKind::Encoder, genus::build::select_width(inputs))
+        .with_inputs(inputs)
+}
+
+fn dec_spec(k: usize) -> ComponentSpec {
+    ComponentSpec::new(ComponentKind::Decoder, k)
+        .with_width2(1 << k)
+        .with_style("BINARY")
 }
 
 /// Warm-starts from `dir` under the plain standard rule base (no LSI
@@ -156,7 +171,26 @@ fn warm_start_round_trips_bit_identically() {
     );
     assert_eq!(warm_stats.lazy_materialized, specs.len() as u64);
     assert_eq!(warm_stats.lazy_results, 0, "backlog fully drained");
-    assert!(warm_stats.cached_fronts > 0, "hydrated by the first query");
+    // Each hit decoded its own answer section, never the space.
+    assert_eq!(
+        (warm_stats.spec_nodes, warm_stats.cached_fronts),
+        (0, 0),
+        "{warm_stats}"
+    );
+
+    // A miss on the undecoded chain solves on private state: the live
+    // space stays empty, and the answer is still the fresh engine's.
+    let fresh = Dtas::new(lsi_logic_subset())
+        .run(add_spec(12))
+        .expect("reference solves");
+    assert_sets_identical(&fresh, &warm.run(add_spec(12)).expect("warm miss solves"));
+    let warm_stats = warm.cache_stats();
+    assert_eq!(warm_stats.misses, 1);
+    assert_eq!(
+        (warm_stats.spec_nodes, warm_stats.cached_fronts),
+        (0, 0),
+        "{warm_stats}"
+    );
 
     // Engines first, directory second — a later drop-flush would
     // resurrect the directory.
@@ -377,20 +411,430 @@ fn truncated_snapshot_falls_back_cold() {
 #[test]
 fn flipped_bytes_fall_back_cold() {
     // Flip one byte at a spread of offsets — version field, header,
-    // packed sections, file tail.
+    // packed sections, file tail. A hit reads only the header and its own
+    // answer section, so damage there rejects before anything is served.
+    // Damage in the space or fronts sections, which no hit reads, is
+    // caught when they are first decoded: here, by the hydration a rule
+    // update forces. Either way the answer equals a cold solve and the
+    // damage is counted.
+    let cold = Dtas::new(lsi_logic_subset())
+        .run(add_spec(16))
+        .expect("reference solves");
     for frac in [0usize, 1, 2, 3, 4] {
         let dir = cache_dir(&format!("flip{frac}"));
-        assert_falls_back_cold(&dir, |path| {
-            let mut bytes = std::fs::read(path).expect("reads");
-            let idx = match frac {
-                0 => 9,                   // format version field
-                4 => bytes.len() - 3,     // tail of the last section
-                f => f * bytes.len() / 4, // spread through the body
-            };
-            bytes[idx] ^= 0x5a;
-            std::fs::write(path, &bytes).expect("writes");
-        });
+        let path = persisted_snapshot(&dir);
+        let mut bytes = std::fs::read(&path).expect("reads");
+        let idx = match frac {
+            0 => 9,                   // format version field
+            4 => bytes.len() - 3,     // tail of the last section
+            f => f * bytes.len() / 4, // spread through the body
+        };
+        bytes[idx] ^= 0x5a;
+        std::fs::write(&path, &bytes).expect("writes");
+
+        let mut engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+        let answer = engine.run(add_spec(16)).expect("answers");
+        assert_sets_identical(&cold, &answer);
+        engine.update_rules(RuleSet::standard().with_lsi_extensions());
+        let stats = engine.cache_stats();
+        assert!(
+            stats.snapshot_rejects >= 1,
+            "offset {idx}: damage must be counted: {stats}"
+        );
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn every_ok_answer_persists_including_private_solves() {
+    // ENC4 reaches nodes another root expanded first with a cycle cut,
+    // so the batch solves it on a private space. Its answer persists as
+    // its own implementation DAG all the same.
+    let dir = cache_dir("every_answer");
+    let specs = [add_spec(8), dec_spec(4), enc_spec(4)];
+    let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    let reference: Vec<Arc<DesignSet>> = engine
+        .run_batch(&specs)
+        .into_iter()
+        .map(|r| r.expect("batch solves"))
+        .collect();
+    let report = full_report(engine.checkpoint().expect("writes"));
+    assert_eq!(report.results, specs.len(), "every answer persisted");
+    drop(engine);
+
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    for (spec, cold_set) in specs.iter().zip(&reference) {
+        assert_sets_identical(cold_set, &warm.run(spec).expect("warm hit"));
+    }
+    let stats = warm.cache_stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (specs.len() as u64, 0),
+        "{stats}"
+    );
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Steps over one encoded spec: kind tag (plus gate-op name), three
+/// widths, operation names, five flags, optional style.
+fn skip_spec(bytes: &[u8], pos: &mut usize) {
+    let skip_str = |pos: &mut usize| *pos += 4 + u32_at(bytes, *pos) as usize;
+    let tag = bytes[*pos];
+    *pos += 1;
+    if tag == 0 {
+        skip_str(pos);
+    }
+    *pos += 24;
+    let ops = u32_at(bytes, *pos);
+    *pos += 4;
+    for _ in 0..ops {
+        skip_str(pos);
+    }
+    *pos += 5;
+    let styled = bytes[*pos] == 1;
+    *pos += 1;
+    if styled {
+        skip_str(pos);
+    }
+}
+
+/// Segment header bytes before the result index: magic, version, kind,
+/// four fingerprints, base id, seq, chain link, two node counts and the
+/// space and fronts section descriptors.
+const RESULT_INDEX_AT: usize = 8 + 4 + 1 + 4 * 8 + 8 + 4 + 8 + 4 + 4 + 2 * 24;
+
+/// Rewrites the one answer section of the base segment at `path` through
+/// `edit`. With `restamp`, the section and header checksums are
+/// recomputed, so only the decoder's structural checks can catch the
+/// damage.
+fn edit_answer_section(path: &Path, restamp: bool, edit: impl FnOnce(&mut Vec<u8>)) {
+    let mut file = std::fs::read(path).expect("reads");
+    assert_eq!(u32_at(&file, RESULT_INDEX_AT), 1, "one answer in the base");
+    let mut desc = RESULT_INDEX_AT + 4;
+    skip_spec(&file, &mut desc);
+    let checksum_at = desc + 24;
+    let off = u64_at(&file, desc) as usize;
+    let len = u64_at(&file, desc + 8) as usize;
+    assert_eq!(off + len, file.len(), "the answer is the last section");
+    let mut section = file.split_off(off);
+    edit(&mut section);
+    file.extend_from_slice(&section);
+    if restamp {
+        file[desc + 8..desc + 16].copy_from_slice(&(section.len() as u64).to_le_bytes());
+        file[desc + 16..desc + 24].copy_from_slice(&fnv1a_64(&section).to_le_bytes());
+        let header = fnv1a_64(&file[..checksum_at]);
+        file[checksum_at..checksum_at + 8].copy_from_slice(&header.to_le_bytes());
+    }
+    std::fs::write(path, &file).expect("writes");
+}
+
+/// One entry of an answer section's node table.
+struct NodeEntry {
+    at: usize,
+    netlist: bool,
+    index: u32,
+    children: Vec<u32>,
+}
+
+/// Walks the node table at the head of an `Ok` answer section: per node,
+/// spec index, kind, cell-name or template index, child refs.
+fn node_table(section: &[u8]) -> Vec<NodeEntry> {
+    assert_eq!(section[0], 1, "an Ok answer");
+    let mut pos = 9;
+    (0..u32_at(section, 5))
+        .map(|_| {
+            let at = pos;
+            let count = u32_at(section, at + 9) as usize;
+            pos += 13 + 4 * count;
+            NodeEntry {
+                at,
+                netlist: section[at + 4] == 1,
+                index: u32_at(section, at + 5),
+                children: (0..count)
+                    .map(|k| u32_at(section, at + 13 + 4 * k))
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+/// The first netlist node (every child of it is a cell) and its position.
+fn first_netlist(section: &[u8]) -> (usize, NodeEntry) {
+    node_table(section)
+        .into_iter()
+        .enumerate()
+        .find(|(_, node)| node.netlist)
+        .expect("a netlist node")
+}
+
+fn put_u32(section: &mut [u8], at: usize, value: u32) {
+    section[at..at + 4].copy_from_slice(&value.to_le_bytes());
+}
+
+#[test]
+fn damaged_answer_sections_reject_and_resolve_cold() {
+    let cold = Dtas::new(lsi_logic_subset())
+        .run(add_spec(16))
+        .expect("reference solves");
+    type Case = (&'static str, bool, fn(&mut Vec<u8>) -> Rejection);
+    let cases: [Case; 6] = [
+        ("child_not_below_parent", true, |section| {
+            let (node, entry) = first_netlist(section);
+            put_u32(section, entry.at + 13, node as u32);
+            Rejection::Answer(AnswerDefect::ChildNotBelowParent { node, child: node })
+        }),
+        ("template_out_of_range", true, |section| {
+            let (node, entry) = first_netlist(section);
+            put_u32(section, entry.at + 5, 0x7fff_ffff);
+            let templates = 1 + node_table(section)
+                .iter()
+                .filter(|n| n.netlist && n.index != 0x7fff_ffff)
+                .map(|n| n.index as usize)
+                .max()
+                .unwrap_or(0);
+            Rejection::Answer(AnswerDefect::TemplateOutOfRange {
+                node,
+                index: 0x7fff_ffff,
+                templates,
+            })
+        }),
+        ("child_count", true, |section| {
+            // A childless cell node retyped as an instance of a template
+            // that has modules.
+            let (_, netlist) = first_netlist(section);
+            let (node, cell) = node_table(section)
+                .into_iter()
+                .enumerate()
+                .find(|(_, n)| !n.netlist)
+                .expect("a cell node");
+            section[cell.at + 4] = 1;
+            put_u32(section, cell.at + 5, netlist.index);
+            Rejection::Answer(AnswerDefect::ChildCount {
+                node,
+                children: 0,
+                modules: netlist.children.len(),
+            })
+        }),
+        ("child_spec", true, |section| {
+            // The first netlist's first child re-pointed at another spec
+            // of the (de-duplicated) spec table.
+            let (node, entry) = first_netlist(section);
+            let child = &node_table(section)[entry.children[0] as usize];
+            let specs = u32_at(section, 1);
+            let other = (u32_at(section, child.at) + 1) % specs;
+            put_u32(section, child.at, other);
+            Rejection::Answer(AnswerDefect::ChildSpec { node, module: 0 })
+        }),
+        ("truncated", true, |section| {
+            section.truncate(section.len() / 2);
+            Rejection::Damaged(String::new())
+        }),
+        ("bit_flip", false, |section| {
+            let mid = section.len() / 2;
+            section[mid] ^= 0x5a;
+            Rejection::Damaged(String::new())
+        }),
+    ];
+    for (name, restamp, damage) in cases {
+        let dir = cache_dir(&format!("answer_{name}"));
+        let path = persisted_snapshot(&dir);
+        let mut expected = None;
+        edit_answer_section(&path, restamp, |section| expected = Some(damage(section)));
+
+        let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+        assert_eq!(
+            engine.cache_stats().snapshot_loads,
+            1,
+            "{name}: header intact"
+        );
+        let recovered = engine.run(add_spec(16)).expect("re-solves");
+        assert_sets_identical(&cold, &recovered);
+        let stats = engine.cache_stats();
+        assert_eq!(stats.snapshot_rejects, 1, "{name}: {stats}");
+        assert_eq!(stats.misses, 1, "{name}: never served from damage");
+        assert_eq!(stats.lazy_results, 0, "{name}: the entry is dropped");
+        let reason = engine.last_snapshot_rejection().expect("recorded");
+        match expected.expect("damaged") {
+            Rejection::Damaged(_) => {
+                assert!(matches!(reason, Rejection::Damaged(_)), "{name}: {reason}")
+            }
+            typed => assert_eq!(reason, typed, "{name}"),
+        }
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn compaction_from_an_undecoded_chain_keeps_every_answer() {
+    let dir = cache_dir("undecoded_compaction");
+    let persisted = [add_spec(8), add_spec(16), mux_spec(8, 4)];
+    let mut reference: Vec<Arc<DesignSet>> = {
+        let seed = Dtas::warm_start(lsi_logic_subset(), &dir);
+        persisted
+            .iter()
+            .map(|s| seed.run(s).expect("solves"))
+            .collect()
+    };
+    let engine = Dtas::builder(lsi_logic_subset())
+        .config(DtasConfig {
+            persist_path: Some(dir.clone()),
+            compaction_ratio: 0.0,
+            ..DtasConfig::default()
+        })
+        .build();
+    // One answer materialized, two still pending, and two misses solved
+    // on private state: a delta, then a compaction.
+    assert_sets_identical(&reference[0], &engine.run(&persisted[0]).expect("hit"));
+    reference.push(engine.run(add_spec(4)).expect("solves"));
+    delta_report(engine.checkpoint().expect("writes"));
+    assert_eq!(engine.cache_stats().spec_nodes, 0, "deltas do not hydrate");
+    reference.push(engine.run(add_spec(12)).expect("solves"));
+    let report = full_report(engine.checkpoint().expect("compacts"));
+    let stats = engine.cache_stats();
+    assert_eq!(stats.compactions, 1, "{stats}");
+    assert_eq!(report.results, 5, "pending and materialized answers kept");
+    assert!(stats.spec_nodes > 0, "a full save hydrates: {stats}");
+    drop(engine);
+
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    assert_eq!(warm.cache_stats().lazy_results, 5);
+    let all = [
+        add_spec(8),
+        add_spec(16),
+        mux_spec(8, 4),
+        add_spec(4),
+        add_spec(12),
+    ];
+    for (spec, cold_set) in all.iter().zip(&reference) {
+        assert_sets_identical(cold_set, &warm.run(spec).expect("warm hit"));
+    }
+    assert_eq!(warm.cache_stats().misses, 0);
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A rule whose body can change while its name and doc — all the rule-set
+/// fingerprint hashes — stay put: with `swap` it rewraps the plain 4-bit
+/// delay as a style-B one, without it it expands nothing.
+struct SilentSwap {
+    swap: bool,
+}
+
+impl dtas::Rule for SilentSwap {
+    fn name(&self) -> &str {
+        "silent-swap"
+    }
+    fn doc(&self) -> &str {
+        "test-only: a body the rule-set fingerprint cannot see"
+    }
+    fn expand(&self, spec: &ComponentSpec) -> Vec<dtas::NetlistTemplate> {
+        if !self.swap || *spec != delay_spec(4) {
+            return Vec::new();
+        }
+        let mut t = dtas::TemplateBuilder::new(self.name());
+        t.module(
+            "u",
+            delay_spec(4).with_style("B"),
+            vec![("I", dtas::Signal::parent("I"))],
+            vec![("O", "o", 4)],
+        );
+        t.output("O", dtas::Signal::net("o"));
+        vec![t.build()]
+    }
+}
+
+fn delay_spec(width: usize) -> ComponentSpec {
+    ComponentSpec::new(ComponentKind::Delay, width)
+}
+
+fn delay_engine(dir: &Path, swap: bool) -> Dtas {
+    let mut library = cells::CellLibrary::new("delay-only");
+    library.insert(cells::Cell::new(
+        "DEL4",
+        ComponentSpec::new(ComponentKind::Delay, 4),
+        5.0,
+        1.0,
+    ));
+    let mut rules = RuleSet::standard();
+    rules.append_library_rules(vec![Box::new(SilentSwap { swap })]);
+    Dtas::builder(library)
+        .rules(rules)
+        .config(DtasConfig {
+            persist_path: Some(dir.to_path_buf()),
+            ..DtasConfig::default()
+        })
+        .build()
+}
+
+#[test]
+fn silent_rule_changes_supersede_privately_solved_answers() {
+    // A miss on an undecoded chain solves privately, so its nodes never
+    // join the space `update_rules` diffs. A body-only rule change that
+    // reaches just such an answer must still retire the stored chain.
+    let dir = cache_dir("silent_rules");
+    {
+        // Any answer outside the delay family makes the base.
+        let seed = delay_engine(&dir, false);
+        assert!(seed.run(mux_spec(4, 2)).is_err(), "a delay-only library");
+    }
+    let mut engine = delay_engine(&dir, false);
+    let stale = engine.run(delay_spec(4)).expect("private miss");
+    delta_report(engine.checkpoint().expect("writes"));
+    let report = engine.update_rules({
+        let mut rules = RuleSet::standard();
+        rules.append_library_rules(vec![Box::new(SilentSwap { swap: true })]);
+        rules
+    });
+    assert_eq!(
+        report.reasons.last(),
+        Some(&dtas::InvalidationReason::StoreSuperseded),
+        "{report}"
+    );
+    drop(engine);
+
+    let fresh_dir = cache_dir("silent_rules_fresh");
+    let fresh = delay_engine(&fresh_dir, true);
+    let reference = fresh.run(delay_spec(4)).expect("solves");
+    assert_ne!(
+        reference.unconstrained_size, stale.unconstrained_size,
+        "the new body must change the answer"
+    );
+    let warm = delay_engine(&dir, true);
+    assert_sets_identical(&reference, &warm.run(delay_spec(4)).expect("answers"));
+    drop(fresh);
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
+}
+
+#[test]
+fn old_format_chains_reject_with_a_typed_error() {
+    let dir = cache_dir("old_format");
+    let path = persisted_snapshot(&dir);
+    let mut bytes = std::fs::read(&path).expect("reads");
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("writes");
+    let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    assert_eq!(
+        engine.last_snapshot_rejection(),
+        Some(Rejection::FormatVersion {
+            found: 3,
+            supported: dtas::FORMAT_VERSION
+        })
+    );
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -651,9 +1095,11 @@ fn rejection_reason_is_reportable() {
     let reason = engine
         .last_snapshot_rejection()
         .expect("rejection recorded");
+    let text = reason.to_string();
+    assert!(matches!(reason, Rejection::Damaged(_)), "{text}");
     assert!(
-        reason.contains("checksum") || reason.contains("truncated"),
-        "{reason}"
+        text.contains("checksum") || text.contains("truncated"),
+        "{text}"
     );
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
