@@ -105,7 +105,7 @@ fn concurrent_hit_throughput(engine: &Dtas, spec: &ComponentSpec) -> Vec<Concurr
         .collect()
 }
 
-/// Cold batch (one shared-space, level-scheduled pass) vs the per-spec
+/// Cold batch (one shared-space, bottom-up pass) vs the per-spec
 /// loop on fresh engines.
 fn batch_vs_loop_ms(specs: &[(String, ComponentSpec)]) -> (f64, f64) {
     let flat: Vec<ComponentSpec> = specs.iter().map(|(_, s)| s.clone()).collect();
@@ -558,14 +558,16 @@ fn service_metrics(engine: &Arc<Dtas>, spec: &ComponentSpec) -> ServiceMetrics {
             Some(Duration::from_secs(3600)),
         ));
     }
-    // CI bar (acceptance): deadline bookkeeping must cost <5% of
-    // saturation QPS. The perf gate re-asserts the same floor from the
-    // emitted `deadline_vs_plain` field.
-    assert!(
-        deadline_stamped_qps >= 0.95 * deadline_plain_qps,
-        "deadline bookkeeping must cost <5% of saturation QPS \
-         (plain {deadline_plain_qps:.0} qps, stamped {deadline_stamped_qps:.0} qps)"
-    );
+    // Deadline bookkeeping must cost <5% of saturation QPS. The snapshot
+    // only reports the ratio: the perf gate floors the emitted
+    // `deadline_vs_plain` field at 0.95, and an in-process abort here
+    // would lose every other number of the run.
+    if deadline_stamped_qps < 0.95 * deadline_plain_qps {
+        eprintln!(
+            "note: deadline_vs_plain below 0.95 (plain {deadline_plain_qps:.0} qps, \
+             stamped {deadline_stamped_qps:.0} qps); perf_gate judges it"
+        );
+    }
 
     ServiceMetrics {
         workers,
@@ -715,6 +717,55 @@ fn gcd_cycles_per_sec() -> f64 {
     cycles as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// The machine a snapshot was recorded on: vCPU count and CPU model, so
+/// a committed baseline names its host.
+fn host_label(threads: usize) -> String {
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().replace(['"', '\\'], ""))
+        })
+        .unwrap_or_else(|| "unknown CPU".into());
+    format!("{threads} vCPU, {model}")
+}
+
+/// Rounds of the ALU64 ablation; each cell reports its best round.
+const ABLATION_ROUNDS: usize = 3;
+
+/// Cold ALU64 walls for the thread × cache ablation, in the order
+/// threaded_cached, serial_cached, threaded_nocache, serial_nocache.
+/// Every cell solves on a fresh engine, and the cells interleave round
+/// by round, so a slow spell on a shared host lands on all four instead
+/// of on whichever cell ran during it.
+fn alu64_ablation_ms(alu64: &ComponentSpec) -> [f64; 4] {
+    let config = |threads: Option<usize>, cache: bool| DtasConfig {
+        threads,
+        cache,
+        ..DtasConfig::default()
+    };
+    let cells = [
+        config(None, true),
+        config(Some(1), true),
+        config(None, false),
+        config(Some(1), false),
+    ];
+    let mut best = [f64::INFINITY; 4];
+    for _ in 0..ABLATION_ROUNDS {
+        for (slot, cell) in best.iter_mut().zip(&cells) {
+            let engine = Dtas::builder(lsi_logic_subset())
+                .config(cell.clone())
+                .build();
+            *slot = slot.min(ms(|| {
+                engine.run(alu64).expect("synthesizes");
+            }));
+        }
+    }
+    best
+}
+
 fn main() {
     let threads = std::thread::available_parallelism()
         .map(usize::from)
@@ -736,34 +787,8 @@ fn main() {
 
     // Ablations over the ALU64 cold query.
     let alu64 = alu_spec(64);
-    let serial_cached = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            threads: Some(1),
-            ..DtasConfig::default()
-        })
-        .build();
-    let serial_cached_ms = ms(|| {
-        serial_cached.run(&alu64).expect("synthesizes");
-    });
-    let threaded_nocache = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            cache: false,
-            ..DtasConfig::default()
-        })
-        .build();
-    let threaded_nocache_ms = ms(|| {
-        threaded_nocache.run(&alu64).expect("synthesizes");
-    });
-    let serial_nocache = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            threads: Some(1),
-            cache: false,
-            ..DtasConfig::default()
-        })
-        .build();
-    let serial_nocache_ms = ms(|| {
-        serial_nocache.run(&alu64).expect("synthesizes");
-    });
+    let [threaded_cached_ms, serial_cached_ms, threaded_nocache_ms, serial_nocache_ms] =
+        alu64_ablation_ms(&alu64);
 
     let sim_cps = gcd_cycles_per_sec();
     let warm = warm_start_metrics(&alu64);
@@ -790,6 +815,7 @@ fn main() {
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"schema\": \"dtas-perf-snapshot/1\",");
     let _ = writeln!(json, "  \"threads_available\": {threads},");
+    let _ = writeln!(json, "  \"host\": \"{}\",", host_label(threads));
     let _ = writeln!(
         json,
         "  \"prechange_reference_ms\": {{ \"ALU64_first\": 504.0, \"ADD16_first\": 84.0, \"note\": \"pre-optimization walls from the original single-core dev container; a foreign-machine reference only — compare queries[].first_ms against a baseline measured on THIS machine\" }},"
@@ -816,14 +842,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"alu64_ablation_ms\": {{ \"threaded_cached\": {:.3}, \"serial_cached\": {:.3}, \"threaded_nocache\": {:.3}, \"serial_nocache\": {:.3} }},",
-        rows.iter()
-            .find(|r| r.name == "ALU64")
-            .map(|r| r.first_ms)
-            .unwrap_or(0.0),
-        serial_cached_ms,
-        threaded_nocache_ms,
-        serial_nocache_ms,
+        "  \"alu64_ablation_ms\": {{ \"threaded_cached\": {:.3}, \"serial_cached\": {:.3}, \"threaded_nocache\": {:.3}, \"serial_nocache\": {:.3}, \"note\": \"cold ALU64 on a fresh engine per cell, the four cells interleaved over {ABLATION_ROUNDS} rounds, best of {ABLATION_ROUNDS} per cell; threaded = DtasConfig::default() (the uniform counter's root branches sharded over every core, the rest of the cold path serial), serial = threads: Some(1). threaded_cached / serial_cached <= 1.2 is gated from the stored fields\" }},",
+        threaded_cached_ms, serial_cached_ms, threaded_nocache_ms, serial_nocache_ms,
     );
     let _ = writeln!(json, "  \"concurrent_hit_clients\": [");
     let solo_qps = concurrent
@@ -912,7 +932,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"note\": \"saturation: clients pipeline batches of ALU64 memo hits through DtasService (Arc delivery); service_vs_direct is reported for trend-watching only — since Dtas::run also delivers Arcs on the direct path, the queue hand-off makes the ratio < 1 by design. overload: an undersized ShedOldest queue must shed (shed > 0 asserted) while every ticket still resolves. deadline: the same saturation with every request stamped with a far-future deadline (interleaved best-of-3 per side); deadline_vs_plain >= 0.95 is asserted here and re-gated from the stored field\""
+        "    \"note\": \"saturation: clients pipeline batches of ALU64 memo hits through DtasService (Arc delivery); service_vs_direct is reported for trend-watching only — since Dtas::run also delivers Arcs on the direct path, the queue hand-off makes the ratio < 1 by design. overload: an undersized ShedOldest queue must shed (shed > 0 asserted) while every ticket still resolves. deadline: the same saturation with every request stamped with a far-future deadline (interleaved best-of-3 per side); deadline_vs_plain >= 0.95 is gated from the stored field\""
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"serve\": {{");

@@ -21,9 +21,19 @@ pub struct DtasConfig {
     pub max_combinations: usize,
     /// Budget for exact uniform-constraint design counting (0 disables).
     pub uniform_count_limit: u64,
-    /// Worker threads for expansion, solving and counting. `None` uses
-    /// [`std::thread::available_parallelism`]; `Some(1)` forces the serial
-    /// path. Results are identical at every setting.
+    /// Worker threads for the uniform design count
+    /// ([`DesignSet::uniform_size`](crate::DesignSet::uniform_size)), the
+    /// one parallel step of a cold solve: expansion, solving and
+    /// extraction are serial. The count's root branches are shared among
+    /// this many counters, the calling thread among them; a root with a
+    /// single alternative (ALU, comparator, encoder) counts serially at
+    /// any setting. `None` uses [`std::thread::available_parallelism`],
+    /// resolved once per process; `Some(1)` counts serially. Each counter
+    /// publishes its leaves to the shared total in chunks and gives up
+    /// only once a lower bound on the total passes
+    /// [`uniform_count_limit`](Self::uniform_count_limit) (see
+    /// [`DesignSpace::uniform_size_threaded`](crate::DesignSpace::uniform_size_threaded)),
+    /// so results, counts included, are identical at every setting.
     pub threads: Option<usize>,
     /// Engine-level cross-query memoization: when on (the default),
     /// design spaces, node fronts and whole result sets persist inside

@@ -21,7 +21,7 @@ use genus::spec::ComponentSpec;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Counters for the engine-level cross-query cache and its warm-start
@@ -1421,14 +1421,21 @@ impl Dtas {
         }
     }
 
-    /// Worker-thread count for this run.
+    /// Workers for the uniform design count's root-branch sharding, the
+    /// one parallel step of a cold solve. The default, the machine's
+    /// parallelism, is resolved once per process (the lookup reads
+    /// cgroup files) when the first cold root is counted, so warm starts
+    /// and memo hits never pay for it.
     fn thread_count(&self) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         self.config
             .threads
             .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(usize::from)
-                    .unwrap_or(1)
+                *AVAILABLE.get_or_init(|| {
+                    std::thread::available_parallelism()
+                        .map(usize::from)
+                        .unwrap_or(1)
+                })
             })
             .max(1)
     }
@@ -1619,7 +1626,7 @@ impl Dtas {
     /// Synthesizes a whole batch of specifications in one shared-space
     /// pass: every *distinct* spec is expanded into the engine's design
     /// space (shared sub-specs once), all cold roots are solved together
-    /// in a single level-scheduled sweep (not a per-spec loop), and the
+    /// in a single bottom-up sweep (not a per-spec loop), and the
     /// results come back aligned with `specs` (duplicates — including
     /// specs that only become duplicates after canonicalization — are
     /// served from one solve).
@@ -1766,13 +1773,7 @@ impl Dtas {
     ) -> Result<usize, SynthError> {
         state
             .space
-            .expand_threaded(
-                spec,
-                &self.rules,
-                &self.library,
-                &state.models,
-                self.thread_count(),
-            )
+            .expand(spec, &self.rules, &self.library, &state.models)
             .map_err(|e| match e {
                 ExpandError::Cycle => SynthError::NoImplementation(spec.to_string()),
                 other => SynthError::Expand(other.to_string()),
@@ -1808,8 +1809,7 @@ impl Dtas {
     ) -> Result<DesignSet, SynthError> {
         let root = self.expand_in(spec, state)?;
         let fronts = std::mem::take(&mut state.fronts);
-        let mut solver = Solver::with_front_store(&state.space, self.solve_config(), fronts)
-            .with_threads(self.thread_count());
+        let mut solver = Solver::with_front_store(&state.space, self.solve_config(), fronts);
         solver.solve(root, &state.models);
         let result = self.assemble(
             spec,
@@ -1869,8 +1869,7 @@ impl Dtas {
                 root,
             )
         };
-        let mut solver = Solver::with_front_store(&space, self.solve_config(), fronts)
-            .with_threads(self.thread_count());
+        let mut solver = Solver::with_front_store(&space, self.solve_config(), fronts);
         solver.solve(root, &models);
         let result = self.assemble(
             spec,
@@ -1899,8 +1898,8 @@ impl Dtas {
     }
 
     /// The cached batch path: serve memo hits, expand all cold specs under
-    /// one exclusive lock, solve every untainted root in one
-    /// level-scheduled pass against a snapshot, then memoize.
+    /// one exclusive lock, solve every untainted root in one bottom-up
+    /// pass against a snapshot, then memoize.
     fn batch_cached(
         &self,
         distinct: &[&ComponentSpec],
@@ -2017,7 +2016,7 @@ impl Dtas {
         plan
     }
 
-    /// Solves all of a plan's roots in **one** level-scheduled pass and
+    /// Solves all of a plan's roots in **one** bottom-up pass and
     /// assembles each design set; returns the grown front store for the
     /// caller to merge or keep.
     fn solve_batch(
@@ -2030,8 +2029,7 @@ impl Dtas {
         start: Instant,
     ) -> FrontStore {
         let root_ids: Vec<usize> = plan.roots.iter().map(|&(_, root)| root).collect();
-        let mut solver = Solver::with_front_store(space, self.solve_config(), fronts)
-            .with_threads(self.thread_count());
+        let mut solver = Solver::with_front_store(space, self.solve_config(), fronts);
         solver.solve_many(&root_ids, models);
         for &(i, root) in &plan.roots {
             plan.results[i] = Some(

@@ -22,7 +22,7 @@
 //! distinct cold specifications concurrently against snapshots of one
 //! shared design space, and accepts whole query batches
 //! ([`run_batch`](Dtas::run_batch)) that are expanded and solved in a
-//! single level-scheduled pass. Every query is keyed by its *canonical*
+//! single bottom-up pass. Every query is keyed by its *canonical*
 //! specification ([`canon`]) so functionally equivalent spec variants
 //! collapse onto one cache entry, and the rule base / configuration can
 //! be updated in place ([`Dtas::update_rules`] / [`Dtas::update_config`])

@@ -22,53 +22,13 @@
 
 use crate::cost::{template_cost, ChildCost, Timing};
 use crate::rules::RuleSet;
-use crate::template::{NetlistTemplate, SpecModelCache, TemplateError};
+use crate::template::{NetlistTemplate, SpecModelCache};
 use cells::CellLibrary;
 use genus::spec::ComponentSpec;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Runs `f` over every item of `items`, sharding across `threads` scoped
-/// worker threads, and returns the results in item order.
-///
-/// The work is pulled from a shared atomic index, so imbalanced items
-/// still load-balance; results are written back by index, so the output
-/// order (and therefore every downstream computation) is identical to the
-/// serial order.
-fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len()) {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= items.len() {
-                    break;
-                }
-                let r = f(&items[k]);
-                *slots[k].lock().expect("worker slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("worker slot poisoned")
-                .expect("every index visited")
-        })
-        .collect()
-}
+use std::sync::Arc;
 
 /// Index of a specification node in the design space.
 pub type SpecId = usize;
@@ -188,34 +148,26 @@ impl DesignSpace {
         library: &CellLibrary,
         cache: &SpecModelCache,
     ) -> Result<SpecId, ExpandError> {
-        self.expand_threaded(spec, rules, library, cache, 1)
+        let mut in_progress = HashSet::new();
+        self.expand_inner(spec, rules, library, cache, &mut in_progress)
     }
 
-    /// Like [`expand`](Self::expand), sharding per-node rule expansion and
-    /// template validation across `threads` scoped worker threads. The
-    /// memo-building recursion itself stays single-writer, so node ids and
-    /// implementation order are identical to the serial expansion.
+    /// Same as [`expand`](Self::expand): expansion is serial, so
+    /// `threads` is ignored.
     ///
     /// # Errors
     ///
     /// Same conditions as [`expand`](Self::expand).
+    #[deprecated(note = "expansion is serial; use `DesignSpace::expand`")]
     pub fn expand_threaded(
         &mut self,
         spec: &ComponentSpec,
         rules: &RuleSet,
         library: &CellLibrary,
         cache: &SpecModelCache,
-        threads: usize,
+        _threads: usize,
     ) -> Result<SpecId, ExpandError> {
-        let mut in_progress = HashSet::new();
-        self.expand_inner(
-            spec,
-            rules,
-            library,
-            cache,
-            &mut in_progress,
-            threads.max(1),
-        )
+        self.expand(spec, rules, library, cache)
     }
 
     fn expand_inner(
@@ -225,7 +177,6 @@ impl DesignSpace {
         library: &CellLibrary,
         cache: &SpecModelCache,
         in_progress: &mut HashSet<ComponentSpec>,
-        threads: usize,
     ) -> Result<SpecId, ExpandError> {
         if let Some(&id) = self.memo.get(spec) {
             return Ok(id);
@@ -250,25 +201,17 @@ impl DesignSpace {
             children.push(Vec::new());
         }
 
-        // Functional decomposition: every rule may contribute templates.
-        // Rule expansion and structural validation are independent of the
-        // memo, so both shard across workers; order is preserved, and the
-        // recursion into module specs below stays serial (single-writer
-        // memo), so only one shard runs at a time.
-        let rule_refs: Vec<_> = rules.iter().collect();
-        let templates: Vec<NetlistTemplate> = parallel_map(&rule_refs, threads, |r| r.expand(spec))
-            .into_iter()
-            .flatten()
-            .collect();
-        let validations: Vec<Result<(), TemplateError>> =
-            parallel_map(&templates, threads, |t| t.validate(spec, cache));
+        // Functional decomposition: every rule may contribute templates,
+        // in rule order.
         let mut dropped_cycle = false;
-        for (template, validation) in templates.into_iter().zip(validations) {
-            validation.map_err(|e| ExpandError::InvalidTemplate(e.to_string()))?;
+        for template in rules.iter().flat_map(|r| r.expand(spec)) {
+            template
+                .validate(spec, cache)
+                .map_err(|e| ExpandError::InvalidTemplate(e.to_string()))?;
             let mut ids = Vec::with_capacity(template.modules.len());
             let mut ok = true;
             for module in &template.modules {
-                match self.expand_inner(&module.spec, rules, library, cache, in_progress, threads) {
+                match self.expand_inner(&module.spec, rules, library, cache, in_progress) {
                     Ok(id) => ids.push(id),
                     Err(ExpandError::Cycle) => {
                         ok = false;
@@ -420,35 +363,45 @@ impl DesignSpace {
 
     /// Counts consistent designs under the uniform-implementation
     /// constraint only (no performance filter), by exhaustive policy
-    /// enumeration, giving up at `limit`.
+    /// enumeration: `Some(count)` when the count is at most `limit`,
+    /// `None` (giving up early) otherwise.
     pub fn uniform_size(&self, root: SpecId, limit: u64) -> Option<u64> {
         self.uniform_size_threaded(root, limit, 1)
     }
 
-    /// Like [`uniform_size`](Self::uniform_size), sharding the root's
-    /// independent top-level implementation branches across `threads`
-    /// scoped worker threads. The total count (and the `Some`/`None`
-    /// give-up decision) is independent of the schedule, so results are
-    /// identical to the serial enumeration.
+    /// Like [`uniform_size`](Self::uniform_size), with the root's
+    /// top-level implementation branches shared among up to `threads`
+    /// counters, the calling thread among them. A root with a single
+    /// alternative (ALU, comparator and encoder specs) has nothing to
+    /// shard and counts serially on the calling thread.
+    ///
+    /// Each counter tallies its leaves in a local `u64` and adds them to
+    /// the shared total in chunks of 4096 leaves and at the end of every
+    /// branch. It gives up only when a lower bound on the total — the
+    /// total it last read plus its own unpublished leaves — exceeds
+    /// `limit`, so it never gives up on a count that fits, and the answer
+    /// (`Some`/`None` and every count) is the serial enumeration's at any
+    /// thread count and any schedule.
     pub fn uniform_size_threaded(&self, root: SpecId, limit: u64, threads: usize) -> Option<u64> {
+        self.count_uniform(root, limit, threads, PUBLISH_CHUNK)
+    }
+
+    fn count_uniform(&self, root: SpecId, limit: u64, threads: usize, chunk: u64) -> Option<u64> {
         const UNSET: u32 = u32::MAX;
 
         // DFS over assignments for the spec DAG, counting complete
-        // consistent policies into a shared counter; aborts (returns
-        // false) once the counter passes `limit`.
+        // consistent policies into `tally`; aborts (returns false) once
+        // the total is known to exceed the limit.
         fn assign(
             space: &DesignSpace,
             pending: &mut Vec<SpecId>,
             policy: &mut [u32],
-            count: &AtomicU64,
-            limit: u64,
+            tally: &mut Tally,
         ) -> bool {
             // Find the next unassigned spec.
             let next = loop {
                 match pending.pop() {
-                    None => {
-                        return count.fetch_add(1, Ordering::Relaxed) < limit;
-                    }
+                    None => return tally.leaf(),
                     Some(id) if policy[id] != UNSET => continue,
                     Some(id) => break id,
                 }
@@ -467,7 +420,7 @@ impl DesignSpace {
                         pending.push(cid);
                     }
                 }
-                let ok = assign(space, pending, policy, count, limit);
+                let ok = assign(space, pending, policy, tally);
                 pending.truncate(mark);
                 policy[next] = UNSET;
                 if !ok {
@@ -478,34 +431,96 @@ impl DesignSpace {
             true
         }
 
-        let count = AtomicU64::new(0);
-        let node = &self.nodes[root];
-        let complete = if threads > 1 && node.children.len() > 1 {
-            // Each top-level choice of the root explores independently.
-            let branches: Vec<usize> = (0..node.children.len()).collect();
-            parallel_map(&branches, threads, |&i| {
-                let mut policy = vec![UNSET; self.nodes.len()];
-                policy[root] = i as u32;
-                let mut pending: Vec<SpecId> = node.children[i]
-                    .iter()
-                    .copied()
-                    .filter(|&cid| cid != root)
-                    .collect();
-                assign(self, &mut pending, &mut policy, &count, limit)
-            })
-            .into_iter()
-            .all(|ok| ok)
-        } else {
+        let total = AtomicU64::new(0);
+        let next_branch = AtomicUsize::new(0);
+        let root_choices = &self.nodes[root].children;
+        // Each counter claims the root's choices one at a time and enters
+        // each in the state the serial DFS does: the root assigned, its
+        // children pending. A counter gives up only after publishing a
+        // total past `limit`, so the final total alone decides the answer.
+        // Both atomics publish nothing but themselves, and the scope's
+        // join orders every add before the final read, so `Relaxed`
+        // suffices.
+        let count_branches = || {
+            let mut tally = Tally::new(&total, limit, chunk);
             let mut policy = vec![UNSET; self.nodes.len()];
-            let mut pending = vec![root];
-            assign(self, &mut pending, &mut policy, &count, limit)
+            let mut pending = Vec::new();
+            loop {
+                let i = next_branch.fetch_add(1, Ordering::Relaxed);
+                if i >= root_choices.len() || total.load(Ordering::Relaxed) > limit {
+                    return;
+                }
+                policy[root] = i as u32;
+                pending.clear();
+                pending.extend(
+                    root_choices[i]
+                        .iter()
+                        .copied()
+                        .filter(|&cid| policy[cid] == UNSET),
+                );
+                let complete = assign(self, &mut pending, &mut policy, &mut tally);
+                tally.publish();
+                if !complete {
+                    return;
+                }
+            }
         };
-        let total = count.load(Ordering::Relaxed);
-        if complete && total <= limit {
-            Some(total)
-        } else {
-            None
+        std::thread::scope(|scope| {
+            for _ in 1..threads.min(root_choices.len()) {
+                scope.spawn(count_branches);
+            }
+            count_branches();
+        });
+        let total = total.into_inner();
+        (total <= limit).then_some(total)
+    }
+}
+
+/// Leaves a uniform counter tallies locally before adding them to the
+/// shared total (see [`DesignSpace::uniform_size_threaded`]).
+const PUBLISH_CHUNK: u64 = 4096;
+
+/// One counter's share of a uniform count: a local leaf tally that is
+/// published to the shared total in chunks.
+struct Tally<'a> {
+    total: &'a AtomicU64,
+    limit: u64,
+    chunk: u64,
+    /// Leaves counted since the last publish.
+    unpublished: u64,
+    /// `limit` minus the total as this counter last read it; once
+    /// `unpublished` exceeds it, the total exceeds `limit`.
+    headroom: u64,
+}
+
+impl<'a> Tally<'a> {
+    fn new(total: &'a AtomicU64, limit: u64, chunk: u64) -> Self {
+        Tally {
+            total,
+            limit,
+            chunk,
+            unpublished: 0,
+            headroom: limit.saturating_sub(total.load(Ordering::Relaxed)),
         }
+    }
+
+    /// Counts one complete design; false once the total is known to
+    /// exceed the limit.
+    fn leaf(&mut self) -> bool {
+        self.unpublished += 1;
+        if self.unpublished > self.headroom {
+            self.publish();
+            return false;
+        }
+        self.unpublished < self.chunk || self.publish() <= self.limit
+    }
+
+    /// Adds the unpublished leaves to the shared total and returns it.
+    fn publish(&mut self) -> u64 {
+        let total = self.total.fetch_add(self.unpublished, Ordering::Relaxed) + self.unpublished;
+        self.unpublished = 0;
+        self.headroom = self.limit.saturating_sub(total);
+        total
     }
 }
 
@@ -745,8 +760,7 @@ impl Default for SolveConfig {
 }
 
 /// Computes one node's filtered front from its children's already-solved
-/// fronts. Pure in everything but the model cache, so independent nodes
-/// shard freely across worker threads.
+/// fronts: a pure function of them (and the model cache).
 fn compute_front(
     space: &DesignSpace,
     config: SolveConfig,
@@ -897,16 +911,12 @@ impl FrontStore {
 /// Bottom-up solver: computes the filtered front of consistent design
 /// points at every node.
 ///
-/// Fronts are solved level-by-level over the spec DAG (node ids are
-/// already a topological order: expansion pushes children before parents),
-/// sharding each level's independent nodes across scoped worker threads
-/// when [`with_threads`](Self::with_threads) asks for more than one. Every
-/// node's front is a pure function of its children's fronts, so the
-/// parallel schedule produces bit-identical results to the serial one.
+/// Fronts are solved in node-id order, which is a topological order of
+/// the spec DAG (expansion pushes children before parents), so every
+/// node's children are solved before it.
 pub struct Solver<'a> {
     space: &'a DesignSpace,
     config: SolveConfig,
-    threads: usize,
     store: FrontStore,
     /// Number of combinations this solver discarded due to
     /// `max_combinations`; nonzero values mean the space was truncated
@@ -917,7 +927,7 @@ pub struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    /// Creates a single-threaded solver over an expanded space.
+    /// Creates a solver over an expanded space.
     pub fn new(space: &'a DesignSpace, config: SolveConfig) -> Self {
         Solver::with_front_store(space, config, FrontStore::default())
     }
@@ -934,16 +944,15 @@ impl<'a> Solver<'a> {
         Solver {
             space,
             config,
-            threads: 1,
             store,
             truncated_combinations: 0,
         }
     }
 
-    /// Shards independent subproblems across up to `threads` workers
-    /// (clamped to at least one).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Returns the solver unchanged: solving is serial, so `threads` is
+    /// ignored.
+    #[deprecated(note = "solving is serial; drop the call")]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -964,81 +973,30 @@ impl<'a> Solver<'a> {
             .sum()
     }
 
-    /// Solves every unsolved node in `id`'s subgraph, bottom-up (node ids
-    /// are a topological order of the spec DAG), sharding each dependency
-    /// level across worker threads.
+    /// Solves every unsolved node in `id`'s subgraph, bottom-up.
     pub fn solve(&mut self, id: SpecId, cache: &SpecModelCache) {
         self.solve_many(&[id], cache);
     }
 
-    /// Solves the subgraphs of several roots in **one** level-scheduled
-    /// pass: the unsolved nodes reachable from any root are bucketed into
-    /// dependency levels together, so nodes shared between roots are
-    /// solved once and each level shards across the worker threads with
-    /// the union's parallelism (a per-root loop would re-level and
-    /// re-barrier per root). Identical results to solving the roots one
-    /// at a time — every front is a pure function of its children's.
+    /// Solves the subgraphs of several roots in one bottom-up pass: every
+    /// unsolved node reachable from any root is solved once, in id order
+    /// (children before parents). Identical results to solving the roots
+    /// one at a time — every front is a pure function of its children's.
     pub fn solve_many(&mut self, roots: &[SpecId], cache: &SpecModelCache) {
-        let mut todo: Vec<SpecId> = Vec::new();
-        let mut seen = vec![false; self.space.nodes.len()];
+        let mut todo = vec![false; self.space.nodes.len()];
         for &root in roots {
-            if self.store.fronts[root].is_some() {
-                continue;
-            }
-            for n in self.space.reachable(root) {
-                if !seen[n] && self.store.fronts[n].is_none() {
-                    seen[n] = true;
-                    todo.push(n);
+            if self.store.fronts[root].is_none() {
+                for n in self.space.reachable(root) {
+                    todo[n] = self.store.fronts[n].is_none();
                 }
             }
         }
-        if todo.is_empty() {
-            return;
-        }
-        // Reachable sets come back in increasing id order per root; the
-        // union must be too (children before parents).
-        todo.sort_unstable();
-        if self.threads <= 1 {
-            for &n in &todo {
-                let (front, truncated) =
-                    compute_front(self.space, self.config, &self.store.fronts, n, cache);
-                self.store.fronts[n] = Some(Arc::new(front));
-                self.store.truncated[n] = truncated;
-                self.truncated_combinations += truncated;
-            }
-            return;
-        }
-        // Dependency levels among the unsolved nodes: a node sits one
-        // level above its deepest unsolved child, so each level's nodes
-        // are mutually independent. Children always carry smaller ids, so
-        // one pass in id order suffices.
-        let max_id = *todo.last().expect("todo nonempty");
-        let mut level = vec![0usize; max_id + 1];
-        let mut buckets: Vec<Vec<SpecId>> = Vec::new();
-        for &n in &todo {
-            let mut l = 0;
-            for kids in &self.space.nodes[n].children {
-                for &k in kids {
-                    if self.store.fronts[k].is_none() {
-                        l = l.max(level[k] + 1);
-                    }
-                }
-            }
-            level[n] = l;
-            if buckets.len() <= l {
-                buckets.resize(l + 1, Vec::new());
-            }
-            buckets[l].push(n);
-        }
-        for bucket in buckets {
-            let results = parallel_map(&bucket, self.threads, |&n| {
-                compute_front(self.space, self.config, &self.store.fronts, n, cache)
-            });
-            for (n, (front, truncated)) in bucket.into_iter().zip(results) {
-                self.store.fronts[n] = Some(Arc::new(front));
-                self.store.truncated[n] = truncated;
-                self.truncated_combinations += truncated;
-            }
+        for n in (0..todo.len()).filter(|&n| todo[n]) {
+            let (front, truncated) =
+                compute_front(self.space, self.config, &self.store.fronts, n, cache);
+            self.store.fronts[n] = Some(Arc::new(front));
+            self.store.truncated[n] = truncated;
+            self.truncated_combinations += truncated;
         }
     }
 
@@ -1229,25 +1187,6 @@ mod tests {
         assert_eq!(a.get(100), None);
     }
 
-    #[test]
-    fn parallel_solver_matches_serial() {
-        let mut space = DesignSpace::new();
-        let rules = RuleSet::standard();
-        let lib = lsi_logic_subset();
-        let cache = SpecModelCache::new();
-        let id = space.expand(&add_spec(16), &rules, &lib, &cache).unwrap();
-        let mut serial = Solver::new(&space, SolveConfig::default());
-        let mut parallel = Solver::new(&space, SolveConfig::default()).with_threads(4);
-        let a = serial.front(id, &cache);
-        let b = parallel.front(id, &cache);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.area.to_bits(), y.area.to_bits());
-            assert_eq!(x.delay().to_bits(), y.delay().to_bits());
-            assert_eq!(x.policy, y.policy);
-        }
-    }
-
     /// The exhaustive O(n²) dominance filter this module used to ship,
     /// kept as the reference model for the linear sweep.
     fn naive_filter(mut points: Vec<DesignPoint>, policy: FilterPolicy) -> Vec<DesignPoint> {
@@ -1323,19 +1262,165 @@ mod tests {
         }
     }
 
+    /// Three specs whose roots have 7, 2 and 1 alternatives under the
+    /// default rule base, with their uniform counts.
+    fn uniform_table() -> [(ComponentSpec, usize, u64); 3] {
+        let counter = ComponentSpec::new(ComponentKind::Counter, 4)
+            .with_ops([Op::Load, Op::CountUp, Op::CountDown].into_iter().collect())
+            .with_enable(true)
+            .with_style("SYNCHRONOUS");
+        let comparator = ComponentSpec::new(ComponentKind::Comparator, 8)
+            .with_ops([Op::Eq, Op::Lt, Op::Gt].into_iter().collect());
+        [
+            (add_spec(16), 7, 837_009),
+            (counter, 2, 1_842_512),
+            (comparator, 1, 1_311_872),
+        ]
+    }
+
     #[test]
     fn uniform_size_threaded_matches_serial() {
-        let mut space = DesignSpace::new();
-        let rules = RuleSet::standard();
+        let rules = RuleSet::standard().with_lsi_extensions();
         let lib = lsi_logic_subset();
         let cache = SpecModelCache::new();
-        let id = space.expand(&add_spec(16), &rules, &lib, &cache).unwrap();
-        let serial = space.uniform_size(id, 10_000_000);
-        let threaded = space.uniform_size_threaded(id, 10_000_000, 4);
-        assert_eq!(serial, threaded);
-        // The give-up decision must agree too.
-        let tight = serial.unwrap() / 2;
-        assert_eq!(space.uniform_size(id, tight), None);
-        assert_eq!(space.uniform_size_threaded(id, tight, 4), None);
+        for (spec, alternatives, total) in uniform_table() {
+            let mut space = DesignSpace::new();
+            let id = space.expand(&spec, &rules, &lib, &cache).unwrap();
+            assert_eq!(space.nodes[id].impls.len(), alternatives, "{spec}");
+            // The give-up boundary: one short of the count, the count, one past.
+            let boundary = [
+                (total - 1, None),
+                (total, Some(total)),
+                (total + 1, Some(total)),
+            ];
+            for threads in [1, 2, 4] {
+                for (limit, expect) in boundary {
+                    assert_eq!(
+                        space.uniform_size_threaded(id, limit, threads),
+                        expect,
+                        "{spec}: {threads} threads, limit {limit}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A space shaped by `below` plus a root on top: node `i`'s
+    /// alternatives list children `k % i` (ids below `i`, as in an
+    /// expanded space), and a node without alternatives is dead. The
+    /// counter reads only this AND-OR shape, so every alternative is a
+    /// placeholder cell.
+    fn random_space(below: &[Vec<Vec<usize>>], root: &[Vec<usize>]) -> DesignSpace {
+        let mut space = DesignSpace::new();
+        for (id, alternatives) in below.iter().map(Vec::as_slice).chain([root]).enumerate() {
+            let children: Vec<Vec<SpecId>> = alternatives
+                .iter()
+                .map(|kids| match id {
+                    0 => Vec::new(),
+                    _ => kids.iter().map(|&k| k % id).collect(),
+                })
+                .collect();
+            let placeholder = ImplChoice::Cell(CellChoice {
+                cell: String::new(),
+                area: 0.0,
+                timing: Timing {
+                    arcs: BTreeMap::new(),
+                    worst: 0.0,
+                },
+            });
+            space.nodes.push(SpecNode {
+                spec: ComponentSpec::new(ComponentKind::Delay, id + 1),
+                impls: vec![placeholder; children.len()],
+                children,
+            });
+        }
+        space
+    }
+
+    /// The serial uniform-count DFS from the root with a plain leaf
+    /// count: the reference model for `count_uniform`, overcount
+    /// included.
+    fn reference_uniform(space: &DesignSpace, root: SpecId, limit: u64) -> Option<u64> {
+        const UNSET: u32 = u32::MAX;
+        fn assign(
+            space: &DesignSpace,
+            pending: &mut Vec<SpecId>,
+            policy: &mut [u32],
+            count: &mut u64,
+            limit: u64,
+        ) -> bool {
+            let next = loop {
+                match pending.pop() {
+                    None => {
+                        *count += 1;
+                        return *count <= limit;
+                    }
+                    Some(id) if policy[id] != UNSET => continue,
+                    Some(id) => break id,
+                }
+            };
+            if space.nodes[next].impls.is_empty() {
+                pending.push(next);
+                return true;
+            }
+            for (i, kids) in space.nodes[next].children.iter().enumerate() {
+                policy[next] = i as u32;
+                let mark = pending.len();
+                pending.extend(kids.iter().copied().filter(|&k| policy[k] == UNSET));
+                let ok = assign(space, pending, policy, count, limit);
+                pending.truncate(mark);
+                policy[next] = UNSET;
+                if !ok {
+                    return false;
+                }
+            }
+            pending.push(next);
+            true
+        }
+        let mut policy = vec![UNSET; space.nodes.len()];
+        let mut count = 0;
+        let complete = assign(space, &mut vec![root], &mut policy, &mut count, limit);
+        (complete && count <= limit).then_some(count)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 128,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The sharded count equals the serial reference DFS's,
+        /// `Some`/`None` included, on random small spaces at every thread
+        /// count and publish chunk, with the limit at the count's give-up
+        /// boundary.
+        #[test]
+        fn sharded_uniform_count_matches_serial(
+            below in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0usize..64, 0..4), 0..4),
+                1..9,
+            ),
+            root in proptest::collection::vec(proptest::collection::vec(0usize..64, 1..4), 1..5),
+            slack in 1u64..4,
+        ) {
+            let space = random_space(&below, &root);
+            let id = space.nodes.len() - 1;
+            let total = reference_uniform(&space, id, u64::MAX).expect("an unlimited count completes");
+            for limit in [total.saturating_sub(1), total, total + slack] {
+                let expect = reference_uniform(&space, id, limit);
+                proptest::prop_assert_eq!(expect, (total <= limit).then_some(total));
+                for threads in 1..=4 {
+                    for chunk in [1, 3, PUBLISH_CHUNK] {
+                        proptest::prop_assert_eq!(
+                            space.count_uniform(id, limit, threads, chunk),
+                            expect,
+                            "{} threads, chunk {}, limit {}",
+                            threads,
+                            chunk,
+                            limit
+                        );
+                    }
+                }
+            }
+        }
     }
 }
