@@ -34,8 +34,9 @@
 //! * `alu64_ablation.threaded_over_serial` (≤ 1.2) — a self-contained
 //!   ceiling on `alu64_ablation_ms.threaded_cached / serial_cached`: the
 //!   default engine's cold ALU64 must not run more than 20% slower than
-//!   `threads: Some(1)`, or a parallel site is costing more than it
-//!   wins.
+//!   `threads: Some(1)`. The setting has no effect now, so both cells
+//!   run the same serial cold path; a parallel site that came back and
+//!   cost more than it won would trip it.
 //!
 //! Only same-machine comparisons are meaningful for the absolute
 //! numbers, so the tolerance is generous (default 3x, `--tolerance N`)
@@ -366,9 +367,9 @@ fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
         &mut findings,
     );
 
-    // The thread knob must pay for itself: the default engine's cold
-    // ALU64 against `threads: Some(1)`, both on fresh engines timed
-    // interleaved in one perf_snapshot run, so machine speed cancels.
+    // The default engine's cold ALU64 against `threads: Some(1)`, both
+    // on fresh engines timed interleaved in one perf_snapshot run, so
+    // machine speed cancels.
     let threaded_over_serial = |doc: &Json| -> Option<f64> {
         let threaded = doc.at(&["alu64_ablation_ms", "threaded_cached"])?.num()?;
         let serial = doc.at(&["alu64_ablation_ms", "serial_cached"])?.num()?;

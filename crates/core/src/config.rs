@@ -19,21 +19,15 @@ pub struct DtasConfig {
     pub root_cap: usize,
     /// Cap on child-front combinations per template.
     pub max_combinations: usize,
-    /// Budget for exact uniform-constraint design counting (0 disables).
+    /// The `Some`/`None` threshold of the uniform-constraint design count
+    /// ([`DesignSet::uniform_size`](crate::DesignSet::uniform_size)): a
+    /// count above it is reported as `None`. The count is memoized
+    /// (see [`DesignSpace::uniform_size`](crate::DesignSpace::uniform_size)),
+    /// so this is no longer a CPU budget. 0 disables counting.
     pub uniform_count_limit: u64,
-    /// Worker threads for the uniform design count
-    /// ([`DesignSet::uniform_size`](crate::DesignSet::uniform_size)), the
-    /// one parallel step of a cold solve: expansion, solving and
-    /// extraction are serial. The count's root branches are shared among
-    /// this many counters, the calling thread among them; a root with a
-    /// single alternative (ALU, comparator, encoder) counts serially at
-    /// any setting. `None` uses [`std::thread::available_parallelism`],
-    /// resolved once per process; `Some(1)` counts serially. Each counter
-    /// publishes its leaves to the shared total in chunks and gives up
-    /// only once a lower bound on the total passes
-    /// [`uniform_count_limit`](Self::uniform_count_limit) (see
-    /// [`DesignSpace::uniform_size_threaded`](crate::DesignSpace::uniform_size_threaded)),
-    /// so results, counts included, are identical at every setting.
+    /// No effect: every step of a cold solve, the uniform count
+    /// included, runs serially on the calling thread.
+    #[deprecated(note = "the cold solve is serial; the field has no effect")]
     pub threads: Option<usize>,
     /// Engine-level cross-query memoization: when on (the default),
     /// design spaces, node fronts and whole result sets persist inside
@@ -72,6 +66,8 @@ pub struct DtasConfig {
 }
 
 impl Default for DtasConfig {
+    // `threads` is deprecated but still a field to fill in.
+    #[allow(deprecated)]
     fn default() -> Self {
         DtasConfig {
             node_filter: FilterPolicy::Pareto,
@@ -94,12 +90,12 @@ impl Default for DtasConfig {
 
 impl DtasConfig {
     /// Stable fingerprint over every field that shapes *results* (filters,
-    /// caps, combination and counting budgets). `threads`, `cache` and
-    /// `persist_path` are excluded on purpose: results are bit-identical
-    /// at any thread count, and the storage knobs do not change what a
-    /// query returns. Snapshots taken under a different result-shaping
-    /// configuration must not be reused — their fronts were filtered
-    /// differently — so this fingerprint is part of the snapshot key.
+    /// caps, combination budget and count limit). `threads`, `cache` and
+    /// `persist_path` are excluded on purpose: `threads` has no effect,
+    /// and the storage knobs do not change what a query returns.
+    /// Snapshots taken under a different result-shaping configuration
+    /// must not be reused — their fronts were filtered differently — so
+    /// this fingerprint is part of the snapshot key.
     pub fn result_fingerprint(&self) -> u64 {
         fn feed_filter(h: &mut StableHasher, filter: FilterPolicy) {
             match filter {
@@ -128,6 +124,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[allow(deprecated)] // `threads` stays out of the fingerprint until it is deleted
     fn fingerprint_tracks_result_shaping_fields_only() {
         let base = DtasConfig::default();
         let same = DtasConfig {

@@ -21,7 +21,7 @@ use genus::spec::ComponentSpec;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Counters for the engine-level cross-query cache and its warm-start
@@ -846,8 +846,8 @@ impl Dtas {
     /// * [`persist_path`](DtasConfig::persist_path) rebinds the store;
     /// * toggling [`cache`](DtasConfig::cache) drops or warm-loads
     ///   everything;
-    /// * anything else (threads, compaction ratio, preflight) touches
-    ///   nothing cached and returns an empty report.
+    /// * anything else (compaction ratio, preflight, the no-op
+    ///   `threads`) touches nothing cached and returns an empty report.
     ///
     /// No store supersede is ever needed here: every invalidating field
     /// is part of [`DtasConfig::result_fingerprint`], so the store key
@@ -1419,25 +1419,6 @@ impl Dtas {
             specs_collapsed: self.canon.specs_collapsed.load(Ordering::Relaxed),
             fronts_retained_on_update: self.metrics.fronts_retained.load(Ordering::Relaxed),
         }
-    }
-
-    /// Workers for the uniform design count's root-branch sharding, the
-    /// one parallel step of a cold solve. The default, the machine's
-    /// parallelism, is resolved once per process (the lookup reads
-    /// cgroup files) when the first cold root is counted, so warm starts
-    /// and memo hits never pay for it.
-    fn thread_count(&self) -> usize {
-        static AVAILABLE: OnceLock<usize> = OnceLock::new();
-        self.config
-            .threads
-            .unwrap_or_else(|| {
-                *AVAILABLE.get_or_init(|| {
-                    std::thread::available_parallelism()
-                        .map(usize::from)
-                        .unwrap_or(1)
-                })
-            })
-            .max(1)
     }
 
     /// **The** synthesis entry point: runs anything convertible into a
@@ -2113,7 +2094,7 @@ impl Dtas {
         let unconstrained_size = space.unconstrained_size(root);
         let unconstrained_log10 = space.unconstrained_log10(root);
         let uniform_size = if self.config.uniform_count_limit > 0 {
-            space.uniform_size_threaded(root, self.config.uniform_count_limit, self.thread_count())
+            space.uniform_size(root, self.config.uniform_count_limit)
         } else {
             None
         };
@@ -2439,7 +2420,8 @@ mod tests {
         let mut engine = engine();
         engine.run(add_spec(16)).unwrap();
         let report = engine.update_config(DtasConfig {
-            threads: Some(1),
+            compaction_ratio: 0.25,
+            strict_preflight: true,
             ..DtasConfig::default()
         });
         assert_eq!(report, InvalidationReport::default(), "{report}");

@@ -51,8 +51,11 @@ pub struct DesignSet {
     /// `log10` of the unconstrained size (always finite for non-empty
     /// spaces).
     pub unconstrained_log10: f64,
-    /// Design count under the uniform-implementation constraint alone;
-    /// `None` when enumeration exceeded its budget.
+    /// Design count under the uniform-implementation constraint alone
+    /// (see [`DesignSpace::uniform_size`](crate::DesignSpace::uniform_size));
+    /// `None` when it exceeds
+    /// [`DtasConfig::uniform_count_limit`](crate::DtasConfig::uniform_count_limit)
+    /// or counting is off.
     pub uniform_size: Option<u64>,
     /// Bookkeeping.
     pub stats: SynthStats,

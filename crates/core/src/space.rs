@@ -27,7 +27,6 @@ use cells::CellLibrary;
 use genus::spec::ComponentSpec;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Index of a specification node in the design space.
@@ -362,166 +361,292 @@ impl DesignSpace {
     }
 
     /// Counts consistent designs under the uniform-implementation
-    /// constraint only (no performance filter), by exhaustive policy
-    /// enumeration: `Some(count)` when the count is at most `limit`,
-    /// `None` (giving up early) otherwise.
-    pub fn uniform_size(&self, root: SpecId, limit: u64) -> Option<u64> {
-        self.uniform_size_threaded(root, limit, 1)
-    }
-
-    /// Like [`uniform_size`](Self::uniform_size), with the root's
-    /// top-level implementation branches shared among up to `threads`
-    /// counters, the calling thread among them. A root with a single
-    /// alternative (ALU, comparator and encoder specs) has nothing to
-    /// shard and counts serially on the calling thread.
+    /// constraint only (no performance filter): `Some(count)` when the
+    /// count is at most `limit`, `None` otherwise.
     ///
-    /// Each counter tallies its leaves in a local `u64` and adds them to
-    /// the shared total in chunks of 4096 leaves and at the end of every
-    /// branch. It gives up only when a lower bound on the total — the
-    /// total it last read plus its own unpublished leaves — exceeds
-    /// `limit`, so it never gives up on a count that fits, and the answer
-    /// (`Some`/`None` and every count) is the serial enumeration's at any
-    /// thread count and any schedule.
-    pub fn uniform_size_threaded(&self, root: SpecId, limit: u64, threads: usize) -> Option<u64> {
-        self.count_uniform(root, limit, threads, PUBLISH_CHUNK)
+    /// The count is defined by a policy DFS from the root: pop the next
+    /// unassigned spec off a pending stack, try each of its alternatives
+    /// with that alternative's unassigned modules pushed, and count one
+    /// design whenever the stack holds nothing unassigned. The DFS drops
+    /// the already-assigned entries it pops and never restores them on
+    /// backtrack, so it overcounts; the number feeds answer fingerprints,
+    /// so this reproduces it exactly, overcount included. It does so
+    /// without enumerating the designs: each DFS call is memoized on
+    /// everything it can observe — its exact pending stack and which
+    /// nodes reachable from that stack are assigned — together with the
+    /// designs it counted and the stack it left behind, so a sub-state
+    /// the DFS reaches again is answered from the table. The memo lives
+    /// for one count. `limit` only decides between `Some` and `None`: the
+    /// count stops as soon as its running total passes it.
+    pub fn uniform_size(&self, root: SpecId, limit: u64) -> Option<u64> {
+        UniformCount::new(self, root, limit).run()
     }
 
-    fn count_uniform(&self, root: SpecId, limit: u64, threads: usize, chunk: u64) -> Option<u64> {
-        const UNSET: u32 = u32::MAX;
+    /// Same as [`uniform_size`](Self::uniform_size): the count is serial,
+    /// so `threads` is ignored.
+    #[deprecated(note = "the uniform count is serial; use `DesignSpace::uniform_size`")]
+    pub fn uniform_size_threaded(&self, root: SpecId, limit: u64, _threads: usize) -> Option<u64> {
+        self.uniform_size(root, limit)
+    }
+}
 
-        // DFS over assignments for the spec DAG, counting complete
-        // consistent policies into `tally`; aborts (returns false) once
-        // the total is known to exceed the limit.
-        fn assign(
-            space: &DesignSpace,
-            pending: &mut Vec<SpecId>,
-            policy: &mut [u32],
-            tally: &mut Tally,
-        ) -> bool {
-            // Find the next unassigned spec.
-            let next = loop {
-                match pending.pop() {
-                    None => return tally.leaf(),
-                    Some(id) if policy[id] != UNSET => continue,
-                    Some(id) => break id,
-                }
-            };
-            let node = &space.nodes[next];
-            if node.impls.is_empty() {
-                // Dead spec: no design completes through it.
-                pending.push(next); // restore for sibling branches
-                return true;
-            }
-            for (i, child_ids) in node.children.iter().enumerate() {
-                policy[next] = i as u32;
-                let mark = pending.len();
-                for &cid in child_ids {
-                    if policy[cid] == UNSET {
-                        pending.push(cid);
+/// The DFS behind [`DesignSpace::uniform_size`], over a dense renumbering
+/// of the root's reachable nodes (ids in increasing order, so children
+/// precede parents and the root comes last).
+struct UniformCount {
+    /// Node `v`'s alternatives are `alts[v]..alts[v + 1]`.
+    alts: Vec<u32>,
+    /// Alternative `a`'s modules are `kids[mods[a]..mods[a + 1]]`.
+    mods: Vec<u32>,
+    kids: Vec<u32>,
+    /// Node `v`'s reach (itself included) is the bitset of `words` words
+    /// at `v * words`, `words` covering one bit per node.
+    reach: Vec<u64>,
+    /// The nodes the DFS has assigned an alternative.
+    assigned: Vec<u64>,
+    limit: u64,
+    /// Designs counted so far.
+    total: u64,
+    memo: CallMemo,
+}
+
+impl UniformCount {
+    fn new(space: &DesignSpace, root: SpecId, limit: u64) -> Self {
+        let order = space.reachable(root);
+        let words = order.len().div_ceil(64);
+        let mut dense = vec![u32::MAX; space.nodes.len()];
+        let mut count = UniformCount {
+            alts: vec![0],
+            mods: vec![0],
+            kids: Vec::new(),
+            reach: vec![0; order.len() * words],
+            assigned: vec![0; words],
+            limit,
+            total: 0,
+            memo: CallMemo::new(words),
+        };
+        for (v, &id) in order.iter().enumerate() {
+            dense[id] = v as u32;
+            let (below, own) = count.reach.split_at_mut(v * words);
+            let own = &mut own[..words];
+            own[v / 64] |= 1 << (v % 64);
+            for modules in &space.nodes[id].children {
+                for &child in modules {
+                    let k = dense[child] as usize;
+                    assert!(k < v, "children precede their parents");
+                    count.kids.push(k as u32);
+                    for (r, c) in own.iter_mut().zip(&below[k * words..][..words]) {
+                        *r |= c;
                     }
                 }
-                let ok = assign(space, pending, policy, tally);
-                pending.truncate(mark);
-                policy[next] = UNSET;
-                if !ok {
-                    return false;
-                }
+                count.mods.push(count.kids.len() as u32);
             }
-            pending.push(next);
-            true
+            count.alts.push(count.mods.len() as u32 - 1);
         }
+        count
+    }
 
-        let total = AtomicU64::new(0);
-        let next_branch = AtomicUsize::new(0);
-        let root_choices = &self.nodes[root].children;
-        // Each counter claims the root's choices one at a time and enters
-        // each in the state the serial DFS does: the root assigned, its
-        // children pending. A counter gives up only after publishing a
-        // total past `limit`, so the final total alone decides the answer.
-        // Both atomics publish nothing but themselves, and the scope's
-        // join orders every add before the final read, so `Relaxed`
-        // suffices.
-        let count_branches = || {
-            let mut tally = Tally::new(&total, limit, chunk);
-            let mut policy = vec![UNSET; self.nodes.len()];
-            let mut pending = Vec::new();
-            loop {
-                let i = next_branch.fetch_add(1, Ordering::Relaxed);
-                if i >= root_choices.len() || total.load(Ordering::Relaxed) > limit {
-                    return;
-                }
-                policy[root] = i as u32;
-                pending.clear();
-                pending.extend(
-                    root_choices[i]
-                        .iter()
-                        .copied()
-                        .filter(|&cid| policy[cid] == UNSET),
-                );
-                let complete = assign(self, &mut pending, &mut policy, &mut tally);
-                tally.publish();
-                if !complete {
-                    return;
-                }
+    fn run(mut self) -> Option<u64> {
+        let root = self.alts.len() as u32 - 2;
+        self.call(&mut vec![root]).then_some(self.total)
+    }
+
+    fn is_assigned(&self, v: u32) -> bool {
+        self.assigned[v as usize / 64] >> (v % 64) & 1 == 1
+    }
+
+    fn flip(&mut self, v: u32) {
+        self.assigned[v as usize / 64] ^= 1 << (v % 64);
+    }
+
+    /// Adds `designs` to the total; false once it passes the limit.
+    fn add(&mut self, designs: u64) -> bool {
+        self.total = self.total.saturating_add(designs);
+        self.total <= self.limit
+    }
+
+    /// One DFS call on `pending`, leaving `pending` as the DFS leaves it;
+    /// false when the count gave up.
+    fn call(&mut self, pending: &mut Vec<u32>) -> bool {
+        if pending.iter().all(|&v| self.is_assigned(v)) {
+            pending.clear();
+            return self.add(1);
+        }
+        let (hash, key) = self.memo.stage(pending, &self.reach, &self.assigned);
+        if let Some(designs) = self.memo.replay(hash, key, pending) {
+            return self.add(designs);
+        }
+        let (before, depth) = (self.total, pending.len());
+        let next = loop {
+            let v = pending.pop().expect("an unassigned entry is pending");
+            if !self.is_assigned(v) {
+                break v;
             }
         };
-        std::thread::scope(|scope| {
-            for _ in 1..threads.min(root_choices.len()) {
-                scope.spawn(count_branches);
+        // A dead spec has no alternatives: nothing completes through it.
+        for alt in self.alts[next as usize]..self.alts[next as usize + 1] {
+            self.flip(next);
+            let mark = pending.len();
+            for i in self.mods[alt as usize]..self.mods[alt as usize + 1] {
+                let kid = self.kids[i as usize];
+                if !self.is_assigned(kid) {
+                    pending.push(kid);
+                }
             }
-            count_branches();
+            let complete = self.call(pending);
+            pending.truncate(mark);
+            self.flip(next);
+            if !complete {
+                return false;
+            }
+        }
+        pending.push(next);
+        self.memo
+            .insert(hash, key, depth, self.total - before, pending);
+        true
+    }
+}
+
+/// The memo of one [`UniformCount`]: every completed call's key (its
+/// entry stack, then the assigned bits of the nodes that stack reaches)
+/// and exit stack sit in two arenas, found through a table from the key's
+/// hash to a chain of entries.
+struct CallMemo {
+    /// Scratch: the reach of the stack being keyed, one bit per node.
+    mask: Vec<u64>,
+    /// Keys; the masked bitset words are stored as low/high halves.
+    keys: Vec<u32>,
+    /// Exit-stack tails.
+    exits: Vec<u32>,
+    entries: Vec<MemoEntry>,
+    /// Power-of-two bucket table: the first entry of each chain.
+    heads: Vec<u32>,
+}
+
+struct MemoEntry {
+    hash: u64,
+    /// Start of the key in `keys`.
+    key: u32,
+    /// Entry stack length.
+    depth: u32,
+    designs: u64,
+    /// The exit stack is the entry stack's first `keep` entries followed
+    /// by `exits[tail..tail_end]`.
+    keep: u32,
+    tail: u32,
+    tail_end: u32,
+    /// Next entry in the chain.
+    next: u32,
+}
+
+impl CallMemo {
+    const END: u32 = u32::MAX;
+
+    fn new(words: usize) -> Self {
+        CallMemo {
+            mask: vec![0; words],
+            keys: Vec::new(),
+            exits: Vec::new(),
+            entries: Vec::new(),
+            heads: vec![CallMemo::END; 256],
+        }
+    }
+
+    /// Appends the key of a call on `pending` to the key arena; returns
+    /// its hash and start.
+    fn stage(&mut self, pending: &[u32], reach: &[u64], assigned: &[u64]) -> (u64, usize) {
+        let words = self.mask.len();
+        self.mask.fill(0);
+        for &v in pending {
+            for (m, r) in self
+                .mask
+                .iter_mut()
+                .zip(&reach[v as usize * words..][..words])
+            {
+                *m |= r;
+            }
+        }
+        let start = self.keys.len();
+        let mut hash = pending.len() as u64;
+        for &v in pending {
+            hash = mix(hash, u64::from(v));
+        }
+        self.keys.extend_from_slice(pending);
+        for (m, a) in self.mask.iter().zip(assigned) {
+            let bits = m & a;
+            hash = mix(hash, bits);
+            self.keys.extend([bits as u32, (bits >> 32) as u32]);
+        }
+        (hash, start)
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        (hash >> (64 - self.heads.len().trailing_zeros())) as usize
+    }
+
+    /// On a hit for the key staged at `key`, unstages it, sets `pending`
+    /// to the entry's exit stack and returns its design count.
+    fn replay(&mut self, hash: u64, key: usize, pending: &mut Vec<u32>) -> Option<u64> {
+        let staged = &self.keys[key..];
+        let mut at = self.heads[self.bucket(hash)];
+        while at != CallMemo::END {
+            let entry = &self.entries[at as usize];
+            if entry.hash == hash
+                && entry.depth as usize == pending.len()
+                && self.keys[entry.key as usize..][..staged.len()] == *staged
+            {
+                pending.truncate(entry.keep as usize);
+                pending
+                    .extend_from_slice(&self.exits[entry.tail as usize..entry.tail_end as usize]);
+                self.keys.truncate(key);
+                return Some(entry.designs);
+            }
+            at = entry.next;
+        }
+        None
+    }
+
+    /// Records a completed call: the key staged at `key` for a stack of
+    /// `depth` entries, the designs it counted and the stack it left.
+    fn insert(&mut self, hash: u64, key: usize, depth: usize, designs: u64, exit: &[u32]) {
+        let keep = exit
+            .iter()
+            .zip(&self.keys[key..key + depth])
+            .take_while(|(a, b)| a == b)
+            .count();
+        let offset = |n: usize| u32::try_from(n).expect("memo offsets fit in u32");
+        let tail = offset(self.exits.len());
+        self.exits.extend_from_slice(&exit[keep..]);
+        if self.entries.len() >= self.heads.len() {
+            self.grow();
+        }
+        let bucket = self.bucket(hash);
+        self.entries.push(MemoEntry {
+            hash,
+            key: offset(key),
+            depth: offset(depth),
+            designs,
+            keep: offset(keep),
+            tail,
+            tail_end: offset(self.exits.len()),
+            next: self.heads[bucket],
         });
-        let total = total.into_inner();
-        (total <= limit).then_some(total)
+        self.heads[bucket] = offset(self.entries.len() - 1);
+    }
+
+    fn grow(&mut self) {
+        self.heads = vec![CallMemo::END; self.heads.len() * 2];
+        for at in 0..self.entries.len() {
+            let bucket = self.bucket(self.entries[at].hash);
+            self.entries[at].next = self.heads[bucket];
+            self.heads[bucket] = at as u32;
+        }
     }
 }
 
-/// Leaves a uniform counter tallies locally before adding them to the
-/// shared total (see [`DesignSpace::uniform_size_threaded`]).
-const PUBLISH_CHUNK: u64 = 4096;
-
-/// One counter's share of a uniform count: a local leaf tally that is
-/// published to the shared total in chunks.
-struct Tally<'a> {
-    total: &'a AtomicU64,
-    limit: u64,
-    chunk: u64,
-    /// Leaves counted since the last publish.
-    unpublished: u64,
-    /// `limit` minus the total as this counter last read it; once
-    /// `unpublished` exceeds it, the total exceeds `limit`.
-    headroom: u64,
-}
-
-impl<'a> Tally<'a> {
-    fn new(total: &'a AtomicU64, limit: u64, chunk: u64) -> Self {
-        Tally {
-            total,
-            limit,
-            chunk,
-            unpublished: 0,
-            headroom: limit.saturating_sub(total.load(Ordering::Relaxed)),
-        }
-    }
-
-    /// Counts one complete design; false once the total is known to
-    /// exceed the limit.
-    fn leaf(&mut self) -> bool {
-        self.unpublished += 1;
-        if self.unpublished > self.headroom {
-            self.publish();
-            return false;
-        }
-        self.unpublished < self.chunk || self.publish() <= self.limit
-    }
-
-    /// Adds the unpublished leaves to the shared total and returns it.
-    fn publish(&mut self) -> u64 {
-        let total = self.total.fetch_add(self.unpublished, Ordering::Relaxed) + self.unpublished;
-        self.unpublished = 0;
-        self.headroom = self.limit.saturating_sub(total);
-        total
-    }
+/// One step of the memo's key hash (a multiply-rotate mix).
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(26) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Performance-filter policy applied at each specification node.
@@ -1040,7 +1165,7 @@ mod tests {
     use super::*;
     use crate::rules::RuleSet;
     use cells::lsi::lsi_logic_subset;
-    use genus::kind::ComponentKind;
+    use genus::kind::{ComponentKind, GateOp};
     use genus::op::{Op, OpSet};
 
     fn add_spec(w: usize) -> ComponentSpec {
@@ -1262,45 +1387,149 @@ mod tests {
         }
     }
 
-    /// Three specs whose roots have 7, 2 and 1 alternatives under the
-    /// default rule base, with their uniform counts.
-    fn uniform_table() -> [(ComponentSpec, usize, u64); 3] {
-        let counter = ComponentSpec::new(ComponentKind::Counter, 4)
-            .with_ops([Op::Load, Op::CountUp, Op::CountDown].into_iter().collect())
-            .with_enable(true)
-            .with_style("SYNCHRONOUS");
-        let comparator = ComponentSpec::new(ComponentKind::Comparator, 8)
-            .with_ops([Op::Eq, Op::Lt, Op::Gt].into_iter().collect());
+    /// The spec a benchmark key names (`add:16`, `mux:8:4`, …), built
+    /// the way the benchmark's spec universe builds it.
+    fn benchmark_spec(key: &str) -> ComponentSpec {
+        let mut parts = key.split(':');
+        let family = parts.next().unwrap_or_default();
+        let mut n = || -> usize { parts.next().and_then(|p| p.parse().ok()).expect(key) };
+        let ops = |list: &[Op]| -> OpSet { list.iter().copied().collect() };
+        match family {
+            "add" => add_spec(n()),
+            "alu" => ComponentSpec::new(ComponentKind::Alu, n())
+                .with_ops(Op::paper_alu16())
+                .with_carry_in(true),
+            "nand" | "nor" | "xor" => {
+                let op = match family {
+                    "nand" => GateOp::Nand,
+                    "nor" => GateOp::Nor,
+                    _ => GateOp::Xor,
+                };
+                let (width, inputs) = (n(), n());
+                ComponentSpec::new(ComponentKind::Gate(op), width).with_inputs(inputs)
+            }
+            "mux" => {
+                let (width, inputs) = (n(), n());
+                ComponentSpec::new(ComponentKind::Mux, width).with_inputs(inputs)
+            }
+            "dec" => {
+                let k = n();
+                ComponentSpec::new(ComponentKind::Decoder, k)
+                    .with_width2(1 << k)
+                    .with_style("BINARY")
+            }
+            "bcd" => ComponentSpec::new(ComponentKind::Decoder, 4)
+                .with_width2(10)
+                .with_style("BCD"),
+            "enc" => {
+                let inputs = n();
+                ComponentSpec::new(ComponentKind::Encoder, genus::build::select_width(inputs))
+                    .with_inputs(inputs)
+            }
+            "cmp" => ComponentSpec::new(ComponentKind::Comparator, n()).with_ops(ops(&[
+                Op::Eq,
+                Op::Lt,
+                Op::Gt,
+            ])),
+            "shift" => {
+                ComponentSpec::new(ComponentKind::Shifter, n()).with_ops(ops(&[Op::Shl, Op::Shr]))
+            }
+            "barrel" => {
+                let (width, width2) = (n(), n());
+                ComponentSpec::new(ComponentKind::BarrelShifter, width)
+                    .with_width2(width2)
+                    .with_ops(OpSet::only(Op::Shl))
+            }
+            "mul" => {
+                let (width, width2) = (n(), n());
+                ComponentSpec::new(ComponentKind::Multiplier, width)
+                    .with_width2(width2)
+                    .with_ops(OpSet::only(Op::Mul))
+            }
+            "ctr" => ComponentSpec::new(ComponentKind::Counter, n())
+                .with_ops(ops(&[Op::Load, Op::CountUp, Op::CountDown]))
+                .with_enable(true)
+                .with_style("SYNCHRONOUS"),
+            _ => panic!("unknown family in {key}"),
+        }
+    }
+
+    /// Every spec the benchmark maps, with its uniform count under the
+    /// default rule base; `None` where the count exceeds the default
+    /// configuration's limit (2,000,000).
+    fn uniform_table() -> [(&'static str, Option<u64>); 41] {
         [
-            (add_spec(16), 7, 837_009),
-            (counter, 2, 1_842_512),
-            (comparator, 1, 1_311_872),
+            ("nand:8:4", Some(88)),
+            ("nand:16:2", Some(11)),
+            ("nor:8:3", Some(97)),
+            ("xor:8:4", Some(24)),
+            ("xor:16:2", Some(9)),
+            ("mux:8:2", Some(1_341)),
+            ("mux:8:4", Some(189_922)),
+            ("mux:16:4", Some(189_922)),
+            ("mux:4:8", None),
+            ("dec:2", Some(11)),
+            ("dec:3", Some(136)),
+            ("dec:4", Some(141)),
+            ("bcd", Some(141)),
+            ("enc:4", Some(88)),
+            ("enc:8", Some(2_532)),
+            ("enc:16", Some(388_727)),
+            ("cmp:4", Some(1_584)),
+            ("cmp:8", Some(1_311_872)),
+            ("cmp:16", None),
+            ("shift:8", Some(1_341)),
+            ("shift:16", Some(1_341)),
+            ("shift:32", Some(1_341)),
+            ("barrel:8:3", Some(29_673)),
+            ("barrel:16:4", Some(2_148)),
+            ("mul:4:4", Some(329_989)),
+            ("mul:6:4", None),
+            ("mul:8:4", None),
+            ("ctr:4", Some(1_842_512)),
+            ("ctr:6", None),
+            ("ctr:8", None),
+            ("add:8", Some(7_498)),
+            ("add:12", Some(10_882)),
+            ("add:16", Some(837_009)),
+            ("add:24", Some(931_392)),
+            ("add:32", None),
+            ("add:48", None),
+            ("add:64", None),
+            ("alu:8", None),
+            ("alu:16", None),
+            ("alu:32", None),
+            ("alu:64", None),
         ]
     }
 
     #[test]
-    fn uniform_size_threaded_matches_serial() {
+    fn uniform_counts_match_the_pinned_table() {
         let rules = RuleSet::standard().with_lsi_extensions();
         let lib = lsi_logic_subset();
         let cache = SpecModelCache::new();
-        for (spec, alternatives, total) in uniform_table() {
+        let default_limit = crate::DtasConfig::default().uniform_count_limit;
+        for (key, pinned) in uniform_table() {
             let mut space = DesignSpace::new();
-            let id = space.expand(&spec, &rules, &lib, &cache).unwrap();
-            assert_eq!(space.nodes[id].impls.len(), alternatives, "{spec}");
+            let id = space
+                .expand(&benchmark_spec(key), &rules, &lib, &cache)
+                .unwrap();
+            let Some(total) = pinned else {
+                assert_eq!(space.uniform_size(id, default_limit), None, "{key}");
+                continue;
+            };
             // The give-up boundary: one short of the count, the count, one past.
             let boundary = [
                 (total - 1, None),
                 (total, Some(total)),
                 (total + 1, Some(total)),
             ];
-            for threads in [1, 2, 4] {
-                for (limit, expect) in boundary {
-                    assert_eq!(
-                        space.uniform_size_threaded(id, limit, threads),
-                        expect,
-                        "{spec}: {threads} threads, limit {limit}"
-                    );
-                }
+            for (limit, expect) in boundary {
+                assert_eq!(
+                    space.uniform_size(id, limit),
+                    expect,
+                    "{key}: limit {limit}"
+                );
             }
         }
     }
@@ -1338,7 +1567,7 @@ mod tests {
     }
 
     /// The serial uniform-count DFS from the root with a plain leaf
-    /// count: the reference model for `count_uniform`, overcount
+    /// count: the reference model for `uniform_size`, overcount
     /// included.
     fn reference_uniform(space: &DesignSpace, root: SpecId, limit: u64) -> Option<u64> {
         const UNSET: u32 = u32::MAX;
@@ -1385,40 +1614,36 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 128,
+            cases: 1024,
             ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// The sharded count equals the serial reference DFS's,
-        /// `Some`/`None` included, on random small spaces at every thread
-        /// count and publish chunk, with the limit at the count's give-up
-        /// boundary.
+        /// The memoized count equals the reference DFS's, `Some`/`None`
+        /// included, from every node of random small spaces, with the
+        /// limit at the count's give-up boundary.
         #[test]
-        fn sharded_uniform_count_matches_serial(
+        fn memoized_uniform_count_matches_reference(
             below in proptest::collection::vec(
                 proptest::collection::vec(proptest::collection::vec(0usize..64, 0..4), 0..4),
-                1..9,
+                1..17,
             ),
             root in proptest::collection::vec(proptest::collection::vec(0usize..64, 1..4), 1..5),
             slack in 1u64..4,
         ) {
             let space = random_space(&below, &root);
-            let id = space.nodes.len() - 1;
-            let total = reference_uniform(&space, id, u64::MAX).expect("an unlimited count completes");
-            for limit in [total.saturating_sub(1), total, total + slack] {
-                let expect = reference_uniform(&space, id, limit);
-                proptest::prop_assert_eq!(expect, (total <= limit).then_some(total));
-                for threads in 1..=4 {
-                    for chunk in [1, 3, PUBLISH_CHUNK] {
-                        proptest::prop_assert_eq!(
-                            space.count_uniform(id, limit, threads, chunk),
-                            expect,
-                            "{} threads, chunk {}, limit {}",
-                            threads,
-                            chunk,
-                            limit
-                        );
-                    }
+            for id in 0..space.nodes.len() {
+                let total =
+                    reference_uniform(&space, id, u64::MAX).expect("an unlimited count completes");
+                for limit in [total.saturating_sub(1), total, total + slack] {
+                    let expect = reference_uniform(&space, id, limit);
+                    proptest::prop_assert_eq!(expect, (total <= limit).then_some(total));
+                    proptest::prop_assert_eq!(
+                        space.uniform_size(id, limit),
+                        expect,
+                        "root {}, limit {}",
+                        id,
+                        limit
+                    );
                 }
             }
         }

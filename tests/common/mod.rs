@@ -6,7 +6,7 @@ pub mod flaky_proxy;
 
 use cells::lsi::lsi_logic_subset;
 use dtas::template::NetlistTemplate;
-use dtas::{Dtas, DtasConfig, Rule, RuleSet};
+use dtas::{Dtas, Rule, RuleSet};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
@@ -63,18 +63,10 @@ impl Rule for SlowRule {
     }
 }
 
-/// An engine whose `SLOW`-styled specs take `delay` to expand. Serial
-/// solve threads keep the stall on the worker thread itself.
+/// An engine whose `SLOW`-styled specs take `delay` to expand. The cold
+/// solve is serial, so the stall stays on the calling worker thread.
 pub fn slow_engine(delay: Duration) -> Arc<Dtas> {
     let mut rules = RuleSet::standard().with_lsi_extensions();
     rules.append_library_rules(vec![Box::new(SlowRule(delay))]);
-    Arc::new(
-        Dtas::builder(lsi_logic_subset())
-            .rules(rules)
-            .config(DtasConfig {
-                threads: Some(1),
-                ..DtasConfig::default()
-            })
-            .build(),
-    )
+    Arc::new(Dtas::builder(lsi_logic_subset()).rules(rules).build())
 }

@@ -8,7 +8,7 @@ mod common;
 
 use cells::lsi::lsi_logic_subset;
 use common::{fingerprint, Fingerprint};
-use dtas::{CacheStats, Dtas, DtasConfig, RuleSet, SynthError};
+use dtas::{CacheStats, Dtas, RuleSet, SynthError};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
@@ -234,15 +234,9 @@ mod poison {
     fn engine_recovers_from_a_poisoned_state_lock() {
         let mut rules = RuleSet::standard().with_lsi_extensions();
         rules.append_library_rules(vec![Box::new(PanicOnMarker)]);
-        let engine = Dtas::builder(lsi_logic_subset())
-            .rules(rules)
-            .config(DtasConfig {
-                // Serial expansion so the panic unwinds through the write
-                // guard on this thread, not a worker pool.
-                threads: Some(1),
-                ..DtasConfig::default()
-            })
-            .build();
+        // Expansion is serial, so the panic unwinds through the write
+        // guard on this thread.
+        let engine = Dtas::builder(lsi_logic_subset()).rules(rules).build();
         let before = engine.run(adder(16)).unwrap();
         let marker = ComponentSpec::new(ComponentKind::AddSub, 4)
             .with_ops(OpSet::only(Op::Add))

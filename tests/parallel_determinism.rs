@@ -1,7 +1,10 @@
-//! Determinism under parallelism and caching: the sharded uniform
-//! counter and the engine-level cross-query cache must both produce
-//! bit-identical results to a forced single-thread, cold run — the
-//! paper's numbers only mean something if the speedups are free.
+//! Determinism under caching and sharing: the engine-level cross-query
+//! cache, shared sub-spec reuse, canonicalization and in-place updates
+//! must all produce bit-identical results to a fresh, cold engine, and
+//! the flat policy merge must keep ordered-map semantics — the paper's
+//! numbers only mean something if the speedups are free. The cold solve
+//! itself is serial; the no-op `threads` setting stays pinned as
+//! changing nothing until it is deleted.
 
 mod common;
 
@@ -28,6 +31,7 @@ fn alu64() -> ComponentSpec {
 }
 
 #[test]
+#[allow(deprecated)] // pins that the no-op `threads` setting changes nothing
 fn threaded_engine_matches_single_thread_engine() {
     let serial = Dtas::builder(lsi_logic_subset())
         .config(DtasConfig {

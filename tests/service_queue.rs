@@ -11,8 +11,8 @@ use cells::lsi::lsi_logic_subset;
 use common::{fingerprint, slow_engine, slow_spec};
 use dtas::template::NetlistTemplate;
 use dtas::{
-    Admission, Dtas, DtasConfig, DtasService, Priority, Rule, RuleSet, ServiceConfig, ServiceError,
-    SynthError, SynthRequest,
+    Admission, Dtas, DtasService, Priority, Rule, RuleSet, ServiceConfig, ServiceError, SynthError,
+    SynthRequest,
 };
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
@@ -323,15 +323,7 @@ fn worker_panic_resolves_the_ticket_and_the_service_survives() {
     }
     let mut rules = RuleSet::standard().with_lsi_extensions();
     rules.append_library_rules(vec![Box::new(PanicRule)]);
-    let engine = Arc::new(
-        Dtas::builder(lsi_logic_subset())
-            .rules(rules)
-            .config(DtasConfig {
-                threads: Some(1),
-                ..DtasConfig::default()
-            })
-            .build(),
-    );
+    let engine = Arc::new(Dtas::builder(lsi_logic_subset()).rules(rules).build());
     let service = DtasService::start(
         Arc::clone(&engine),
         ServiceConfig {
