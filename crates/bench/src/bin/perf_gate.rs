@@ -36,7 +36,8 @@
 //!   default engine's cold ALU64 must not run more than 20% slower than
 //!   `threads: Some(1)`. The setting has no effect now, so both cells
 //!   run the same serial cold path; a parallel site that came back and
-//!   cost more than it won would trip it.
+//!   cost more than it won would trip it. These are the ablation's only
+//!   two cells; the ceiling goes with `DtasConfig::threads`.
 //!
 //! Only same-machine comparisons are meaningful for the absolute
 //! numbers, so the tolerance is generous (default 3x, `--tolerance N`)

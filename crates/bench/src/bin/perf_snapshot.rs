@@ -1,7 +1,7 @@
 //! Machine-readable solver performance snapshot.
 //!
-//! Runs the per-width synthesis workloads (cold, repeat, and ablations
-//! over the thread/cache knobs) plus a simulator throughput probe, and
+//! Runs the per-width synthesis workloads (cold, repeat, and an ablation
+//! over the no-op thread knob) plus a simulator throughput probe, and
 //! writes `BENCH_solver.json` so CI tracks the perf trajectory from one
 //! measured environment. Run with:
 //!
@@ -340,7 +340,7 @@ struct ServiceMetrics {
 }
 
 /// Direct-path reference at `clients` threads: the same spec hammered via
-/// `Dtas::synthesize` (every hit deep-clones the result set out).
+/// `Dtas::run` (every hit hands out the memoized `Arc`).
 fn direct_concurrent_qps(
     engine: &Dtas,
     spec: &ComponentSpec,
@@ -735,27 +735,20 @@ fn host_label(threads: usize) -> String {
 /// Rounds of the ALU64 ablation; each cell reports its best round.
 const ABLATION_ROUNDS: usize = 3;
 
-/// Cold ALU64 walls for the thread × cache ablation, in the order
-/// threaded_cached, serial_cached, threaded_nocache, serial_nocache.
-/// Every cell solves on a fresh engine, and the cells interleave round
-/// by round, so a slow spell on a shared host lands on all four instead
-/// of on whichever cell ran during it. `threads` no longer has an
-/// effect, so the threaded and serial cells run the same serial path and
-/// their ratio stays near 1.
+/// Cold ALU64 walls for the thread ablation, in the order
+/// threaded_cached, serial_cached. Every cell solves on a fresh engine,
+/// and the cells interleave round by round, so a slow spell on a shared
+/// host lands on both instead of on whichever cell ran during it.
+/// `threads` no longer has an effect, so the two cells run the same
+/// serial path and their ratio stays near 1.
 #[allow(deprecated)] // `DtasConfig::threads` is kept until it is deleted
-fn alu64_ablation_ms(alu64: &ComponentSpec) -> [f64; 4] {
-    let config = |threads: Option<usize>, cache: bool| DtasConfig {
+fn alu64_ablation_ms(alu64: &ComponentSpec) -> [f64; 2] {
+    let config = |threads: Option<usize>| DtasConfig {
         threads,
-        cache,
         ..DtasConfig::default()
     };
-    let cells = [
-        config(None, true),
-        config(Some(1), true),
-        config(None, false),
-        config(Some(1), false),
-    ];
-    let mut best = [f64::INFINITY; 4];
+    let cells = [config(None), config(Some(1))];
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..ABLATION_ROUNDS {
         for (slot, cell) in best.iter_mut().zip(&cells) {
             let engine = Dtas::builder(lsi_logic_subset())
@@ -782,16 +775,15 @@ fn main() {
         ("ALU64".into(), alu_spec(64)),
     ];
 
-    // Default engine: cache on, one shared space. Arc'd so
-    // the service saturation runs can share it with their worker pools.
+    // Default engine: one shared space. Arc'd so the service saturation
+    // runs can share it with their worker pools.
     let engine = Arc::new(Dtas::new(lsi_logic_subset()));
     let rows = run_queries(&engine, &specs);
     let stats = engine.cache_stats();
 
-    // Ablations over the ALU64 cold query.
+    // The thread ablation over the ALU64 cold query.
     let alu64 = alu_spec(64);
-    let [threaded_cached_ms, serial_cached_ms, threaded_nocache_ms, serial_nocache_ms] =
-        alu64_ablation_ms(&alu64);
+    let [threaded_cached_ms, serial_cached_ms] = alu64_ablation_ms(&alu64);
 
     let sim_cps = gcd_cycles_per_sec();
     let warm = warm_start_metrics(&alu64);
@@ -845,8 +837,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"alu64_ablation_ms\": {{ \"threaded_cached\": {:.3}, \"serial_cached\": {:.3}, \"threaded_nocache\": {:.3}, \"serial_nocache\": {:.3}, \"note\": \"cold ALU64 on a fresh engine per cell, the four cells interleaved over {ABLATION_ROUNDS} rounds, best of {ABLATION_ROUNDS} per cell; threaded = DtasConfig::default(), serial = threads: Some(1); the setting has no effect, so both run the same serial cold path. threaded_cached / serial_cached <= 1.2 is gated from the stored fields\" }},",
-        threaded_cached_ms, serial_cached_ms, threaded_nocache_ms, serial_nocache_ms,
+        "  \"alu64_ablation_ms\": {{ \"threaded_cached\": {:.3}, \"serial_cached\": {:.3}, \"note\": \"cold ALU64 on a fresh engine per cell, the two cells interleaved over {ABLATION_ROUNDS} rounds, best of {ABLATION_ROUNDS} per cell; threaded = DtasConfig::default(), serial = threads: Some(1); the setting has no effect, so both run the same serial cold path. threaded_cached / serial_cached <= 1.2 is gated from the stored fields\" }},",
+        threaded_cached_ms, serial_cached_ms,
     );
     let _ = writeln!(json, "  \"concurrent_hit_clients\": [");
     let solo_qps = concurrent

@@ -1,11 +1,11 @@
 //! Shared workloads for the benchmark harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (its module doc names which); the criterion benches in
-//! `benches/` time the same workloads. The bands the measured numbers
-//! must hold against the paper are pinned by `tests/paper_claims.rs`,
-//! `tests/figure3_shape.rs` and `tests/adder16_space.rs` at the
-//! repository root.
+//! paper (its module doc names which), except `perf_snapshot` and
+//! `perf_gate`, which time the engine and judge the timings. The bands
+//! the measured numbers must hold against the paper are pinned by
+//! `tests/paper_claims.rs`, `tests/figure3_shape.rs` and
+//! `tests/adder16_space.rs` at the repository root.
 
 pub mod json;
 

@@ -29,13 +29,6 @@ pub struct DtasConfig {
     /// included, runs serially on the calling thread.
     #[deprecated(note = "the cold solve is serial; the field has no effect")]
     pub threads: Option<usize>,
-    /// Engine-level cross-query memoization: when on (the default),
-    /// design spaces, node fronts and whole result sets persist inside
-    /// [`Dtas`](crate::Dtas) across `synthesize` calls, so repeated
-    /// specs — and shared sub-specs under *different* roots — are solved
-    /// once per engine lifetime. Turn off to ablate (every query starts
-    /// cold).
-    pub cache: bool,
     /// Directory for the on-disk warm-start store. When set, the engine
     /// binds a [`PersistentStore`](crate::store::PersistentStore) on this
     /// directory: construction loads a compatible snapshot (design space,
@@ -44,7 +37,7 @@ pub struct DtasConfig {
     /// [`checkpoint`](crate::Dtas::checkpoint). Snapshots are keyed by
     /// library, rule-set and configuration fingerprints plus the codec
     /// format version, so an incompatible snapshot is rejected and the
-    /// engine simply starts cold. Ignored when `cache` is off.
+    /// engine simply starts cold.
     pub persist_path: Option<PathBuf>,
     /// Compaction trigger for the tiered store: when the accumulated
     /// delta segments exceed this fraction of the base segment's size,
@@ -80,7 +73,6 @@ impl Default for DtasConfig {
             max_combinations: 100_000,
             uniform_count_limit: 2_000_000,
             threads: None,
-            cache: true,
             persist_path: None,
             compaction_ratio: 0.5,
             strict_preflight: false,
@@ -90,9 +82,10 @@ impl Default for DtasConfig {
 
 impl DtasConfig {
     /// Stable fingerprint over every field that shapes *results* (filters,
-    /// caps, combination budget and count limit). `threads`, `cache` and
-    /// `persist_path` are excluded on purpose: `threads` has no effect,
-    /// and the storage knobs do not change what a query returns.
+    /// caps, combination budget and count limit). `threads`,
+    /// `persist_path`, `compaction_ratio` and `strict_preflight` are
+    /// excluded on purpose: `threads` has no effect, and the others do
+    /// not change what a query returns.
     /// Snapshots taken under a different result-shaping configuration
     /// must not be reused — their fronts were filtered differently — so
     /// this fingerprint is part of the snapshot key.
@@ -129,7 +122,6 @@ mod tests {
         let base = DtasConfig::default();
         let same = DtasConfig {
             threads: Some(7),
-            cache: false,
             persist_path: Some(PathBuf::from("/tmp/x")),
             compaction_ratio: 0.1,
             strict_preflight: true,

@@ -7,14 +7,14 @@ use crate::report::{Alternative, DesignSet, SynthStats};
 use crate::request::SynthRequest;
 use crate::rules::RuleSet;
 use crate::space::{
-    DesignPoint, DesignSpace, ExpandError, FilterPolicy, FrontStore, SolveConfig, Solver, SpecId,
+    DesignPoint, ExpandError, FilterPolicy, FrontStore, SolveConfig, Solver, SpecId,
 };
 use crate::store::mem::{MemStore, ResultCell, SharedState};
 use crate::store::{
     DirtySet, EngineSnapshot, LoadOutcome, PersistentStore, Rejection, ResultStore, SaveReport,
     StoreError, StoreKey, WarmSource,
 };
-use crate::template::{NetlistTemplate, SpecModelCache};
+use crate::template::NetlistTemplate;
 use cells::CellLibrary;
 use genus::netlist::Netlist;
 use genus::spec::ComponentSpec;
@@ -28,12 +28,13 @@ use std::time::Instant;
 /// store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// `synthesize` calls answered entirely from the result memo
-    /// (including callers that blocked on another client's in-flight
+    /// Queries (a [`run`](Dtas::run) or one distinct spec of a
+    /// [`run_batch`](Dtas::run_batch)) answered entirely from the result
+    /// memo (including callers that blocked on another client's in-flight
     /// solve of the same spec and were served its result).
     pub hits: u64,
-    /// `synthesize` calls that had to solve (possibly reusing sub-spec
-    /// fronts from earlier queries).
+    /// Queries that had to solve (possibly reusing sub-spec fronts from
+    /// earlier queries). An override request always solves its own root.
     pub misses: u64,
     /// Whole result sets currently memoized.
     pub cached_results: usize,
@@ -138,7 +139,7 @@ impl fmt::Display for CacheStats {
 }
 
 /// What one [`Dtas::checkpoint`] call did (`Ok(None)` from `checkpoint`
-/// still means "no store bound / caching off").
+/// still means "no store bound").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointOutcome {
     /// Nothing changed since the last flush; no bytes were written.
@@ -160,7 +161,7 @@ impl CheckpointOutcome {
     }
 }
 
-/// Errors produced by [`Dtas::synthesize`].
+/// Errors produced by [`Dtas::run`] and [`Dtas::run_batch`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SynthError {
     /// Design-space expansion failed (a rule or spec defect).
@@ -232,11 +233,6 @@ pub enum InvalidationReason {
     /// engine's key (a rule change invisible to the name-level rule
     /// fingerprint would otherwise be shadowed by the stale chain).
     StoreSuperseded,
-    /// Caching was switched off; all cached state was dropped.
-    CachingOff,
-    /// Caching was switched on; the engine warm-loads from the bound
-    /// store on its next query.
-    CachingOn,
 }
 
 impl fmt::Display for InvalidationReason {
@@ -252,8 +248,6 @@ impl fmt::Display for InvalidationReason {
             }
             InvalidationReason::StoreRebound => f.write_str("store-rebound"),
             InvalidationReason::StoreSuperseded => f.write_str("store-superseded"),
-            InvalidationReason::CachingOff => f.write_str("caching-off"),
-            InvalidationReason::CachingOn => f.write_str("caching-on"),
         }
     }
 }
@@ -287,11 +281,14 @@ impl fmt::Display for InvalidationReport {
     }
 }
 
-/// Per-spec expansion outcome of one batch pass: slots already resolved
+/// One query's answer, as memoized and handed out.
+type SynthResult = Result<Arc<DesignSet>, SynthError>;
+
+/// Per-spec expansion outcome of one cold pass: slots already resolved
 /// (expansion errors), roots to solve together, and taint-affected
-/// indices needing a cold fallback.
+/// indices that fall back to a private solve.
 struct BatchPlan {
-    results: Vec<Option<Result<Arc<DesignSet>, SynthError>>>,
+    results: Vec<Option<SynthResult>>,
     roots: Vec<(usize, usize)>,
     tainted: Vec<usize>,
 }
@@ -395,10 +392,12 @@ struct FlushState {
 ///   repeat query takes one shard read lock and clones out an [`Arc`]. No
 ///   exclusive lock is taken anywhere on the hit path
 ///   ([`CacheStats::state_exclusive`] stays flat).
-/// * **Cold queries overlap.** A miss expands under a brief exclusive
-///   lock on the shared design space, then solves against a private
-///   snapshot with no lock held, and finally merges its solved fronts
-///   back. Two distinct cold specs therefore solve concurrently.
+/// * **Cold queries overlap.** Every cold query — a memo miss, an
+///   override request, a batch's cold specs — runs one pipeline: it
+///   expands under a brief exclusive lock on the shared design space,
+///   then solves against a private snapshot with no lock held, and
+///   finally merges its solved fronts back. Two distinct cold specs
+///   therefore solve concurrently.
 /// * **Identical results.** Every front is a pure function of its
 ///   (append-only) subgraph, so the schedule cannot change any answer:
 ///   whatever the interleaving, each query returns exactly what a fresh
@@ -406,9 +405,8 @@ struct FlushState {
 ///
 /// # Caching
 ///
-/// The engine memoizes aggressively across queries (see
-/// [`DtasConfig::cache`]): repeated specs return from the result memo, and
-/// shared sub-specs across *different* roots (ADD8 under both ALU64 and
+/// The engine memoizes aggressively across queries: repeated specs
+/// return from the result memo, and shared sub-specs across *different* roots (ADD8 under both ALU64 and
 /// ADD16, say) are expanded and solved once per engine lifetime. Cached
 /// entries are keyed implicitly by the library's content
 /// [`fingerprint`](CellLibrary::fingerprint) — verified on every call —
@@ -465,8 +463,7 @@ pub struct Dtas {
 /// rule base, configuration and snapshot backend. Once built, the engine
 /// is immutable except through [`Dtas::update_rules`] /
 /// [`Dtas::update_config`], which invalidate *only* the affected cached
-/// state and say exactly what they did ([`InvalidationReport`]) — unlike
-/// the retired consuming `with_*` chain, which silently reset everything.
+/// state and say exactly what they did ([`InvalidationReport`]).
 pub struct DtasBuilder {
     library: CellLibrary,
     rules: Option<RuleSet>,
@@ -554,57 +551,6 @@ impl Dtas {
             .build()
     }
 
-    /// Replaces the rule base, dropping **all** cached synthesis state.
-    #[deprecated(
-        note = "use Dtas::builder(..).rules(..) to construct, or Dtas::update_rules for \
-                delta invalidation that keeps unaffected state warm"
-    )]
-    pub fn with_rules(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
-        self.reset_runtime_state();
-        self.try_warm_load();
-        self
-    }
-
-    /// Replaces the configuration, dropping **all** cached synthesis
-    /// state and rebinding the store from [`DtasConfig::persist_path`].
-    #[deprecated(
-        note = "use Dtas::builder(..).config(..) to construct, or Dtas::update_config for \
-                delta invalidation that keeps unaffected state warm"
-    )]
-    pub fn with_config(mut self, config: DtasConfig) -> Self {
-        self.config = config;
-        self.reset_runtime_state();
-        self.store = self
-            .config
-            .persist_path
-            .as_ref()
-            .map(|dir| Arc::new(PersistentStore::new(dir)) as Arc<dyn ResultStore>);
-        self.try_warm_load();
-        self
-    }
-
-    /// Binds an explicit snapshot backend (overriding any
-    /// [`DtasConfig::persist_path`] binding) and warm-starts from it,
-    /// dropping all cached synthesis state first.
-    #[deprecated(note = "use Dtas::builder(..).store(..)")]
-    pub fn with_store(mut self, store: Arc<dyn ResultStore>) -> Self {
-        self.reset_runtime_state();
-        self.store = Some(store);
-        self.try_warm_load();
-        self
-    }
-
-    /// Fresh (empty) synchronized state, counters included. Used by the
-    /// deprecated consuming builders before they re-bind / re-load.
-    fn reset_runtime_state(&mut self) {
-        self.mem = MemStore::new();
-        self.metrics.reset();
-        self.canon.clear();
-        *self.lock_warm() = WarmState::default();
-        *self.lock_flush() = FlushState::default();
-    }
-
     /// Replaces the rule base **in place**, invalidating only the cached
     /// state the change can actually reach.
     ///
@@ -624,14 +570,6 @@ impl Dtas {
     /// front count.
     pub fn update_rules(&mut self, rules: RuleSet) -> InvalidationReport {
         let mut report = InvalidationReport::default();
-        if !self.config.cache {
-            self.rules = rules;
-            self.canon.clear();
-            report
-                .reasons
-                .push(InvalidationReason::RulesChanged { dirty_nodes: 0 });
-            return report;
-        }
         let old_key = self.store_key();
         // The diff below runs over live nodes, so live state must cover
         // everything persisted: materialize every pending result and
@@ -844,8 +782,6 @@ impl Dtas {
     ///   [`uniform_count_limit`](DtasConfig::uniform_count_limit) drop
     ///   only the memoized results — node fronts stay warm;
     /// * [`persist_path`](DtasConfig::persist_path) rebinds the store;
-    /// * toggling [`cache`](DtasConfig::cache) drops or warm-loads
-    ///   everything;
     /// * anything else (compaction ratio, preflight, the no-op
     ///   `threads`) touches nothing cached and returns an empty report.
     ///
@@ -861,54 +797,6 @@ impl Dtas {
         let root_shaping = config.root_filter != old.root_filter || config.root_cap != old.root_cap;
         let uniform = config.uniform_count_limit != old.uniform_count_limit;
         let storage = config.persist_path != old.persist_path;
-        let cache_off = old.cache && !config.cache;
-        let cache_on = !old.cache && config.cache;
-        if cache_off {
-            let stats = self.cache_stats();
-            report.dropped = InvalidationCounts {
-                nodes: stats.spec_nodes,
-                fronts: stats.cached_fronts,
-                results: stats.cached_results,
-            };
-            report.reasons.push(InvalidationReason::CachingOff);
-            self.config = config;
-            self.mem.clear();
-            self.metrics.reset();
-            self.canon.clear();
-            {
-                let mut warm = self.lock_warm();
-                warm.source = None;
-                warm.hydrated = true;
-            }
-            *self.lock_flush() = FlushState::default();
-            if storage {
-                self.rebind_store();
-                report.reasons.push(InvalidationReason::StoreRebound);
-            }
-            return report;
-        }
-        if cache_on {
-            self.config = config;
-            if storage {
-                self.rebind_store();
-                report.reasons.push(InvalidationReason::StoreRebound);
-            } else if self.store.is_none() && self.config.persist_path.is_some() {
-                self.rebind_store();
-            }
-            report.reasons.push(InvalidationReason::CachingOn);
-            self.try_warm_load();
-            return report;
-        }
-        if !config.cache {
-            // Off → off: nothing cached to invalidate.
-            self.config = config;
-            if storage {
-                self.rebind_store();
-                report.reasons.push(InvalidationReason::StoreRebound);
-            }
-            return report;
-        }
-        // On → on: the interesting delta paths.
         if node_shaping || root_shaping || uniform {
             // The lazy chain indexes state this update is about to thin
             // out; make it live first (so the report counts it), then
@@ -1038,11 +926,8 @@ impl Dtas {
     /// Attempts a warm start from the bound store. A missing snapshot is
     /// a plain cold start; a rejected one (see
     /// [`CacheStats::snapshot_rejects`]) is logged in the counters and
-    /// also falls back cold. Skipped entirely when caching is off.
+    /// also falls back cold.
     fn try_warm_load(&self) {
-        if !self.config.cache {
-            return;
-        }
         let Some(store) = &self.store else {
             return;
         };
@@ -1083,9 +968,6 @@ impl Dtas {
     /// [`CacheStats::snapshot_rejects`](CacheStats)) and the engine
     /// continues cold; no partial state is ever installed.
     fn ensure_hydrated(&self) {
-        if !self.config.cache {
-            return;
-        }
         let mut warm = self.lock_warm();
         if !warm.undecoded() {
             return;
@@ -1125,10 +1007,7 @@ impl Dtas {
     /// one that was not consumed yet. `None` means "solve it yourself"
     /// (no chain, no entry, or damaged bytes — damage is counted as a
     /// rejection and the entry dropped, so it is never retried).
-    fn warm_materialize(&self, spec: &ComponentSpec) -> Option<Result<Arc<DesignSet>, SynthError>> {
-        if !self.config.cache {
-            return None;
-        }
+    fn warm_materialize(&self, spec: &ComponentSpec) -> Option<SynthResult> {
         let decoded = self.lock_warm().source.as_mut()?.take_result(spec)?;
         match decoded {
             Ok(result) => {
@@ -1163,9 +1042,6 @@ impl Dtas {
     /// eager-load escape hatch (and what the perf harness uses to price
     /// lazy vs. full loading). It decodes answers only, never the space.
     pub fn prefault(&self) -> usize {
-        if !self.config.cache {
-            return 0;
-        }
         let pending = {
             let warm = self.lock_warm();
             match &warm.source {
@@ -1197,8 +1073,8 @@ impl Dtas {
 
     /// Flushes the current cached state (design space, solved fronts,
     /// memoized results) to the bound store. Returns `Ok(None)` when no
-    /// store is bound or caching is off. Also runs automatically on drop
-    /// when the engine solved anything new since the last load.
+    /// store is bound. Also runs automatically on drop when the engine
+    /// solved anything new since the last load.
     ///
     /// Flushes are tiered: a checkpoint with nothing new since the last
     /// flush writes nothing ([`CheckpointOutcome::Skipped`]); one with a
@@ -1214,9 +1090,6 @@ impl Dtas {
     /// [`StoreError`] when the backing medium fails. The in-memory state
     /// is unaffected either way.
     pub fn checkpoint(&self) -> Result<Option<CheckpointOutcome>, StoreError> {
-        if !self.config.cache {
-            return Ok(None);
-        }
         let Some(store) = &self.store else {
             return Ok(None);
         };
@@ -1386,8 +1259,7 @@ impl Dtas {
         *self.lock_flush() = FlushState::default();
     }
 
-    /// Cross-query cache counters (the memo counters are all zero when
-    /// caching is off).
+    /// Cross-query cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         let (cached_fronts, spec_nodes) = self.mem.front_counts();
         let lazy_results = self
@@ -1457,110 +1329,16 @@ impl Dtas {
     /// The memoized (non-override) path behind [`run`](Self::run):
     /// canonicalize, serve through the collapsed memo entry, rewrite the
     /// answer back to the caller's raw spec.
-    fn shared_result(
-        &self,
-        spec: &ComponentSpec,
-        start: Instant,
-    ) -> Result<Arc<DesignSet>, SynthError> {
-        if !self.config.cache {
-            // Ablation path: nothing is keyed, so nothing to canonicalize.
-            return self.synthesize_shared_from(spec, start);
-        }
+    fn shared_result(&self, spec: &ComponentSpec, start: Instant) -> SynthResult {
         let canonical = self.canon.canonical(spec, &self.rules, &self.library);
-        canon::rewrite_result(
-            self.synthesize_shared_from(&canonical, start),
-            spec,
-            &canonical,
-        )
+        canon::rewrite_result(self.memoized(&canonical, start), spec, &canonical)
     }
 
-    /// The override path behind [`run`](Self::run): a private root front
-    /// and/or a weight-sorted clone. Override solves keep the caller's
-    /// raw spec end-to-end — they bypass the memo, so there is no shared
-    /// key to canonicalize.
-    fn override_result(
-        &self,
-        request: &SynthRequest,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        let mut set = if !request.has_front_overrides() {
-            Self::deliver(&self.shared_result(&request.spec, start), start)?
-        } else {
-            let root_filter = request.root_filter.unwrap_or(self.config.root_filter);
-            let root_cap = request.root_cap.unwrap_or(self.config.root_cap);
-            if !self.config.cache {
-                let mut state = SharedState::default();
-                self.solve_in(&request.spec, &mut state, root_filter, root_cap, start)?
-            } else {
-                self.check_fingerprint();
-                self.mem.misses.fetch_add(1, Ordering::Relaxed);
-                let solved = self.solve_shared_with(&request.spec, root_filter, root_cap, start);
-                // Settle even on error: the solve may have grown shared
-                // space/fronts that the next checkpoint should consider.
-                self.mem.settled.fetch_add(1, Ordering::Relaxed);
-                solved?
-            }
-        };
-        if let Some((area_weight, delay_weight)) = request.weights {
-            let score = |a: &Alternative| area_weight * a.area + delay_weight * a.delay;
-            // total_cmp keeps the comparator a total order even if a
-            // caller passes non-finite weights (NaN scores would make a
-            // partial_cmp-based sort panic since Rust 1.81).
-            set.alternatives.sort_by(|a, b| {
-                score(a)
-                    .total_cmp(&score(b))
-                    .then(a.area.total_cmp(&b.area))
-                    .then(a.delay.total_cmp(&b.delay))
-            });
-        }
-        Ok(set)
-    }
-
-    /// Synthesizes one component specification into a set of alternative
-    /// library-specific implementations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run (deep-clone the Arc if you need an owned set)")]
-    pub fn synthesize(&self, spec: &ComponentSpec) -> Result<DesignSet, SynthError> {
-        let start = Instant::now();
-        Self::deliver(&self.run(spec), start)
-    }
-
-    /// Like the retired `synthesize`, with `Arc` delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run")]
-    pub fn synthesize_shared(&self, spec: &ComponentSpec) -> Result<Arc<DesignSet>, SynthError> {
-        self.run(spec)
-    }
-
-    /// Runs a [`SynthRequest`] with `Arc` delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run")]
-    pub fn synthesize_request_shared(
-        &self,
-        request: &SynthRequest,
-    ) -> Result<Arc<DesignSet>, SynthError> {
-        self.run(request)
-    }
-
-    fn synthesize_shared_from(
-        &self,
-        spec: &ComponentSpec,
-        start: Instant,
-    ) -> Result<Arc<DesignSet>, SynthError> {
-        if !self.config.cache {
-            // Ablation path: cold state per query, nothing retained.
-            let mut state = SharedState::default();
-            return self.synthesize_in(spec, &mut state, start).map(Arc::new);
-        }
+    /// The memo entry of a canonical spec. A miss solves inside its cell,
+    /// so concurrent callers of one cold spec share one solve. The hit
+    /// probe is written out here and in `run_batch`: routed through one
+    /// shared helper, a hit measured ~5% slower.
+    fn memoized(&self, spec: &ComponentSpec, start: Instant) -> SynthResult {
         self.check_fingerprint();
         let cell = self.mem.result_cell(spec);
         if let Some(result) = cell.get() {
@@ -1579,7 +1357,9 @@ impl Dtas {
         let result = cell.get_or_init(|| {
             solved_here = true;
             self.mem.misses.fetch_add(1, Ordering::Relaxed);
-            self.solve_shared(spec, start).map(Arc::new)
+            let shape = (self.config.root_filter, self.config.root_cap);
+            let mut solved = self.solve_cold(&[spec], shape, start);
+            solved.pop().expect("one answer per spec")
         });
         if solved_here {
             // Only now — with the result in its cell and the fronts
@@ -1593,15 +1373,46 @@ impl Dtas {
         result.clone()
     }
 
-    /// Runs a [`SynthRequest`] with owned delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run (deep-clone the Arc if you need an owned set)")]
-    pub fn synthesize_request(&self, request: &SynthRequest) -> Result<DesignSet, SynthError> {
-        let start = Instant::now();
-        Self::deliver(&self.run(request), start)
+    /// The override path behind [`run`](Self::run): a private root front
+    /// and/or a weight-sorted clone. Override solves keep the caller's
+    /// raw spec end-to-end — they bypass the memo, so there is no shared
+    /// key to canonicalize.
+    fn override_result(
+        &self,
+        request: &SynthRequest,
+        start: Instant,
+    ) -> Result<DesignSet, SynthError> {
+        let mut set = if !request.has_front_overrides() {
+            let shared = self.shared_result(&request.spec, start)?;
+            let mut set = DesignSet::clone(&shared);
+            set.stats.elapsed = start.elapsed();
+            set
+        } else {
+            let shape = (
+                request.root_filter.unwrap_or(self.config.root_filter),
+                request.root_cap.unwrap_or(self.config.root_cap),
+            );
+            self.check_fingerprint();
+            self.mem.misses.fetch_add(1, Ordering::Relaxed);
+            let solved = self.solve_cold(&[&request.spec], shape, start).pop();
+            // Settle even on error: the solve may have grown shared
+            // space/fronts that the next checkpoint should consider.
+            self.mem.settled.fetch_add(1, Ordering::Relaxed);
+            Arc::unwrap_or_clone(solved.expect("one answer per spec")?)
+        };
+        if let Some((area_weight, delay_weight)) = request.weights {
+            let score = |a: &Alternative| area_weight * a.area + delay_weight * a.delay;
+            // total_cmp keeps the comparator a total order even if a
+            // caller passes non-finite weights (NaN scores would make a
+            // partial_cmp-based sort panic since Rust 1.81).
+            set.alternatives.sort_by(|a, b| {
+                score(a)
+                    .total_cmp(&score(b))
+                    .then(a.area.total_cmp(&b.area))
+                    .then(a.delay.total_cmp(&b.delay))
+            });
+        }
+        Ok(set)
     }
 
     /// Synthesizes a whole batch of specifications in one shared-space
@@ -1616,23 +1427,6 @@ impl Dtas {
     /// own `Result`.
     pub fn run_batch(&self, specs: &[ComponentSpec]) -> Vec<Result<Arc<DesignSet>, SynthError>> {
         let start = Instant::now();
-        if !self.config.cache {
-            // Ablation path: dedupe raw specs only (nothing is keyed).
-            let mut distinct: Vec<&ComponentSpec> = Vec::new();
-            let mut slot_of: HashMap<&ComponentSpec, usize> = HashMap::new();
-            for spec in specs {
-                if !slot_of.contains_key(spec) {
-                    slot_of.insert(spec, distinct.len());
-                    distinct.push(spec);
-                }
-            }
-            let mut state = SharedState::default();
-            let results = self.batch_in(&distinct, &mut state, start);
-            return specs
-                .iter()
-                .map(|spec| results[slot_of[spec]].clone())
-                .collect();
-        }
         self.check_fingerprint();
         // Canonicalize every slot, then dedupe by canonical spec in
         // first-appearance order — padded/styled variants of one
@@ -1649,12 +1443,42 @@ impl Dtas {
                 distinct.push(spec);
             }
         }
-        let results = self.batch_cached(&distinct, start);
+        let mut answers: Vec<Option<SynthResult>> = vec![None; distinct.len()];
+        let mut cold: Vec<(usize, Arc<ResultCell>)> = Vec::new();
+        for (i, spec) in distinct.iter().enumerate() {
+            let cell = self.mem.result_cell(spec);
+            if let Some(result) = cell.get() {
+                self.mem.hits.fetch_add(1, Ordering::Relaxed);
+                answers[i] = Some(result.clone());
+            } else if let Some(result) = self.warm_materialize(spec) {
+                // Persisted result decoded on first request — a hit,
+                // exactly as in `memoized`.
+                self.mem.hits.fetch_add(1, Ordering::Relaxed);
+                answers[i] = Some(cell.get_or_init(|| result).clone());
+            } else {
+                cold.push((i, cell));
+            }
+        }
+        if !cold.is_empty() {
+            let cold_specs: Vec<&ComponentSpec> = cold.iter().map(|&(i, _)| distinct[i]).collect();
+            let shape = (self.config.root_filter, self.config.root_cap);
+            let solved = self.solve_cold(&cold_specs, shape, start);
+            for ((i, cell), result) in cold.into_iter().zip(solved) {
+                // Memoize through the cell: if another client raced us to
+                // this spec, its (bit-identical) result stands and ours is
+                // dropped. Either way this call solved, so it counts as a
+                // miss.
+                self.mem.misses.fetch_add(1, Ordering::Relaxed);
+                answers[i] = Some(cell.get_or_init(|| result).clone());
+                self.mem.settled.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         specs
             .iter()
             .zip(&canonical)
             .map(|(raw, canon_spec)| {
-                canon::rewrite_result(results[slot_of[canon_spec]].clone(), raw, canon_spec)
+                let answer = answers[slot_of[canon_spec]].clone();
+                canon::rewrite_result(answer.expect("every batch slot filled"), raw, canon_spec)
             })
             .collect()
     }
@@ -1688,52 +1512,8 @@ impl Dtas {
         Ok(out)
     }
 
-    /// Batch synthesis with owned delivery.
-    #[deprecated(note = "use Dtas::run_batch (Arc delivery)")]
-    pub fn synthesize_batch(&self, specs: &[ComponentSpec]) -> Vec<Result<DesignSet, SynthError>> {
-        let start = Instant::now();
-        self.run_batch(specs)
-            .iter()
-            .map(|result| Self::deliver(result, start))
-            .collect()
-    }
-
-    /// Netlist synthesis with owned delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_netlist`](Self::run_netlist).
-    #[deprecated(note = "use Dtas::run_netlist (Arc delivery)")]
-    pub fn synthesize_netlist(
-        &self,
-        netlist: &Netlist,
-    ) -> Result<BTreeMap<String, DesignSet>, SynthError> {
-        let start = Instant::now();
-        let mut out = BTreeMap::new();
-        for (key, set) in self.run_netlist(netlist)? {
-            out.insert(key, Self::deliver(&Ok(set), start)?);
-        }
-        Ok(out)
-    }
-
     // ------------------------------------------------------------------
-    // Solve internals.
-
-    /// Clones a memoized (or just-computed) result out to the caller,
-    /// restamping the elapsed wall time with this call's own.
-    fn deliver(
-        result: &Result<Arc<DesignSet>, SynthError>,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        match result {
-            Ok(set) => {
-                let mut set = DesignSet::clone(set);
-                set.stats.elapsed = start.elapsed();
-                Ok(set)
-            }
-            Err(e) => Err(e.clone()),
-        }
-    }
+    // The cold pipeline.
 
     /// The library is privately owned and immutable behind `&self`, so the
     /// fingerprint captured in `new()` keys every cached entry; rehashing
@@ -1746,124 +1526,55 @@ impl Dtas {
         );
     }
 
-    /// Expands a spec into a state's shared design space.
-    fn expand_in(
+    /// **The** cold pipeline, for a memo miss, an override request and a
+    /// batch's cold slots alike: expand every spec into the shared space
+    /// under one brief exclusive lock, solve all roots in one bottom-up
+    /// pass against a snapshot with no lock held, merge the solved fronts
+    /// back, and assemble each answer under `shape` (root filter, root
+    /// cap). Answers come back aligned with `specs`.
+    fn solve_cold(
         &self,
-        spec: &ComponentSpec,
-        state: &mut SharedState,
-    ) -> Result<usize, SynthError> {
-        state
-            .space
-            .expand(spec, &self.rules, &self.library, &state.models)
-            .map_err(|e| match e {
-                ExpandError::Cycle => SynthError::NoImplementation(spec.to_string()),
-                other => SynthError::Expand(other.to_string()),
-            })
-    }
-
-    /// Cold-solve pipeline over a private state (the ablation path and the
-    /// fallback for taint-affected queries).
-    fn synthesize_in(
-        &self,
-        spec: &ComponentSpec,
-        state: &mut SharedState,
+        specs: &[&ComponentSpec],
+        shape: (FilterPolicy, usize),
         start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        self.solve_in(
-            spec,
-            state,
-            self.config.root_filter,
-            self.config.root_cap,
-            start,
-        )
-    }
-
-    /// Like [`synthesize_in`](Self::synthesize_in) with explicit root
-    /// filter/cap (per-request overrides).
-    fn solve_in(
-        &self,
-        spec: &ComponentSpec,
-        state: &mut SharedState,
-        root_filter: FilterPolicy,
-        root_cap: usize,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        let root = self.expand_in(spec, state)?;
-        let fronts = std::mem::take(&mut state.fronts);
-        let mut solver = Solver::with_front_store(&state.space, self.solve_config(), fronts);
-        solver.solve(root, &state.models);
-        let result = self.assemble(
-            spec,
-            root,
-            &state.space,
-            &mut solver,
-            &state.models,
-            root_filter,
-            root_cap,
-            start,
-        );
-        state.fronts = solver.into_front_store();
-        result
-    }
-
-    /// The shared-space cold path for one spec: expand under a brief
-    /// exclusive lock, solve against a private snapshot with no lock held,
-    /// then merge the solved fronts back.
-    fn solve_shared(&self, spec: &ComponentSpec, start: Instant) -> Result<DesignSet, SynthError> {
-        self.solve_shared_with(spec, self.config.root_filter, self.config.root_cap, start)
-    }
-
-    fn solve_shared_with(
-        &self,
-        spec: &ComponentSpec,
-        root_filter: FilterPolicy,
-        root_cap: usize,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
+    ) -> Vec<SynthResult> {
         if self.chain_undecoded() {
             // Growing the live space would mis-align the chain's node
-            // ids, and decoding the chain costs more than this solve:
+            // ids, and decoding the chain costs more than these solves:
             // solve privately, as a fresh engine would.
-            let mut private = SharedState::default();
-            return self.solve_in(spec, &mut private, root_filter, root_cap, start);
+            return self.solve_private(specs, shape, start);
         }
-        let (space, fronts, models, generation, root) = {
+        let (mut plan, snapshot) = {
             let mut state = self.mem.write_state();
-            let first_new = state.space.nodes.len();
-            let root = self.expand_in(spec, &mut state)?;
-            // Mutually-recursive rules drop whichever template closes a
-            // cycle, so nodes expanded under an *earlier* root may carry a
-            // different root's cuts; if this query's subgraph reaches any
-            // such pre-existing node, solve it from a cold space instead
-            // (identical to a fresh engine). The frozen result is
-            // spec-keyed, so it is safe to memoize either way.
-            if state.space.tainted_before(root, first_new) {
-                drop(state);
-                let mut cold = SharedState::default();
-                return self.solve_in(spec, &mut cold, root_filter, root_cap, start);
-            }
-            (
-                state.space.clone(),
-                state.fronts.snapshot(),
-                state.models.clone(),
-                state.generation,
-                root,
-            )
+            let plan = self.expand_batch(specs, &mut state);
+            // Nothing to solve (expansion errors, taint): skip the copy.
+            let snapshot = (!plan.roots.is_empty()).then(|| SharedState {
+                space: state.space.clone(),
+                fronts: state.fronts.snapshot(),
+                models: state.models.clone(),
+                generation: state.generation,
+            });
+            (plan, snapshot)
         };
-        let mut solver = Solver::with_front_store(&space, self.solve_config(), fronts);
-        solver.solve(root, &models);
-        let result = self.assemble(
-            spec,
-            root,
-            &space,
-            &mut solver,
-            &models,
-            root_filter,
-            root_cap,
-            start,
-        );
-        self.absorb_fronts(solver.into_front_store(), generation);
-        result
+        if let Some(mut snapshot) = snapshot {
+            self.solve_batch(specs, &mut plan, &mut snapshot, shape, start);
+            self.absorb_fronts(snapshot.fronts, snapshot.generation);
+        }
+        self.finish_batch(specs, plan, shape, start)
+    }
+
+    /// The cold pipeline on a private state, which is dropped afterwards:
+    /// for misses on an undecoded chain and for taint-affected specs.
+    fn solve_private(
+        &self,
+        specs: &[&ComponentSpec],
+        shape: (FilterPolicy, usize),
+        start: Instant,
+    ) -> Vec<SynthResult> {
+        let mut state = SharedState::default();
+        let mut plan = self.expand_batch(specs, &mut state);
+        self.solve_batch(specs, &mut plan, &mut state, shape, start);
+        self.finish_batch(specs, plan, shape, start)
     }
 
     /// Merges fronts solved against a snapshot back into the shared
@@ -1878,108 +1589,15 @@ impl Dtas {
         }
     }
 
-    /// The cached batch path: serve memo hits, expand all cold specs under
-    /// one exclusive lock, solve every untainted root in one bottom-up
-    /// pass against a snapshot, then memoize.
-    fn batch_cached(
-        &self,
-        distinct: &[&ComponentSpec],
-        start: Instant,
-    ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
-        let mut out: Vec<Option<Result<Arc<DesignSet>, SynthError>>> = vec![None; distinct.len()];
-        let mut cells: Vec<Option<Arc<ResultCell>>> = vec![None; distinct.len()];
-        let mut cold: Vec<usize> = Vec::new();
-        for (i, spec) in distinct.iter().enumerate() {
-            let cell = self.mem.result_cell(spec);
-            if let Some(result) = cell.get() {
-                self.mem.hits.fetch_add(1, Ordering::Relaxed);
-                out[i] = Some(result.clone());
-            } else if let Some(result) = self.warm_materialize(spec) {
-                // Persisted result decoded on first request — a hit,
-                // exactly as in `synthesize_shared_from`.
-                self.mem.hits.fetch_add(1, Ordering::Relaxed);
-                out[i] = Some(cell.get_or_init(|| result).clone());
-            } else {
-                cells[i] = Some(cell);
-                cold.push(i);
-            }
-        }
-        if !cold.is_empty() {
-            let cold_specs: Vec<&ComponentSpec> = cold.iter().map(|&i| distinct[i]).collect();
-            let solved = self.batch_shared(&cold_specs, start);
-            for (&i, result) in cold.iter().zip(solved) {
-                // Memoize through the cell: if another client raced us to
-                // this spec, its (bit-identical) result stands and ours is
-                // dropped. Either way this call solved, so it counts as a
-                // miss.
-                let cell = cells[i].take().expect("cold cell reserved");
-                self.mem.misses.fetch_add(1, Ordering::Relaxed);
-                let stored = cell.get_or_init(|| result);
-                self.mem.settled.fetch_add(1, Ordering::Relaxed);
-                out[i] = Some(stored.clone());
-            }
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("every batch slot filled"))
-            .collect()
-    }
-
-    /// Expands + solves a set of distinct cold specs against the shared
-    /// space (snapshot solve, fronts merged back under the generation
-    /// guard).
-    fn batch_shared(
-        &self,
-        specs: &[&ComponentSpec],
-        start: Instant,
-    ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
-        if self.chain_undecoded() {
-            // As in `solve_shared_with`: the batch shares one private
-            // state instead of the undecoded chain's space.
-            let mut private = SharedState::default();
-            return self.batch_in(specs, &mut private, start);
-        }
-        let (space, fronts, models, generation, mut plan) = {
-            let mut state = self.mem.write_state();
-            let plan = self.expand_batch(specs, &mut state);
-            (
-                state.space.clone(),
-                state.fronts.snapshot(),
-                state.models.clone(),
-                state.generation,
-                plan,
-            )
-        };
-        let solved = self.solve_batch(specs, &mut plan, &space, fronts, &models, start);
-        self.absorb_fronts(solved, generation);
-        self.finish_batch(specs, plan, start)
-    }
-
-    /// The private-state batch path (cache off, or an undecoded chain):
-    /// one private state is still shared by the whole batch — batching
-    /// *is* the single shared-space pass.
-    fn batch_in(
-        &self,
-        distinct: &[&ComponentSpec],
-        state: &mut SharedState,
-        start: Instant,
-    ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
-        let mut plan = self.expand_batch(distinct, state);
-        let fronts = std::mem::take(&mut state.fronts);
-        let solved = self.solve_batch(
-            distinct,
-            &mut plan,
-            &state.space,
-            fronts,
-            &state.models,
-            start,
-        );
-        state.fronts = solved;
-        self.finish_batch(distinct, plan, start)
-    }
-
-    /// Expands every spec of a batch into `state`'s space, splitting the
-    /// indices into solvable roots, taint-affected specs (cold fallback),
-    /// and expansion failures (resolved on the spot).
+    /// Expands every spec into `state`'s space, splitting the indices into
+    /// solvable roots, taint-affected specs and expansion failures
+    /// (resolved on the spot).
+    ///
+    /// Mutually-recursive rules drop whichever template closes a cycle, so
+    /// nodes expanded under an *earlier* root may carry a different
+    /// root's cuts. A spec whose subgraph reaches such a pre-existing node
+    /// is tainted: [`finish_batch`](Self::finish_batch) solves it from a
+    /// fresh state instead, exactly as a fresh engine would.
     fn expand_batch(&self, specs: &[&ComponentSpec], state: &mut SharedState) -> BatchPlan {
         let mut plan = BatchPlan {
             results: vec![None; specs.len()],
@@ -1988,59 +1606,55 @@ impl Dtas {
         };
         for (i, spec) in specs.iter().enumerate() {
             let first_new = state.space.nodes.len();
-            match self.expand_in(spec, state) {
+            let expanded = state
+                .space
+                .expand(spec, &self.rules, &self.library, &state.models);
+            match expanded {
                 Ok(root) if state.space.tainted_before(root, first_new) => plan.tainted.push(i),
                 Ok(root) => plan.roots.push((i, root)),
-                Err(e) => plan.results[i] = Some(Err(e)),
+                Err(ExpandError::Cycle) => {
+                    plan.results[i] = Some(Err(SynthError::NoImplementation(spec.to_string())));
+                }
+                Err(other) => plan.results[i] = Some(Err(SynthError::Expand(other.to_string()))),
             }
         }
         plan
     }
 
-    /// Solves all of a plan's roots in **one** bottom-up pass and
-    /// assembles each design set; returns the grown front store for the
-    /// caller to merge or keep.
+    /// Solves all of a plan's roots in **one** bottom-up pass over
+    /// `state` and assembles each design set under `shape`; the solved
+    /// fronts stay in `state`.
     fn solve_batch(
         &self,
         specs: &[&ComponentSpec],
         plan: &mut BatchPlan,
-        space: &DesignSpace,
-        fronts: FrontStore,
-        models: &SpecModelCache,
+        state: &mut SharedState,
+        shape: (FilterPolicy, usize),
         start: Instant,
-    ) -> FrontStore {
-        let root_ids: Vec<usize> = plan.roots.iter().map(|&(_, root)| root).collect();
-        let mut solver = Solver::with_front_store(space, self.solve_config(), fronts);
-        solver.solve_many(&root_ids, models);
+    ) {
+        let roots: Vec<SpecId> = plan.roots.iter().map(|&(_, root)| root).collect();
+        let fronts = std::mem::take(&mut state.fronts);
+        let mut solver = Solver::with_front_store(&state.space, self.solve_config(), fronts);
+        solver.solve_many(&roots, &state.models);
         for &(i, root) in &plan.roots {
-            plan.results[i] = Some(
-                self.assemble(
-                    specs[i],
-                    root,
-                    space,
-                    &mut solver,
-                    models,
-                    self.config.root_filter,
-                    self.config.root_cap,
-                    start,
-                )
-                .map(Arc::new),
-            );
+            let set = self.assemble(specs[i], root, state, &mut solver, shape, start);
+            plan.results[i] = Some(set.map(Arc::new));
         }
-        solver.into_front_store()
+        state.fronts = solver.into_front_store();
     }
 
-    /// Resolves a plan's taint-affected specs from cold state (like
-    /// `synthesize` does) and unwraps the per-slot results.
+    /// Resolves a plan's taint-affected specs, each on a fresh private
+    /// state (where nothing predates its root, so it cannot be tainted
+    /// again), and unwraps the per-slot results.
     fn finish_batch(
         &self,
         specs: &[&ComponentSpec],
         mut plan: BatchPlan,
+        shape: (FilterPolicy, usize),
         start: Instant,
-    ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
+    ) -> Vec<SynthResult> {
         for &i in &plan.tainted {
-            let mut cold = SharedState::default();
-            plan.results[i] = Some(self.synthesize_in(specs[i], &mut cold, start).map(Arc::new));
+            plan.results[i] = self.solve_private(&[specs[i]], shape, start).pop();
         }
         plan.results
             .into_iter()
@@ -2056,24 +1670,23 @@ impl Dtas {
         }
     }
 
-    /// Computes the root front of an already-solved root and assembles the
-    /// design set (alternatives, space-size accounting, per-query stats).
-    #[allow(clippy::too_many_arguments)]
+    /// Computes the root front of an already-solved root under `shape`
+    /// (root filter, root cap) and assembles the design set
+    /// (alternatives, space-size accounting, per-query stats).
     fn assemble(
         &self,
         spec: &ComponentSpec,
         root: usize,
-        space: &DesignSpace,
+        state: &SharedState,
         solver: &mut Solver,
-        models: &SpecModelCache,
-        root_filter: FilterPolicy,
-        root_cap: usize,
+        (root_filter, root_cap): (FilterPolicy, usize),
         start: Instant,
     ) -> Result<DesignSet, SynthError> {
+        let space = &state.space;
         let solve_truncated = solver.truncated_combinations;
         // Recompute the root under the (usually more permissive) root
         // filter; the node-filter front below it stays cached.
-        let front = solver.root_front(root, models, root_filter, root_cap);
+        let front = solver.root_front(root, &state.models, root_filter, root_cap);
         // This query's truncation: everything under the root — including
         // truncation inherited from fronts solved by earlier queries —
         // plus the root-filter recomputation's own.
@@ -2130,7 +1743,7 @@ impl Drop for Dtas {
         }
         let unflushed = self.mem.settled.load(Ordering::Relaxed)
             > self.metrics.flushed_settled.load(Ordering::Relaxed);
-        if self.store.is_some() && self.config.cache && unflushed {
+        if self.store.is_some() && unflushed {
             let _ = self.checkpoint();
         }
     }
@@ -2271,24 +1884,6 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // Error cells are not counted as cached results.
         assert_eq!(stats.cached_results, 0);
-    }
-
-    #[test]
-    fn deprecated_entry_points_still_answer() {
-        #![allow(deprecated)]
-        let engine = engine();
-        let owned = engine.synthesize(&add_spec(16)).unwrap();
-        let shared = engine.synthesize_shared(&add_spec(16)).unwrap();
-        assert_eq!(owned.alternatives.len(), shared.alternatives.len());
-        let via_request = engine
-            .synthesize_request(&SynthRequest::new(add_spec(16)))
-            .unwrap();
-        assert_eq!(owned.alternatives.len(), via_request.alternatives.len());
-        let batch = engine.synthesize_batch(&[add_spec(16)]);
-        assert_eq!(
-            batch[0].as_ref().unwrap().alternatives.len(),
-            owned.alternatives.len()
-        );
     }
 
     #[test]

@@ -10,12 +10,15 @@ mod common;
 
 use cells::lsi::lsi_logic_subset;
 use dtas::template::SpecModelCache;
-use dtas::{DesignSpace, Dtas, DtasConfig, Policy, RuleSet};
+use dtas::{
+    DesignSet, DesignSpace, Dtas, DtasConfig, MemSnapshotStore, Policy, RuleSet, SynthRequest,
+};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 fn add16() -> ComponentSpec {
     ComponentSpec::new(ComponentKind::AddSub, 16)
@@ -160,29 +163,11 @@ fn truncation_stats_survive_cross_query_reuse() {
     );
 }
 
-#[test]
-fn cache_off_still_produces_identical_results() {
-    let cached = Dtas::new(lsi_logic_subset());
-    let cold = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            cache: false,
-            ..DtasConfig::default()
-        })
-        .build();
-    let a = cached.run(add16()).unwrap();
-    let b = cold.run(add16()).unwrap();
-    assert_eq!(common::fingerprint(&a), common::fingerprint(&b));
-    // Nothing is retained with the cache off.
-    let stats = cold.cache_stats();
-    assert_eq!((stats.hits, stats.misses, stats.cached_results), (0, 0, 0));
-    assert_eq!(stats.spec_nodes, 0);
-}
-
 /// A deliberately *cyclic* ruleset: style-A delays decompose into
 /// style-B delays and vice versa. Whichever spec expands first drops the
 /// template that closes the cycle, so shared-space memo contents are
 /// query-order dependent — the engine must detect this and serve such
-/// queries from a cold expansion.
+/// queries from a fresh private expansion.
 mod cyclic {
     use super::*;
     use cells::{Cell, CellLibrary};
@@ -225,6 +210,10 @@ mod cyclic {
     }
 
     pub fn engine() -> Dtas {
+        builder().build()
+    }
+
+    pub fn builder() -> dtas::DtasBuilder {
         let mut lib = CellLibrary::new("delay-only");
         lib.insert(Cell::new(
             "DEL4",
@@ -237,7 +226,7 @@ mod cyclic {
             Box::new(StyleSwap { from: "A", to: "B" }),
             Box::new(StyleSwap { from: "B", to: "A" }),
         ]);
-        Dtas::builder(lib).rules(rules).build()
+        Dtas::builder(lib).rules(rules)
     }
 }
 
@@ -281,6 +270,63 @@ fn cyclic_rules_stay_query_order_independent() {
     // Tainted queries are never memoized: repeats stay correct too.
     let again = shared.run(cyclic::delay("B")).unwrap();
     assert_eq!(common::fingerprint(&again), common::fingerprint(&fresh_b));
+}
+
+/// An answer with the stats a cycle cut changes: the fingerprint alone
+/// cannot see a lost swap-back template, which never reaches the front.
+fn answer(set: &DesignSet) -> (common::Fingerprint, usize, usize, u64, Option<u64>) {
+    (
+        common::fingerprint(set),
+        set.stats.impl_choices,
+        set.stats.spec_nodes,
+        set.unconstrained_size.to_bits(),
+        set.uniform_size,
+    )
+}
+
+/// The taint fallback sits in the one cold pipeline, so every entry
+/// point that reaches it — a batch, an override request, and the
+/// private solves of an undecoded warm chain — answers B like a fresh
+/// engine even when A expanded first.
+#[test]
+fn taint_fallback_covers_every_entry_point() {
+    let (a, b) = (cyclic::delay("A"), cyclic::delay("B"));
+    let fresh_a = answer(&cyclic::engine().run(&a).unwrap());
+    let fresh_b = answer(&cyclic::engine().run(&b).unwrap());
+
+    // One batch: B expands after A, into A's cut subgraph.
+    let batch = cyclic::engine().run_batch(&[a.clone(), b.clone()]);
+    assert_eq!(answer(batch[0].as_ref().unwrap()), fresh_a);
+    assert_eq!(answer(batch[1].as_ref().unwrap()), fresh_b);
+
+    // An override request (the default root filter, so only the memo is
+    // bypassed) for B after A.
+    let shared = cyclic::engine();
+    shared.run(&a).unwrap();
+    let request = SynthRequest::new(b.clone()).with_root_filter(DtasConfig::default().root_filter);
+    assert_eq!(answer(&shared.run(request).unwrap()), fresh_b);
+
+    // A warm-started engine serves its chain undecoded, so its misses
+    // solve on private state — a batch's taint included.
+    let store = Arc::new(MemSnapshotStore::new());
+    let first = cyclic::builder().store(store.clone()).build();
+    first
+        .run(ComponentSpec::new(ComponentKind::Delay, 4))
+        .unwrap();
+    first.checkpoint().unwrap().expect("a store is bound");
+    drop(first);
+    let warm_run = cyclic::builder().store(store.clone()).build();
+    assert_eq!(warm_run.cache_stats().snapshot_loads, 1);
+    warm_run.run(&a).unwrap();
+    assert_eq!(answer(&warm_run.run(&b).unwrap()), fresh_b);
+    let warm_batch = cyclic::builder().store(store).build();
+    let batch = warm_batch.run_batch(&[a, b]);
+    assert_eq!(answer(batch[0].as_ref().unwrap()), fresh_a);
+    assert_eq!(answer(batch[1].as_ref().unwrap()), fresh_b);
+    // Neither engine decoded the chain's space.
+    for warm in [&warm_run, &warm_batch] {
+        assert_eq!(warm.cache_stats().spec_nodes, 0);
+    }
 }
 
 /// The old BTreeMap policy-merge semantics, kept as the reference model.
@@ -344,16 +390,13 @@ proptest! {
 // invisible in the answers — bit-identical to a fresh engine built
 // directly in the final configuration.
 
-/// Reference answer: a cache-off engine never canonicalizes (there is no
-/// memo to key), so it solves the raw spec exactly as written.
+/// Reference answer: an override request bypasses the memo, so it is
+/// never canonicalized and a fresh engine solves the raw spec exactly as
+/// written (under the default root filter, like a plain `run`).
 fn raw_reference(spec: &ComponentSpec) -> common::Fingerprint {
-    let engine = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            cache: false,
-            ..DtasConfig::default()
-        })
-        .build();
-    common::fingerprint(&engine.run(spec).unwrap())
+    let request =
+        SynthRequest::new(spec.clone()).with_root_filter(DtasConfig::default().root_filter);
+    common::fingerprint(&Dtas::new(lsi_logic_subset()).run(request).unwrap())
 }
 
 fn arb_decoration() -> impl Strategy<Value = (Option<&'static str>, usize)> {
@@ -369,7 +412,7 @@ proptest! {
     /// Canonicalization is solution-preserving: a decorated spec variant
     /// served through the canonical memo entry answers bit-identically
     /// (modulo nothing — the root label is rewritten back) to a raw
-    /// cache-off solve of the very same decorated spec.
+    /// solve of the very same decorated spec.
     #[test]
     fn canonical_answers_match_raw_solves(
         width in 2usize..17,
@@ -414,7 +457,7 @@ fn updates_answer_like_a_fresh_engine() {
     type FreshRules = fn() -> RuleSet;
     let standard_lsi: FreshRules = || RuleSet::standard().with_lsi_extensions();
     let standard_only: FreshRules = || RuleSet::standard();
-    let updates: [(&str, Update, FreshRules, DtasConfig); 7] = [
+    let updates: [(&str, Update, FreshRules, DtasConfig); 5] = [
         (
             "same rules",
             |e| {
@@ -472,32 +515,6 @@ fn updates_answer_like_a_fresh_engine() {
                 uniform_count_limit: 10,
                 ..DtasConfig::default()
             },
-        ),
-        (
-            "cache off",
-            |e| {
-                e.update_config(DtasConfig {
-                    cache: false,
-                    ..DtasConfig::default()
-                });
-            },
-            standard_lsi,
-            DtasConfig {
-                cache: false,
-                ..DtasConfig::default()
-            },
-        ),
-        (
-            "cache back on",
-            |e| {
-                e.update_config(DtasConfig {
-                    cache: false,
-                    ..DtasConfig::default()
-                });
-                e.update_config(DtasConfig::default());
-            },
-            standard_lsi,
-            DtasConfig::default(),
         ),
     ];
     for (label, update, final_rules, final_config) in updates {

@@ -2,8 +2,7 @@
 //! block / shed-oldest / rate), priority lanes, drain-on-shutdown,
 //! background checkpointing, worker-panic containment, the
 //! cancel/deadline race matrix, late-delivery accounting, and a proptest
-//! pinning service-path results bit-identical to direct
-//! `Dtas::synthesize`.
+//! pinning service-path results bit-identical to direct `Dtas::run`.
 
 mod common;
 
@@ -734,7 +733,7 @@ proptest! {
 
     /// For arbitrary small workloads (duplicates and unmappable specs
     /// included), the service path returns bit-identical results — and
-    /// identical errors — to calling `Dtas::synthesize` directly.
+    /// identical errors — to calling `Dtas::run` directly.
     #[test]
     fn service_results_are_bit_identical_to_direct_synthesize(
         picks in proptest::collection::vec(0usize..7, 1..12),
