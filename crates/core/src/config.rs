@@ -31,10 +31,11 @@ pub struct DtasConfig {
     pub threads: Option<usize>,
     /// Directory for the on-disk warm-start store. When set, the engine
     /// binds a [`PersistentStore`](crate::store::PersistentStore) on this
-    /// directory: construction loads a compatible snapshot (design space,
-    /// solved fronts, memoized results) if one exists, and the state is
-    /// flushed back on drop or explicit
-    /// [`checkpoint`](crate::Dtas::checkpoint). Snapshots are keyed by
+    /// directory: construction loads a compatible snapshot of memoized
+    /// answers if one exists (each decodes on its first query), and new
+    /// answers are flushed back on drop or explicit
+    /// [`checkpoint`](crate::Dtas::checkpoint). The design space and its
+    /// fronts are not persisted. Snapshots are keyed by
     /// library, rule-set and configuration fingerprints plus the codec
     /// format version, so an incompatible snapshot is rejected and the
     /// engine simply starts cold.

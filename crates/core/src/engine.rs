@@ -11,8 +11,8 @@ use crate::space::{
 };
 use crate::store::mem::{MemStore, ResultCell, SharedState};
 use crate::store::{
-    DirtySet, EngineSnapshot, LoadOutcome, PersistentStore, Rejection, ResultStore, SaveReport,
-    StoreError, StoreKey, WarmSource,
+    DirtySet, LoadOutcome, PersistentStore, Rejection, ResultStore, SaveReport, StoreError,
+    StoreKey, WarmSource,
 };
 use crate::template::NetlistTemplate;
 use cells::CellLibrary;
@@ -39,10 +39,11 @@ pub struct CacheStats {
     /// Whole result sets currently memoized.
     pub cached_results: usize,
     /// Specification nodes whose fronts are currently solved and reusable.
-    /// Zero while a warm-started engine serves its chain undecoded.
+    /// Only this engine's own solves count: a warm hit decodes its answer,
+    /// never a front.
     pub cached_fronts: usize,
-    /// Specification nodes in the engine's shared design space. Zero while
-    /// a warm-started engine serves its chain undecoded.
+    /// Specification nodes in the engine's live design space. A warm hit
+    /// adds none; a warm miss grows the space like any cold solve.
     pub spec_nodes: usize,
     /// Number of result-memo shards (fixed per engine).
     pub result_shards: usize,
@@ -209,8 +210,11 @@ impl fmt::Display for InvalidationCounts {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InvalidationReason {
     /// The rule base changed; `dirty_nodes` spec nodes were reachable
-    /// from a changed expansion (template diff, taint, or an ancestor of
-    /// either) and were dropped with their fronts and results.
+    /// from a changed expansion (a node whose one-level template list
+    /// differs, or an ancestor of one) and were dropped with their fronts
+    /// and results. A memoized answer with no live node — one decoded
+    /// from the warm-start chain — is first expanded under the old rules,
+    /// so the diff covers it too.
     RulesChanged {
         /// Nodes the change could reach.
         dirty_nodes: usize,
@@ -335,47 +339,17 @@ impl StoreMetrics {
     }
 }
 
-/// The engine's handle on a loaded chain — the lazy read path. The
-/// source starts *unhydrated*: nothing is decoded at load beyond the
-/// headers, and each answer decodes from its own section when its spec is
-/// first queried. The space and fronts decode into live state only for
-/// the operations that rewrite it — `update_rules`, `update_config` and a
-/// full save ([`Dtas::ensure_hydrated`]). Until then the live space stays
-/// empty and misses solve on private state.
-#[derive(Default)]
-struct WarmState {
-    source: Option<WarmSource>,
-    hydrated: bool,
-}
-
-impl WarmState {
-    /// True while a loaded chain's space is not live state.
-    fn undecoded(&self) -> bool {
-        self.source.is_some() && !self.hydrated
-    }
-}
-
 /// The checkpoint watermark: what the chain on the backing store already
 /// contains, so a checkpoint can emit just the difference. A warm load
-/// primes it from the chain's index; unprimed (a cold start, a reset, an
-/// update) means "unknown" and forces the safe full save.
+/// sets it from the chain's index; without a known base (a cold start, a
+/// reset, an update) the next checkpoint writes the safe full save.
 #[derive(Default)]
 struct FlushState {
-    primed: bool,
-    /// Shared-state generation the watermark describes; a reset bumps
-    /// the generation and invalidates every node id below.
-    generation: u64,
-    /// Nodes `0..nodes` are already persisted.
-    nodes: usize,
-    /// Which of those nodes had solved fronts at the last flush (empty
-    /// while the chain is undecoded: no live front can exist then).
-    solved: Vec<bool>,
     /// Specs whose memoized results are already persisted.
     results: HashSet<ComponentSpec>,
-    /// A base segment exists on the store for this chain.
-    has_base: bool,
-    /// Encoded size of that base, the compaction denominator.
-    base_bytes: u64,
+    /// Encoded size of the chain's base — the compaction denominator —
+    /// or `None` while no chain is known.
+    base_bytes: Option<u64>,
     /// Total encoded size of the deltas appended since, the numerator.
     delta_bytes: u64,
 }
@@ -422,14 +396,14 @@ struct FlushState {
 /// # Warm start
 ///
 /// With [`DtasConfig::persist_path`] set (or a backend attached through
-/// [`Dtas::builder`]), the cached state also survives the
-/// engine: construction maps a compatible snapshot — the explored design
-/// space, every solved front, and the memoized answers — and the state is
+/// [`Dtas::builder`]), the memoized answers also survive the engine:
+/// construction maps a compatible snapshot of them, and new answers are
 /// flushed back by [`checkpoint`](Self::checkpoint) or on drop. A second
 /// process pointed at the same directory answers a persisted query by
 /// decoding that answer's own section (about a millisecond for ALU64)
-/// instead of re-paying the cold solve; the space itself is decoded only
-/// by an update or a full save. Snapshot
+/// instead of re-paying the cold solve. The design space and its fronts
+/// are not persisted: a miss on a warm engine runs the one cold pipeline
+/// and grows the live space, exactly as on a cold engine. Snapshot
 /// compatibility is strict (codec format version + library + rule-set +
 /// configuration fingerprints); anything else is rejected and the engine
 /// starts cold. [`clear_cache`](Self::clear_cache) only clears the
@@ -454,7 +428,7 @@ pub struct Dtas {
     mem: MemStore,
     store: Option<Arc<dyn ResultStore>>,
     metrics: StoreMetrics,
-    warm: Mutex<WarmState>,
+    warm: Mutex<Option<WarmSource>>,
     flush: Mutex<FlushState>,
     canon: Canonicalizer,
 }
@@ -512,7 +486,7 @@ impl DtasBuilder {
             mem: MemStore::new(),
             store,
             metrics: StoreMetrics::default(),
-            warm: Mutex::new(WarmState::default()),
+            warm: Mutex::new(None),
             flush: Mutex::new(FlushState::default()),
             canon: Canonicalizer::new(),
         };
@@ -554,8 +528,10 @@ impl Dtas {
     /// Replaces the rule base **in place**, invalidating only the cached
     /// state the change can actually reach.
     ///
-    /// Every live spec node's expansion is recomputed under both the old
-    /// and the new rules (a template diff — rule *bodies* count, not just
+    /// Every memoized answer decoded from the warm-start chain is first
+    /// expanded into the live space under the old rules. Then every live
+    /// spec node's expansion is recomputed under both the old and the new
+    /// rules (a template diff — rule *bodies* count, not just
     /// membership): nodes whose one-level template list changed, and
     /// every ancestor of one, are dropped with their fronts and memoized
     /// results; the rest of the space stays warm. When the change is
@@ -572,18 +548,30 @@ impl Dtas {
         let mut report = InvalidationReport::default();
         let old_key = self.store_key();
         // The diff below runs over live nodes, so live state must cover
-        // everything persisted: materialize every pending result and
-        // hydrate the chain, then drop the lazy source (its node index
-        // would dangle across the compaction below).
+        // everything persisted: materialize every pending result, then
+        // drop the lazy source (the chain is kept or superseded below).
         self.prefault();
-        self.ensure_hydrated();
-        {
-            let mut warm = self.lock_warm();
-            warm.source = None;
-            warm.hydrated = true;
-        }
+        *self.lock_warm() = None;
+        let memo_specs: Vec<ComponentSpec> = self
+            .mem
+            .export_snapshot()
+            .results
+            .into_iter()
+            .map(|(spec, _)| spec)
+            .collect();
         let (dirty_count, retained_nodes, retained_fronts, dropped_fronts, clean_specs) = {
-            let mut state = self.mem.write_state();
+            let mut guard = self.mem.write_state();
+            let state = &mut *guard;
+            // An answer decoded from the chain has no live node: expand
+            // its spec under the old rules so the diff can judge it. One
+            // whose expansion fails keeps no node and is dropped below.
+            for spec in &memo_specs {
+                if state.space.id_of(spec).is_none() {
+                    let _ = state
+                        .space
+                        .expand(spec, &self.rules, &self.library, &state.models);
+                }
+            }
             let n = state.space.nodes.len();
             let mut dirty = vec![false; n];
             for (id, node) in state.space.nodes.iter().enumerate() {
@@ -739,20 +727,19 @@ impl Dtas {
                 // The change is invisible to the rule-set fingerprint
                 // (same rule names, different bodies): the stored chain
                 // would warm-load stale answers under the new rules, so
-                // drop it now. Answers solved on private state have no
-                // nodes in the live space for the diff to check, so
-                // dropping one counts as dirt too. (Otherwise the diff
-                // just proved the chain still valid — prefault made live
-                // ⊇ stored — so it is deliberately kept.)
+                // drop it now. An answer whose spec no longer expands
+                // has no node for the diff to clear, so dropping one
+                // counts as dirt too. (Otherwise the diff just proved the
+                // chain still valid — prefault made the memo ⊇ stored —
+                // so it is deliberately kept.)
                 if store.supersede(&old_key).is_ok() {
                     report.reasons.push(InvalidationReason::StoreSuperseded);
                 }
             }
             let dropped_any = dirty_count > 0 || dropped_results > 0;
-            let retained_any = retained_nodes > 0 || retained_results > 0;
-            if dropped_any && retained_any {
-                // Make the retained-but-compacted state look unflushed so
-                // the next checkpoint persists it instead of skipping.
+            if dropped_any && retained_results > 0 {
+                // Make the retained answers look unflushed so the next
+                // checkpoint persists them instead of skipping.
                 self.metrics.flushed_settled.store(
                     self.mem.settled.load(Ordering::Relaxed).wrapping_sub(1),
                     Ordering::Relaxed,
@@ -798,14 +785,11 @@ impl Dtas {
         let uniform = config.uniform_count_limit != old.uniform_count_limit;
         let storage = config.persist_path != old.persist_path;
         if node_shaping || root_shaping || uniform {
-            // The lazy chain indexes state this update is about to thin
-            // out; make it live first (so the report counts it), then
-            // drop it.
+            // The lazy chain indexes answers this update is about to
+            // drop; make them live first (so the report counts them),
+            // then drop the source.
             self.prefault();
-            self.ensure_hydrated();
-            let mut warm = self.lock_warm();
-            warm.source = None;
-            warm.hydrated = true;
+            *self.lock_warm() = None;
         }
         if node_shaping {
             // Node-front shaping reshapes every solved front; the
@@ -856,17 +840,6 @@ impl Dtas {
             // backend): the old watermark describes some other chain.
             *self.lock_flush() = FlushState::default();
         }
-        if (node_shaping || root_shaping || uniform)
-            && self.store.is_some()
-            && (report.retained.nodes > 0 || report.retained.fronts > 0)
-        {
-            // Make the retained state look unflushed so the next
-            // checkpoint persists it under the new key.
-            self.metrics.flushed_settled.store(
-                self.mem.settled.load(Ordering::Relaxed).wrapping_sub(1),
-                Ordering::Relaxed,
-            );
-        }
         if storage && self.mem.front_counts().1 == 0 {
             // Nothing live to protect: warm-load from the new backend.
             self.try_warm_load();
@@ -886,12 +859,11 @@ impl Dtas {
     /// The lazy-source lock, recovering from poison by dropping the
     /// (possibly half-consumed) source — queries fall back to cold
     /// solves, which is always correct.
-    fn lock_warm(&self) -> MutexGuard<'_, WarmState> {
+    fn lock_warm(&self) -> MutexGuard<'_, Option<WarmSource>> {
         self.warm.lock().unwrap_or_else(|poisoned| {
             self.warm.clear_poison();
             let mut guard = poisoned.into_inner();
-            guard.source = None;
-            guard.hydrated = true;
+            *guard = None;
             guard
         })
     }
@@ -934,73 +906,21 @@ impl Dtas {
         match store.load(&self.store_key()) {
             LoadOutcome::Loaded { source, bytes } => {
                 // O(index) work so far: headers validated, nothing
-                // decoded. Each answer decodes on its first query; the
-                // space only for an update or a full save (see
-                // `ensure_hydrated`).
+                // decoded. Each answer decodes on its first query.
                 self.metrics.loads.fetch_add(1, Ordering::Relaxed);
                 self.metrics.bytes.store(bytes, Ordering::Relaxed);
                 // Everything the chain indexes is on the store already,
                 // so the next checkpoint appends only what is new.
                 *self.lock_flush() = FlushState {
-                    primed: true,
-                    generation: self.mem.read_state().generation,
-                    nodes: source.node_count(),
-                    solved: Vec::new(),
                     results: source.pending_specs().into_iter().collect(),
-                    has_base: true,
-                    base_bytes: source.base_bytes,
+                    base_bytes: Some(source.base_bytes),
                     delta_bytes: source.delta_bytes,
                 };
-                let mut warm = self.lock_warm();
-                warm.source = Some(*source);
-                warm.hydrated = false;
+                *self.lock_warm() = Some(*source);
             }
             LoadOutcome::Missing => {}
             LoadOutcome::Rejected { reason } => self.metrics.reject(reason),
         }
-    }
-
-    /// Decodes the loaded chain's space and fronts into the shared state,
-    /// once per engine lifetime — called only by the operations that
-    /// rewrite live state (`update_rules`, `update_config`, a full save),
-    /// each after [`prefault`](Self::prefault). A chain that fails
-    /// structural validation here is dropped whole (counted in
-    /// [`CacheStats::snapshot_rejects`](CacheStats)) and the engine
-    /// continues cold; no partial state is ever installed.
-    fn ensure_hydrated(&self) {
-        let mut warm = self.lock_warm();
-        if !warm.undecoded() {
-            return;
-        }
-        warm.hydrated = true;
-        let Some(source) = warm.source.as_ref() else {
-            return;
-        };
-        match source.hydrate_state() {
-            Ok((space, fronts)) => {
-                let mut state = self.mem.write_state();
-                if !state.space.nodes.is_empty() {
-                    // Misses on an undecoded chain solve privately, so the
-                    // space cannot have grown; don't risk clobbering live
-                    // state if it somehow did — just drop the source.
-                    drop(state);
-                    warm.source = None;
-                    return;
-                }
-                state.space = space;
-                state.fronts = fronts;
-            }
-            Err(reason) => {
-                warm.source = None;
-                self.metrics.reject(reason);
-            }
-        }
-    }
-
-    /// True while a loaded chain is served undecoded: misses then solve on
-    /// private state, leaving the live space empty.
-    fn chain_undecoded(&self) -> bool {
-        self.lock_warm().undecoded()
     }
 
     /// Decodes the persisted result for `spec`, if the loaded chain has
@@ -1008,7 +928,7 @@ impl Dtas {
     /// (no chain, no entry, or damaged bytes — damage is counted as a
     /// rejection and the entry dropped, so it is never retried).
     fn warm_materialize(&self, spec: &ComponentSpec) -> Option<SynthResult> {
-        let decoded = self.lock_warm().source.as_mut()?.take_result(spec)?;
+        let decoded = self.lock_warm().as_mut()?.take_result(spec)?;
         match decoded {
             Ok(result) => {
                 self.metrics
@@ -1029,25 +949,18 @@ impl Dtas {
     /// page-cache copy of the snapshot. False on other platforms, after
     /// the source is dropped, or when no chain was loaded.
     pub fn warm_base_mapped(&self) -> bool {
-        self.lock_warm()
-            .source
-            .as_ref()
-            .map(WarmSource::is_mapped)
-            .unwrap_or(false)
+        self.lock_warm().as_ref().is_some_and(WarmSource::is_mapped)
     }
 
     /// Forces every still-pending persisted result to decode into the
     /// memo right now, returning how many were materialized. Queries
     /// normally pay this per spec on first request; `prefault` is the
     /// eager-load escape hatch (and what the perf harness uses to price
-    /// lazy vs. full loading). It decodes answers only, never the space.
+    /// lazy vs. full loading).
     pub fn prefault(&self) -> usize {
-        let pending = {
-            let warm = self.lock_warm();
-            match &warm.source {
-                Some(source) => source.pending_specs(),
-                None => return 0,
-            }
+        let pending = match self.lock_warm().as_ref() {
+            Some(source) => source.pending_specs(),
+            None => return 0,
         };
         let mut materialized = 0;
         for spec in pending {
@@ -1071,10 +984,9 @@ impl Dtas {
             .clone()
     }
 
-    /// Flushes the current cached state (design space, solved fronts,
-    /// memoized results) to the bound store. Returns `Ok(None)` when no
-    /// store is bound. Also runs automatically on drop when the engine
-    /// solved anything new since the last load.
+    /// Flushes the memoized answers to the bound store. Returns `Ok(None)`
+    /// when no store is bound. Also runs automatically on drop when the
+    /// engine solved anything new since the last load.
     ///
     /// Flushes are tiered: a checkpoint with nothing new since the last
     /// flush writes nothing ([`CheckpointOutcome::Skipped`]); one with a
@@ -1108,106 +1020,57 @@ impl Dtas {
         }
         let mut snapshot = self.mem.export_snapshot();
         let ratio = self.config.compaction_ratio;
-        // Only this call (holding the watermark) or `&mut self` updates
-        // hydrate, so the answer stays true for the whole flush.
-        let undecoded = self.chain_undecoded();
-        let delta_eligible = flush.primed
-            && flush.has_base
-            && flush.generation == snapshot.generation
-            && (snapshot.space.nodes.len() >= flush.nodes || undecoded)
-            && ratio.is_finite()
-            && ratio >= 0.0;
-        if delta_eligible {
-            let dirty = Self::compute_dirty(&flush, &snapshot);
-            if dirty.first_new_node >= snapshot.space.nodes.len()
-                && dirty.front_ids.is_empty()
-                && dirty.result_indices.is_empty()
-            {
-                // Solves landed but produced nothing persistable that
-                // is not already on the chain (override requests,
-                // repeat solves): the store is up to date.
+        let chain_base = flush
+            .base_bytes
+            .filter(|_| ratio.is_finite() && ratio >= 0.0);
+        if let Some(base_bytes) = chain_base {
+            let dirty = DirtySet {
+                result_indices: (0..snapshot.results.len())
+                    .filter(|&i| !flush.results.contains(&snapshot.results[i].0))
+                    .collect(),
+            };
+            if dirty.result_indices.is_empty() {
+                // Solves landed but produced no answer that is not
+                // already on the chain (override requests, repeat
+                // solves): the store is up to date.
                 self.metrics
                     .flushed_settled
                     .store(settled_at_start, Ordering::Relaxed);
                 self.metrics.skipped.fetch_add(1, Ordering::Relaxed);
                 return Ok(Some(CheckpointOutcome::Skipped));
             }
-            let compact = (flush.delta_bytes as f64) > ratio * (flush.base_bytes as f64);
+            let compact = (flush.delta_bytes as f64) > ratio * (base_bytes as f64);
             if !compact {
                 if let Some(report) = store.save_delta(&self.store_key(), &snapshot, &dirty)? {
                     self.metrics.delta_saves.fetch_add(1, Ordering::Relaxed);
                     flush.delta_bytes += report.bytes;
-                    // An undecoded chain keeps its node count.
-                    let nodes = flush.nodes.max(snapshot.space.nodes.len());
-                    Self::advance_watermark(&mut flush, &snapshot);
-                    flush.nodes = nodes;
+                    for i in dirty.result_indices {
+                        flush.results.insert(snapshot.results[i].0.clone());
+                    }
                     self.finish_flush(&report, settled_at_start);
                     return Ok(Some(CheckpointOutcome::Delta(report)));
                 }
                 // The store no longer has the chain this watermark
-                // describes (another writer moved it): fall through to
-                // the always-safe full rewrite.
+                // describes: fall through to the always-safe full rewrite.
             }
         }
-        if undecoded {
-            // A full save rewrites the chain from live state alone, so
-            // every persisted answer and node must be live first.
-            self.prefault();
-            self.ensure_hydrated();
+        // A full save rewrites the chain from the memo alone, so every
+        // answer still pending on the loaded chain must be in it first.
+        if self.prefault() > 0 {
             snapshot = self.mem.export_snapshot();
         }
         let report = store.save_full(&self.store_key(), &snapshot)?;
-        if delta_eligible {
+        if chain_base.is_some() {
             // A full save over a known chain folds its deltas away.
             self.metrics.compactions.fetch_add(1, Ordering::Relaxed);
         }
-        flush.has_base = true;
-        flush.base_bytes = report.bytes;
-        flush.delta_bytes = 0;
-        flush.primed = true;
-        flush.generation = snapshot.generation;
-        Self::advance_watermark(&mut flush, &snapshot);
+        *flush = FlushState {
+            results: snapshot.results.into_iter().map(|(spec, _)| spec).collect(),
+            base_bytes: Some(report.bytes),
+            delta_bytes: 0,
+        };
         self.finish_flush(&report, settled_at_start);
         Ok(Some(CheckpointOutcome::Full(report)))
-    }
-
-    /// What changed between the watermark and `snapshot` — the payload of
-    /// a delta checkpoint.
-    fn compute_dirty(flush: &FlushState, snapshot: &EngineSnapshot) -> DirtySet {
-        let nodes_now = snapshot.space.nodes.len();
-        let mut front_ids = Vec::new();
-        for id in 0..nodes_now {
-            if snapshot.fronts.fronts.get(id).is_some_and(Option::is_some)
-                && !(id < flush.nodes && flush.solved.get(id).copied().unwrap_or(false))
-            {
-                front_ids.push(id);
-            }
-        }
-        let result_indices = snapshot
-            .results
-            .iter()
-            .enumerate()
-            .filter(|(_, (spec, _))| !flush.results.contains(spec))
-            .map(|(i, _)| i)
-            .collect();
-        DirtySet {
-            first_new_node: flush.nodes,
-            front_ids,
-            result_indices,
-        }
-    }
-
-    /// Records that everything in `snapshot` is now on the store.
-    fn advance_watermark(flush: &mut FlushState, snapshot: &EngineSnapshot) {
-        flush.nodes = snapshot.space.nodes.len();
-        flush.solved = (0..flush.nodes)
-            .map(|id| snapshot.fronts.fronts.get(id).is_some_and(Option::is_some))
-            .collect();
-        flush.results = snapshot
-            .results
-            .iter()
-            .map(|(spec, _)| spec.clone())
-            .collect();
     }
 
     /// Post-save metric updates shared by the delta and full paths.
@@ -1248,14 +1111,9 @@ impl Dtas {
         self.mem.clear();
         self.metrics.reset();
         self.canon.clear();
-        {
-            // The lazy source indexes node ids of the state being
-            // dropped; it must go with it (clearing is in-memory only —
-            // it must not resurrect persisted state either).
-            let mut warm = self.lock_warm();
-            warm.source = None;
-            warm.hydrated = true;
-        }
+        // Clearing is in-memory only: it must not resurrect persisted
+        // answers either.
+        *self.lock_warm() = None;
         *self.lock_flush() = FlushState::default();
     }
 
@@ -1264,10 +1122,8 @@ impl Dtas {
         let (cached_fronts, spec_nodes) = self.mem.front_counts();
         let lazy_results = self
             .lock_warm()
-            .source
             .as_ref()
-            .map(|source| source.pending_results())
-            .unwrap_or(0);
+            .map_or(0, WarmSource::pending_results);
         CacheStats {
             hits: self.mem.hits.load(Ordering::Relaxed),
             misses: self.mem.misses.load(Ordering::Relaxed),
@@ -1538,12 +1394,6 @@ impl Dtas {
         shape: (FilterPolicy, usize),
         start: Instant,
     ) -> Vec<SynthResult> {
-        if self.chain_undecoded() {
-            // Growing the live space would mis-align the chain's node
-            // ids, and decoding the chain costs more than these solves:
-            // solve privately, as a fresh engine would.
-            return self.solve_private(specs, shape, start);
-        }
         let (mut plan, snapshot) = {
             let mut state = self.mem.write_state();
             let plan = self.expand_batch(specs, &mut state);
@@ -1564,7 +1414,7 @@ impl Dtas {
     }
 
     /// The cold pipeline on a private state, which is dropped afterwards:
-    /// for misses on an undecoded chain and for taint-affected specs.
+    /// the taint fallback of [`finish_batch`](Self::finish_batch).
     fn solve_private(
         &self,
         specs: &[&ComponentSpec],

@@ -28,9 +28,9 @@
 //! be updated in place ([`Dtas::update_rules`] / [`Dtas::update_config`])
 //! with delta invalidation that keeps unaffected cached state warm.
 //!
-//! The engine's state is also *portable*: the [`store`] layer snapshots
-//! the explored design space, solved fronts and memoized results through
-//! the [`store::ResultStore`] trait, and the on-disk
+//! The engine's answers are also *portable*: the [`store`] layer
+//! snapshots the memoized results through the [`store::ResultStore`]
+//! trait, and the on-disk
 //! [`store::PersistentStore`] backend ([`DtasConfig::persist_path`],
 //! `dtas --cache-dir`) warm-starts a fresh process from a previous run in
 //! milliseconds instead of re-paying the cold solve.

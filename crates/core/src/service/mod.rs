@@ -394,6 +394,11 @@ struct QueueState {
     shutting_down: bool,
     queue_highwater: usize,
     inflight_highwater: usize,
+    /// The deadline the sweeper last parked toward (`None`: parked with
+    /// no deadline, or not parked yet). Only `deadline_loop` sets it,
+    /// under this lock, so an admission must wake the sweeper only for an
+    /// earlier deadline.
+    sweeper_wake_at: Option<Instant>,
 }
 
 impl QueueState {
@@ -738,9 +743,11 @@ impl DtasService {
                     .max(guard.waiting() + guard.running);
                 self.inner.admitted.fetch_add(1, Ordering::Relaxed);
                 self.inner.work_ready.notify_one();
-                if queue_deadline.is_some() {
+                if queue_deadline.is_some_and(|d| guard.sweeper_wake_at.is_none_or(|at| d < at)) {
                     // Wake the sweeper so its timeout shrinks to the new
-                    // minimum (it may currently be parked forever).
+                    // minimum (it may currently be parked forever). A
+                    // later deadline needs no wake: the sweeper rescans
+                    // the lanes before it parks again.
                     self.inner.deadline_wake.notify_one();
                 }
                 return (guard, Ok(Ticket { state: ticket }));
@@ -1079,7 +1086,9 @@ fn deadline_loop(inner: &Arc<Inner>) {
             // deadlines at pop); nothing left for the sweeper.
             return;
         }
-        state = match state.earliest_deadline() {
+        let next = state.earliest_deadline();
+        state.sweeper_wake_at = next;
+        state = match next {
             Some(next) => {
                 inner
                     .deadline_wake

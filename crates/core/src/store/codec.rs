@@ -7,9 +7,8 @@
 //! Since format version 2 the codec no longer owns a whole-file layout —
 //! segment framing (magic, header, offset index, checksums, delta
 //! chaining) lives in the sibling `segment` module. What this module
-//! encodes are the self-contained *sections* a segment's header points
-//! at: the design space, a front store, per-result bodies, and the
-//! O(dirty) delta payloads (space extensions and front updates).
+//! encodes are the self-contained answer sections a segment's header
+//! points at.
 //!
 //! Decoding is hardened against hostile or damaged bytes: every length is
 //! capped by the remaining buffer, every node/implementation index is
@@ -21,18 +20,14 @@
 //! hierarchical netlist whose leaves are library cells (§5). Each answer
 //! section holds the de-duplicated DAG of its alternatives — one node per
 //! distinct (spec, cell or template + children) — and only the templates
-//! that DAG uses, so it decodes straight into [`Implementation`] trees
-//! without the design space. The space and its fronts are still persisted
-//! (sections of their own) for the operations that grow or rewrite live
-//! state, but serving a persisted answer never touches them.
+//! that DAG uses, so it decodes straight into [`Implementation`] trees.
+//! Answers are all a segment persists: the design space and its solved
+//! fronts live only in the engine that explored them.
 
 use super::{AnswerDefect, Rejection};
 use crate::cost::Timing;
 use crate::extract::{ImplKind, Implementation};
 use crate::report::{Alternative, DesignSet, SynthStats};
-use crate::space::{
-    CellChoice, DesignPoint, DesignSpace, FrontStore, ImplChoice, Policy, SpecId, SpecNode,
-};
 use crate::template::{Module, NetlistTemplate, Signal};
 use crate::SynthError;
 use genus::component::PortClass;
@@ -40,7 +35,7 @@ use genus::kind::{ComponentKind, GateOp};
 use genus::op::Op;
 use genus::spec::ComponentSpec;
 use rtl_base::bits::Bits;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,19 +43,21 @@ use std::time::Duration;
 pub(crate) type ResultEntry = (ComponentSpec, Result<Arc<DesignSet>, SynthError>);
 
 /// Version of the on-disk layout. Any change to the byte layout, to the
-/// meaning of a persisted field, or to solver semantics that cached
-/// fronts bake in must bump this — old snapshots are then rejected and
+/// meaning of a persisted field, or to solver semantics that persisted
+/// answers bake in must bump this — old snapshots are then rejected and
 /// engines fall back to a clean cold solve.
 ///
-/// History: v1 was the PR 4 monolithic snapshot (one read-all, decode-all
+/// History: v1 was the monolithic snapshot (one read-all, decode-all
 /// file); v2 is the tiered segment format (mmap'd lazy base + delta
 /// chain, see the `segment` module); v3 adds the canonicalization-scheme
 /// fingerprint to the segment header and key — memo entries are keyed by
 /// canonical specs, so chains written under one scheme must never warm an
 /// engine running another; v4 stores each answer as its implementation
-/// DAG instead of per-alternative policies over the space, and delta taint
-/// sets list only the delta's own nodes.
-pub const FORMAT_VERSION: u32 = 4;
+/// DAG instead of per-alternative policies over the space; v5 drops the
+/// space, fronts, space-extension and front-update sections and the
+/// header's node counts: a segment is its header plus one section per
+/// memoized answer.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Recursion guard for [`Signal`] trees (real wiring nests a handful of
 /// levels; anything deeper is a damaged file).
@@ -555,285 +552,6 @@ fn get_template(r: &mut Reader) -> Result<NetlistTemplate, String> {
     })
 }
 
-fn put_policy(w: &mut Writer, policy: &Policy) {
-    let pairs: Vec<(SpecId, usize)> = policy.iter().collect();
-    w.usize32(pairs.len());
-    for (id, choice) in pairs {
-        w.u32(id as u32);
-        w.u32(choice as u32);
-    }
-}
-
-fn get_policy(r: &mut Reader, node_count: usize) -> Result<Policy, String> {
-    let pairs = r.len("policy assignment")?;
-    let mut policy = Policy::new();
-    for _ in 0..pairs {
-        let id = r.u32("policy spec id")? as usize;
-        let choice = r.u32("policy choice")? as usize;
-        if id >= node_count {
-            return Err(format!("policy references node {id} of {node_count}"));
-        }
-        policy.set(id, choice);
-    }
-    Ok(policy)
-}
-
-fn put_design_point(w: &mut Writer, point: &DesignPoint) {
-    w.f64(point.area);
-    put_timing(w, &point.timing);
-    put_policy(w, &point.policy);
-}
-
-fn get_design_point(r: &mut Reader, node_count: usize) -> Result<DesignPoint, String> {
-    Ok(DesignPoint {
-        area: r.f64("point area")?,
-        timing: get_timing(r)?,
-        policy: get_policy(r, node_count)?,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Space, fronts, results.
-
-/// Interned template table: every distinct `Arc<NetlistTemplate>` (by
-/// pointer identity — the engine shares one `Arc` per template between
-/// the space and every extracted implementation) is written once and
-/// referenced by index. Interning runs over a node *slice* so delta
-/// segments can carry a self-contained table for just their new nodes.
-fn intern_templates(
-    nodes: &[SpecNode],
-) -> (
-    Vec<Arc<NetlistTemplate>>,
-    HashMap<*const NetlistTemplate, u32>,
-) {
-    let mut table: Vec<Arc<NetlistTemplate>> = Vec::new();
-    let mut index: HashMap<*const NetlistTemplate, u32> = HashMap::new();
-    for node in nodes {
-        for choice in &node.impls {
-            if let ImplChoice::Netlist(template) = choice {
-                let key = Arc::as_ptr(template);
-                index.entry(key).or_insert_with(|| {
-                    table.push(Arc::clone(template));
-                    (table.len() - 1) as u32
-                });
-            }
-        }
-    }
-    (table, index)
-}
-
-/// Writes one node's implementation choices and child lists.
-fn put_node_body(
-    w: &mut Writer,
-    node: &SpecNode,
-    template_index: &HashMap<*const NetlistTemplate, u32>,
-) {
-    w.usize32(node.impls.len());
-    for (choice, children) in node.impls.iter().zip(&node.children) {
-        match choice {
-            ImplChoice::Cell(cell) => {
-                w.u8(0);
-                w.str(&cell.cell);
-                w.f64(cell.area);
-                put_timing(w, &cell.timing);
-            }
-            ImplChoice::Netlist(template) => {
-                w.u8(1);
-                w.u32(template_index[&Arc::as_ptr(template)]);
-            }
-        }
-        w.usize32(children.len());
-        for &child in children {
-            w.u32(child as u32);
-        }
-    }
-}
-
-/// Reads one node's implementation choices and child lists. `id` is the
-/// node's *global* id: children must reference strictly lower ids (node
-/// ids are a topological order), whether they live in this segment or an
-/// earlier one.
-fn get_node_body(
-    r: &mut Reader,
-    id: usize,
-    templates: &[Arc<NetlistTemplate>],
-) -> Result<(Vec<ImplChoice>, Vec<Vec<SpecId>>), String> {
-    let impl_count = r.len("implementation")?;
-    let mut impls = Vec::with_capacity(impl_count);
-    let mut children = Vec::with_capacity(impl_count);
-    for _ in 0..impl_count {
-        let choice = match r.u8("implementation tag")? {
-            0 => ImplChoice::Cell(CellChoice {
-                cell: r.str("cell name")?,
-                area: r.f64("cell area")?,
-                timing: get_timing(r)?,
-            }),
-            1 => {
-                let idx = r.u32("template index")? as usize;
-                let template = templates
-                    .get(idx)
-                    .ok_or_else(|| format!("template index {idx} of {}", templates.len()))?;
-                ImplChoice::Netlist(Arc::clone(template))
-            }
-            other => return Err(format!("unknown implementation tag {other}")),
-        };
-        let child_count = r.len("child id")?;
-        let mut kids = Vec::with_capacity(child_count);
-        for _ in 0..child_count {
-            let child = r.u32("child id")? as usize;
-            // Node ids are a topological order (children strictly
-            // precede parents); anything else is a damaged file.
-            if child >= id {
-                return Err(format!("child {child} not below node {id}"));
-            }
-            kids.push(child);
-        }
-        impls.push(choice);
-        children.push(kids);
-    }
-    Ok((impls, children))
-}
-
-fn put_tainted(w: &mut Writer, tainted: &HashSet<SpecId>) {
-    let mut ids: Vec<SpecId> = tainted.iter().copied().collect();
-    ids.sort_unstable();
-    w.usize32(ids.len());
-    for id in ids {
-        w.u32(id as u32);
-    }
-}
-
-fn get_tainted(r: &mut Reader, node_count: usize) -> Result<HashSet<SpecId>, String> {
-    let tainted_count = r.len("tainted id")?;
-    let mut tainted = HashSet::with_capacity(tainted_count);
-    for _ in 0..tainted_count {
-        let id = r.u32("tainted id")? as usize;
-        if id >= node_count {
-            return Err(format!("tainted id {id} of {node_count}"));
-        }
-        tainted.insert(id);
-    }
-    Ok(tainted)
-}
-
-fn put_space(w: &mut Writer, space: &DesignSpace) {
-    let (templates, template_index) = intern_templates(&space.nodes);
-    w.usize32(templates.len());
-    for template in &templates {
-        put_template(w, template);
-    }
-    w.usize32(space.nodes.len());
-    for node in &space.nodes {
-        put_spec(w, &node.spec);
-        put_node_body(w, node, &template_index);
-    }
-    put_tainted(w, &space.tainted);
-}
-
-fn get_space(r: &mut Reader) -> Result<DesignSpace, String> {
-    let template_count = r.len("template")?;
-    let mut templates = Vec::with_capacity(template_count);
-    for _ in 0..template_count {
-        templates.push(Arc::new(get_template(r)?));
-    }
-    let node_count = r.len("spec node")?;
-    let mut nodes: Vec<SpecNode> = Vec::with_capacity(node_count);
-    let mut memo = HashMap::with_capacity(node_count);
-    for id in 0..node_count {
-        let spec = get_spec(r)?;
-        if memo.insert(spec.clone(), id).is_some() {
-            return Err(format!("duplicate spec node {spec}"));
-        }
-        let (impls, children) = get_node_body(r, id, &templates)?;
-        nodes.push(SpecNode {
-            spec,
-            impls,
-            children,
-        });
-    }
-    let tainted = get_tainted(r, node_count)?;
-    Ok(DesignSpace {
-        nodes,
-        memo,
-        tainted,
-    })
-}
-
-fn put_fronts(w: &mut Writer, fronts: &FrontStore, node_count: usize) {
-    // The live store only grows to a node's id when a solver visits it, so
-    // it can trail the space (queries that expanded but solved on a
-    // private cold state). Pad to the space: absent slots are unsolved.
-    w.usize32(node_count);
-    for id in 0..node_count {
-        match fronts.fronts.get(id).and_then(|f| f.as_ref()) {
-            None => w.bool(false),
-            Some(points) => {
-                w.bool(true);
-                w.u64(fronts.truncated[id]);
-                w.usize32(points.len());
-                for point in points.iter() {
-                    put_design_point(w, point);
-                }
-            }
-        }
-    }
-}
-
-/// Decodes a front store written against `expected_nodes` nodes. Policy
-/// bounds are checked against `space`, which may be a strict superset of
-/// the space the fronts were written with (delta segments append nodes —
-/// ids below `expected_nodes` are stable).
-fn get_fronts(
-    r: &mut Reader,
-    space: &DesignSpace,
-    expected_nodes: usize,
-) -> Result<FrontStore, String> {
-    let len = r.len("front slot")?;
-    if len != expected_nodes {
-        return Err(format!(
-            "front store covers {len} nodes, segment recorded {expected_nodes}"
-        ));
-    }
-    if expected_nodes > space.nodes.len() {
-        return Err(format!(
-            "front store covers {expected_nodes} nodes, space has {}",
-            space.nodes.len()
-        ));
-    }
-    let mut fronts = Vec::with_capacity(len);
-    let mut truncated = Vec::with_capacity(len);
-    for _ in 0..len {
-        if r.bool("front presence")? {
-            truncated.push(r.u64("front truncation")?);
-            let count = r.len("design point")?;
-            let mut points = Vec::with_capacity(count);
-            for _ in 0..count {
-                let point = get_design_point(r, space.nodes.len())?;
-                check_policy_bounds(space, &point.policy)?;
-                points.push(point);
-            }
-            fronts.push(Some(Arc::new(points)));
-        } else {
-            fronts.push(None);
-            truncated.push(0);
-        }
-    }
-    Ok(FrontStore { fronts, truncated })
-}
-
-/// Every `(node, choice)` a policy assigns must exist in the space.
-fn check_policy_bounds(space: &DesignSpace, policy: &Policy) -> Result<(), String> {
-    for (id, choice) in policy.iter() {
-        let impls = space.nodes[id].impls.len();
-        if choice >= impls {
-            return Err(format!(
-                "policy picks choice {choice} of {impls} at node {id}"
-            ));
-        }
-    }
-    Ok(())
-}
-
 pub(crate) fn put_synth_error(w: &mut Writer, error: &SynthError) {
     match error {
         SynthError::Expand(m) => {
@@ -860,50 +578,10 @@ pub(crate) fn get_synth_error(r: &mut Reader) -> Result<SynthError, String> {
 // Each decoder consumes its entire slice ("trailing bytes" otherwise), so
 // a header pointing at the wrong range cannot silently half-parse.
 
-/// Encodes the whole design space (template table, spec nodes, taint
-/// set) as a base-segment section.
-pub(crate) fn encode_space_section(space: &DesignSpace) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_space(&mut w, space);
-    w.into_bytes()
-}
-
-pub(crate) fn decode_space_section(bytes: &[u8]) -> Result<DesignSpace, String> {
-    let mut r = Reader::new(bytes);
-    let space = get_space(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(format!("{} trailing bytes after space", r.remaining()));
-    }
-    Ok(space)
-}
-
-/// Encodes a front store padded to `node_count` as a base-segment section.
-pub(crate) fn encode_fronts_section(fronts: &FrontStore, node_count: usize) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_fronts(&mut w, fronts, node_count);
-    w.into_bytes()
-}
-
-/// Decodes a front section written against `expected_nodes` nodes; see
-/// [`get_fronts`] for the superset-space contract.
-pub(crate) fn decode_fronts_section(
-    bytes: &[u8],
-    space: &DesignSpace,
-    expected_nodes: usize,
-) -> Result<FrontStore, String> {
-    let mut r = Reader::new(bytes);
-    let fronts = get_fronts(&mut r, space, expected_nodes)?;
-    if r.remaining() != 0 {
-        return Err(format!("{} trailing bytes after fronts", r.remaining()));
-    }
-    Ok(fronts)
-}
-
 /// Encodes every memoized answer as its own section, so a segment's
 /// header can index them for lazy per-spec decode. Sections are
 /// self-contained: an `Ok` answer carries its implementation DAG and the
-/// templates it uses, whichever space (shared or private) it was solved
-/// on.
+/// templates it uses.
 pub(crate) fn encode_result_sections(results: &[ResultEntry]) -> Vec<(ComponentSpec, Vec<u8>)> {
     results
         .iter()
@@ -1212,142 +890,4 @@ pub(crate) fn decode_result_body(
         return Err(format!("{} trailing bytes after result", r.remaining()).into());
     }
     Ok(result)
-}
-
-// ---------------------------------------------------------------------
-// Delta payloads: the O(dirty) sections of a delta segment.
-
-/// Encodes the space *extension* a delta carries: the nodes appended
-/// since `first_new` (with a self-contained template table) plus which of
-/// them are tainted. Taint is fixed when a node is created, so hydration
-/// unions each delta's set into the chain's. An engine serving an
-/// undecoded chain has no live nodes and extends the chain by none.
-pub(crate) fn encode_space_extension(space: &DesignSpace, first_new: usize) -> Vec<u8> {
-    let new_nodes = space.nodes.get(first_new..).unwrap_or_default();
-    let (templates, template_index) = intern_templates(new_nodes);
-    let mut w = Writer::new();
-    w.usize32(templates.len());
-    for template in &templates {
-        put_template(&mut w, template);
-    }
-    w.usize32(new_nodes.len());
-    for node in new_nodes {
-        put_spec(&mut w, &node.spec);
-        put_node_body(&mut w, node, &template_index);
-    }
-    let tainted: HashSet<SpecId> = space
-        .tainted
-        .iter()
-        .copied()
-        .filter(|&id| id >= first_new)
-        .collect();
-    put_tainted(&mut w, &tainted);
-    w.into_bytes()
-}
-
-/// Decodes a space extension spanning global ids
-/// `prev_nodes..node_count`. Child references may point below
-/// `prev_nodes` (into earlier segments); spec-level duplicate checks
-/// against the already-hydrated space happen at hydration, where the full
-/// memo exists.
-pub(crate) fn decode_space_extension(
-    bytes: &[u8],
-    prev_nodes: usize,
-    node_count: usize,
-) -> Result<(Vec<SpecNode>, HashSet<SpecId>), String> {
-    let mut r = Reader::new(bytes);
-    let template_count = r.len("template")?;
-    let mut templates = Vec::with_capacity(template_count);
-    for _ in 0..template_count {
-        templates.push(Arc::new(get_template(&mut r)?));
-    }
-    let new_count = r.len("extension node")?;
-    if prev_nodes + new_count != node_count {
-        return Err(format!(
-            "extension carries {new_count} nodes, header spans {prev_nodes}..{node_count}"
-        ));
-    }
-    let mut nodes = Vec::with_capacity(new_count);
-    for offset in 0..new_count {
-        let spec = get_spec(&mut r)?;
-        let (impls, children) = get_node_body(&mut r, prev_nodes + offset, &templates)?;
-        nodes.push(SpecNode {
-            spec,
-            impls,
-            children,
-        });
-    }
-    let tainted = get_tainted(&mut r, node_count)?;
-    if let Some(id) = tainted.iter().find(|&&id| id < prev_nodes) {
-        return Err(format!("extension taints node {id} below {prev_nodes}"));
-    }
-    if r.remaining() != 0 {
-        return Err(format!("{} trailing bytes after extension", r.remaining()));
-    }
-    Ok((nodes, tainted))
-}
-
-/// Encodes the fronts newly solved since the last flush as an explicit
-/// `(node id, truncation, points)` update list — O(dirty), unlike the
-/// padded base encoding.
-pub(crate) fn encode_front_updates(fronts: &FrontStore, ids: &[usize]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.usize32(ids.len());
-    for &id in ids {
-        let points = fronts.fronts[id]
-            .as_ref()
-            .expect("dirty front ids are solved");
-        w.u32(id as u32);
-        w.u64(fronts.truncated[id]);
-        w.usize32(points.len());
-        for point in points.iter() {
-            put_design_point(&mut w, point);
-        }
-    }
-    w.into_bytes()
-}
-
-/// Decodes a delta's front updates. Node-id and policy-id bounds are
-/// checked against `node_count` (the chain total after this delta);
-/// policy *choice* bounds need the hydrated space and are checked there.
-pub(crate) fn decode_front_updates(
-    bytes: &[u8],
-    node_count: usize,
-) -> Result<Vec<(SpecId, u64, Vec<DesignPoint>)>, String> {
-    let mut r = Reader::new(bytes);
-    let update_count = r.len("front update")?;
-    let mut out = Vec::with_capacity(update_count);
-    for _ in 0..update_count {
-        let id = r.u32("front node id")? as usize;
-        if id >= node_count {
-            return Err(format!("front update for node {id} of {node_count}"));
-        }
-        let truncated = r.u64("front truncation")?;
-        let count = r.len("design point")?;
-        let mut points = Vec::with_capacity(count);
-        for _ in 0..count {
-            points.push(get_design_point(&mut r, node_count)?);
-        }
-        out.push((id, truncated, points));
-    }
-    if r.remaining() != 0 {
-        return Err(format!(
-            "{} trailing bytes after front updates",
-            r.remaining()
-        ));
-    }
-    Ok(out)
-}
-
-/// Every `(node, choice)` a policy assigns must exist in the space — the
-/// deferred half of delta front validation (see
-/// [`decode_front_updates`]).
-pub(crate) fn check_front_policies(
-    space: &DesignSpace,
-    points: &[DesignPoint],
-) -> Result<(), String> {
-    for point in points {
-        check_policy_bounds(space, &point.policy)?;
-    }
-    Ok(())
 }

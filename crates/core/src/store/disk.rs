@@ -6,8 +6,8 @@
 //! *generation* number:
 //!
 //! ```text
-//! dtas-v4-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003.base
-//! dtas-v4-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003-d0001.delta
+//! dtas-v5-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003.base
+//! dtas-v5-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003-d0001.delta
 //! ```
 //!
 //! Every write goes to a dot-prefixed temporary in the same directory and
@@ -53,7 +53,6 @@ struct Chain {
     generation: u32,
     next_seq: u32,
     last_link: u64,
-    node_count: u32,
 }
 
 /// The parsed name of one cache file (see the module docs for the
@@ -408,7 +407,6 @@ impl PersistentStore {
                         generation: gen,
                         next_seq: loaded + 1,
                         last_link: source.last_link(),
-                        node_count: source.node_count() as u32,
                     },
                 );
                 Ok(LoadOutcome::Loaded {
@@ -758,7 +756,6 @@ impl ResultStore for PersistentStore {
                 generation: gen,
                 next_seq: 1,
                 last_link: encoded.header_checksum,
-                node_count: encoded.node_count,
             },
         );
         Ok(SaveReport {
@@ -777,9 +774,6 @@ impl ResultStore for PersistentStore {
         let Some(chain) = chains.get_mut(key) else {
             return Ok(None);
         };
-        if dirty.first_new_node != chain.node_count as usize {
-            return Ok(None);
-        }
         let encoded = segment::encode_delta(
             snapshot,
             dirty,
@@ -794,7 +788,6 @@ impl ResultStore for PersistentStore {
         )?;
         chain.next_seq += 1;
         chain.last_link = encoded.header_checksum;
-        chain.node_count = encoded.node_count;
         Ok(Some(SaveReport {
             bytes: encoded.bytes.len() as u64,
             results: encoded.results,

@@ -1,10 +1,10 @@
 //! The engine's in-memory store: one shared design space plus a sharded,
 //! read-mostly result memo.
 //!
-//! This is the hot-path half of the storage layer. Everything here used
-//! to live inline in the engine; it is its own module so the same state
-//! can be exported to — and hydrated from — a [`ResultStore`] backend
-//! (see [`EngineSnapshot`]) without the engine knowing how snapshots are
+//! This is the hot-path half of the storage layer. It is its own module
+//! so the memoized answers can be exported to a
+//! [`ResultStore`](crate::store::ResultStore) backend (see
+//! [`EngineSnapshot`]) without the engine knowing how snapshots are
 //! encoded or where they live.
 //!
 //! The locking discipline is unchanged from the pre-store engine and is
@@ -251,20 +251,11 @@ impl MemStore {
         (retained, dropped)
     }
 
-    /// Copies the persistable state out: the shared space and fronts plus
-    /// every *settled* memo entry (cells still being solved by an
-    /// in-flight client are skipped — they will be persisted by a later
-    /// checkpoint). Cheap relative to solving: the space clone shares
-    /// templates and the fronts snapshot is `Arc` bumps.
+    /// Copies the persistable state out: every *settled* memo entry
+    /// (cells still being solved by an in-flight client are skipped —
+    /// they will be persisted by a later checkpoint). Cheap relative to
+    /// solving: each answer is an `Arc` bump.
     pub(crate) fn export_snapshot(&self) -> EngineSnapshot {
-        let (space, fronts, generation) = {
-            let state = self.read_state();
-            (
-                state.space.clone(),
-                state.fronts.snapshot(),
-                state.generation,
-            )
-        };
         let mut results: Vec<(ComponentSpec, Result<Arc<DesignSet>, SynthError>)> = Vec::new();
         for shard in &self.memo {
             for (spec, cell) in self.shard_read(shard).iter() {
@@ -277,11 +268,6 @@ impl MemStore {
         // snapshot canonical so identical engine states encode to
         // identical bytes.
         results.sort_by(|(a, _), (b, _)| a.cmp(b));
-        EngineSnapshot {
-            space,
-            fronts,
-            results,
-            generation,
-        }
+        EngineSnapshot { results }
     }
 }

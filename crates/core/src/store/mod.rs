@@ -2,28 +2,27 @@
 //! pluggable warm-start backends.
 //!
 //! [`Dtas`](crate::Dtas) keeps its hot state in a sharded in-memory store
-//! (the private `mem` module) and can mirror that state — the design
-//! space, every solved front, and the memoized whole-query results —
-//! through the [`ResultStore`] trait to a backend that outlives the
-//! engine.
+//! (the private `mem` module) and can mirror its memoized whole-query
+//! answers through the [`ResultStore`] trait to a backend that outlives
+//! the engine. The design space and its solved fronts are never
+//! persisted: they stay with the engine that explored them.
 //!
 //! Since format version 2 a key's persisted state is a **chain**: one
 //! immutable *base* segment plus zero or more O(dirty) *delta* segments
-//! (see the `segment` module). Loading returns a [`WarmSource`] — a
-//! validated but mostly *undecoded* view of the chain: the base is
-//! memory-mapped where the platform supports it, and the engine decodes
-//! each stored answer only when its spec is first requested. Since
-//! format version 4 an answer is stored as its own hierarchical netlist
-//! (see the `codec` module), so serving it never decodes the design
-//! space. Saving is
-//! either a full base rewrite ([`ResultStore::save_full`], also the
-//! compaction step) or an appended delta carrying just the engine's
+//! (see the `segment` module). Since format version 5 a segment is its
+//! header plus one section per memoized answer, each stored as its own
+//! hierarchical netlist (see the `codec` module). Loading returns a
+//! [`WarmSource`] — a validated but *undecoded* view of the chain: the
+//! base is memory-mapped where the platform supports it, and the engine
+//! decodes each stored answer only when its spec is first requested.
+//! Saving is either a full base rewrite ([`ResultStore::save_full`], also
+//! the compaction step) or an appended delta carrying just the engine's
 //! [`DirtySet`] ([`ResultStore::save_delta`]).
 //!
 //! * [`PersistentStore`] keeps chains as files in a directory (the
 //!   `--cache-dir` of the `dtas` CLI), so a restarted — or concurrent —
-//!   process warm-starts from a previous run's explored space, sharing
-//!   one page-cache copy of the mapped base across processes;
+//!   process warm-starts from a previous run's answers, sharing one
+//!   page-cache copy of the mapped base across processes;
 //! * [`MemSnapshotStore`] holds encoded chains in memory, exercising the
 //!   exact same segment/codec path — useful in tests and for handing
 //!   warmed state between engines inside one process.
@@ -50,7 +49,6 @@ pub use disk::{CacheKeyEntry, GcItem, GcPlan, GcReason, PersistentStore};
 pub use segment::WarmSource;
 
 use crate::report::DesignSet;
-use crate::space::{DesignSpace, FrontStore};
 use crate::SynthError;
 use genus::spec::ComponentSpec;
 use mmap::SegmentBytes;
@@ -81,49 +79,24 @@ pub struct StoreKey {
     pub canon: u64,
 }
 
-/// The persistable engine state: the explored design space, the solved
-/// per-node fronts, and the memoized whole-query results. This is what
-/// flows between the in-memory store and a [`ResultStore`] backend.
+/// The persistable engine state: the memoized whole-query answers. This
+/// is what flows between the in-memory store and a [`ResultStore`]
+/// backend.
 pub struct EngineSnapshot {
-    /// The shared AND-OR design space (templates `Arc`-shared with the
-    /// results' implementations).
-    pub(crate) space: DesignSpace,
-    /// Solved node fronts, aligned with the space's nodes.
-    pub(crate) fronts: FrontStore,
     /// Memoized whole-query results in canonical (spec-sorted) order.
     pub(crate) results: Vec<(ComponentSpec, Result<Arc<DesignSet>, SynthError>)>,
-    /// The shared-state generation this snapshot was exported under, so
-    /// the checkpoint watermark can tell a grown space from a *reset*
-    /// one (`clear_cache`, poison recovery — node ids restart at 0).
-    pub(crate) generation: u64,
 }
 
 impl EngineSnapshot {
-    /// Number of spec nodes in the snapshot's design space.
-    pub fn spec_nodes(&self) -> usize {
-        self.space.nodes.len()
-    }
-
-    /// Number of solved node fronts.
-    pub fn solved_fronts(&self) -> usize {
-        self.fronts.solved_count()
-    }
-
     /// Number of memoized whole-query results (successes and failures).
     pub fn results(&self) -> usize {
         self.results.len()
     }
 }
 
-/// What an engine changed since its last flush — the payload of a delta
-/// checkpoint, O(dirty) rather than O(space).
+/// What an engine memoized since its last flush — the payload of a delta
+/// checkpoint, O(dirty) rather than O(answers).
 pub struct DirtySet {
-    /// Nodes `first_new_node..` were appended since the last flush. An
-    /// engine still serving an undecoded chain has an empty live space;
-    /// its deltas carry answers only and keep the chain's node count.
-    pub first_new_node: usize,
-    /// Node ids whose fronts were solved since the last flush.
-    pub front_ids: Vec<usize>,
     /// Indices into the snapshot's `results` of entries not yet flushed.
     pub result_indices: Vec<usize>,
 }
@@ -340,9 +313,7 @@ pub trait ResultStore: Send + Sync {
     /// Appends `dirty` as a delta segment onto the chain this store last
     /// wrote or loaded for `key`. Returns `Ok(None)` — asking the caller
     /// to fall back to [`save_full`](Self::save_full) — when there is no
-    /// such chain, or when `dirty` does not extend exactly the chain's
-    /// recorded node count (another writer moved it; appending would
-    /// corrupt the chain, rewriting is always safe).
+    /// such chain.
     ///
     /// # Errors
     ///
@@ -394,7 +365,6 @@ struct MemChain {
     base_id: u64,
     next_seq: u32,
     last_link: u64,
-    node_count: u32,
     deltas: Vec<Vec<u8>>,
 }
 
@@ -478,7 +448,6 @@ impl ResultStore for MemSnapshotStore {
                 base_id,
                 next_seq: 1,
                 last_link: encoded.header_checksum,
-                node_count: encoded.node_count,
                 deltas: Vec::new(),
             },
         );
@@ -495,9 +464,6 @@ impl ResultStore for MemSnapshotStore {
         let Some(chain) = slots.get_mut(key) else {
             return Ok(None);
         };
-        if dirty.first_new_node != chain.node_count as usize {
-            return Ok(None);
-        }
         let encoded = segment::encode_delta(
             snapshot,
             dirty,
@@ -512,7 +478,6 @@ impl ResultStore for MemSnapshotStore {
         };
         chain.next_seq += 1;
         chain.last_link = encoded.header_checksum;
-        chain.node_count = encoded.node_count;
         chain.deltas.push(encoded.bytes);
         Ok(Some(report))
     }

@@ -1,48 +1,44 @@
 //! Segment framing for the tiered snapshot store.
 //!
 //! A key's persisted state is a *chain*: one immutable **base** segment
-//! (the whole design space, every solved front, an index of memoized
-//! answers) plus zero or more **delta** segments, each carrying only what
-//! changed since the previous flush — appended nodes, newly solved
-//! fronts, new answers. Every segment is self-framing:
+//! (an index of memoized answers) plus zero or more **delta** segments,
+//! each carrying only the answers memoized since the previous flush.
+//! Every segment is self-framing:
 //!
 //! ```text
 //! magic "DTASSEG2" · format version · kind (base/delta)
 //! library/rule-set/config/canonicalization fingerprints
-//! base id · seq · prev link · prev node count · node count
-//! space section desc · fronts section desc
+//! base id · seq · prev link
 //! result index: (spec, section desc) per memoized result
 //! header checksum (FNV-1a over everything above)
-//! ...packed sections (each desc = absolute offset, length, checksum)...
+//! ...packed answer sections (each desc = absolute offset, length, checksum)...
 //! ```
 //!
-//! The header is O(results), not O(space): loading a base verifies only
-//! the header checksum and the section bounds, then leaves the body bytes
-//! untouched (and, on 64-bit unix, memory-mapped — see the `mmap`
-//! module). Sections are checksummed individually and verified on first
-//! *access*: each answer when its spec is first requested, the space and
-//! fronts only when an engine hydrates them (a rules or config update, or
-//! a full save). Deltas are small, so they are verified eagerly at load —
-//! a damaged delta rejects the whole load before any of it can be served.
+//! Loading a base verifies only the header checksum and the section
+//! bounds, then leaves the body bytes untouched (and, on 64-bit unix,
+//! memory-mapped — see the `mmap` module). Sections are checksummed
+//! individually and a base's are verified on first *access*: each answer
+//! when its spec is first requested. Deltas are small, so they are
+//! verified eagerly at load — a damaged delta rejects the whole load
+//! before any of it can be served.
 //!
 //! Chains are validated strictly at assembly: sequence numbers must be
-//! contiguous from 1, every delta must name the base's random id, carry
-//! the previous segment's header checksum as its `prev link`, and agree
-//! on the running node count. A *missing* suffix (crash between two delta
-//! writes, concurrent compaction pruning) is a clean prefix — any prefix
-//! of a chain is a valid, smaller snapshot because solves are
-//! deterministic — but a segment that is present and fails any check
-//! rejects the load to a cold solve.
+//! contiguous from 1, and every delta must name the base's random id and
+//! carry the previous segment's header checksum as its `prev link`. A
+//! *missing* suffix (crash between two delta writes, concurrent
+//! compaction pruning) is a clean prefix — any prefix of a chain is a
+//! valid, smaller snapshot because solves are deterministic — but a
+//! segment that is present and fails any check rejects the load to a cold
+//! solve.
 
 use super::codec::{self, Reader, ResultEntry, Writer};
 use super::mmap::SegmentBytes;
 use super::{DirtySet, EngineSnapshot, Rejection, StoreKey};
 use crate::report::DesignSet;
-use crate::space::{DesignPoint, DesignSpace, FrontStore, SpecId, SpecNode};
 use crate::SynthError;
 use genus::spec::ComponentSpec;
 use rtl_base::hash::fnv1a_64;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Magic prefix of every tiered-store segment (unchanged since v2 of the
@@ -99,12 +95,6 @@ pub(crate) struct SegmentHeader {
     pub(crate) seq: u32,
     /// Header checksum of the chain predecessor (0 for a base).
     prev_link: u64,
-    /// Node count *before* this segment (0 for a base).
-    pub(crate) prev_nodes: u32,
-    /// Node count after this segment is applied.
-    pub(crate) node_count: u32,
-    space: SectionDesc,
-    fronts: SectionDesc,
     /// Per-result index: the spec (decoded eagerly — it is the lookup
     /// key) and where its still-encoded body lives.
     results: Vec<(ComponentSpec, SectionDesc)>,
@@ -114,7 +104,6 @@ pub(crate) struct SegmentHeader {
 }
 
 /// Writes every header field up to (not including) the checksum.
-#[allow(clippy::too_many_arguments)]
 fn put_header_fields(
     w: &mut Writer,
     key: &StoreKey,
@@ -122,10 +111,6 @@ fn put_header_fields(
     base_id: u64,
     seq: u32,
     prev_link: u64,
-    prev_nodes: u32,
-    node_count: u32,
-    space: &SectionDesc,
-    fronts: &SectionDesc,
     results: &[(ComponentSpec, SectionDesc)],
 ) {
     w.bytes(&SEGMENT_MAGIC);
@@ -138,10 +123,6 @@ fn put_header_fields(
     w.u64(base_id);
     w.u32(seq);
     w.u64(prev_link);
-    w.u32(prev_nodes);
-    w.u32(node_count);
-    space.put(w);
-    fronts.put(w);
     w.usize32(results.len());
     for (spec, desc) in results {
         codec::put_spec(w, spec);
@@ -194,10 +175,6 @@ pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader
     let base_id = r.u64("base id")?;
     let seq = r.u32("segment seq")?;
     let prev_link = r.u64("chain link")?;
-    let prev_nodes = r.u32("previous node count")?;
-    let node_count = r.u32("node count")?;
-    let space = SectionDesc::get(&mut r)?;
-    let fronts = SectionDesc::get(&mut r)?;
     let result_count = r.len("result index entry")?;
     let mut results = Vec::with_capacity(result_count);
     for _ in 0..result_count {
@@ -214,24 +191,20 @@ pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader
         .into());
     }
     let header_end = checksum_at + 8;
-    let check_bounds = |desc: &SectionDesc, what: &str| -> Result<(), String> {
+    for (spec, desc) in &results {
+        let what = format!("result {spec}");
         let off = usize::try_from(desc.off).map_err(|_| format!("{what} offset overflows"))?;
         let len = usize::try_from(desc.len).map_err(|_| format!("{what} length overflows"))?;
         if off < header_end || off.checked_add(len).is_none_or(|end| end > bytes.len()) {
             return Err(format!(
                 "truncated segment: {what} section [{off}, +{len}) outside file of {} bytes",
                 bytes.len()
-            ));
+            )
+            .into());
         }
-        Ok(())
-    };
-    check_bounds(&space, "space")?;
-    check_bounds(&fronts, "fronts")?;
-    for (spec, desc) in &results {
-        check_bounds(desc, &format!("result {spec}"))?;
     }
     match kind {
-        KIND_BASE if seq != 0 || prev_link != 0 || prev_nodes != 0 => {
+        KIND_BASE if seq != 0 || prev_link != 0 => {
             return Err(Rejection::Damaged(
                 "base segment carries chain fields".into(),
             ))
@@ -241,42 +214,14 @@ pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader
         }
         _ => {}
     }
-    if prev_nodes > node_count {
-        return Err(
-            format!("node count shrinks across segment ({prev_nodes} -> {node_count})").into(),
-        );
-    }
     Ok(SegmentHeader {
         kind,
         base_id,
         seq,
         prev_link,
-        prev_nodes,
-        node_count,
-        space,
-        fronts,
         results,
         header_checksum: computed,
     })
-}
-
-/// Returns a section's bytes after verifying its checksum. Bounds were
-/// established at [`parse_header`]; the checksum is what defers — this is
-/// the lazy half of base-segment validation.
-fn verified_section<'a>(
-    bytes: &'a [u8],
-    desc: &SectionDesc,
-    what: &str,
-) -> Result<&'a [u8], String> {
-    let slice = &bytes[desc.off as usize..(desc.off + desc.len) as usize];
-    let computed = fnv1a_64(slice);
-    if computed != desc.sum {
-        return Err(format!(
-            "{what} section checksum mismatch (stored {:016x}, computed {computed:016x})",
-            desc.sum
-        ));
-    }
-    Ok(slice)
 }
 
 /// One encoded segment, ready to be written.
@@ -286,112 +231,64 @@ pub(crate) struct EncodedSegment {
     pub(crate) header_checksum: u64,
     /// Memoized results indexed in this segment.
     pub(crate) results: usize,
-    /// The chain's node count once this segment is applied.
-    pub(crate) node_count: u32,
 }
 
-/// Frames pre-encoded sections into one segment. Two passes: the header's
+/// Frames answer sections into one segment. Two passes: the header's
 /// length does not depend on the (fixed-width) offsets it carries, so
 /// pass one learns the length with zeroed offsets and pass two writes the
 /// real ones.
-#[allow(clippy::too_many_arguments)]
 fn encode_segment(
     key: &StoreKey,
     kind: u8,
     base_id: u64,
     seq: u32,
     prev_link: u64,
-    prev_nodes: u32,
-    node_count: u32,
-    space_bytes: &[u8],
-    fronts_bytes: &[u8],
-    result_bodies: &[(ComponentSpec, Vec<u8>)],
+    results: &[ResultEntry],
 ) -> EncodedSegment {
-    let zeroed: Vec<(ComponentSpec, SectionDesc)> = result_bodies
+    let bodies = codec::encode_result_sections(results);
+    let mut index: Vec<(ComponentSpec, SectionDesc)> = bodies
         .iter()
         .map(|(spec, _)| (spec.clone(), SectionDesc::default()))
         .collect();
     let mut probe = Writer::new();
-    put_header_fields(
-        &mut probe,
-        key,
-        kind,
-        base_id,
-        seq,
-        prev_link,
-        prev_nodes,
-        node_count,
-        &SectionDesc::default(),
-        &SectionDesc::default(),
-        &zeroed,
-    );
+    put_header_fields(&mut probe, key, kind, base_id, seq, prev_link, &index);
     let header_len = probe.len() + 8; // + checksum
 
     let mut off = header_len;
-    let space = SectionDesc::of(off, space_bytes);
-    off += space_bytes.len();
-    let fronts = SectionDesc::of(off, fronts_bytes);
-    off += fronts_bytes.len();
-    let results: Vec<(ComponentSpec, SectionDesc)> = result_bodies
-        .iter()
-        .map(|(spec, body)| {
-            let desc = SectionDesc::of(off, body);
-            off += body.len();
-            (spec.clone(), desc)
-        })
-        .collect();
+    for ((_, desc), (_, body)) in index.iter_mut().zip(&bodies) {
+        *desc = SectionDesc::of(off, body);
+        off += body.len();
+    }
 
     let mut w = Writer::new();
-    put_header_fields(
-        &mut w, key, kind, base_id, seq, prev_link, prev_nodes, node_count, &space, &fronts,
-        &results,
-    );
+    put_header_fields(&mut w, key, kind, base_id, seq, prev_link, &index);
     debug_assert_eq!(w.len() + 8, header_len);
     let header_checksum = fnv1a_64(w.as_slice());
     w.u64(header_checksum);
     let mut bytes = w.into_bytes();
     bytes.reserve(off - header_len);
-    bytes.extend_from_slice(space_bytes);
-    bytes.extend_from_slice(fronts_bytes);
-    for (_, body) in result_bodies {
+    for (_, body) in &bodies {
         bytes.extend_from_slice(body);
     }
     EncodedSegment {
         bytes,
         header_checksum,
-        results: result_bodies.len(),
-        node_count,
+        results: bodies.len(),
     }
 }
 
-/// Encodes a whole snapshot as a base segment under a fresh `base_id`.
+/// Encodes every memoized answer of a snapshot as a base segment under a
+/// fresh `base_id`.
 pub(crate) fn encode_base(
     snapshot: &EngineSnapshot,
     key: &StoreKey,
     base_id: u64,
 ) -> EncodedSegment {
-    let node_count = snapshot.space.nodes.len();
-    let space = codec::encode_space_section(&snapshot.space);
-    let fronts = codec::encode_fronts_section(&snapshot.fronts, node_count);
-    let results = codec::encode_result_sections(&snapshot.results);
-    encode_segment(
-        key,
-        KIND_BASE,
-        base_id,
-        0,
-        0,
-        0,
-        node_count as u32,
-        &space,
-        &fronts,
-        &results,
-    )
+    encode_segment(key, KIND_BASE, base_id, 0, 0, &snapshot.results)
 }
 
-/// Encodes the dirty slice of a snapshot as delta segment `seq` chained
-/// onto the segment whose header checksum is `prev_link`. A snapshot with
-/// fewer live nodes than the chain (an engine that never hydrated it)
-/// appends answers only.
+/// Encodes the dirty answers of a snapshot as delta segment `seq` chained
+/// onto the segment whose header checksum is `prev_link`.
 pub(crate) fn encode_delta(
     snapshot: &EngineSnapshot,
     dirty: &DirtySet,
@@ -400,105 +297,73 @@ pub(crate) fn encode_delta(
     seq: u32,
     prev_link: u64,
 ) -> EncodedSegment {
-    let node_count = snapshot.space.nodes.len().max(dirty.first_new_node);
-    let space = codec::encode_space_extension(&snapshot.space, dirty.first_new_node);
-    let fronts = codec::encode_front_updates(&snapshot.fronts, &dirty.front_ids);
     let entries: Vec<ResultEntry> = dirty
         .result_indices
         .iter()
         .map(|&i| snapshot.results[i].clone())
         .collect();
-    let results = codec::encode_result_sections(&entries);
-    encode_segment(
-        key,
-        KIND_DELTA,
-        base_id,
-        seq,
-        prev_link,
-        dirty.first_new_node as u32,
-        node_count as u32,
-        &space,
-        &fronts,
-        &results,
-    )
+    encode_segment(key, KIND_DELTA, base_id, seq, prev_link, &entries)
 }
 
-/// An opened base segment: header parsed and verified, body bytes (owned
-/// or memory-mapped) untouched until first access.
-pub(crate) struct BaseSegment {
+/// An opened segment: header parsed and verified, body bytes (owned or
+/// memory-mapped) untouched until first access.
+struct Segment {
     bytes: SegmentBytes,
-    pub(crate) header: SegmentHeader,
+    header: SegmentHeader,
 }
 
-impl BaseSegment {
-    pub(crate) fn open(bytes: SegmentBytes, key: &StoreKey) -> Result<BaseSegment, Rejection> {
+impl Segment {
+    /// Opens a segment of the given kind. A delta's answer sections are
+    /// checksum-verified here, not on first access: deltas are
+    /// O(dirty)-small, and rejecting a damaged delta must happen at load,
+    /// before any of the chain is served.
+    fn open(bytes: SegmentBytes, key: &StoreKey, kind: u8) -> Result<Segment, Rejection> {
         let header = parse_header(&bytes, key)?;
-        if header.kind != KIND_BASE {
+        if header.kind != kind {
             return Err(Rejection::Mismatch(
-                "expected a base segment, found a delta".into(),
+                if kind == KIND_BASE {
+                    "expected a base segment, found a delta"
+                } else {
+                    "expected a delta segment, found a base"
+                }
+                .into(),
             ));
         }
-        Ok(BaseSegment { bytes, header })
-    }
-
-    fn decode_space(&self) -> Result<DesignSpace, String> {
-        let slice = verified_section(&self.bytes, &self.header.space, "space")?;
-        codec::decode_space_section(slice)
-    }
-
-    fn decode_fronts(&self, space: &DesignSpace) -> Result<FrontStore, String> {
-        let slice = verified_section(&self.bytes, &self.header.fronts, "fronts")?;
-        codec::decode_fronts_section(slice, space, self.header.node_count as usize)
+        if kind == KIND_DELTA {
+            for index in 0..header.results.len() {
+                verified_result(&bytes, &header, index)?;
+            }
+        }
+        Ok(Segment { bytes, header })
     }
 }
 
-/// An opened delta segment. Deltas are eagerly *checksum*-verified (every
-/// section) at open — they are O(dirty)-small, and rejecting a damaged
-/// delta must happen at load, before any of the chain is served —
-/// structural decoding still waits for first access.
-pub(crate) struct DeltaSegment {
-    bytes: SegmentBytes,
-    pub(crate) header: SegmentHeader,
-}
-
-impl DeltaSegment {
-    pub(crate) fn open(bytes: SegmentBytes, key: &StoreKey) -> Result<DeltaSegment, Rejection> {
-        let header = parse_header(&bytes, key)?;
-        if header.kind != KIND_DELTA {
-            return Err(Rejection::Mismatch(
-                "expected a delta segment, found a base".into(),
-            ));
-        }
-        verified_section(&bytes, &header.space, "space extension")?;
-        verified_section(&bytes, &header.fronts, "front updates")?;
-        for (spec, desc) in &header.results {
-            verified_section(&bytes, desc, &format!("result {spec}"))?;
-        }
-        Ok(DeltaSegment { bytes, header })
+/// Returns result `index`'s section bytes after verifying its checksum.
+/// Bounds were established at [`parse_header`]; the checksum is what
+/// defers — this is the lazy half of base-segment validation.
+fn verified_result<'a>(
+    bytes: &'a [u8],
+    header: &SegmentHeader,
+    index: usize,
+) -> Result<&'a [u8], String> {
+    let (spec, desc) = &header.results[index];
+    let slice = &bytes[desc.off as usize..(desc.off + desc.len) as usize];
+    let computed = fnv1a_64(slice);
+    if computed != desc.sum {
+        return Err(format!(
+            "result {spec} section checksum mismatch (stored {:016x}, computed {computed:016x})",
+            desc.sum
+        ));
     }
-
-    fn decode_extension(&self) -> Result<(Vec<SpecNode>, HashSet<SpecId>), String> {
-        let slice = verified_section(&self.bytes, &self.header.space, "space extension")?;
-        codec::decode_space_extension(
-            slice,
-            self.header.prev_nodes as usize,
-            self.header.node_count as usize,
-        )
-    }
-
-    fn decode_front_updates(&self) -> Result<Vec<(SpecId, u64, Vec<DesignPoint>)>, String> {
-        let slice = verified_section(&self.bytes, &self.header.fronts, "front updates")?;
-        codec::decode_front_updates(slice, self.header.node_count as usize)
-    }
+    Ok(slice)
 }
 
 /// A validated chain, held by a warm-started engine as its lazy read
-/// path: the base stays mapped (where supported), each answer decodes from
-/// its own section on first request, and the space/fronts hydrate only
-/// when an update or a full save needs them as live state.
+/// path: the base stays mapped (where supported) and each answer decodes
+/// from its own section on first request.
 pub struct WarmSource {
-    base: BaseSegment,
-    deltas: Vec<DeltaSegment>,
+    base: Segment,
+    deltas: Vec<Segment>,
     /// spec -> (segment: 0 = base, i+1 = deltas[i]; result index within
     /// it). Later segments win.
     index: HashMap<ComponentSpec, (usize, usize)>,
@@ -509,14 +374,6 @@ pub struct WarmSource {
 }
 
 impl WarmSource {
-    /// Total node count of the hydrated space this chain describes.
-    pub(crate) fn node_count(&self) -> usize {
-        self.deltas
-            .last()
-            .map(|d| d.header.node_count)
-            .unwrap_or(self.base.header.node_count) as usize
-    }
-
     /// Number of deltas chained onto the base.
     pub fn delta_count(&self) -> usize {
         self.deltas.len()
@@ -542,8 +399,9 @@ impl WarmSource {
     pub(crate) fn last_link(&self) -> u64 {
         self.deltas
             .last()
-            .map(|d| d.header.header_checksum)
-            .unwrap_or(self.base.header.header_checksum)
+            .unwrap_or(&self.base)
+            .header
+            .header_checksum
     }
 
     /// Decodes (and consumes) the stored answer for `spec` from its own
@@ -556,61 +414,20 @@ impl WarmSource {
         spec: &ComponentSpec,
     ) -> Option<Result<Result<Arc<DesignSet>, SynthError>, Rejection>> {
         let (seg, idx) = self.index.remove(spec)?;
-        let (bytes, header) = if seg == 0 {
-            (&self.base.bytes, &self.base.header)
-        } else {
-            let delta = &self.deltas[seg - 1];
-            (&delta.bytes, &delta.header)
+        let segment = match seg {
+            0 => &self.base,
+            _ => &self.deltas[seg - 1],
         };
-        let (spec, desc) = &header.results[idx];
         Some(
-            verified_section(bytes, desc, &format!("result {spec}"))
+            verified_result(&segment.bytes, &segment.header, idx)
                 .map_err(Rejection::from)
-                .and_then(|slice| codec::decode_result_body(slice, spec)),
+                .and_then(|slice| codec::decode_result_body(slice, &segment.header.results[idx].0)),
         )
     }
 
-    /// Every spec with a pending stored result, for diagnostics.
+    /// Every spec with a pending stored result.
     pub(crate) fn pending_specs(&self) -> Vec<ComponentSpec> {
         self.index.keys().cloned().collect()
-    }
-
-    /// Fully decodes the chain's space and fronts into live engine state:
-    /// the base, then every delta folded on top in sequence order. Any
-    /// validation failure rejects the whole hydration — the engine drops
-    /// the source and re-solves cold.
-    pub(crate) fn hydrate_state(&self) -> Result<(DesignSpace, FrontStore), Rejection> {
-        let mut space = self.base.decode_space()?;
-        if space.nodes.len() != self.base.header.node_count as usize {
-            return Err(format!(
-                "base space has {} nodes, header recorded {}",
-                space.nodes.len(),
-                self.base.header.node_count
-            )
-            .into());
-        }
-        let mut fronts = self.base.decode_fronts(&space)?;
-        for delta in &self.deltas {
-            let (nodes, tainted) = delta.decode_extension()?;
-            for node in nodes {
-                let id = space.nodes.len();
-                if space.memo.insert(node.spec.clone(), id).is_some() {
-                    return Err(format!("duplicate spec node {} in delta", node.spec).into());
-                }
-                space.nodes.push(node);
-            }
-            space.tainted.extend(tainted);
-            while fronts.fronts.len() < space.nodes.len() {
-                fronts.fronts.push(None);
-                fronts.truncated.push(0);
-            }
-            for (id, truncated, points) in delta.decode_front_updates()? {
-                codec::check_front_policies(&space, &points)?;
-                fronts.fronts[id] = Some(Arc::new(points));
-                fronts.truncated[id] = truncated;
-            }
-        }
-        Ok((space, fronts))
     }
 }
 
@@ -626,7 +443,7 @@ pub(crate) fn assemble_chain(
     key: &StoreKey,
 ) -> Result<WarmSource, Rejection> {
     let base_bytes = base.len() as u64;
-    let base = BaseSegment::open(base, key)?;
+    let base = Segment::open(base, key, KIND_BASE)?;
     let mut index: HashMap<ComponentSpec, (usize, usize)> = HashMap::new();
     for (idx, (spec, _)) in base.header.results.iter().enumerate() {
         index.insert(spec.clone(), (0, idx));
@@ -634,11 +451,10 @@ pub(crate) fn assemble_chain(
     let mut opened = Vec::with_capacity(deltas.len());
     let mut delta_bytes = 0u64;
     let mut link = base.header.header_checksum;
-    let mut node_count = base.header.node_count;
     for (i, bytes) in deltas.into_iter().enumerate() {
         let expected_seq = (i + 1) as u32;
         delta_bytes += bytes.len() as u64;
-        let delta = DeltaSegment::open(bytes, key)?;
+        let delta = Segment::open(bytes, key, KIND_DELTA)?;
         let broken = if delta.header.base_id != base.header.base_id {
             Some(format!(
                 "delta {} belongs to a different base ({:016x}, chain base {:016x})",
@@ -654,11 +470,6 @@ pub(crate) fn assemble_chain(
                 "delta {} chain link mismatch (file was not written against its predecessor)",
                 delta.header.seq
             ))
-        } else if delta.header.prev_nodes != node_count {
-            Some(format!(
-                "delta {} expects {} prior nodes, chain has {node_count}",
-                delta.header.seq, delta.header.prev_nodes
-            ))
         } else {
             None
         };
@@ -666,7 +477,6 @@ pub(crate) fn assemble_chain(
             return Err(Rejection::Mismatch(reason));
         }
         link = delta.header.header_checksum;
-        node_count = delta.header.node_count;
         for (idx, (spec, _)) in delta.header.results.iter().enumerate() {
             index.insert(spec.clone(), (i + 1, idx));
         }

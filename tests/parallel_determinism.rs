@@ -285,9 +285,9 @@ fn answer(set: &DesignSet) -> (common::Fingerprint, usize, usize, u64, Option<u6
 }
 
 /// The taint fallback sits in the one cold pipeline, so every entry
-/// point that reaches it — a batch, an override request, and the
-/// private solves of an undecoded warm chain — answers B like a fresh
-/// engine even when A expanded first.
+/// point that reaches it — a batch, an override request, and the misses
+/// of a warm-started engine — answers B like a fresh engine even when A
+/// expanded first.
 #[test]
 fn taint_fallback_covers_every_entry_point() {
     let (a, b) = (cyclic::delay("A"), cyclic::delay("B"));
@@ -306,8 +306,8 @@ fn taint_fallback_covers_every_entry_point() {
     let request = SynthRequest::new(b.clone()).with_root_filter(DtasConfig::default().root_filter);
     assert_eq!(answer(&shared.run(request).unwrap()), fresh_b);
 
-    // A warm-started engine serves its chain undecoded, so its misses
-    // solve on private state — a batch's taint included.
+    // A warm-started engine's misses run the same pipeline on its live
+    // space, so they reach the taint check in `expand_batch` too.
     let store = Arc::new(MemSnapshotStore::new());
     let first = cyclic::builder().store(store.clone()).build();
     first
@@ -323,10 +323,6 @@ fn taint_fallback_covers_every_entry_point() {
     let batch = warm_batch.run_batch(&[a, b]);
     assert_eq!(answer(batch[0].as_ref().unwrap()), fresh_a);
     assert_eq!(answer(batch[1].as_ref().unwrap()), fresh_b);
-    // Neither engine decoded the chain's space.
-    for warm in [&warm_run, &warm_batch] {
-        assert_eq!(warm.cache_stats().spec_nodes, 0);
-    }
 }
 
 /// The old BTreeMap policy-merge semantics, kept as the reference model.

@@ -457,6 +457,12 @@ fn queue_deadline_fires_within_tolerance() {
         .submit(SynthRequest::new(slow_spec(4)))
         .expect("admits");
     wait_for_busy_worker(&service);
+    // A far deadline admitted first parks the sweeper toward it (the
+    // pause lets it re-park); the nearer one below must still wake it.
+    let patient = service
+        .submit(SynthRequest::new(adder(8)).with_deadline(Duration::from_secs(3600)))
+        .expect("admits");
+    std::thread::sleep(Duration::from_millis(20));
     let deadline = Duration::from_millis(50);
     let t0 = Instant::now();
     let doomed = service
@@ -477,11 +483,12 @@ fn queue_deadline_fires_within_tolerance() {
          have reached the entry (waited {waited:?})"
     );
     // A deadline on an already-dispatched request does not clip it: the
-    // running ticket still resolves normally.
+    // running ticket still resolves normally, and so does the far one.
     assert!(running.recv().is_ok());
+    assert!(patient.recv().is_ok());
     let stats = service.shutdown();
     assert_eq!(stats.deadline_expired, 1);
-    assert_eq!(stats.completed, 1);
+    assert_eq!(stats.completed, 2);
 }
 
 #[test]

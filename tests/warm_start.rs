@@ -8,8 +8,8 @@
 
 use cells::lsi::lsi_logic_subset;
 use dtas::{
-    AnswerDefect, CheckpointOutcome, DesignSet, Dtas, DtasConfig, MemSnapshotStore, Rejection,
-    RuleSet, SaveReport,
+    AnswerDefect, CheckpointOutcome, DesignSet, Dtas, DtasConfig, InvalidationCounts,
+    InvalidationReason, MemSnapshotStore, Rejection, RuleSet, SaveReport,
 };
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
@@ -146,14 +146,14 @@ fn warm_start_round_trips_bit_identically() {
     assert_eq!(stats.snapshot_bytes, report.bytes);
 
     // A second engine — the restarted-process case. Loading is lazy:
-    // nothing is decoded at construction (no live results, no live
-    // space), only the chain's index is validated.
+    // nothing is decoded at construction (no live results), only the
+    // chain's index is validated.
     let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
     let warm_stats = warm.cache_stats();
     assert_eq!(warm_stats.snapshot_loads, 1);
     assert_eq!(warm_stats.snapshot_rejects, 0);
     assert_eq!(warm_stats.cached_results, 0, "lazy: nothing decoded yet");
-    assert_eq!(warm_stats.cached_fronts, 0, "lazy: space not hydrated yet");
+    assert_eq!(warm_stats.cached_fronts, 0, "no space is persisted");
     assert_eq!(warm_stats.lazy_results, specs.len());
     #[cfg(all(unix, target_pointer_width = "64"))]
     assert!(warm.warm_base_mapped(), "base should be memory-mapped");
@@ -171,26 +171,21 @@ fn warm_start_round_trips_bit_identically() {
     );
     assert_eq!(warm_stats.lazy_materialized, specs.len() as u64);
     assert_eq!(warm_stats.lazy_results, 0, "backlog fully drained");
-    // Each hit decoded its own answer section, never the space.
+    // Each hit decoded its own answer section; none touched the space.
     assert_eq!(
         (warm_stats.spec_nodes, warm_stats.cached_fronts),
         (0, 0),
         "{warm_stats}"
     );
 
-    // A miss on the undecoded chain solves on private state: the live
-    // space stays empty, and the answer is still the fresh engine's.
+    // A miss runs the one cold pipeline on the live space, and the answer
+    // is still the fresh engine's.
     let fresh = Dtas::new(lsi_logic_subset())
         .run(add_spec(12))
         .expect("reference solves");
     assert_sets_identical(&fresh, &warm.run(add_spec(12)).expect("warm miss solves"));
     let warm_stats = warm.cache_stats();
     assert_eq!(warm_stats.misses, 1);
-    assert_eq!(
-        (warm_stats.spec_nodes, warm_stats.cached_fronts),
-        (0, 0),
-        "{warm_stats}"
-    );
 
     // Engines first, directory second — a later drop-flush would
     // resurrect the directory.
@@ -236,14 +231,22 @@ fn delta_checkpoint_is_o_dirty_not_o_space() {
     let base = full_report(engine.checkpoint().expect("writes"));
 
     // One more (small) solve: the follow-up checkpoint appends a delta
-    // carrying just that dirt, an order of magnitude smaller than the
-    // base it extends.
+    // carrying just that dirt — no larger than the base a fresh engine
+    // writes for that one answer, however large the base it extends.
     reference.push(engine.run(add_spec(4)).expect("solves"));
     let delta = delta_report(engine.checkpoint().expect("writes"));
+    let alone = {
+        let fresh = Dtas::builder(lsi_logic_subset())
+            .store(Arc::new(MemSnapshotStore::new()))
+            .build();
+        fresh.run(add_spec(4)).expect("solves");
+        full_report(fresh.checkpoint().expect("writes"))
+    };
     assert!(
-        (delta.bytes as f64) < 0.10 * (base.bytes as f64),
-        "delta {} bytes vs base {} bytes",
+        delta.bytes <= alone.bytes,
+        "delta {} bytes vs {} bytes for ADD4 alone (base {} bytes)",
         delta.bytes,
+        alone.bytes,
         base.bytes
     );
     assert_eq!(delta.results, 1);
@@ -411,12 +414,10 @@ fn truncated_snapshot_falls_back_cold() {
 #[test]
 fn flipped_bytes_fall_back_cold() {
     // Flip one byte at a spread of offsets — version field, header,
-    // packed sections, file tail. A hit reads only the header and its own
-    // answer section, so damage there rejects before anything is served.
-    // Damage in the space or fronts sections, which no hit reads, is
-    // caught when they are first decoded: here, by the hydration a rule
-    // update forces. Either way the answer equals a cold solve and the
-    // damage is counted.
+    // answer section, file tail. The base is its header plus the one
+    // answer section, and the first hit reads both, so every flip is
+    // rejected and counted before anything is served; the answer equals
+    // a cold solve.
     let cold = Dtas::new(lsi_logic_subset())
         .run(add_spec(16))
         .expect("reference solves");
@@ -432,10 +433,9 @@ fn flipped_bytes_fall_back_cold() {
         bytes[idx] ^= 0x5a;
         std::fs::write(&path, &bytes).expect("writes");
 
-        let mut engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+        let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
         let answer = engine.run(add_spec(16)).expect("answers");
         assert_sets_identical(&cold, &answer);
-        engine.update_rules(RuleSet::standard().with_lsi_extensions());
         let stats = engine.cache_stats();
         assert!(
             stats.snapshot_rejects >= 1,
@@ -509,9 +509,8 @@ fn skip_spec(bytes: &[u8], pos: &mut usize) {
 }
 
 /// Segment header bytes before the result index: magic, version, kind,
-/// four fingerprints, base id, seq, chain link, two node counts and the
-/// space and fronts section descriptors.
-const RESULT_INDEX_AT: usize = 8 + 4 + 1 + 4 * 8 + 8 + 4 + 8 + 4 + 4 + 2 * 24;
+/// four fingerprints, base id, seq and chain link.
+const RESULT_INDEX_AT: usize = 8 + 4 + 1 + 4 * 8 + 8 + 4 + 8;
 
 /// Rewrites the one answer section of the base segment at `path` through
 /// `edit`. With `restamp`, the section and header checksums are
@@ -693,18 +692,16 @@ fn compaction_from_an_undecoded_chain_keeps_every_answer() {
             ..DtasConfig::default()
         })
         .build();
-    // One answer materialized, two still pending, and two misses solved
-    // on private state: a delta, then a compaction.
+    // One answer materialized, two still pending, and two misses: a
+    // delta, then a compaction.
     assert_sets_identical(&reference[0], &engine.run(&persisted[0]).expect("hit"));
     reference.push(engine.run(add_spec(4)).expect("solves"));
     delta_report(engine.checkpoint().expect("writes"));
-    assert_eq!(engine.cache_stats().spec_nodes, 0, "deltas do not hydrate");
     reference.push(engine.run(add_spec(12)).expect("solves"));
     let report = full_report(engine.checkpoint().expect("compacts"));
     let stats = engine.cache_stats();
     assert_eq!(stats.compactions, 1, "{stats}");
     assert_eq!(report.results, 5, "pending and materialized answers kept");
-    assert!(stats.spec_nodes > 0, "a full save hydrates: {stats}");
     drop(engine);
 
     let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
@@ -778,29 +775,35 @@ fn delay_engine(dir: &Path, swap: bool) -> Dtas {
 }
 
 #[test]
-fn silent_rule_changes_supersede_privately_solved_answers() {
-    // A miss on an undecoded chain solves privately, so its nodes never
-    // join the space `update_rules` diffs. A body-only rule change that
-    // reaches just such an answer must still retire the stored chain.
+fn silent_rule_changes_supersede_persisted_answers() {
+    // An answer decoded from the chain — or never even requested — has no
+    // live node until `update_rules` expands its spec under the old rules.
+    // A body-only rule change that reaches just such an answer must be
+    // seen by the diff and retire the stored chain.
     let dir = cache_dir("silent_rules");
-    {
-        // Any answer outside the delay family makes the base.
+    let stale = {
         let seed = delay_engine(&dir, false);
         assert!(seed.run(mux_spec(4, 2)).is_err(), "a delay-only library");
-    }
+        seed.run(delay_spec(4)).expect("solves")
+    };
     let mut engine = delay_engine(&dir, false);
-    let stale = engine.run(delay_spec(4)).expect("private miss");
-    delta_report(engine.checkpoint().expect("writes"));
+    assert_eq!(engine.cache_stats().lazy_results, 2);
     let report = engine.update_rules({
         let mut rules = RuleSet::standard();
         rules.append_library_rules(vec![Box::new(SilentSwap { swap: true })]);
         rules
     });
     assert_eq!(
-        report.reasons.last(),
-        Some(&dtas::InvalidationReason::StoreSuperseded),
+        report.reasons,
+        [
+            InvalidationReason::RulesChanged { dirty_nodes: 1 },
+            InvalidationReason::StoreSuperseded
+        ],
         "{report}"
     );
+    assert_eq!(report.dropped.results, 1, "{report}");
+    assert_eq!(report.retained.results, 1, "{report}");
+    assert!(base_files(&dir).is_empty(), "the stale chain is gone");
     drop(engine);
 
     let fresh_dir = cache_dir("silent_rules_fresh");
@@ -818,18 +821,104 @@ fn silent_rule_changes_supersede_privately_solved_answers() {
     let _ = std::fs::remove_dir_all(&fresh_dir);
 }
 
+/// Every cache file in `dir` with its bytes, sorted by name.
+fn chain_files(dir: &PathBuf) -> Vec<(PathBuf, Vec<u8>)> {
+    base_files(dir)
+        .into_iter()
+        .chain(delta_files(dir))
+        .map(|path| {
+            let bytes = std::fs::read(&path).expect("reads");
+            (path, bytes)
+        })
+        .collect()
+}
+
+#[test]
+fn same_rules_update_keeps_the_chain() {
+    // `update_rules` expands every persisted answer's spec under the old
+    // rules before its template diff, so an unchanged rule base proves
+    // the whole chain clean: every answer stays, bit-identical, and the
+    // chain files are left as they are.
+    let dir = cache_dir("same_rules");
+    let specs = [add_spec(8), add_spec(16), mux_spec(8, 4)];
+    let reference: Vec<Arc<DesignSet>> = {
+        let seed = Dtas::warm_start(lsi_logic_subset(), &dir);
+        let mut sets = vec![seed.run(&specs[0]).expect("solves")];
+        sets.push(seed.run(&specs[1]).expect("solves"));
+        full_report(seed.checkpoint().expect("writes"));
+        sets.push(seed.run(&specs[2]).expect("solves"));
+        delta_report(seed.checkpoint().expect("writes"));
+        sets
+    };
+    let before = chain_files(&dir);
+    let mut engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    // One answer decoded, two still pending on the chain.
+    assert_sets_identical(&reference[0], &engine.run(&specs[0]).expect("hit"));
+    let report = engine.update_rules(RuleSet::standard().with_lsi_extensions());
+    assert_eq!(report.dropped, InvalidationCounts::default(), "{report}");
+    assert_eq!(report.retained.results, specs.len(), "{report}");
+    assert!(
+        !report
+            .reasons
+            .contains(&InvalidationReason::StoreSuperseded),
+        "{report}"
+    );
+    for (spec, set) in specs.iter().zip(&reference) {
+        assert_sets_identical(set, &engine.run(spec).expect("kept"));
+    }
+    assert_eq!(engine.cache_stats().misses, 0);
+    drop(engine);
+    assert_eq!(chain_files(&dir), before, "the chain files are untouched");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn warm_misses_share_the_live_space() {
+    // Misses on a warm-started engine run the one cold pipeline on its
+    // live space, so two misses with shared sub-specs expand them once.
+    let dir = cache_dir("warm_misses");
+    {
+        let seed = Dtas::warm_start(lsi_logic_subset(), &dir);
+        seed.run(add_spec(8)).expect("solves");
+    }
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    assert_eq!(warm.cache_stats().snapshot_loads, 1);
+    let misses = [add_spec(12), add_spec(24)];
+    let answers: Vec<Arc<DesignSet>> = misses
+        .iter()
+        .map(|spec| warm.run(spec).expect("solves"))
+        .collect();
+    for (spec, answer) in misses.iter().zip(&answers) {
+        let fresh = Dtas::new(lsi_logic_subset())
+            .run(spec)
+            .expect("reference solves");
+        assert_sets_identical(&fresh, answer);
+    }
+    let stats = warm.cache_stats();
+    assert_eq!(stats.misses, 2, "{stats}");
+    let largest = answers.iter().map(|a| a.stats.spec_nodes).max();
+    let summed: usize = answers.iter().map(|a| a.stats.spec_nodes).sum();
+    assert!(
+        Some(stats.spec_nodes) >= largest && stats.spec_nodes < summed,
+        "{} live nodes for answers of {largest:?} (largest) and {summed} (summed) nodes",
+        stats.spec_nodes
+    );
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn old_format_chains_reject_with_a_typed_error() {
     let dir = cache_dir("old_format");
     let path = persisted_snapshot(&dir);
     let mut bytes = std::fs::read(&path).expect("reads");
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
     std::fs::write(&path, &bytes).expect("writes");
     let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
     assert_eq!(
         engine.last_snapshot_rejection(),
         Some(Rejection::FormatVersion {
-            found: 3,
+            found: 4,
             supported: dtas::FORMAT_VERSION
         })
     );
