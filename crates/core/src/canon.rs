@@ -1,14 +1,16 @@
 //! Canonical specification keys: collapse functionally-equivalent spec
 //! variants onto one memo/store/wire entry.
 //!
-//! The result memo (and the persistent store behind it) is keyed on
-//! *structural* [`ComponentSpec`] identity, so near-duplicate traffic —
-//! the same ALU padded with a redundant secondary width, a styled and an
-//! unstyled request for the same adder — solves twice. This module maps
-//! each requested spec to a *canonical* form ahead of every memo lookup,
-//! plus a cheap answer rewrite back to the caller's shape (the delivered
-//! [`DesignSet`](crate::DesignSet) differs from a fresh raw-spec solve
-//! only in the root spec label, which the rewrite restores).
+//! The engine's answer table (and the persistent store behind it) is
+//! keyed on *structural* [`ComponentSpec`] identity, so near-duplicate
+//! traffic — the same ALU padded with a redundant secondary width, a
+//! styled and an unstyled request for the same adder — would solve twice.
+//! This module maps a requested spec to a *canonical* form when the spec
+//! first reaches the table: a canonical spec gets an entry of its own, and
+//! any other spec an alias holding the canonical answer relabelled once
+//! for it (the delivered [`DesignSet`](crate::DesignSet) differs from a
+//! fresh raw-spec solve only in the root spec label, which the relabel
+//! restores). A repeat request reads its entry and never canonicalizes.
 //!
 //! # How canonicalization stays answer-preserving
 //!
@@ -31,7 +33,7 @@
 //! functionality (dropping a carry-in that materializes a port, a style
 //! some rule actually matches on) fail probe 1 or 3 and are kept as-is —
 //! no per-kind audit is needed, and rule-base changes are picked up
-//! because the engine clears this cache on every `update_rules`.
+//! because the engine drops every alias on `update_rules`.
 //!
 //! The elisions attempted, in fixed order (each kept only if the probe
 //! passes): strip the style attribute; zero the secondary width; zero the
@@ -43,9 +45,6 @@ use crate::rules::RuleSet;
 use crate::template::SpecModelCache;
 use cells::CellLibrary;
 use genus::spec::ComponentSpec;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 /// Version tag of the canonicalization scheme, mixed into every
 /// [`StoreKey`](crate::store::StoreKey) and wire handshake: state keyed
@@ -78,88 +77,25 @@ pub fn canon_fingerprint() -> u64 {
     rtl_base::hash::fnv1a_64(&seed)
 }
 
-/// The engine's canonicalizer: a raw-spec → canonical-spec cache plus the
-/// counters [`CacheStats`](crate::CacheStats) reports.
+/// The engine's canonicalizer: the probe run when a requested spec has no
+/// entry in the answer table yet.
 ///
-/// Probes are pure functions of `(spec, rules, library)`, so the cache is
-/// valid until the rule base changes — the engine clears it on
-/// `update_rules` (and on `clear_cache`). It owns a private
-/// [`SpecModelCache`]: probing must not touch the engine's shared-state
-/// lock, keeping the memoized hit path lock-profile unchanged.
+/// Probes are pure functions of `(spec, rules, library)`; the answer
+/// table keeps their outcome (an alias names its canonical spec) until
+/// the rule base changes. It owns a private [`SpecModelCache`]: probing
+/// must not touch the engine's shared-state lock.
 #[derive(Default)]
 pub(crate) struct Canonicalizer {
-    cache: RwLock<HashMap<ComponentSpec, ComponentSpec>>,
     models: SpecModelCache,
-    /// Queries whose canonical key differed from the raw request — each
-    /// was served through (and warmed) the collapsed entry.
-    pub(crate) canonical_hits: AtomicU64,
-    /// Distinct raw specs this engine has mapped onto a *different*
-    /// canonical spec.
-    pub(crate) specs_collapsed: AtomicU64,
 }
 
 impl Canonicalizer {
-    pub(crate) fn new() -> Self {
-        Canonicalizer::default()
-    }
-
-    /// Drops every cached mapping and counter (rule base replaced, cache
-    /// cleared). Model entries are kept: models depend only on the spec.
-    pub(crate) fn clear(&self) {
-        match self.cache.write() {
-            Ok(mut cache) => cache.clear(),
-            Err(poisoned) => {
-                self.cache.clear_poison();
-                poisoned.into_inner().clear();
-            }
-        }
-        self.canonical_hits.store(0, Ordering::Relaxed);
-        self.specs_collapsed.store(0, Ordering::Relaxed);
-    }
-
-    /// The canonical form of `spec` under the given rule base and
-    /// library. Returns `spec` itself (a clone) when no elision survives
-    /// the probes. Counts a canonical hit whenever the result differs
-    /// from the request.
-    pub(crate) fn canonical(
-        &self,
-        spec: &ComponentSpec,
-        rules: &RuleSet,
-        library: &CellLibrary,
-    ) -> ComponentSpec {
-        if let Ok(cache) = self.cache.read() {
-            if let Some(canon) = cache.get(spec) {
-                if canon != spec {
-                    self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return canon.clone();
-            }
-        }
-        let canon = self.canonicalize(spec, rules, library);
-        if canon != *spec {
-            self.canonical_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut cache = match self.cache.write() {
-            Ok(cache) => cache,
-            Err(poisoned) => {
-                self.cache.clear_poison();
-                let mut cache = poisoned.into_inner();
-                cache.clear();
-                cache
-            }
-        };
-        if !cache.contains_key(spec) && canon != *spec {
-            self.specs_collapsed.fetch_add(1, Ordering::Relaxed);
-        }
-        cache.entry(spec.clone()).or_insert_with(|| canon.clone());
-        canon
-    }
-
     /// Greedy elision: try each candidate in fixed order, keeping a step
     /// only when the probe proves the one-level views identical. Each
     /// accepted step is verified against the *previous* accepted form, so
-    /// the chain composes by transitivity.
-    fn canonicalize(
+    /// the chain composes by transitivity. Returns `spec` itself (a
+    /// clone) when no elision survives the probes.
+    pub(crate) fn canonicalize(
         &self,
         spec: &ComponentSpec,
         rules: &RuleSet,
@@ -262,20 +198,18 @@ impl Canonicalizer {
     }
 }
 
-/// Rewrites a canonical-key answer back to the caller's raw spec: the
-/// design set (and each alternative's root implementation) carries the
-/// canonical spec label; everything else — children, costs, sizes,
-/// stats — is exactly what a fresh raw-spec solve would produce, because
-/// the probe proved the expansions identical below the root.
-pub(crate) fn rewrite_result(
+/// Relabels a canonical spec's answer for a spec that canonicalizes to
+/// it, once, when the alias's entry is filled: the design set (and each
+/// alternative's root implementation) carries the canonical spec label;
+/// everything else — children, costs, sizes, stats — is exactly what a
+/// fresh solve of `raw` would produce, because the probe proved the
+/// expansions identical below the root.
+pub(crate) fn relabel(
     result: Result<std::sync::Arc<crate::DesignSet>, crate::SynthError>,
     raw: &ComponentSpec,
     canon: &ComponentSpec,
 ) -> Result<std::sync::Arc<crate::DesignSet>, crate::SynthError> {
     use crate::SynthError;
-    if raw == canon {
-        return result;
-    }
     match result {
         Ok(set) => {
             let mut set = crate::DesignSet::clone(&set);
@@ -312,7 +246,7 @@ mod tests {
     fn canonicalization_is_idempotent() {
         let rules = standard();
         let library = lsi_logic_subset();
-        let canon = Canonicalizer::new();
+        let canon = Canonicalizer::default();
         let specs = [
             ComponentSpec::new(ComponentKind::Alu, 16).with_ops(Op::paper_alu16()),
             ComponentSpec::new(ComponentKind::AddSub, 8)
@@ -323,8 +257,8 @@ mod tests {
             ComponentSpec::new(ComponentKind::Mux, 8).with_inputs(4),
         ];
         for spec in specs {
-            let once = canon.canonical(&spec, &rules, &library);
-            let twice = canon.canonical(&once, &rules, &library);
+            let once = canon.canonicalize(&spec, &rules, &library);
+            let twice = canon.canonicalize(&once, &rules, &library);
             assert_eq!(once, twice, "canonical({spec}) must be a fixpoint");
         }
     }
@@ -334,12 +268,12 @@ mod tests {
         // A carry-in materializes a port; the model probe must keep it.
         let rules = standard();
         let library = lsi_logic_subset();
-        let canon = Canonicalizer::new();
+        let canon = Canonicalizer::default();
         let spec = ComponentSpec::new(ComponentKind::AddSub, 8)
             .with_ops(OpSet::only(Op::Add))
             .with_carry_in(true)
             .with_carry_out(true);
-        let c = canon.canonical(&spec, &rules, &library);
+        let c = canon.canonicalize(&spec, &rules, &library);
         assert!(c.carry_in && c.carry_out, "carry pins are functional: {c}");
     }
 
@@ -417,9 +351,9 @@ mod tests {
             ) {
                 let rules = standard();
                 let library = lsi_logic_subset();
-                let canon = Canonicalizer::new();
-                let once = canon.canonical(&spec, &rules, &library);
-                let twice = canon.canonical(&once, &rules, &library);
+                let canon = Canonicalizer::default();
+                let once = canon.canonicalize(&spec, &rules, &library);
+                let twice = canon.canonicalize(&once, &rules, &library);
                 prop_assert_eq!(&once, &twice, "canonical({}) not a fixpoint", spec);
             }
 
@@ -432,8 +366,8 @@ mod tests {
             ) {
                 let rules = standard();
                 let library = lsi_logic_subset();
-                let canon = Canonicalizer::new();
-                let c = canon.canonical(&spec, &rules, &library);
+                let canon = Canonicalizer::default();
+                let c = canon.canonicalize(&spec, &rules, &library);
                 prop_assert_eq!(
                     library.implementers(&spec),
                     library.implementers(&c),

@@ -9,7 +9,7 @@ use crate::rules::RuleSet;
 use crate::space::{
     DesignPoint, ExpandError, FilterPolicy, FrontStore, SolveConfig, Solver, SpecId,
 };
-use crate::store::mem::{MemStore, ResultCell, SharedState};
+use crate::store::mem::{MemStore, MemoEntry, SharedState, Source, SynthResult};
 use crate::store::{
     DirtySet, LoadOutcome, PersistentStore, Rejection, ResultStore, SaveReport, StoreError,
     StoreKey, WarmSource,
@@ -28,15 +28,16 @@ use std::time::Instant;
 /// store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Queries (a [`run`](Dtas::run) or one distinct spec of a
-    /// [`run_batch`](Dtas::run_batch)) answered entirely from the result
-    /// memo (including callers that blocked on another client's in-flight
+    /// Queries (a [`run`](Dtas::run) or one distinct requested spec of a
+    /// [`run_batch`](Dtas::run_batch)) answered entirely from the answer
+    /// table (including callers that blocked on another client's in-flight
     /// solve of the same spec and were served its result).
     pub hits: u64,
     /// Queries that had to solve (possibly reusing sub-spec fronts from
     /// earlier queries). An override request always solves its own root.
     pub misses: u64,
-    /// Whole result sets currently memoized.
+    /// Specs' own `Ok` answers currently held (aliases of them, and
+    /// persisted answers not decoded yet, are not counted).
     pub cached_results: usize,
     /// Specification nodes whose fronts are currently solved and reusable.
     /// Only this engine's own solves count: a warm hit decodes its answer,
@@ -91,11 +92,12 @@ pub struct CacheStats {
     /// [`hit`](CacheStats::hits)).
     pub lazy_materialized: u64,
     /// Queries whose canonicalized spec differed from the raw request —
-    /// each was answered through (and warmed) the collapsed memo entry
+    /// each was answered through an alias of the canonical spec's entry
     /// instead of solving its own.
     pub canonical_hits: u64,
-    /// Distinct raw specs the canonicalizer has mapped onto a *different*
-    /// canonical spec since the cache was last cleared.
+    /// Distinct raw specs mapped onto a *different* canonical spec (an
+    /// alias each) since the rule base last changed or the cache was
+    /// cleared.
     pub specs_collapsed: u64,
     /// Solved fronts retained (not invalidated) by the most recent
     /// [`update_rules`](Dtas::update_rules) /
@@ -285,8 +287,8 @@ impl fmt::Display for InvalidationReport {
     }
 }
 
-/// One query's answer, as memoized and handed out.
-type SynthResult = Result<Arc<DesignSet>, SynthError>;
+/// Answers a batch solved in one pass, consumed by the entries they fill.
+type Presolved = HashMap<ComponentSpec, SynthResult>;
 
 /// Per-spec expansion outcome of one cold pass: slots already resolved
 /// (expansion errors), roots to solve together, and taint-affected
@@ -361,10 +363,11 @@ struct FlushState {
 /// The engine is `Sync` and built to be shared (`Arc<Dtas>` or `&Dtas`
 /// across scoped threads) by many clients:
 ///
-/// * **Hits never contend.** Memoized results live in a sharded memo
-///   ([`CacheStats::result_shards`] shards, read-mostly `RwLock` each); a
-///   repeat query takes one shard read lock and clones out an [`Arc`]. No
-///   exclusive lock is taken anywhere on the hit path
+/// * **Hits never contend.** Answers live in one sharded table keyed by
+///   the requested spec ([`CacheStats::result_shards`] shards,
+///   read-mostly `RwLock` each); a repeat query — decorated or not —
+///   hashes its spec once, takes one shard read lock and clones out the
+///   stored [`Arc`]. No exclusive lock is taken anywhere on the hit path
 ///   ([`CacheStats::state_exclusive`] stays flat).
 /// * **Cold queries overlap.** Every cold query — a memo miss, an
 ///   override request, a batch's cold specs — runs one pipeline: it
@@ -380,13 +383,14 @@ struct FlushState {
 /// # Caching
 ///
 /// The engine memoizes aggressively across queries: repeated specs
-/// return from the result memo, and shared sub-specs across *different* roots (ADD8 under both ALU64 and
+/// return from the answer table, and shared sub-specs across *different* roots (ADD8 under both ALU64 and
 /// ADD16, say) are expanded and solved once per engine lifetime. Cached
 /// entries are keyed implicitly by the library's content
-/// [`fingerprint`](CellLibrary::fingerprint) — verified on every call —
-/// and by each spec's *canonical* form (see
+/// [`fingerprint`](CellLibrary::fingerprint) — verified on every call.
+/// A spec first requested is canonicalized (see
 /// [`canon_fingerprint`](crate::canon_fingerprint)): functionally
-/// equivalent spec variants collapse onto one memo entry. Rule or
+/// equivalent spec variants share one solve, each holding the canonical
+/// answer relabelled once as an alias entry. Rule or
 /// configuration changes ([`update_rules`](Self::update_rules) /
 /// [`update_config`](Self::update_config)) invalidate exactly the
 /// affected entries and report what they kept
@@ -428,7 +432,6 @@ pub struct Dtas {
     mem: MemStore,
     store: Option<Arc<dyn ResultStore>>,
     metrics: StoreMetrics,
-    warm: Mutex<Option<WarmSource>>,
     flush: Mutex<FlushState>,
     canon: Canonicalizer,
 }
@@ -483,12 +486,11 @@ impl DtasBuilder {
             library: self.library,
             config: self.config,
             fingerprint,
-            mem: MemStore::new(),
+            mem: MemStore::default(),
             store,
             metrics: StoreMetrics::default(),
-            warm: Mutex::new(None),
             flush: Mutex::new(FlushState::default()),
-            canon: Canonicalizer::new(),
+            canon: Canonicalizer::default(),
         };
         dtas.try_warm_load();
         dtas
@@ -528,17 +530,18 @@ impl Dtas {
     /// Replaces the rule base **in place**, invalidating only the cached
     /// state the change can actually reach.
     ///
-    /// Every memoized answer decoded from the warm-start chain is first
-    /// expanded into the live space under the old rules. Then every live
-    /// spec node's expansion is recomputed under both the old and the new
-    /// rules (a template diff — rule *bodies* count, not just
-    /// membership): nodes whose one-level template list changed, and
-    /// every ancestor of one, are dropped with their fronts and memoized
-    /// results; the rest of the space stays warm. When the change is
-    /// invisible to the name-level rule-set fingerprint (same rule names,
-    /// different bodies) the bound store's chain is superseded, so a
-    /// stale persisted base can never shadow the invalidation on the next
-    /// warm start.
+    /// Every answer with no live node — decoded from the warm-start chain,
+    /// or still pending on it — is first expanded into the live space
+    /// under the old rules. Then every live spec node's expansion is
+    /// recomputed under both the old and the new rules (a template diff —
+    /// rule *bodies* count, not just membership): nodes whose one-level
+    /// template list changed, and every ancestor of one, are dropped with
+    /// their fronts and answers; the rest of the space stays warm. Every
+    /// alias goes too, since canonical forms depend on the rules. When
+    /// the change is invisible to the name-level rule-set fingerprint
+    /// (same rule names, different bodies) the bound store's chain is
+    /// superseded, so a stale persisted base can never shadow the
+    /// invalidation on the next warm start.
     ///
     /// The returned [`InvalidationReport`] says exactly what was dropped,
     /// what stayed warm, and why;
@@ -547,29 +550,21 @@ impl Dtas {
     pub fn update_rules(&mut self, rules: RuleSet) -> InvalidationReport {
         let mut report = InvalidationReport::default();
         let old_key = self.store_key();
-        // The diff below runs over live nodes, so live state must cover
-        // everything persisted: materialize every pending result, then
-        // drop the lazy source (the chain is kept or superseded below).
-        self.prefault();
-        *self.lock_warm() = None;
-        let memo_specs: Vec<ComponentSpec> = self
-            .mem
-            .export_snapshot()
-            .results
-            .into_iter()
-            .map(|(spec, _)| spec)
-            .collect();
+        // The diff below runs over live nodes, so it must see every answer
+        // the table holds, pending persisted ones included.
+        let entries = self.mem.entries();
         let (dirty_count, retained_nodes, retained_fronts, dropped_fronts, clean_specs) = {
             let mut guard = self.mem.write_state();
             let state = &mut *guard;
-            // An answer decoded from the chain has no live node: expand
-            // its spec under the old rules so the diff can judge it. One
+            // An answer from the chain has no live node: expand its spec
+            // under the old rules so the diff can judge it. One
             // whose expansion fails keeps no node and is dropped below.
-            for spec in &memo_specs {
-                if state.space.id_of(spec).is_none() {
-                    let _ = state
-                        .space
-                        .expand(spec, &self.rules, &self.library, &state.models);
+            for entry in &entries {
+                if entry.holds_answer() && state.space.id_of(&entry.spec).is_none() {
+                    let _ =
+                        state
+                            .space
+                            .expand(&entry.spec, &self.rules, &self.library, &state.models);
                 }
             }
             let n = state.space.nodes.len();
@@ -702,10 +697,14 @@ impl Dtas {
                 clean_specs,
             )
         };
-        let (retained_results, dropped_results) =
-            self.mem.retain_results(|spec| clean_specs.contains(spec));
+        // Canonical forms depend on the rules: every alias goes, and the
+        // canonical counters restart.
+        let (retained_results, dropped_results) = self
+            .mem
+            .retain_answers(|spec| clean_specs.contains(spec), false);
+        self.mem.canonical_hits.store(0, Ordering::Relaxed);
+        self.mem.specs_collapsed.store(0, Ordering::Relaxed);
         self.rules = rules;
-        self.canon.clear();
         // The watermark describes a chain keyed under the old rules;
         // unprime so the next checkpoint starts a fresh full base.
         *self.lock_flush() = FlushState::default();
@@ -730,8 +729,8 @@ impl Dtas {
                 // drop it now. An answer whose spec no longer expands
                 // has no node for the diff to clear, so dropping one
                 // counts as dirt too. (Otherwise the diff just proved the
-                // chain still valid — prefault made the memo ⊇ stored —
-                // so it is deliberately kept.)
+                // chain still valid — the table holds every stored
+                // answer — so it is deliberately kept.)
                 if store.supersede(&old_key).is_ok() {
                     report.reasons.push(InvalidationReason::StoreSuperseded);
                 }
@@ -763,18 +762,21 @@ impl Dtas {
     /// * node-front shaping ([`DtasConfig::node_filter`] /
     ///   [`node_cap`](DtasConfig::node_cap) /
     ///   [`max_combinations`](DtasConfig::max_combinations)) drops every
-    ///   front and result but keeps the expanded space;
+    ///   front and answer but keeps the expanded space;
     /// * root shaping ([`DtasConfig::root_filter`] /
     ///   [`root_cap`](DtasConfig::root_cap)) and
     ///   [`uniform_count_limit`](DtasConfig::uniform_count_limit) drop
-    ///   only the memoized results — node fronts stay warm;
+    ///   only the answers — node fronts stay warm;
     /// * [`persist_path`](DtasConfig::persist_path) rebinds the store;
     /// * anything else (compaction ratio, preflight, the no-op
     ///   `threads`) touches nothing cached and returns an empty report.
     ///
-    /// No store supersede is ever needed here: every invalidating field
-    /// is part of [`DtasConfig::result_fingerprint`], so the store key
-    /// changes with the config.
+    /// Every answer dropped takes its aliases' answers with it; an alias
+    /// keeps only the name of its canonical spec, which depends on the
+    /// rules and library alone. No store supersede is ever needed here:
+    /// every invalidating field is part of
+    /// [`DtasConfig::result_fingerprint`], so the store key changes with
+    /// the config.
     pub fn update_config(&mut self, config: DtasConfig) -> InvalidationReport {
         let mut report = InvalidationReport::default();
         let old = &self.config;
@@ -784,13 +786,6 @@ impl Dtas {
         let root_shaping = config.root_filter != old.root_filter || config.root_cap != old.root_cap;
         let uniform = config.uniform_count_limit != old.uniform_count_limit;
         let storage = config.persist_path != old.persist_path;
-        if node_shaping || root_shaping || uniform {
-            // The lazy chain indexes answers this update is about to
-            // drop; make them live first (so the report counts them),
-            // then drop the source.
-            self.prefault();
-            *self.lock_warm() = None;
-        }
         if node_shaping {
             // Node-front shaping reshapes every solved front; the
             // expanded space (rules + library only) stays warm.
@@ -804,7 +799,7 @@ impl Dtas {
                 };
                 (dropped, n)
             };
-            let (_, dropped_results) = self.mem.retain_results(|_| false);
+            let (_, dropped_results) = self.mem.retain_answers(|_| false, true);
             report.dropped.fronts = dropped_fronts;
             report.dropped.results = dropped_results;
             report.retained.nodes = nodes;
@@ -813,7 +808,7 @@ impl Dtas {
         } else if root_shaping || uniform {
             // Only the assembled results carry root shaping / uniform
             // accounting; node fronts below the root stay warm.
-            let (_, dropped_results) = self.mem.retain_results(|_| false);
+            let (_, dropped_results) = self.mem.retain_answers(|_| false, true);
             let (retained_fronts, nodes) = self.mem.front_counts();
             report.dropped.results = dropped_results;
             report.retained.fronts = retained_fronts;
@@ -854,18 +849,6 @@ impl Dtas {
             .persist_path
             .as_ref()
             .map(|dir| Arc::new(PersistentStore::new(dir)) as Arc<dyn ResultStore>);
-    }
-
-    /// The lazy-source lock, recovering from poison by dropping the
-    /// (possibly half-consumed) source — queries fall back to cold
-    /// solves, which is always correct.
-    fn lock_warm(&self) -> MutexGuard<'_, Option<WarmSource>> {
-        self.warm.lock().unwrap_or_else(|poisoned| {
-            self.warm.clear_poison();
-            let mut guard = poisoned.into_inner();
-            *guard = None;
-            guard
-        })
     }
 
     /// The checkpoint-watermark lock, recovering from poison by
@@ -909,68 +892,51 @@ impl Dtas {
                 // decoded. Each answer decodes on its first query.
                 self.metrics.loads.fetch_add(1, Ordering::Relaxed);
                 self.metrics.bytes.store(bytes, Ordering::Relaxed);
-                // Everything the chain indexes is on the store already,
-                // so the next checkpoint appends only what is new.
+                let (base_bytes, delta_bytes) = (source.base_bytes, source.delta_bytes);
+                let sections = Arc::<WarmSource>::from(source).sections();
+                // Everything the chain holds is on the store already, so
+                // the next checkpoint appends only what is new.
                 *self.lock_flush() = FlushState {
-                    results: source.pending_specs().into_iter().collect(),
-                    base_bytes: Some(source.base_bytes),
-                    delta_bytes: source.delta_bytes,
+                    results: sections.keys().cloned().collect(),
+                    base_bytes: Some(base_bytes),
+                    delta_bytes,
                 };
-                *self.lock_warm() = Some(*source);
+                for (spec, section) in sections {
+                    // A live answer for the spec, if any, stands.
+                    let _ = self.mem.probe(&spec, || Source::Persisted(section));
+                }
             }
             LoadOutcome::Missing => {}
             LoadOutcome::Rejected { reason } => self.metrics.reject(reason),
         }
     }
 
-    /// Decodes the persisted result for `spec`, if the loaded chain has
-    /// one that was not consumed yet. `None` means "solve it yourself"
-    /// (no chain, no entry, or damaged bytes — damage is counted as a
-    /// rejection and the entry dropped, so it is never retried).
-    fn warm_materialize(&self, spec: &ComponentSpec) -> Option<SynthResult> {
-        let decoded = self.lock_warm().as_mut()?.take_result(spec)?;
-        match decoded {
-            Ok(result) => {
-                self.metrics
-                    .lazy_materialized
-                    .fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            Err(reason) => {
-                self.metrics.reject(reason);
-                None
-            }
-        }
-    }
-
     /// True while the warm-start chain's base segment is being served
     /// from a shared read-only memory mapping (64-bit unix with an
     /// on-disk store) — N processes on one host then share a single
-    /// page-cache copy of the snapshot. False on other platforms, after
-    /// the source is dropped, or when no chain was loaded.
+    /// page-cache copy of the snapshot. False on other platforms, once
+    /// no answer from the chain is held any more, or when no chain was
+    /// loaded.
     pub fn warm_base_mapped(&self) -> bool {
-        self.lock_warm().as_ref().is_some_and(WarmSource::is_mapped)
+        let mapped =
+            |e: &Arc<MemoEntry>| matches!(&e.source, Source::Persisted(s) if s.is_mapped());
+        self.mem.entries().iter().any(mapped)
     }
 
     /// Forces every still-pending persisted result to decode into the
-    /// memo right now, returning how many were materialized. Queries
-    /// normally pay this per spec on first request; `prefault` is the
-    /// eager-load escape hatch (and what the perf harness uses to price
-    /// lazy vs. full loading).
+    /// answer table right now, returning how many were materialized.
+    /// Queries normally pay this per spec on first request; `prefault` is
+    /// the eager-load escape hatch (and what the perf harness uses to
+    /// price lazy vs. full loading). A damaged section counts one
+    /// rejection and its spec is solved cold in its place.
     pub fn prefault(&self) -> usize {
-        let pending = match self.lock_warm().as_ref() {
-            Some(source) => source.pending_specs(),
-            None => return 0,
-        };
-        let mut materialized = 0;
-        for spec in pending {
-            if let Some(result) = self.warm_materialize(&spec) {
-                let cell = self.mem.result_cell(&spec);
-                let _ = cell.get_or_init(|| result);
-                materialized += 1;
-            }
-        }
-        materialized
+        let start = Instant::now();
+        self.mem
+            .entries()
+            .iter()
+            .filter(|e| e.cell.get().is_none() && e.holds_answer())
+            .filter(|e| self.fill(e, start, &mut Presolved::new()).1)
+            .count()
     }
 
     /// Why the bound store's snapshot was rejected at the last warm-start
@@ -1108,26 +1074,21 @@ impl Dtas {
     /// memoized results, spec models) and resets every counter. Snapshots
     /// already persisted by the bound store are untouched.
     pub fn clear_cache(&self) {
+        // Clearing is in-memory only, and it drops the answers pending on
+        // the loaded chain too: it must not resurrect persisted answers.
         self.mem.clear();
         self.metrics.reset();
-        self.canon.clear();
-        // Clearing is in-memory only: it must not resurrect persisted
-        // answers either.
-        *self.lock_warm() = None;
         *self.lock_flush() = FlushState::default();
     }
 
     /// Cross-query cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         let (cached_fronts, spec_nodes) = self.mem.front_counts();
-        let lazy_results = self
-            .lock_warm()
-            .as_ref()
-            .map_or(0, WarmSource::pending_results);
+        let (cached_results, lazy_results) = self.mem.answer_counts();
         CacheStats {
             hits: self.mem.hits.load(Ordering::Relaxed),
             misses: self.mem.misses.load(Ordering::Relaxed),
-            cached_results: self.mem.cached_result_count(),
+            cached_results,
             cached_fronts,
             spec_nodes,
             result_shards: self.mem.shard_count(),
@@ -1143,8 +1104,8 @@ impl Dtas {
             compactions: self.metrics.compactions.load(Ordering::Relaxed),
             lazy_results,
             lazy_materialized: self.metrics.lazy_materialized.load(Ordering::Relaxed),
-            canonical_hits: self.canon.canonical_hits.load(Ordering::Relaxed),
-            specs_collapsed: self.canon.specs_collapsed.load(Ordering::Relaxed),
+            canonical_hits: self.mem.canonical_hits.load(Ordering::Relaxed),
+            specs_collapsed: self.mem.specs_collapsed.load(Ordering::Relaxed),
             fronts_retained_on_update: self.metrics.fronts_retained.load(Ordering::Relaxed),
         }
     }
@@ -1154,11 +1115,12 @@ impl Dtas {
     /// [`SynthRequest::new`] for per-request overrides) — and returns the
     /// design set behind an [`Arc`].
     ///
-    /// Requests without overrides are canonicalized (see
-    /// [`canon_fingerprint`](crate::canon_fingerprint)) and served through
-    /// the shared result memo: concurrent callers with memoized specs are
-    /// served without taking any exclusive lock; concurrent callers with
-    /// the *same* cold spec block on one in-flight solve and share its
+    /// Requests without overrides are served through the answer table: a
+    /// repeat request is one probe of its own entry, taking no exclusive
+    /// lock; a first request is canonicalized (see
+    /// [`canon_fingerprint`](crate::canon_fingerprint)), so a spec variant
+    /// shares its canonical spec's solve; concurrent callers with the
+    /// *same* cold spec block on one in-flight solve and share its
     /// result; distinct cold specs solve concurrently. A shared set's
     /// [`SynthStats::elapsed`](crate::SynthStats::elapsed) is the original
     /// solve's, not this call's; deep-clone the set if you need a private
@@ -1166,7 +1128,7 @@ impl Dtas {
     ///
     /// Requests with front overrides recompute only the root front (node
     /// fronts below it are still shared with every other query) and
-    /// bypass the memo; weight-sorted requests sort a private clone.
+    /// bypass the table; weight-sorted requests sort a private clone.
     ///
     /// # Errors
     ///
@@ -1175,71 +1137,117 @@ impl Dtas {
     pub fn run(&self, request: impl Into<SynthRequest>) -> Result<Arc<DesignSet>, SynthError> {
         let start = Instant::now();
         let request = request.into();
-        if !request.has_front_overrides() && request.weights.is_none() {
-            self.shared_result(&request.spec, start)
-        } else {
-            self.override_result(&request, start).map(Arc::new)
+        if request.has_front_overrides() || request.weights.is_some() {
+            return self.override_result(&request, start).map(Arc::new);
         }
-    }
-
-    /// The memoized (non-override) path behind [`run`](Self::run):
-    /// canonicalize, serve through the collapsed memo entry, rewrite the
-    /// answer back to the caller's raw spec.
-    fn shared_result(&self, spec: &ComponentSpec, start: Instant) -> SynthResult {
-        let canonical = self.canon.canonical(spec, &self.rules, &self.library);
-        canon::rewrite_result(self.memoized(&canonical, start), spec, &canonical)
-    }
-
-    /// The memo entry of a canonical spec. A miss solves inside its cell,
-    /// so concurrent callers of one cold spec share one solve. The hit
-    /// probe is written out here and in `run_batch`: routed through one
-    /// shared helper, a hit measured ~5% slower.
-    fn memoized(&self, spec: &ComponentSpec, start: Instant) -> SynthResult {
         self.check_fingerprint();
-        let cell = self.mem.result_cell(spec);
-        if let Some(result) = cell.get() {
-            self.mem.hits.fetch_add(1, Ordering::Relaxed);
-            return result.clone();
+        let spec = &request.spec;
+        self.lookup(spec, || self.source_of(spec))
+            .unwrap_or_else(|entry| self.resolve(&entry, start, &mut Presolved::new()))
+    }
+
+    /// Where a new entry's answer comes from: the canonicalizer's verdict.
+    fn source_of(&self, spec: &ComponentSpec) -> Source {
+        let canon = self.canon.canonicalize(spec, &self.rules, &self.library);
+        if canon == *spec {
+            Source::Solve
+        } else {
+            Source::Alias(canon)
         }
-        if let Some(result) = self.warm_materialize(spec) {
-            // A persisted result, decoded on first request. It counts as
-            // a hit (the answer came from the cache, not a solve); if
-            // another client raced us to the cell, the bit-identical
-            // first value stands.
-            self.mem.hits.fetch_add(1, Ordering::Relaxed);
-            return cell.get_or_init(|| result).clone();
+    }
+
+    /// One probe of the table: a hit is counted and returned; otherwise
+    /// the spec's entry, created from `source` when missing.
+    fn lookup(
+        &self,
+        spec: &ComponentSpec,
+        source: impl FnOnce() -> Source,
+    ) -> Result<SynthResult, Arc<MemoEntry>> {
+        let (answer, alias) = self.mem.probe(spec, source)?;
+        self.mem.hits.fetch_add(1, Ordering::Relaxed);
+        if alias {
+            self.mem.canonical_hits.fetch_add(1, Ordering::Relaxed);
         }
-        let mut solved_here = false;
-        let result = cell.get_or_init(|| {
-            solved_here = true;
+        Ok(answer)
+    }
+
+    /// Fills a looked-up entry and counts the request: a hit when another
+    /// caller filled it or its answer decoded from the chain, a miss
+    /// (counted at the solve) when this call solved it, and an alias as
+    /// its canonical spec's request.
+    fn resolve(&self, entry: &MemoEntry, start: Instant, presolved: &mut Presolved) -> SynthResult {
+        if entry.is_alias() {
+            self.mem.canonical_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let (answer, served) = self.fill(entry, start, presolved);
+        if served {
+            self.mem.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        answer
+    }
+
+    /// Sets an entry's answer once, from its source: the canonical spec's
+    /// answer relabelled for an alias, the decoded section for a
+    /// persisted answer, otherwise a solve (taken from `presolved` when
+    /// the batch solved it). A damaged section counts one rejection and
+    /// the spec is solved instead, in the same cell, so it is never
+    /// decoded again. The flag is true when the answer was served without
+    /// a solve or relabel of this call's own: decoded, or filled by
+    /// another caller.
+    fn fill(
+        &self,
+        entry: &MemoEntry,
+        start: Instant,
+        presolved: &mut Presolved,
+    ) -> (SynthResult, bool) {
+        let (mut served, mut solved) = (true, false);
+        let answer = entry.cell.get_or_init(|| {
+            if let Source::Alias(canonical) = &entry.source {
+                served = false;
+                let answer = self
+                    .lookup(canonical, || Source::Solve)
+                    .unwrap_or_else(|own| self.resolve(&own, start, presolved));
+                return canon::relabel(answer, &entry.spec, canonical);
+            }
+            if let Source::Persisted(section) = &entry.source {
+                match section.decode() {
+                    Ok(answer) => {
+                        self.metrics
+                            .lazy_materialized
+                            .fetch_add(1, Ordering::Relaxed);
+                        return answer;
+                    }
+                    Err(reason) => self.metrics.reject(reason),
+                }
+            }
+            (served, solved) = (false, true);
             self.mem.misses.fetch_add(1, Ordering::Relaxed);
-            let shape = (self.config.root_filter, self.config.root_cap);
-            let mut solved = self.solve_cold(&[spec], shape, start);
-            solved.pop().expect("one answer per spec")
+            presolved.remove(&entry.spec).unwrap_or_else(|| {
+                let shape = (self.config.root_filter, self.config.root_cap);
+                let mut answers = self.solve_cold(&[&entry.spec], shape, start);
+                answers.pop().expect("one answer per spec")
+            })
         });
-        if solved_here {
-            // Only now — with the result in its cell and the fronts
+        if solved {
+            // Only now — with the answer in its cell and the fronts
             // merged back — is this solve flushable; a checkpoint that
             // sampled mid-solve must not have marked it as flushed.
             self.mem.settled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // Another client solved this spec while we waited on the cell.
-            self.mem.hits.fetch_add(1, Ordering::Relaxed);
         }
-        result.clone()
+        (answer.clone(), served)
     }
 
     /// The override path behind [`run`](Self::run): a private root front
     /// and/or a weight-sorted clone. Override solves keep the caller's
-    /// raw spec end-to-end — they bypass the memo, so there is no shared
-    /// key to canonicalize.
+    /// raw spec end-to-end — they bypass the table, so there is no shared
+    /// key to canonicalize, and nothing they produce is persisted.
     fn override_result(
         &self,
         request: &SynthRequest,
         start: Instant,
     ) -> Result<DesignSet, SynthError> {
         let mut set = if !request.has_front_overrides() {
-            let shared = self.shared_result(&request.spec, start)?;
+            let shared = self.run(&request.spec)?;
             let mut set = DesignSet::clone(&shared);
             set.stats.elapsed = start.elapsed();
             set
@@ -1251,9 +1259,6 @@ impl Dtas {
             self.check_fingerprint();
             self.mem.misses.fetch_add(1, Ordering::Relaxed);
             let solved = self.solve_cold(&[&request.spec], shape, start).pop();
-            // Settle even on error: the solve may have grown shared
-            // space/fronts that the next checkpoint should consider.
-            self.mem.settled.fetch_add(1, Ordering::Relaxed);
             Arc::unwrap_or_clone(solved.expect("one answer per spec")?)
         };
         if let Some((area_weight, delay_weight)) = request.weights {
@@ -1284,58 +1289,45 @@ impl Dtas {
     pub fn run_batch(&self, specs: &[ComponentSpec]) -> Vec<Result<Arc<DesignSet>, SynthError>> {
         let start = Instant::now();
         self.check_fingerprint();
-        // Canonicalize every slot, then dedupe by canonical spec in
-        // first-appearance order — padded/styled variants of one
-        // canonical spec collapse onto a single solve here.
-        let canonical: Vec<ComponentSpec> = specs
-            .iter()
-            .map(|spec| self.canon.canonical(spec, &self.rules, &self.library))
-            .collect();
-        let mut distinct: Vec<&ComponentSpec> = Vec::new();
+        // One lookup per distinct requested spec, in first-appearance order.
+        let mut looked = Vec::new();
         let mut slot_of: HashMap<&ComponentSpec, usize> = HashMap::new();
-        for spec in &canonical {
-            if !slot_of.contains_key(spec) {
-                slot_of.insert(spec, distinct.len());
-                distinct.push(spec);
+        for spec in specs {
+            slot_of.entry(spec).or_insert_with(|| {
+                looked.push(self.lookup(spec, || self.source_of(spec)));
+                looked.len() - 1
+            });
+        }
+        // The canonical specs the empty entries wait on a solve of, each
+        // once, in first-appearance order: padded/styled variants of one
+        // canonical spec collapse onto a single solve here.
+        let mut cold: Vec<ComponentSpec> = Vec::new();
+        for entry in looked.iter().filter_map(|looked| looked.as_ref().err()) {
+            let own = match &entry.source {
+                Source::Alias(canonical) => match self.mem.probe(canonical, || Source::Solve) {
+                    Ok(_) => continue,
+                    Err(own) => own,
+                },
+                _ => Arc::clone(entry),
+            };
+            if matches!(own.source, Source::Solve) && !cold.contains(&own.spec) {
+                cold.push(own.spec.clone());
             }
         }
-        let mut answers: Vec<Option<SynthResult>> = vec![None; distinct.len()];
-        let mut cold: Vec<(usize, Arc<ResultCell>)> = Vec::new();
-        for (i, spec) in distinct.iter().enumerate() {
-            let cell = self.mem.result_cell(spec);
-            if let Some(result) = cell.get() {
-                self.mem.hits.fetch_add(1, Ordering::Relaxed);
-                answers[i] = Some(result.clone());
-            } else if let Some(result) = self.warm_materialize(spec) {
-                // Persisted result decoded on first request — a hit,
-                // exactly as in `memoized`.
-                self.mem.hits.fetch_add(1, Ordering::Relaxed);
-                answers[i] = Some(cell.get_or_init(|| result).clone());
-            } else {
-                cold.push((i, cell));
-            }
-        }
+        let mut presolved = Presolved::new();
         if !cold.is_empty() {
-            let cold_specs: Vec<&ComponentSpec> = cold.iter().map(|&(i, _)| distinct[i]).collect();
+            let cold_specs: Vec<&ComponentSpec> = cold.iter().collect();
             let shape = (self.config.root_filter, self.config.root_cap);
             let solved = self.solve_cold(&cold_specs, shape, start);
-            for ((i, cell), result) in cold.into_iter().zip(solved) {
-                // Memoize through the cell: if another client raced us to
-                // this spec, its (bit-identical) result stands and ours is
-                // dropped. Either way this call solved, so it counts as a
-                // miss.
-                self.mem.misses.fetch_add(1, Ordering::Relaxed);
-                answers[i] = Some(cell.get_or_init(|| result).clone());
-                self.mem.settled.fetch_add(1, Ordering::Relaxed);
-            }
+            presolved = cold.into_iter().zip(solved).collect();
         }
+        let answers: Vec<SynthResult> = looked
+            .into_iter()
+            .map(|looked| looked.unwrap_or_else(|e| self.resolve(&e, start, &mut presolved)))
+            .collect();
         specs
             .iter()
-            .zip(&canonical)
-            .map(|(raw, canon_spec)| {
-                let answer = answers[slot_of[canon_spec]].clone();
-                canon::rewrite_result(answer.expect("every batch slot filled"), raw, canon_spec)
-            })
+            .map(|spec| answers[slot_of[spec]].clone())
             .collect()
     }
 
@@ -1748,12 +1740,12 @@ mod tests {
         assert_eq!(
             (stats.misses, stats.hits),
             (1, 1),
-            "styled variant must be served from the collapsed entry: {stats}"
+            "styled variant must be served from the canonical entry: {stats}"
         );
         assert!(stats.canonical_hits >= 1, "{stats}");
         assert!(stats.specs_collapsed >= 1, "{stats}");
-        // The rewrite restores the caller's spec label; everything else
-        // matches the collapsed solve.
+        // The relabel restores the caller's spec label; everything else
+        // matches the canonical solve.
         assert_eq!(b.spec, styled);
         assert_eq!(a.alternatives.len(), b.alternatives.len());
         for (x, y) in a.alternatives.iter().zip(&b.alternatives) {

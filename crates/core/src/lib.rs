@@ -17,14 +17,14 @@
 //! trade-offs.
 //!
 //! The [`Dtas`] engine is built for service workloads: it is `Sync`,
-//! answers repeated queries from a sharded result memo without taking any
+//! answers repeated queries from a sharded answer table without taking any
 //! exclusive lock (parallel clients with cache hits never contend), solves
 //! distinct cold specifications concurrently against snapshots of one
 //! shared design space, and accepts whole query batches
 //! ([`run_batch`](Dtas::run_batch)) that are expanded and solved in a
-//! single bottom-up pass. Every query is keyed by its *canonical*
-//! specification ([`canon`]) so functionally equivalent spec variants
-//! collapse onto one cache entry, and the rule base / configuration can
+//! single bottom-up pass. A spec first requested is reduced to its
+//! *canonical* specification ([`canon`]) so functionally equivalent spec
+//! variants share one solve, and the rule base / configuration can
 //! be updated in place ([`Dtas::update_rules`] / [`Dtas::update_config`])
 //! with delta invalidation that keeps unaffected cached state warm.
 //!

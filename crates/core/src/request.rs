@@ -10,7 +10,7 @@ use std::time::Duration;
 /// `engine.run(SynthRequest::new(spec).with_front_cap(3))` are the same
 /// entry point).
 ///
-/// A request without overrides shares the canonicalized result memo.
+/// A request without overrides shares the engine's answer table.
 /// Overrides reshape only the *root* of the query — node fronts
 /// below it are still shared with every other query — so request-specific
 /// answers stay cheap:
@@ -114,7 +114,7 @@ impl SynthRequest {
     }
 
     /// True when the request changes how the root front is computed (such
-    /// requests bypass the spec-keyed result memo).
+    /// requests bypass the spec-keyed answer table).
     pub fn has_front_overrides(&self) -> bool {
         self.root_filter.is_some() || self.root_cap.is_some()
     }

@@ -1,5 +1,5 @@
-//! The engine's in-memory store: one shared design space plus a sharded,
-//! read-mostly result memo.
+//! The engine's in-memory store: one shared design space plus the answer
+//! table, the one place an answer lives.
 //!
 //! This is the hot-path half of the storage layer. It is its own module
 //! so the memoized answers can be exported to a
@@ -7,31 +7,34 @@
 //! [`EngineSnapshot`]) without the engine knowing how snapshots are
 //! encoded or where they live.
 //!
-//! The locking discipline is unchanged from the pre-store engine and is
-//! what the concurrency tests pin: memoized queries take exactly one
-//! shard *read* lock (never an exclusive lock), cold queries expand under
-//! a brief exclusive lock and solve against snapshots, and every
-//! acquisition recovers from poison by clearing the affected state.
+//! The table is sharded and read-mostly, keyed by the *requested* spec.
+//! A repeat query hashes its spec once, takes exactly one shard *read*
+//! lock and clones out the stored `Arc` (never an exclusive lock); cold
+//! queries expand under a brief exclusive lock and solve against
+//! snapshots, and every acquisition recovers from poison by clearing the
+//! affected state.
 
 use crate::report::DesignSet;
 use crate::space::{DesignSpace, FrontStore};
+use crate::store::segment::Section;
 use crate::store::EngineSnapshot;
 use crate::template::SpecModelCache;
 use crate::SynthError;
 use genus::spec::ComponentSpec;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Number of result-memo shards. Hit-path lookups only share a lock with
+/// Number of answer-table shards. Hit-path lookups only share a lock with
 /// queries that hash to the same shard — and even those take it in read
 /// mode, so hits never serialize.
 const RESULT_SHARDS: usize = 16;
 
 /// Cross-query synthesis state shared by every solve on one engine: the
 /// growing design space, solved per-node fronts, and the spec-model
-/// cache. Whole-result memoization lives outside, in the sharded memo.
+/// cache. Whole answers live outside, in the answer table.
 #[derive(Default)]
 pub(crate) struct SharedState {
     pub(crate) space: DesignSpace,
@@ -56,22 +59,77 @@ impl SharedState {
     }
 }
 
-/// A memoized whole-query result: set exactly once, then served to every
-/// later caller. Concurrent first callers block on the cell (one solves,
-/// the rest are served its result) instead of solving redundantly.
-pub(crate) type ResultCell = OnceLock<Result<Arc<DesignSet>, SynthError>>;
+/// One query's answer, as stored and handed out.
+pub(crate) type SynthResult = Result<Arc<DesignSet>, SynthError>;
 
-type MemoShard = RwLock<HashMap<ComponentSpec, Arc<ResultCell>>>;
+/// Where an entry's answer comes from while its cell is still empty.
+pub(crate) enum Source {
+    /// The spec is canonical: this engine solves it.
+    Solve,
+    /// The spec's answer is persisted in the loaded chain; it decodes on
+    /// first request.
+    Persisted(Section),
+    /// The spec canonicalizes to this other spec: its answer is the
+    /// canonical spec's, relabelled once for the requested spec.
+    Alias(ComponentSpec),
+}
+
+/// One row of the answer table: the requested spec, its answer (set
+/// once) and where that answer comes from. Concurrent first callers
+/// block on the cell: one fills it, the rest are served its answer.
+pub(crate) struct MemoEntry {
+    pub(crate) spec: ComponentSpec,
+    pub(crate) cell: OnceLock<SynthResult>,
+    pub(crate) source: Source,
+}
+
+impl MemoEntry {
+    fn new(spec: ComponentSpec, source: Source) -> Self {
+        MemoEntry {
+            spec,
+            cell: OnceLock::new(),
+            source,
+        }
+    }
+
+    pub(crate) fn is_alias(&self) -> bool {
+        matches!(self.source, Source::Alias(_))
+    }
+
+    /// A spec's own answer, solved, decoded or still pending on the
+    /// chain: what is exported, persisted and invalidated as a result.
+    /// Aliases never count.
+    pub(crate) fn holds_answer(&self) -> bool {
+        match self.source {
+            Source::Solve => self.cell.get().is_some(),
+            Source::Persisted(_) => true,
+            Source::Alias(_) => false,
+        }
+    }
+}
+
+/// One shard of the answer table, keyed by the requested spec's hash.
+type Table = HashMap<u64, Arc<MemoEntry>>;
+type Shard = RwLock<Table>;
 
 /// The sharded in-memory engine store: shared space/front state behind an
-/// `RwLock`, whole-query results behind [`RESULT_SHARDS`] read-mostly
-/// shards, and the contention/recovery counters the engine reports via
+/// `RwLock`, the answer table behind [`RESULT_SHARDS`] read-mostly shards,
+/// and the counters the engine reports via
 /// [`CacheStats`](crate::CacheStats).
 pub(crate) struct MemStore {
     state: RwLock<SharedState>,
-    memo: Vec<MemoShard>,
+    /// Hashes each requested spec once per probe; the hash picks the
+    /// shard and keys the entry. Seeded per store, so no client can aim
+    /// two specs at one key.
+    hasher: RandomState,
+    table: Vec<Shard>,
     pub(crate) hits: AtomicU64,
     pub(crate) misses: AtomicU64,
+    /// Requests answered through an alias.
+    pub(crate) canonical_hits: AtomicU64,
+    /// Aliases created: distinct requested specs that canonicalize to
+    /// another spec.
+    pub(crate) specs_collapsed: AtomicU64,
     /// Solves whose effects (memoized result, merged fronts) have fully
     /// landed in this store. `misses` increments when a solve *starts*,
     /// so the checkpoint skip/flush decision keys on this counter
@@ -87,9 +145,12 @@ impl Default for MemStore {
     fn default() -> Self {
         MemStore {
             state: RwLock::new(SharedState::default()),
-            memo: (0..RESULT_SHARDS).map(|_| MemoShard::default()).collect(),
+            hasher: RandomState::new(),
+            table: (0..RESULT_SHARDS).map(|_| Shard::default()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            canonical_hits: AtomicU64::new(0),
+            specs_collapsed: AtomicU64::new(0),
             settled: AtomicU64::new(0),
             shard_contention: AtomicU64::new(0),
             state_exclusive: AtomicU64::new(0),
@@ -99,10 +160,6 @@ impl Default for MemStore {
 }
 
 impl MemStore {
-    pub(crate) fn new() -> Self {
-        MemStore::default()
-    }
-
     /// Exclusive access to the shared space/fronts. On poison the state is
     /// dropped and rebuilt before the guard is returned.
     pub(crate) fn write_state(&self) -> RwLockWriteGuard<'_, SharedState> {
@@ -131,11 +188,8 @@ impl MemStore {
         }
     }
 
-    /// Exclusive access to one memo shard, clearing it on poison.
-    fn shard_write<'a>(
-        &self,
-        shard: &'a MemoShard,
-    ) -> RwLockWriteGuard<'a, HashMap<ComponentSpec, Arc<ResultCell>>> {
+    /// Exclusive access to one shard, clearing it on poison.
+    fn shard_write<'a>(&self, shard: &'a Shard) -> RwLockWriteGuard<'a, Table> {
         match shard.write() {
             Ok(guard) => guard,
             Err(poisoned) => {
@@ -148,11 +202,8 @@ impl MemStore {
         }
     }
 
-    /// Shared access to one memo shard, recovering on poison.
-    fn shard_read<'a>(
-        &self,
-        shard: &'a MemoShard,
-    ) -> RwLockReadGuard<'a, HashMap<ComponentSpec, Arc<ResultCell>>> {
+    /// Shared access to one shard, recovering on poison.
+    fn shard_read<'a>(&self, shard: &'a Shard) -> RwLockReadGuard<'a, Table> {
         loop {
             match shard.read() {
                 Ok(guard) => return guard,
@@ -161,17 +212,21 @@ impl MemStore {
         }
     }
 
-    fn shard_of(&self, spec: &ComponentSpec) -> &MemoShard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        spec.hash(&mut hasher);
-        &self.memo[hasher.finish() as usize % self.memo.len()]
-    }
-
-    /// The memo cell for a spec, creating it if absent. The fast path is a
-    /// shared read; `try_read` first so contention is observable in
-    /// [`CacheStats::shard_contention`](crate::CacheStats::shard_contention).
-    pub(crate) fn result_cell(&self, spec: &ComponentSpec) -> Arc<ResultCell> {
-        let shard = self.shard_of(spec);
+    /// The hit probe: one hash of the requested spec, one shard read lock
+    /// (`try_read` first, so contention is observable in
+    /// [`CacheStats::shard_contention`](crate::CacheStats::shard_contention))
+    /// and one `Arc` clone of the stored answer, `true` for an alias's;
+    /// the caller counts the hit. Otherwise the spec's entry to fill,
+    /// inserted from `source` unless another caller got there first. A
+    /// spec whose 64-bit hash another spec holds gets an entry that is
+    /// never stored: solved on every request, never answered wrongly.
+    pub(crate) fn probe(
+        &self,
+        spec: &ComponentSpec,
+        source: impl FnOnce() -> Source,
+    ) -> Result<(SynthResult, bool), Arc<MemoEntry>> {
+        let hash = self.hasher.hash_one(spec);
+        let shard = &self.table[hash as usize % self.table.len()];
         let read = match shard.try_read() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
@@ -180,24 +235,45 @@ impl MemStore {
             }
             Err(std::sync::TryLockError::Poisoned(_)) => self.shard_read(shard),
         };
-        if let Some(cell) = read.get(spec) {
-            return cell.clone();
+        if let Some(entry) = read.get(&hash).filter(|entry| entry.spec == *spec) {
+            return match entry.cell.get() {
+                Some(answer) => Ok((answer.clone(), entry.is_alias())),
+                None => Err(Arc::clone(entry)),
+            };
         }
         drop(read);
-        self.shard_write(shard)
-            .entry(spec.clone())
-            .or_default()
-            .clone()
+        let entry = Arc::new(MemoEntry::new(spec.clone(), source()));
+        Err(match self.shard_write(shard).entry(hash) {
+            Entry::Occupied(slot) if slot.get().spec == *spec => Arc::clone(slot.get()),
+            Entry::Occupied(_) => entry,
+            Entry::Vacant(slot) => {
+                if entry.is_alias() {
+                    self.specs_collapsed.fetch_add(1, Ordering::Relaxed);
+                }
+                Arc::clone(slot.insert(entry))
+            }
+        })
+    }
+
+    /// Every entry, cloned out shard by shard.
+    pub(crate) fn entries(&self) -> Vec<Arc<MemoEntry>> {
+        let mut entries = Vec::new();
+        for shard in &self.table {
+            entries.extend(self.shard_read(shard).values().cloned());
+        }
+        entries
     }
 
     /// Drops all cross-query synthesis state and resets every counter.
     pub(crate) fn clear(&self) {
         self.write_state().reset();
-        for shard in &self.memo {
+        for shard in &self.table {
             self.shard_write(shard).clear();
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
+        self.canonical_hits.store(0, Ordering::Relaxed);
+        self.specs_collapsed.store(0, Ordering::Relaxed);
         self.settled.store(0, Ordering::Relaxed);
         self.shard_contention.store(0, Ordering::Relaxed);
         self.state_exclusive.store(0, Ordering::Relaxed);
@@ -210,60 +286,64 @@ impl MemStore {
         (state.fronts.solved_count(), state.space.nodes.len())
     }
 
-    /// Whole result sets currently memoized with an `Ok` value.
-    pub(crate) fn cached_result_count(&self) -> usize {
-        self.memo
-            .iter()
-            .map(|shard| {
-                self.shard_read(shard)
-                    .values()
-                    .filter(|cell| matches!(cell.get(), Some(Ok(_))))
-                    .count()
-            })
-            .sum()
+    /// `(cached, pending)`: specs' own `Ok` answers held (not aliases),
+    /// and persisted answers not decoded yet.
+    pub(crate) fn answer_counts(&self) -> (usize, usize) {
+        let entries = self.entries();
+        let count = |f: fn(&MemoEntry) -> bool| entries.iter().filter(|e| f(e)).count();
+        (
+            count(|e| !e.is_alias() && matches!(e.cell.get(), Some(Ok(_)))),
+            count(|e| e.cell.get().is_none() && e.holds_answer()),
+        )
     }
 
-    /// Number of memo shards (fixed per store).
+    /// Number of table shards (fixed per store).
     pub(crate) fn shard_count(&self) -> usize {
-        self.memo.len()
+        self.table.len()
     }
 
-    /// Drops every memoized result whose spec fails `keep`, returning
-    /// `(retained, dropped)` counts of *settled* entries (empty cells —
-    /// created by lookups that never solved — are filtered silently,
-    /// they hold no answer to invalidate). Callers hold `&mut` on the
-    /// engine, so no client can be mid-flight on a dropped cell.
-    pub(crate) fn retain_results(&self, keep: impl Fn(&ComponentSpec) -> bool) -> (usize, usize) {
-        let mut retained = 0;
-        let mut dropped = 0;
-        for shard in &self.memo {
-            self.shard_write(shard).retain(|spec, cell| {
-                let settled = cell.get().is_some();
-                let keep = keep(spec);
-                match (keep, settled) {
-                    (true, true) => retained += 1,
-                    (false, true) => dropped += 1,
-                    _ => {}
+    /// Drops every answer whose spec fails `keep`, and every alias's
+    /// answer; with `links` an alias stays, empty, naming its canonical
+    /// spec. Returns `(retained, dropped)` counts of specs' own answers,
+    /// pending persisted ones included. Callers hold `&mut` on the
+    /// engine, so no client can be mid-flight on a dropped entry.
+    pub(crate) fn retain_answers(
+        &self,
+        keep: impl Fn(&ComponentSpec) -> bool,
+        links: bool,
+    ) -> (usize, usize) {
+        let (mut retained, mut dropped) = (0, 0);
+        for shard in &self.table {
+            self.shard_write(shard).retain(|_, entry| {
+                if let Source::Alias(canonical) = &entry.source {
+                    let source = Source::Alias(canonical.clone());
+                    *entry = Arc::new(MemoEntry::new(entry.spec.clone(), source));
+                    return links;
                 }
-                keep
+                let kept = keep(&entry.spec);
+                let held = usize::from(entry.holds_answer());
+                if kept {
+                    retained += held;
+                } else {
+                    dropped += held;
+                }
+                kept
             });
         }
         (retained, dropped)
     }
 
-    /// Copies the persistable state out: every *settled* memo entry
-    /// (cells still being solved by an in-flight client are skipped —
-    /// they will be persisted by a later checkpoint). Cheap relative to
-    /// solving: each answer is an `Arc` bump.
+    /// Copies the persistable state out: every spec's own answer that is
+    /// set. Aliases never leave the table, and neither do entries still
+    /// being filled by an in-flight client (a later checkpoint persists
+    /// them). Cheap relative to solving: each answer is an `Arc` bump.
     pub(crate) fn export_snapshot(&self) -> EngineSnapshot {
-        let mut results: Vec<(ComponentSpec, Result<Arc<DesignSet>, SynthError>)> = Vec::new();
-        for shard in &self.memo {
-            for (spec, cell) in self.shard_read(shard).iter() {
-                if let Some(result) = cell.get() {
-                    results.push((spec.clone(), result.clone()));
-                }
-            }
-        }
+        let mut results: Vec<(ComponentSpec, SynthResult)> = self
+            .entries()
+            .iter()
+            .filter(|entry| !entry.is_alias())
+            .filter_map(|entry| Some((entry.spec.clone(), entry.cell.get()?.clone())))
+            .collect();
         // Shard + HashMap iteration order is nondeterministic; keep the
         // snapshot canonical so identical engine states encode to
         // identical bytes.

@@ -72,10 +72,10 @@ pub struct StoreKey {
     /// of the filters/caps that shaped every front.
     pub config: u64,
     /// Fingerprint of the canonicalization scheme
-    /// ([`canon_fingerprint`](crate::canon_fingerprint)) the
-    /// engine applied ahead of every memo key: specs stored under one
-    /// scheme's canonical forms must never warm an engine running
-    /// another.
+    /// ([`canon_fingerprint`](crate::canon_fingerprint)) that picked the
+    /// canonical specs whose answers the engine persists: specs stored
+    /// under one scheme's canonical forms must never warm an engine
+    /// running another.
     pub canon: u64,
 }
 
@@ -107,8 +107,8 @@ pub enum LoadOutcome {
     /// [`WarmSource`].
     Loaded {
         /// The validated chain, ready to serve an engine (boxed: a
-        /// chain carries its maps and decode cursors, and the enum
-        /// would otherwise dwarf `Missing`).
+        /// chain carries its segments, and the enum would otherwise
+        /// dwarf `Missing`).
         source: Box<WarmSource>,
         /// Total encoded size (base + deltas), for
         /// [`CacheStats::snapshot_bytes`](crate::CacheStats::snapshot_bytes).

@@ -358,15 +358,13 @@ fn verified_result<'a>(
     Ok(slice)
 }
 
-/// A validated chain, held by a warm-started engine as its lazy read
-/// path: the base stays mapped (where supported) and each answer decodes
-/// from its own section on first request.
+/// A validated chain: the base stays mapped (where supported) and each
+/// answer decodes from its own section on first request. A warm-started
+/// engine keeps one [`Section`] per persisted answer in its answer table;
+/// the sections share the chain, so it lives as long as any of them.
 pub struct WarmSource {
-    base: Segment,
-    deltas: Vec<Segment>,
-    /// spec -> (segment: 0 = base, i+1 = deltas[i]; result index within
-    /// it). Later segments win.
-    index: HashMap<ComponentSpec, (usize, usize)>,
+    /// The base, then its deltas in chain order.
+    segments: Vec<Segment>,
     /// Encoded size of the base segment.
     pub(crate) base_bytes: u64,
     /// Total encoded size of the delta segments.
@@ -374,60 +372,59 @@ pub struct WarmSource {
 }
 
 impl WarmSource {
-    /// Number of deltas chained onto the base.
-    pub fn delta_count(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// Memoized results still awaiting lazy materialization.
-    pub fn pending_results(&self) -> usize {
-        self.index.len()
-    }
-
     /// True when the base segment is memory-mapped rather than copied.
     pub fn is_mapped(&self) -> bool {
-        self.base.bytes.is_mapped()
+        self.segments[0].bytes.is_mapped()
     }
 
     /// The base's random id (for watermark bookkeeping).
     pub(crate) fn base_id(&self) -> u64 {
-        self.base.header.base_id
+        self.segments[0].header.base_id
     }
 
     /// Header checksum of the last segment — the `prev_link` a new delta
     /// must carry to chain onto this source.
     pub(crate) fn last_link(&self) -> u64 {
-        self.deltas
-            .last()
-            .unwrap_or(&self.base)
-            .header
-            .header_checksum
+        let last = self.segments.last().expect("a chain holds its base");
+        last.header.header_checksum
     }
 
-    /// Decodes (and consumes) the stored answer for `spec` from its own
-    /// section. Returns `None` when no answer is indexed; `Some(Err)` when
-    /// the stored bytes are damaged — the entry is removed either way, so
-    /// a damaged answer is reported once and then re-solved, never
-    /// retried against the same bad bytes.
-    pub(crate) fn take_result(
-        &mut self,
-        spec: &ComponentSpec,
-    ) -> Option<Result<Result<Arc<DesignSet>, SynthError>, Rejection>> {
-        let (seg, idx) = self.index.remove(spec)?;
-        let segment = match seg {
-            0 => &self.base,
-            _ => &self.deltas[seg - 1],
-        };
-        Some(
-            verified_result(&segment.bytes, &segment.header, idx)
-                .map_err(Rejection::from)
-                .and_then(|slice| codec::decode_result_body(slice, &segment.header.results[idx].0)),
-        )
+    /// Every persisted answer's section, keyed by spec. A spec answered
+    /// in more than one segment takes the latest.
+    pub(crate) fn sections(self: Arc<Self>) -> HashMap<ComponentSpec, Section> {
+        let mut sections = HashMap::new();
+        for (seg, segment) in self.segments.iter().enumerate() {
+            for (idx, (spec, _)) in segment.header.results.iter().enumerate() {
+                let chain = Arc::clone(&self);
+                sections.insert(spec.clone(), Section { chain, seg, idx });
+            }
+        }
+        sections
+    }
+}
+
+/// Where one persisted answer lives in a loaded chain: segment `seg`
+/// (0 is the base), result `idx` of its index.
+pub(crate) struct Section {
+    chain: Arc<WarmSource>,
+    seg: usize,
+    idx: usize,
+}
+
+impl Section {
+    /// Verifies the section's checksum and decodes its answer. A damaged
+    /// section is a [`Rejection`]; the caller solves the spec instead and
+    /// never decodes this section again.
+    pub(crate) fn decode(&self) -> Result<Result<Arc<DesignSet>, SynthError>, Rejection> {
+        let segment = &self.chain.segments[self.seg];
+        verified_result(&segment.bytes, &segment.header, self.idx)
+            .map_err(Rejection::from)
+            .and_then(|slice| codec::decode_result_body(slice, &segment.header.results[self.idx].0))
     }
 
-    /// Every spec with a pending stored result.
-    pub(crate) fn pending_specs(&self) -> Vec<ComponentSpec> {
-        self.index.keys().cloned().collect()
+    /// True when the chain's base is memory-mapped.
+    pub(crate) fn is_mapped(&self) -> bool {
+        self.chain.is_mapped()
     }
 }
 
@@ -444,21 +441,18 @@ pub(crate) fn assemble_chain(
 ) -> Result<WarmSource, Rejection> {
     let base_bytes = base.len() as u64;
     let base = Segment::open(base, key, KIND_BASE)?;
-    let mut index: HashMap<ComponentSpec, (usize, usize)> = HashMap::new();
-    for (idx, (spec, _)) in base.header.results.iter().enumerate() {
-        index.insert(spec.clone(), (0, idx));
-    }
-    let mut opened = Vec::with_capacity(deltas.len());
-    let mut delta_bytes = 0u64;
+    let base_id = base.header.base_id;
     let mut link = base.header.header_checksum;
+    let mut segments = vec![base];
+    let mut delta_bytes = 0u64;
     for (i, bytes) in deltas.into_iter().enumerate() {
         let expected_seq = (i + 1) as u32;
         delta_bytes += bytes.len() as u64;
         let delta = Segment::open(bytes, key, KIND_DELTA)?;
-        let broken = if delta.header.base_id != base.header.base_id {
+        let broken = if delta.header.base_id != base_id {
             Some(format!(
-                "delta {} belongs to a different base ({:016x}, chain base {:016x})",
-                delta.header.seq, delta.header.base_id, base.header.base_id
+                "delta {} belongs to a different base ({:016x}, chain base {base_id:016x})",
+                delta.header.seq, delta.header.base_id
             ))
         } else if delta.header.seq != expected_seq {
             Some(format!(
@@ -477,15 +471,10 @@ pub(crate) fn assemble_chain(
             return Err(Rejection::Mismatch(reason));
         }
         link = delta.header.header_checksum;
-        for (idx, (spec, _)) in delta.header.results.iter().enumerate() {
-            index.insert(spec.clone(), (i + 1, idx));
-        }
-        opened.push(delta);
+        segments.push(delta);
     }
     Ok(WarmSource {
-        base,
-        deltas: opened,
-        index,
+        segments,
         base_bytes,
         delta_bytes,
     })

@@ -117,13 +117,16 @@ ADMISSION POLICY (--admission):
       Print this message.
 
 PERSISTENCE:
-  --cache-dir DIR warm-starts the engine from DIR and flushes the explored
-  design space, solved fronts and memoized results back on exit, so a
-  second `dtas` process answers repeated queries from disk in microseconds
-  instead of re-paying the cold solve. The store is tiered: loads map an
-  immutable base segment (results decode lazily, on first request),
-  checkpoints append O(dirty) delta segments, and a compaction pass folds
-  long chains back into one base. Chains are keyed by library, rule-set
+  --cache-dir DIR warm-starts the engine from DIR and flushes its new
+  answers back on exit (only answers persist: the design space and its
+  fronts stay with the process), so a second `dtas` process answers a
+  repeated query by decoding that answer's own section (about a
+  millisecond for ALU64) instead of re-paying the cold solve; a spec
+  variant that canonicalizes to a stored answer is served from it too.
+  Answers to --cap/--pareto overrides are never stored. The store is
+  tiered: loads map an immutable base segment (answers decode lazily, on
+  first request), checkpoints append O(dirty) delta segments, and a
+  compaction pass folds long chains back into one base. Chains are keyed by library, rule-set
   and configuration fingerprints plus the codec version; anything
   incompatible (or corrupt) is rejected and the run simply starts cold.
   `dtas cache` lists and garbage-collects what accumulates in a shared

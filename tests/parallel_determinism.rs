@@ -33,6 +33,13 @@ fn alu64() -> ComponentSpec {
         .with_carry_in(true)
 }
 
+/// A plain request whose canonical form elides its style: `dec:3`.
+fn dec3() -> ComponentSpec {
+    ComponentSpec::new(ComponentKind::Decoder, 3)
+        .with_width2(8)
+        .with_style("BINARY")
+}
+
 #[test]
 #[allow(deprecated)] // pins that the no-op `threads` setting changes nothing
 fn threaded_engine_matches_single_thread_engine() {
@@ -99,7 +106,7 @@ fn shared_subspecs_are_reused_across_roots() {
     // were not re-expanded (the count strictly contains them).
     assert!(stats.spec_nodes > nodes_after_add16);
     assert_eq!(stats.misses, 2);
-    // Both roots answer from the result memo now.
+    // Both roots answer from the answer table now.
     engine.run(add16()).unwrap();
     engine.run(&add32).unwrap();
     assert_eq!(engine.cache_stats().hits, 2);
@@ -406,9 +413,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 16, max_shrink_iters: 0 })]
 
     /// Canonicalization is solution-preserving: a decorated spec variant
-    /// served through the canonical memo entry answers bit-identically
-    /// (modulo nothing — the root label is rewritten back) to a raw
-    /// solve of the very same decorated spec.
+    /// served through an alias of the canonical entry answers
+    /// bit-identically (modulo nothing — the root label is relabelled) to
+    /// a raw solve of the very same decorated spec, on its first request,
+    /// its second, and through a batch.
     #[test]
     fn canonical_answers_match_raw_solves(
         width in 2usize..17,
@@ -416,10 +424,11 @@ proptest! {
         warm_plain_first in any::<bool>(),
     ) {
         let (style, w2) = decoration;
-        let mut spec = ComponentSpec::new(ComponentKind::AddSub, width)
+        let plain = ComponentSpec::new(ComponentKind::AddSub, width)
             .with_ops(OpSet::only(Op::Add))
             .with_carry_in(true)
             .with_carry_out(true);
+        let mut spec = plain.clone();
         if let Some(style) = style {
             spec = spec.with_style(style);
         }
@@ -430,16 +439,48 @@ proptest! {
         if warm_plain_first {
             // Warm the canonical entry through the undecorated variant,
             // so the decorated query is answered from the collapsed key.
-            let plain = ComponentSpec::new(ComponentKind::AddSub, width)
-                .with_ops(OpSet::only(Op::Add))
-                .with_carry_in(true)
-                .with_carry_out(true);
             shared.run(&plain).unwrap();
         }
+        let reference = raw_reference(&spec);
         let set = shared.run(&spec).unwrap();
         prop_assert_eq!(&set.spec, &spec, "root label must be the caller's");
-        prop_assert_eq!(common::fingerprint(&set), raw_reference(&spec));
+        prop_assert_eq!(common::fingerprint(&set), reference.clone());
+        // The second request, and one through a batch, read the entry the
+        // first one filled.
+        let again = shared.run(&spec).unwrap();
+        prop_assert_eq!(&again.spec, &spec);
+        prop_assert_eq!(common::fingerprint(&again), reference.clone());
+        let batch = shared.run_batch(std::slice::from_ref(&spec)).remove(0).unwrap();
+        prop_assert_eq!(&batch.spec, &spec);
+        prop_assert_eq!(common::fingerprint(&batch), reference);
     }
+}
+
+/// An alias holds its canonical answer relabelled once: every later hit
+/// on the decorated spec — through `run` or `run_batch` — returns that
+/// same `Arc`, with no copy and no canonicalization.
+#[test]
+fn decorated_hits_return_the_stored_arc() {
+    let engine = Dtas::new(lsi_logic_subset());
+    for spec in [add16().with_style("FASTEST"), dec3()] {
+        let first = engine.run(&spec).unwrap();
+        let second = engine.run(&spec).unwrap();
+        let batched = engine
+            .run_batch(std::slice::from_ref(&spec))
+            .remove(0)
+            .unwrap();
+        assert_eq!(first.spec, spec);
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "{spec}: a hit is the stored Arc"
+        );
+        assert!(Arc::ptr_eq(&first, &batched), "{spec}: so is a batch hit");
+    }
+    let stats = engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (4, 2), "{stats}");
+    assert_eq!(stats.canonical_hits, 6, "{stats}");
+    assert_eq!(stats.specs_collapsed, 2, "{stats}");
+    assert_eq!(stats.cached_results, 2, "an alias is no result of its own");
 }
 
 /// Every `update_rules` / `update_config` path answers like a fresh
@@ -447,7 +488,9 @@ proptest! {
 /// the update (retained or dropped), and for a cold spec after it.
 #[test]
 fn updates_answer_like_a_fresh_engine() {
-    let warm_specs = [add16(), alu64()];
+    // The decorated ADD16 and `dec:3` are aliases of other specs' entries,
+    // so every row also checks an alias against a fresh engine.
+    let warm_specs = [add16(), alu64(), add16().with_style("FASTEST"), dec3()];
     let cold_spec = ComponentSpec::new(ComponentKind::Mux, 8).with_inputs(4);
     type Update = fn(&mut Dtas);
     type FreshRules = fn() -> RuleSet;

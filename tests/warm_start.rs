@@ -9,7 +9,7 @@
 use cells::lsi::lsi_logic_subset;
 use dtas::{
     AnswerDefect, CheckpointOutcome, DesignSet, Dtas, DtasConfig, InvalidationCounts,
-    InvalidationReason, MemSnapshotStore, Rejection, RuleSet, SaveReport,
+    InvalidationReason, MemSnapshotStore, Rejection, RuleSet, SaveReport, SynthRequest,
 };
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
@@ -191,6 +191,58 @@ fn warm_start_round_trips_bit_identically() {
     // resurrect the directory.
     drop(cold);
     drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn decorated_requests_answer_from_the_persisted_canonical_answer() {
+    let dir = cache_dir("decorated");
+    let decorated = add_spec(16).with_style("FASTEST");
+    let seed = Dtas::warm_start(lsi_logic_subset(), &dir);
+    seed.run(&decorated).expect("solves");
+    // The alias stays in memory: only its canonical answer is persisted.
+    assert_eq!(full_report(seed.checkpoint().expect("writes")).results, 1);
+    drop(seed);
+
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    assert_eq!(warm.cache_stats().lazy_results, 1);
+    let answer = warm.run(&decorated).expect("answers");
+    let stats = warm.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "{stats}");
+    assert_eq!(stats.lazy_materialized, 1, "{stats}");
+    assert_eq!(stats.canonical_hits, 1, "{stats}");
+    let fresh = Dtas::new(lsi_logic_subset())
+        .run(&decorated)
+        .expect("reference solves");
+    assert_sets_identical(&fresh, &answer);
+    assert!(Arc::ptr_eq(&answer, &warm.run(&decorated).expect("hit")));
+    // Nothing was solved, so there is nothing to write.
+    assert_eq!(
+        warm.checkpoint().expect("no i/o"),
+        Some(CheckpointOutcome::Skipped)
+    );
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn override_only_sessions_write_nothing() {
+    // An override answer bypasses the answer table, so it is never
+    // persisted: an engine that answered only one has nothing to flush.
+    let dir = cache_dir("override_only");
+    let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    let capped = engine
+        .run(SynthRequest::new(add_spec(8)).with_front_cap(2))
+        .expect("solves");
+    assert!(capped.alternatives.len() <= 2);
+    assert_eq!(engine.cache_stats().misses, 1);
+    assert_eq!(
+        engine.checkpoint().expect("no i/o"),
+        Some(CheckpointOutcome::Skipped)
+    );
+    drop(engine);
+    assert!(base_files(&dir).is_empty(), "no base written");
+    assert!(delta_files(&dir).is_empty(), "no delta written");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
