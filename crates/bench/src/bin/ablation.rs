@@ -10,6 +10,7 @@
 
 use bench::{adder_spec, alu64_spec};
 use cells::lsi::lsi_logic_subset;
+use dtas::lola::with_derived_rules;
 use dtas::{Dtas, DtasConfig, FilterPolicy, RuleSet};
 use rtl_base::table::{Align, TextTable};
 
@@ -78,7 +79,12 @@ fn main() {
         "EN", "MUX21L", "MUX21H", "MUX41", "MUX41H", "MUX81", "MUX84", "FA1A", "ADD2", "ADD4",
         "AS2", "FD1", "FDE1", "RG4", "RG8",
     ]);
-    let no_cla = Dtas::builder(poor).config(pareto.clone()).build();
+    // The full engine's rules: derived for the LSI subset, not re-derived
+    // for the poorer library.
+    let no_cla = Dtas::builder(poor)
+        .rules(with_derived_rules(RuleSet::standard(), &lib))
+        .config(pareto.clone())
+        .build();
     row(&mut t, "library without CLA4/ADD4PG", &no_cla, &spec);
 
     // Relaxed root filter (the paper's favorable-tradeoff set).

@@ -5,7 +5,8 @@
 //! hot-path metrics — the point is to catch a refactor silently eating
 //! the cached/parallel/service wins, not to flag benchmark noise:
 //!
-//! * `queries[].repeat_ms` — the memoized hit path (per spec);
+//! * `queries[].repeat_ns` — the memoized hit path (per spec): the
+//!   median per-call time over 10,100 hits;
 //! * `warm_start` ratio (`warm_first_ms / cold_first_ms`) — the
 //!   restart/warm-start win, compared as a ratio so machine speed
 //!   cancels out;
@@ -188,12 +189,16 @@ fn gate_value(
     }
 }
 
+/// Noise floor of the `queries[].repeat_ns` checks, in nanoseconds.
+const REPEAT_FLOOR_NS: f64 = 1_000.0;
+
 /// Runs every gate check. `tolerance` is the allowed regression factor.
 fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
     let mut findings = Vec::new();
 
-    // Hot-path repeats, matched by query name. Floor: a repeat that is
-    // still under 0.25 ms is a healthy memo hit on any machine.
+    // Hot-path repeats, matched by query name. Floor: above the spread
+    // of one hit's median across snapshots on the reference host, so
+    // only a hit several times slower than the baseline's can fail.
     let baseline_queries = baseline.get("queries").and_then(Json::arr).unwrap_or(&[]);
     let current_queries = current.get("queries").and_then(Json::arr).unwrap_or(&[]);
     for bq in baseline_queries {
@@ -204,11 +209,11 @@ fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
             .iter()
             .find(|q| q.get("name").and_then(Json::str_value) == Some(name));
         gate_latency(
-            format!("queries.{name}.repeat_ms"),
-            bq.get("repeat_ms").and_then(Json::num),
-            cq.and_then(|q| q.get("repeat_ms")).and_then(Json::num),
+            format!("queries.{name}.repeat_ns"),
+            bq.get("repeat_ns").and_then(Json::num),
+            cq.and_then(|q| q.get("repeat_ns")).and_then(Json::num),
             tolerance,
-            0.25,
+            REPEAT_FLOOR_NS,
             &mut findings,
         );
     }
@@ -435,12 +440,12 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn snapshot(repeat_ms: f64, warm_ms: f64, cold_ms: f64, qps: f64) -> Json {
-        snapshot_with_serve(repeat_ms, warm_ms, cold_ms, qps, qps / 10.0, 2_000.0)
+    fn snapshot(repeat_ns: f64, warm_ms: f64, cold_ms: f64, qps: f64) -> Json {
+        snapshot_with_serve(repeat_ns, warm_ms, cold_ms, qps, qps / 10.0, 2_000.0)
     }
 
     fn snapshot_with_serve(
-        repeat_ms: f64,
+        repeat_ns: f64,
         warm_ms: f64,
         cold_ms: f64,
         qps: f64,
@@ -448,7 +453,7 @@ mod tests {
         rtt_p99_us: f64,
     ) -> Json {
         Json::parse(&format!(
-            r#"{{ "queries": [ {{ "name": "ALU64", "repeat_ms": {repeat_ms} }} ],
+            r#"{{ "queries": [ {{ "name": "ALU64", "repeat_ns": {repeat_ns} }} ],
                  "warm_start": {{ "warm_first_ms": {warm_ms}, "cold_first_ms": {cold_ms} }},
                  "service": {{ "saturation_qps": {qps}, "deadline_vs_plain": 0.99 }},
                  "serve": {{ "saturation_qps": {serve_qps}, "rtt_p99_us": {rtt_p99_us} }},
@@ -467,30 +472,30 @@ mod tests {
 
     #[test]
     fn identical_snapshots_pass() {
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
         let findings = run_gate(&base, &base, 3.0);
         assert!(verdicts(&findings).iter().all(|f| !f));
     }
 
     #[test]
     fn noise_under_the_floor_passes() {
-        // 10x repeat regression but still microseconds, and a 7x RTT
-        // regression still under the 20 ms floor: skip, not fail.
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
-        let cur = snapshot_with_serve(0.05, 0.02, 100.0, 400_000.0, 40_000.0, 15_000.0);
+        // A 4x repeat regression still under the 1 µs floor, and a 7x
+        // RTT regression still under the 20 ms floor: skip, not fail.
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
+        let cur = snapshot_with_serve(800.0, 0.02, 100.0, 400_000.0, 40_000.0, 15_000.0);
         let findings = run_gate(&base, &cur, 3.0);
         assert!(verdicts(&findings).iter().all(|f| !f), "noise must pass");
     }
 
     #[test]
     fn real_regressions_fail() {
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
         // Memo hit became a re-solve (ms scale), warm start broke (warm
         // ~= cold, failing both the ratio and the speedup floor), service
         // throughput collapsed below the health floor, the wire path
         // collapsed with it, and the RTT tail blew past both the
         // tolerance and the noise floor.
-        let cur = snapshot_with_serve(50.0, 90.0, 100.0, 5_000.0, 500.0, 500_000.0);
+        let cur = snapshot_with_serve(50e6, 90.0, 100.0, 5_000.0, 500.0, 500_000.0);
         let findings = run_gate(&base, &cur, 3.0);
         // The cold first answer (4th finding: cold stayed at 100 ms),
         // the deadline floor (6th) and the store and incremental floors
@@ -503,11 +508,11 @@ mod tests {
 
     #[test]
     fn store_floors_gate_the_current_run() {
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
         // Lazy load degraded to 2x-of-full (floor is 4x) and deltas grew
         // to a third of the base (floor is a tenth): both floors fail
         // regardless of the baseline.
-        let cur_text = r#"{ "queries": [ { "name": "ALU64", "repeat_ms": 0.005 } ],
+        let cur_text = r#"{ "queries": [ { "name": "ALU64", "repeat_ns": 200.0 } ],
              "warm_start": { "warm_first_ms": 0.01, "cold_first_ms": 100.0 },
              "service": { "saturation_qps": 500000.0, "deadline_vs_plain": 0.99 },
              "serve": { "saturation_qps": 50000.0, "rtt_p99_us": 2000.0 },
@@ -529,21 +534,21 @@ mod tests {
     fn warm_speedup_below_the_floor_fails() {
         // An 11x warm start (the whole space decoded on the first hit)
         // fails the floor even against a baseline that was just as slow.
-        let slow = snapshot(0.005, 7.75, 88.2, 500_000.0);
+        let slow = snapshot(200.0, 7.75, 88.2, 500_000.0);
         let failed: Vec<String> = run_gate(&slow, &slow, 3.0)
             .into_iter()
             .filter(|f| f.verdict == Verdict::Fail)
             .map(|f| f.metric)
             .collect();
         assert_eq!(failed, ["warm_start.warm_speedup"]);
-        let fast = snapshot(0.005, 1.5, 88.2, 500_000.0);
+        let fast = snapshot(200.0, 1.5, 88.2, 500_000.0);
         assert!(verdicts(&run_gate(&slow, &fast, 3.0)).iter().all(|f| !f));
     }
 
     #[test]
     fn deadline_overhead_below_the_floor_fails() {
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
-        let mut cur_text = r#"{ "queries": [ { "name": "ALU64", "repeat_ms": 0.005 } ],
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
+        let mut cur_text = r#"{ "queries": [ { "name": "ALU64", "repeat_ns": 200.0 } ],
              "warm_start": { "warm_first_ms": 0.01, "cold_first_ms": 100.0 },
              "service": { "saturation_qps": 500000.0, "deadline_vs_plain": 0.80 },
              "serve": { "saturation_qps": 50000.0, "rtt_p99_us": 2000.0 },
@@ -566,8 +571,8 @@ mod tests {
     #[test]
     fn cold_first_answer_regressions_fail() {
         let failed = |base_cold_ms: f64, cold_ms: f64| -> Vec<String> {
-            let base = snapshot(0.005, 0.5, base_cold_ms, 500_000.0);
-            let current = snapshot(0.005, 0.5, cold_ms, 500_000.0);
+            let base = snapshot(200.0, 0.5, base_cold_ms, 500_000.0);
+            let current = snapshot(200.0, 0.5, cold_ms, 500_000.0);
             run_gate(&base, &current, 3.0)
                 .into_iter()
                 .filter(|f| f.verdict == Verdict::Fail)
@@ -584,11 +589,27 @@ mod tests {
     }
 
     #[test]
+    fn hit_regressions_past_the_floor_fail() {
+        let failed = |base_ns: f64, ns: f64| -> Vec<String> {
+            let base = snapshot(base_ns, 0.5, 50.0, 500_000.0);
+            let current = snapshot(ns, 0.5, 50.0, 500_000.0);
+            run_gate(&base, &current, 3.0)
+                .into_iter()
+                .filter(|f| f.verdict == Verdict::Fail)
+                .map(|f| f.metric)
+                .collect()
+        };
+        // A hit that went from 400 ns to 1.6 µs fails; 2.5x passes.
+        assert_eq!(failed(400.0, 1_600.0), ["queries.ALU64.repeat_ns"]);
+        assert!(failed(400.0, 1_000.0).is_empty());
+    }
+
+    #[test]
     fn slow_machine_throughput_above_the_floor_skips() {
         // A CI runner 5x slower than the baseline machine but still
         // healthy must not fail the gate.
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
-        let cur = snapshot(0.005, 0.01, 100.0, 100_000.0);
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
+        let cur = snapshot(200.0, 0.01, 100.0, 100_000.0);
         let findings = run_gate(&base, &cur, 3.0);
         assert!(verdicts(&findings).iter().all(|f| !f));
     }
@@ -596,14 +617,14 @@ mod tests {
     #[test]
     fn metrics_missing_from_the_baseline_skip() {
         let base = Json::parse(r#"{ "queries": [] }"#).unwrap();
-        let cur = snapshot(0.005, 0.01, 100.0, 500_000.0);
+        let cur = snapshot(200.0, 0.01, 100.0, 500_000.0);
         let findings = run_gate(&base, &cur, 3.0);
         assert!(findings.iter().all(|f| f.verdict != Verdict::Fail));
     }
 
     #[test]
     fn metrics_missing_from_the_current_run_fail() {
-        let base = snapshot(0.005, 0.01, 100.0, 500_000.0);
+        let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
         let cur = Json::parse(r#"{ "queries": [] }"#).unwrap();
         let findings = run_gate(&base, &cur, 3.0);
         assert!(findings.iter().any(|f| f.verdict == Verdict::Fail));

@@ -1,12 +1,15 @@
 //! Regenerates the **§7 rule census**: the paper reports 86 generic rules
 //! in the DTAS Design Language plus 9 library-specific rules for the LSI
-//! Logic subset.
+//! Logic subset. Here the nine are not written by hand: LOLA
+//! ([`dtas::lola`]) derives them from the LSI subset's cells.
 
+use cells::lsi::lsi_logic_subset;
+use dtas::lola::with_derived_rules;
 use dtas::RuleSet;
 use rtl_base::table::{Align, TextTable};
 
 fn main() {
-    let rules = RuleSet::standard().with_lsi_extensions();
+    let rules = with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     println!("Section 7: DTAS rule base census");
     println!();
     let mut t = TextTable::new(vec!["rule class", "paper", "this reproduction"]);

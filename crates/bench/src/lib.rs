@@ -39,7 +39,7 @@ pub fn adder_spec(width: usize) -> ComponentSpec {
 }
 
 /// The DTAS engine configured as in the paper's evaluation: the LSI-style
-/// 30-cell subset with the library-specific rules loaded.
+/// 30-cell subset with the nine library-specific rules LOLA derives for it.
 pub fn paper_engine() -> Dtas {
     Dtas::new(lsi_logic_subset())
 }

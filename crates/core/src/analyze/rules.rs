@@ -604,7 +604,7 @@ mod tests {
 
     #[test]
     fn shipped_rule_base_is_clean() {
-        let rules = RuleSet::standard().with_lsi_extensions();
+        let rules = crate::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
         let library = lsi_logic_subset();
         let report = LintRegistry::standard().run(&LintTarget::Rules {
             rules: &rules,
@@ -631,7 +631,7 @@ mod tests {
     }
 
     fn base_with(extra: Vec<Box<dyn crate::rules::Rule>>) -> RuleSet {
-        let mut rules = RuleSet::standard().with_lsi_extensions();
+        let mut rules = crate::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
         rules.append_library_rules(extra);
         rules
     }

@@ -239,7 +239,7 @@ mod tests {
     use genus::op::{Op, OpSet};
 
     fn standard() -> RuleSet {
-        RuleSet::standard().with_lsi_extensions()
+        crate::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset())
     }
 
     #[test]

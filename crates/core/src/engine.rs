@@ -3,6 +3,7 @@
 use crate::canon::{self, Canonicalizer};
 use crate::config::DtasConfig;
 use crate::extract;
+use crate::lola::with_derived_rules;
 use crate::report::{Alternative, DesignSet, SynthStats};
 use crate::request::SynthRequest;
 use crate::rules::RuleSet;
@@ -449,8 +450,9 @@ pub struct DtasBuilder {
 }
 
 impl DtasBuilder {
-    /// Replaces the default rule base
-    /// (`RuleSet::standard().with_lsi_extensions()`).
+    /// Replaces the default rule base: [`RuleSet::standard`] plus the
+    /// rules LOLA derives for the engine's library
+    /// ([`with_derived_rules`](crate::lola::with_derived_rules)).
     pub fn rules(mut self, rules: RuleSet) -> Self {
         self.rules = Some(rules);
         self
@@ -479,11 +481,12 @@ impl DtasBuilder {
                 .as_ref()
                 .map(|dir| Arc::new(PersistentStore::new(dir)) as Arc<dyn ResultStore>)
         });
+        let library = self.library;
         let dtas = Dtas {
             rules: self
                 .rules
-                .unwrap_or_else(|| RuleSet::standard().with_lsi_extensions()),
-            library: self.library,
+                .unwrap_or_else(|| with_derived_rules(RuleSet::standard(), &library)),
+            library,
             config: self.config,
             fingerprint,
             mem: MemStore::default(),
@@ -498,8 +501,8 @@ impl DtasBuilder {
 }
 
 impl Dtas {
-    /// Creates an engine with the standard rule base, the library-specific
-    /// extensions, and default configuration.
+    /// Creates an engine with the standard rule base, the rules LOLA
+    /// derives for `library`, and default configuration.
     pub fn new(library: CellLibrary) -> Self {
         Dtas::builder(library).build()
     }
@@ -1763,7 +1766,8 @@ mod tests {
             (stats.cached_fronts, stats.spec_nodes)
         };
         assert!(nodes_before > 0);
-        let report = engine.update_rules(RuleSet::standard().with_lsi_extensions());
+        let report =
+            engine.update_rules(with_derived_rules(RuleSet::standard(), &lsi_logic_subset()));
         assert_eq!(report.dropped, InvalidationCounts::default(), "{report}");
         assert_eq!(report.retained.nodes, nodes_before, "{report}");
         assert_eq!(report.retained.fronts, fronts_before, "{report}");
@@ -1781,7 +1785,7 @@ mod tests {
 
     #[test]
     fn update_rules_drops_only_reachable_state() {
-        // Start without the LSI extensions, then add them: the ADD16
+        // Start without the LSI-derived rules, then add them: the ADD16
         // root gains an `lsi-carry-select-8` template (dirty), while
         // leaf nodes whose expansions are untouched stay warm.
         let mut engine = Dtas::builder(lsi_logic_subset())
@@ -1789,7 +1793,8 @@ mod tests {
             .build();
         engine.run(add_spec(16)).unwrap();
         let warm = engine.cache_stats();
-        let report = engine.update_rules(RuleSet::standard().with_lsi_extensions());
+        let report =
+            engine.update_rules(with_derived_rules(RuleSet::standard(), &lsi_logic_subset()));
         assert!(report.dropped.nodes > 0, "{report}");
         assert!(report.retained.nodes > 0, "{report}");
         assert_eq!(

@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn extract_add16_designs() {
         let mut space = DesignSpace::new();
-        let rules = RuleSet::standard().with_lsi_extensions();
+        let rules = crate::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
         let lib = lsi_logic_subset();
         let cache = SpecModelCache::new();
         let id = space.expand(&add_spec(16), &rules, &lib, &cache).unwrap();

@@ -7,23 +7,41 @@
 //! library. LOLA applies abstract design principles to generate
 //! library-specific rules."
 //!
-//! This module implements that idea: it scans a [`CellLibrary`] for
-//! structural opportunities — adder slice widths, propagate/generate
-//! adders paired with lookahead generators, register bank widths, gate
-//! fan-ins — and instantiates parameterized library-specific rules from
-//! a small catalog of *design principles*:
+//! This module implements that idea, and it is the only source of
+//! library-specific rules: an engine built without explicit rules runs
+//! [`RuleSet::standard`](crate::RuleSet::standard) plus what
+//! [`derive_library_rules`] derives for the engine's own library. LOLA
+//! scans a [`CellLibrary`] into a [`LibraryProfile`] and instantiates one
+//! rule per *design principle* the profile supports, deriving only what
+//! the generic base lacks. No principle names a cell or a library:
 //!
-//! 1. **ripple-slicing** to every adder width the library stocks;
-//! 2. **lookahead blocks** sized `groups × slice` for every compatible
-//!    (P/G adder, CLA generator) pair;
-//! 3. **register banking** onto the library's register widths
-//!    (greedy widest-first), with an enabled-bit variant;
-//! 4. **fan-in radix splitting** matched to the library's wide gates.
+//! 1. **ripple-slicing** to every stocked adder width other than the
+//!    generic 1/2/4/8;
+//! 2. **lookahead blocks** sized `groups × slice` for every (P/G adder,
+//!    lookahead generator) pair, rippled block to block (a single block
+//!    of 4-bit groups under a 2–4-group generator is `add-cla-groups`);
+//! 3. **carry-select blocks** twice the widest stocked plain adder, given
+//!    a 2:1 multiplexer;
+//! 4. **register banking** greedily, widest first, onto the stocked
+//!    register widths, plain and enabled (a one-part split is the parent
+//!    itself and is skipped);
+//! 5. **enabled-flip-flop counters**, given an enabled register;
+//! 6. **fan-in radix splitting** to the stocked gate fan-ins other than
+//!    the generic 2 and 4;
+//! 7. **NAND/inverter decoders** for the widths the NAND fan-ins cover
+//!    without a gap from 2;
+//! 8. **XNOR-slice equality** with an AND reduction, given an XNOR.
 //!
-//! The hand-written LSI rules in [`rules`](crate::rules) are exactly what
-//! LOLA derives for the LSI-style subset — the tests pin that.
+//! Derived rule names start with the library name up to its first `_`.
+//! For the paper's LSI subset (`lsi_lma9k_subset`) the derivation is
+//! exactly the nine `lsi-*` rules §7 counts.
 
-use crate::rules::helpers::{adder, adder_pg, addsub, cla, gate, register, register_en};
+use crate::rules::adder::ripple;
+use crate::rules::helpers::{
+    adder, adder_pg, cla, gate, gate_inputs, mux, not_gate, register, register_en,
+};
+use crate::rules::logic::fanin_split_public;
+use crate::rules::seq::counter_next_state;
 use crate::rules::Rule;
 use crate::template::{NetlistTemplate, Signal, TemplateBuilder};
 use cells::CellLibrary;
@@ -35,7 +53,7 @@ use std::collections::BTreeSet;
 /// A library profile: the structural opportunities LOLA found.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LibraryProfile {
-    /// Widths of pure-adder cells (CI+CO).
+    /// Widths of plain (non-P/G) adder and adder/subtractor cells (CI+CO).
     pub adder_widths: BTreeSet<usize>,
     /// Widths of P/G adder cells.
     pub pg_adder_widths: BTreeSet<usize>,
@@ -47,6 +65,12 @@ pub struct LibraryProfile {
     pub register_en_widths: BTreeSet<usize>,
     /// Fan-ins (>2) of 1-bit AND/NAND/OR/NOR gates.
     pub gate_fanins: BTreeSet<usize>,
+    /// Fan-ins of 1-bit NAND gates.
+    pub nand_fanins: BTreeSet<usize>,
+    /// The library stocks a 2:1 multiplexer.
+    pub mux2: bool,
+    /// The library stocks an XNOR gate.
+    pub xnor: bool,
 }
 
 impl LibraryProfile {
@@ -73,12 +97,17 @@ impl LibraryProfile {
                         p.register_widths.insert(s.width);
                     }
                 }
-                ComponentKind::Gate(g)
-                    if s.width == 1
-                        && s.inputs > 2
-                        && matches!(g, GateOp::And | GateOp::Nand | GateOp::Or | GateOp::Nor) =>
-                {
-                    p.gate_fanins.insert(s.inputs);
+                ComponentKind::Mux if s.inputs == 2 => p.mux2 = true,
+                ComponentKind::Gate(GateOp::Xnor) => p.xnor = true,
+                ComponentKind::Gate(g) if s.width == 1 => {
+                    if g == GateOp::Nand {
+                        p.nand_fanins.insert(s.inputs);
+                    }
+                    if s.inputs > 2
+                        && matches!(g, GateOp::And | GateOp::Nand | GateOp::Or | GateOp::Nor)
+                    {
+                        p.gate_fanins.insert(s.inputs);
+                    }
                 }
                 _ => {}
             }
@@ -87,8 +116,8 @@ impl LibraryProfile {
     }
 }
 
-/// The expansion closure a derived rule carries.
-type ExpandFn = Box<dyn Fn(&ComponentSpec) -> Vec<NetlistTemplate> + Send + Sync>;
+/// The expansion a derived rule carries; it is handed the rule's name.
+type ExpandFn = Box<dyn Fn(&str, &ComponentSpec) -> Vec<NetlistTemplate> + Send + Sync>;
 
 /// A LOLA-derived rule: a named closure over the learned parameters.
 struct DerivedRule {
@@ -105,7 +134,7 @@ impl Rule for DerivedRule {
         &self.doc
     }
     fn expand(&self, spec: &ComponentSpec) -> Vec<NetlistTemplate> {
-        (self.expand)(spec)
+        (self.expand)(&self.name, spec)
     }
 }
 
@@ -117,340 +146,406 @@ fn canonical_adder(spec: &ComponentSpec) -> bool {
         && !spec.group_pg
 }
 
-/// Principle 1: ripple-slice to a stocked adder width.
-fn ripple_rule(k: usize) -> DerivedRule {
-    DerivedRule {
-        name: format!("lola-ripple-slice-{k}"),
-        doc: format!("LOLA: ripple chain of the library's {k}-bit adders"),
-        expand: Box::new(move |spec| {
-            if !canonical_adder(spec) || spec.width <= k || spec.width % k != 0 {
-                return vec![];
-            }
-            let n = spec.width / k;
-            let mut t = TemplateBuilder::new(&format!("lola-ripple-slice-{k}"));
-            let mut parts = Vec::new();
-            for i in 0..n {
-                let ci = if i == 0 {
-                    Signal::parent("CI")
-                } else {
-                    Signal::net(&format!("c{i}"))
-                };
-                t.module(
-                    &format!("slice{i}"),
-                    adder(k),
-                    vec![
-                        ("A", Signal::parent("A").slice(k * i, k)),
-                        ("B", Signal::parent("B").slice(k * i, k)),
-                        ("CI", ci),
-                    ],
-                    vec![
-                        ("O", &format!("o{i}"), k),
-                        ("CO", &format!("c{}", i + 1), 1),
-                    ],
-                );
-                parts.push(Signal::net(&format!("o{i}")));
-            }
-            t.output("O", Signal::Cat(parts));
-            t.output("CO", Signal::net(&format!("c{n}")));
-            vec![t.build()]
-        }),
-    }
-}
-
-/// Principle 2: lookahead blocks of `groups` P/G adders of width `slice`
-/// under one CLA generator, rippled block to block.
-fn cla_block_rule(slice: usize, groups: usize) -> DerivedRule {
+/// Principle 2: `nb ≥ min_blocks` lookahead blocks of `groups` P/G adders
+/// of width `slice` under one generator each, rippled block to block.
+fn cla_blocks(
+    name: &str,
+    spec: &ComponentSpec,
+    slice: usize,
+    groups: usize,
+    min_blocks: usize,
+) -> Vec<NetlistTemplate> {
     let block = slice * groups;
-    DerivedRule {
-        name: format!("lola-cla-block-{block}"),
-        doc: format!(
-            "LOLA: {block}-bit lookahead blocks ({groups} x {slice}-bit P/G adders + CLA{groups})"
-        ),
-        expand: Box::new(move |spec| {
-            if !canonical_adder(spec) || spec.width % block != 0 || spec.width < block {
-                return vec![];
-            }
-            let nb = spec.width / block;
-            let mut t = TemplateBuilder::new(&format!("lola-cla-block-{block}"));
-            let mut sums = Vec::new();
-            for b in 0..nb {
-                let block_cin = if b == 0 {
-                    Signal::parent("CI")
-                } else {
-                    Signal::net(&format!("cla_c{}", b - 1)).slice(groups - 1, 1)
-                };
-                let mut ps = Vec::new();
-                let mut gs = Vec::new();
-                for j in 0..groups {
-                    let ci = if j == 0 {
-                        block_cin.clone()
-                    } else {
-                        Signal::net(&format!("cla_c{b}")).slice(j - 1, 1)
-                    };
-                    let base = block * b + slice * j;
-                    t.module(
-                        &format!("grp{b}_{j}"),
-                        adder_pg(slice),
-                        vec![
-                            ("A", Signal::parent("A").slice(base, slice)),
-                            ("B", Signal::parent("B").slice(base, slice)),
-                            ("CI", ci),
-                        ],
-                        vec![
-                            ("O", &format!("o{b}_{j}"), slice),
-                            ("P", &format!("p{b}_{j}"), 1),
-                            ("G", &format!("g{b}_{j}"), 1),
-                        ],
-                    );
-                    sums.push(Signal::net(&format!("o{b}_{j}")));
-                    ps.push(Signal::net(&format!("p{b}_{j}")));
-                    gs.push(Signal::net(&format!("g{b}_{j}")));
-                }
-                t.module(
-                    &format!("cla{b}"),
-                    cla(groups),
-                    vec![
-                        ("P", Signal::Cat(ps)),
-                        ("G", Signal::Cat(gs)),
-                        ("CI", block_cin),
-                    ],
-                    vec![("C", &format!("cla_c{b}"), groups)],
-                );
-            }
-            t.output("O", Signal::Cat(sums));
-            t.output(
-                "CO",
-                Signal::net(&format!("cla_c{}", nb - 1)).slice(groups - 1, 1),
+    if !canonical_adder(spec)
+        || !spec.width.is_multiple_of(block)
+        || spec.width / block < min_blocks
+    {
+        return vec![];
+    }
+    let nb = spec.width / block;
+    let mut t = TemplateBuilder::new(name);
+    let mut sums = Vec::new();
+    for b in 0..nb {
+        let block_cin = if b == 0 {
+            Signal::parent("CI")
+        } else {
+            Signal::net(&format!("cla_c{}", b - 1)).slice(groups - 1, 1)
+        };
+        let mut ps = Vec::new();
+        let mut gs = Vec::new();
+        for j in 0..groups {
+            let ci = if j == 0 {
+                block_cin.clone()
+            } else {
+                Signal::net(&format!("cla_c{b}")).slice(j - 1, 1)
+            };
+            let base = block * b + slice * j;
+            t.module(
+                &format!("grp{b}_{j}"),
+                adder_pg(slice),
+                vec![
+                    ("A", Signal::parent("A").slice(base, slice)),
+                    ("B", Signal::parent("B").slice(base, slice)),
+                    ("CI", ci),
+                ],
+                vec![
+                    ("O", &format!("o{b}_{j}"), slice),
+                    ("P", &format!("p{b}_{j}"), 1),
+                    ("G", &format!("g{b}_{j}"), 1),
+                ],
             );
-            vec![t.build()]
-        }),
+            sums.push(Signal::net(&format!("o{b}_{j}")));
+            ps.push(Signal::net(&format!("p{b}_{j}")));
+            gs.push(Signal::net(&format!("g{b}_{j}")));
+        }
+        t.module(
+            &format!("cla{b}"),
+            cla(groups),
+            vec![
+                ("P", Signal::Cat(ps)),
+                ("G", Signal::Cat(gs)),
+                ("CI", block_cin),
+            ],
+            vec![("C", &format!("cla_c{b}"), groups)],
+        );
+    }
+    t.output("O", Signal::Cat(sums));
+    t.output(
+        "CO",
+        Signal::net(&format!("cla_c{}", nb - 1)).slice(groups - 1, 1),
+    );
+    vec![t.build()]
+}
+
+/// Principle 3: a plain `block`-bit adder, then carry-select blocks whose
+/// two precomputed sums are picked by the carry rippling in.
+fn carry_select(name: &str, spec: &ComponentSpec, block: usize) -> Vec<NetlistTemplate> {
+    if !canonical_adder(spec) || !spec.width.is_multiple_of(block) || spec.width < 2 * block {
+        return vec![];
+    }
+    let mut t = TemplateBuilder::new(name);
+    let operands = |base: usize| {
+        [
+            ("A", Signal::parent("A").slice(base, block)),
+            ("B", Signal::parent("B").slice(base, block)),
+        ]
+    };
+    let [a, b] = operands(0);
+    t.module(
+        "blk0",
+        adder(block),
+        vec![a, b, ("CI", Signal::parent("CI"))],
+        vec![("O", "o0", block), ("CO", "c0", 1)],
+    );
+    let mut sums = vec![Signal::net("o0")];
+    let mut carry = Signal::net("c0");
+    for blk in 1..spec.width / block {
+        for (tag, ci) in [("a", 0u64), ("b", 1u64)] {
+            let [a, b] = operands(block * blk);
+            t.module(
+                &format!("blk{blk}{tag}"),
+                adder(block),
+                vec![a, b, ("CI", Signal::cuint(1, ci))],
+                vec![
+                    ("O", &format!("o{blk}{tag}"), block),
+                    ("CO", &format!("c{blk}{tag}"), 1),
+                ],
+            );
+        }
+        for (tag, port, width) in [("s", "o", block), ("c", "c", 1)] {
+            t.module(
+                &format!("mux{tag}{blk}"),
+                mux(width, 2),
+                vec![
+                    ("I0", Signal::net(&format!("{port}{blk}a"))),
+                    ("I1", Signal::net(&format!("{port}{blk}b"))),
+                    ("S", carry.clone()),
+                ],
+                vec![("O", &format!("{port}{blk}"), width)],
+            );
+        }
+        sums.push(Signal::net(&format!("o{blk}")));
+        carry = Signal::net(&format!("c{blk}"));
+    }
+    t.output("O", Signal::Cat(sums));
+    t.output("CO", carry);
+    vec![t.build()]
+}
+
+/// Principle 4: a register (enabled or not, per `enabled`) banked
+/// greedily onto `widths`, widest first. A split into one part would be
+/// the parent itself — a cycle expansion could only drop — so none is
+/// emitted.
+fn bank(name: &str, spec: &ComponentSpec, widths: &[usize], enabled: bool) -> Vec<NetlistTemplate> {
+    if spec.kind != ComponentKind::Register || spec.enable != enabled || spec.async_set_reset {
+        return vec![];
+    }
+    let w = spec.width;
+    let mut parts = Vec::new();
+    let mut at = 0usize;
+    while at < w {
+        let Some(&k) = widths.iter().find(|&&k| k <= w - at) else {
+            return vec![]; // no narrow enough register: cannot finish
+        };
+        parts.push((at, k));
+        at += k;
+    }
+    if parts.len() < 2 {
+        return vec![];
+    }
+    let (prefix, part_spec): (&str, fn(usize) -> ComponentSpec) = if enabled {
+        ("ff", register_en)
+    } else {
+        ("bank", register)
+    };
+    let mut t = TemplateBuilder::new(name);
+    let mut qs = Vec::new();
+    for (i, &(at, k)) in parts.iter().enumerate() {
+        let mut inputs = vec![
+            ("D", Signal::parent("D").slice(at, k)),
+            ("CLK", Signal::parent("CLK")),
+        ];
+        if enabled {
+            inputs.push(("EN", Signal::parent("EN")));
+        }
+        t.module(
+            &format!("{prefix}{i}"),
+            part_spec(k),
+            inputs,
+            vec![("Q", &format!("q{i}"), k)],
+        );
+        qs.push(Signal::net(&format!("q{i}")));
+    }
+    t.output("Q", Signal::Cat(qs));
+    vec![t.build()]
+}
+
+/// Principle 5: a counter with an enable holds its state in an enabled
+/// register instead of recirculating through a hold mux.
+fn counter_enable_ff(name: &str, spec: &ComponentSpec) -> Vec<NetlistTemplate> {
+    let allowed: OpSet = [Op::Load, Op::CountUp, Op::CountDown].into_iter().collect();
+    if spec.kind != ComponentKind::Counter
+        || !spec.enable
+        || spec.async_set_reset
+        || spec.ops.is_empty()
+        || !allowed.is_superset(spec.ops)
+    {
+        return vec![];
+    }
+    let w = spec.width;
+    let mut t = TemplateBuilder::new(name);
+    let nxt = counter_next_state(&mut t, spec, Signal::net("q"));
+    t.module(
+        "state",
+        register_en(w),
+        vec![
+            ("D", nxt),
+            ("EN", Signal::parent("CEN")),
+            ("CLK", Signal::parent("CLK")),
+        ],
+        vec![("Q", "q", w)],
+    );
+    t.output("O0", Signal::net("q"));
+    vec![t.build()]
+}
+
+/// Principle 6: a wide AND/NAND/OR/NOR split into `radix` equal subtrees.
+fn gate_radix(name: &str, spec: &ComponentSpec, radix: usize) -> Vec<NetlistTemplate> {
+    match spec.kind {
+        ComponentKind::Gate(g @ (GateOp::And | GateOp::Nand | GateOp::Or | GateOp::Nor))
+            if spec.width == 1 && spec.inputs > radix && spec.inputs.is_multiple_of(radix) =>
+        {
+            vec![fanin_split_public(name, g, spec.inputs, radix)]
+        }
+        _ => vec![],
     }
 }
 
-/// Principle 3: greedy register banking onto the library's widths.
-fn register_bank_rule(widths: Vec<usize>) -> DerivedRule {
-    DerivedRule {
-        name: "lola-register-bank".to_string(),
-        doc: format!("LOLA: registers bank greedily onto widths {widths:?}"),
-        expand: Box::new(move |spec| {
-            if spec.kind != ComponentKind::Register
-                || spec.enable
-                || spec.async_set_reset
-                || spec.width < 2
-            {
-                return vec![];
-            }
-            let w = spec.width;
-            let mut t = TemplateBuilder::new("lola-register-bank");
-            let mut parts = Vec::new();
-            let mut at = 0usize;
-            let mut idx = 0usize;
-            while at < w {
-                let Some(&k) = widths.iter().find(|&&k| k <= w - at) else {
-                    return vec![]; // no 1-bit register: cannot finish
-                };
-                t.module(
-                    &format!("bank{idx}"),
-                    register(k),
-                    vec![
-                        ("D", Signal::parent("D").slice(at, k)),
-                        ("CLK", Signal::parent("CLK")),
-                    ],
-                    vec![("Q", &format!("q{idx}"), k)],
-                );
-                parts.push(Signal::net(&format!("q{idx}")));
-                at += k;
-                idx += 1;
-            }
-            t.output("Q", Signal::Cat(parts));
-            vec![t.build()]
-        }),
+/// Principle 7: a binary decoder as an inverter plane, one NAND per line
+/// and an output inverter, for `2..=max_width` select bits.
+fn decoder_nand(name: &str, spec: &ComponentSpec, max_width: usize) -> Vec<NetlistTemplate> {
+    let k = spec.width;
+    if spec.kind != ComponentKind::Decoder
+        || spec.enable
+        || !(2..=max_width).contains(&k)
+        || spec.width2 != (1 << k)
+    {
+        return vec![];
     }
-}
-
-/// Principle 3b: enabled registers bank bitwise onto enabled flip-flops.
-fn register_en_bank_rule(k: usize) -> DerivedRule {
-    DerivedRule {
-        name: format!("lola-register-en-bank-{k}"),
-        doc: format!("LOLA: enabled registers bank onto the library's {k}-bit enabled registers"),
-        expand: Box::new(move |spec| {
-            if spec.kind != ComponentKind::Register
-                || !spec.enable
-                || spec.async_set_reset
-                || spec.width <= k
-                || spec.width % k != 0
-            {
-                return vec![];
-            }
-            let w = spec.width;
-            let n = w / k;
-            let mut t = TemplateBuilder::new(&format!("lola-register-en-bank-{k}"));
-            let mut parts = Vec::new();
-            for i in 0..n {
-                t.module(
-                    &format!("ff{i}"),
-                    register_en(k),
-                    vec![
-                        ("D", Signal::parent("D").slice(k * i, k)),
-                        ("EN", Signal::parent("EN")),
-                        ("CLK", Signal::parent("CLK")),
-                    ],
-                    vec![("Q", &format!("q{i}"), k)],
-                );
-                parts.push(Signal::net(&format!("q{i}")));
-            }
-            t.output("Q", Signal::Cat(parts));
-            vec![t.build()]
-        }),
+    let mut t = TemplateBuilder::new(name);
+    for j in 0..k {
+        t.module(
+            &format!("inv{j}"),
+            not_gate(1),
+            vec![("I0", Signal::parent("A").slice(j, 1))],
+            vec![("O", &format!("n{j}"), 1)],
+        );
     }
-}
-
-/// Principle 4: fan-in radix splitting matched to the library's gates.
-fn gate_radix_rule(radix: usize) -> DerivedRule {
-    DerivedRule {
-        name: format!("lola-gate-radix-{radix}"),
-        doc: format!("LOLA: fan-in splitting in {radix}s, matching the library's gates"),
-        expand: Box::new(move |spec| {
-            let ComponentKind::Gate(g) = spec.kind else {
-                return vec![];
-            };
-            if spec.width != 1
-                || spec.inputs <= radix
-                || spec.inputs % radix != 0
-                || matches!(g, GateOp::Not | GateOp::Buf | GateOp::Xor | GateOp::Xnor)
-            {
-                return vec![];
-            }
-            let base = match g {
-                GateOp::Nand => GateOp::And,
-                GateOp::Nor => GateOp::Or,
-                other => other,
-            };
-            let n = spec.inputs;
-            let per = n / radix;
-            let mut t = TemplateBuilder::new(&format!("lola-gate-radix-{radix}"));
-            let mut combiner = Vec::new();
-            for gi in 0..radix {
-                let sigs: Vec<Signal> = (gi * per..(gi + 1) * per)
-                    .map(|j| Signal::parent(&format!("I{j}")))
-                    .collect();
-                if per == 1 {
-                    combiner.push(sigs.into_iter().next().expect("per==1"));
+    let mut lines = Vec::new();
+    for i in 0..(1usize << k) {
+        let literals: Vec<Signal> = (0..k)
+            .map(|j| {
+                if (i >> j) & 1 == 1 {
+                    Signal::parent("A").slice(j, 1)
                 } else {
-                    let inputs: Vec<(String, Signal)> = sigs
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, s)| (format!("I{i}"), s))
-                        .collect();
-                    t.module(
-                        &format!("sub{gi}"),
-                        gate(base, 1, per),
-                        inputs,
-                        vec![("O", &format!("s{gi}"), 1)],
-                    );
-                    combiner.push(Signal::net(&format!("s{gi}")));
+                    Signal::net(&format!("n{j}"))
                 }
-            }
-            let inputs: Vec<(String, Signal)> = combiner
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| (format!("I{i}"), s))
-                .collect();
-            t.module("top", gate(g, 1, radix), inputs, vec![("O", "o", 1)]);
-            t.output("O", Signal::net("o"));
-            vec![t.build()]
-        }),
+            })
+            .collect();
+        t.module(
+            &format!("nand{i}"),
+            gate(GateOp::Nand, 1, k),
+            gate_inputs(literals),
+            vec![("O", &format!("x{i}"), 1)],
+        );
+        t.module(
+            &format!("linv{i}"),
+            not_gate(1),
+            vec![("I0", Signal::net(&format!("x{i}")))],
+            vec![("O", &format!("l{i}"), 1)],
+        );
+        lines.push(Signal::net(&format!("l{i}")));
     }
+    t.output("O", Signal::Cat(lines));
+    vec![t.build()]
 }
 
-/// Principle 5: a stocked adder/subtractor width becomes a rippled
-/// addsub slice rule.
-fn addsub_ripple_rule(k: usize) -> DerivedRule {
-    DerivedRule {
-        name: format!("lola-addsub-ripple-{k}"),
-        doc: format!("LOLA: adder/subtractors ripple through the library's {k}-bit ADDSUB cells"),
-        expand: Box::new(move |spec| {
-            let both: OpSet = [Op::Add, Op::Sub].into_iter().collect();
-            if spec.kind != ComponentKind::AddSub
-                || spec.ops != both
-                || !spec.carry_in
-                || !spec.carry_out
-                || spec.group_pg
-                || spec.width <= k
-                || spec.width % k != 0
-            {
-                return vec![];
-            }
-            let n = spec.width / k;
-            let mut t = TemplateBuilder::new(&format!("lola-addsub-ripple-{k}"));
-            let mut parts = Vec::new();
-            for i in 0..n {
-                let ci = if i == 0 {
-                    Signal::parent("CI")
-                } else {
-                    Signal::net(&format!("c{i}"))
-                };
-                t.module(
-                    &format!("slice{i}"),
-                    addsub(k, both, true, true),
-                    vec![
-                        ("A", Signal::parent("A").slice(k * i, k)),
-                        ("B", Signal::parent("B").slice(k * i, k)),
-                        ("CI", ci),
-                        ("S", Signal::parent("S")),
-                    ],
-                    vec![
-                        ("O", &format!("o{i}"), k),
-                        ("CO", &format!("c{}", i + 1), 1),
-                    ],
-                );
-                parts.push(Signal::net(&format!("o{i}")));
-            }
-            t.output("O", Signal::Cat(parts));
-            t.output("CO", Signal::net(&format!("c{n}")));
-            vec![t.build()]
-        }),
+/// Principle 8: equality as one XNOR per bit and an AND reduction.
+fn eq_xnor_reduce(name: &str, spec: &ComponentSpec) -> Vec<NetlistTemplate> {
+    if spec.kind != ComponentKind::Comparator || spec.ops != OpSet::only(Op::Eq) || spec.width < 2 {
+        return vec![];
     }
+    let w = spec.width;
+    let mut t = TemplateBuilder::new(name);
+    let mut bits = Vec::new();
+    for i in 0..w {
+        t.module(
+            &format!("xn{i}"),
+            gate(GateOp::Xnor, 1, 2),
+            vec![
+                ("I0", Signal::parent("A").slice(i, 1)),
+                ("I1", Signal::parent("B").slice(i, 1)),
+            ],
+            vec![("O", &format!("e{i}"), 1)],
+        );
+        bits.push(Signal::net(&format!("e{i}")));
+    }
+    t.module(
+        "reduce",
+        gate(GateOp::And, 1, w),
+        gate_inputs(bits),
+        vec![("O", "eq", 1)],
+    );
+    t.output("EQ", Signal::net("eq"));
+    vec![t.build()]
 }
 
 /// Derives library-specific rules for a cell library by applying LOLA's
-/// design principles to the library's [`LibraryProfile`].
+/// design principles to the library's [`LibraryProfile`]. Rule names start
+/// with the library name up to its first `_`.
 pub fn derive_library_rules(library: &CellLibrary) -> Vec<Box<dyn Rule>> {
-    let profile = LibraryProfile::of(library);
+    let p = LibraryProfile::of(library);
+    let prefix = match library.name().split('_').next() {
+        Some(head) if !head.is_empty() => head,
+        _ => "lola",
+    };
     let mut out: Vec<Box<dyn Rule>> = Vec::new();
-    // Generic rules already slice by 1/2/4/8; derive the rest.
-    for &k in &profile.adder_widths {
-        if ![1usize, 2, 4, 8].contains(&k) {
-            out.push(Box::new(ripple_rule(k)));
-        }
+    let mut derive = |name: String, doc: String, expand: ExpandFn| {
+        out.push(Box::new(DerivedRule {
+            name: format!("{prefix}-{name}"),
+            doc,
+            expand,
+        }));
+    };
+    // The generic rules already slice by 1/2/4/8.
+    for &k in p.adder_widths.iter().filter(|k| ![1, 2, 4, 8].contains(*k)) {
+        derive(
+            format!("ripple-slice-{k}"),
+            format!("ripple-carry chain of the library's {k}-bit adder slices"),
+            Box::new(move |name, spec| ripple(name, spec, k).into_iter().collect()),
+        );
     }
-    for &slice in &profile.pg_adder_widths {
-        for &groups in &profile.cla_groups {
-            out.push(Box::new(cla_block_rule(slice, groups)));
-        }
+    // `add-cla-groups` builds one block of 4-bit groups under a 2-4
+    // group generator; past that, blocks chain.
+    let blocks: Vec<(usize, usize)> = p
+        .pg_adder_widths
+        .iter()
+        .flat_map(|&slice| p.cla_groups.iter().map(move |&groups| (slice, groups)))
+        .collect();
+    for &(slice, groups) in &blocks {
+        let block = slice * groups;
+        let shared = blocks.iter().any(|&(s, g)| s != slice && s * g == block);
+        let min_blocks = if slice == 4 && (2..=4).contains(&groups) {
+            2
+        } else {
+            1
+        };
+        derive(
+            if shared {
+                format!("cla{block}-{slice}x{groups}-block-ripple")
+            } else {
+                format!("cla{block}-block-ripple")
+            },
+            format!(
+                "{block}-bit lookahead blocks ({groups} x {slice}-bit P/G adders + a \
+                 {groups}-group generator) rippled block to block"
+            ),
+            Box::new(move |name, spec| cla_blocks(name, spec, slice, groups, min_blocks)),
+        );
     }
-    if profile.register_widths.len() > 1 {
-        let mut widths: Vec<usize> = profile.register_widths.iter().copied().collect();
-        widths.sort_unstable_by(|a, b| b.cmp(a));
-        out.push(Box::new(register_bank_rule(widths)));
+    if let (true, Some(&widest)) = (p.mux2, p.adder_widths.last()) {
+        let block = 2 * widest;
+        derive(
+            format!("carry-select-{block}"),
+            format!("chained {block}-bit carry-select blocks sized for the library's {widest}-bit adders"),
+            Box::new(move |name, spec| carry_select(name, spec, block)),
+        );
     }
-    for &k in &profile.register_en_widths {
-        out.push(Box::new(register_en_bank_rule(k)));
+    // The generic rules slice plain registers uniformly; a bank mixes
+    // widths.
+    let plain: Vec<usize> = p.register_widths.iter().rev().copied().collect();
+    if plain.len() > 1 {
+        derive(
+            "register-bank".to_string(),
+            format!("registers bank greedily onto the library's register widths {plain:?}"),
+            Box::new(move |name, spec| bank(name, spec, &plain, false)),
+        );
     }
-    for &r in &profile.gate_fanins {
-        out.push(Box::new(gate_radix_rule(r)));
+    let enabled: Vec<usize> = p.register_en_widths.iter().rev().copied().collect();
+    if !enabled.is_empty() {
+        derive(
+            "register-en-bank".to_string(),
+            format!("enabled registers bank greedily onto the library's enabled register widths {enabled:?}"),
+            Box::new(move |name, spec| bank(name, spec, &enabled, true)),
+        );
+        derive(
+            "counter-enable-ff".to_string(),
+            "counters with enables use enabled flip-flops instead of a hold mux".to_string(),
+            Box::new(counter_enable_ff),
+        );
     }
-    // Adder/subtractor slice widths (AS2-style cells).
-    for cell in library.cells() {
-        let s = &cell.spec;
-        if s.kind == ComponentKind::AddSub
-            && s.ops.contains(Op::Add)
-            && s.ops.contains(Op::Sub)
-            && s.carry_in
-            && s.carry_out
-        {
-            out.push(Box::new(addsub_ripple_rule(s.width)));
-        }
+    // The generic rules split fan-ins by 2 and by 4.
+    for &radix in p.gate_fanins.iter().filter(|&&r| r != 4) {
+        derive(
+            format!("gate-radix{radix}"),
+            format!("fan-in splitting in {radix}s, matching the library's {radix}-input gates"),
+            Box::new(move |name, spec| gate_radix(name, spec, radix)),
+        );
+    }
+    let max_width = (2..).take_while(|n| p.nand_fanins.contains(n)).last();
+    if let Some(max_width) = max_width {
+        derive(
+            "decoder-nand".to_string(),
+            format!("decoders of 2 to {max_width} bits as inverter/NAND/inverter planes, matching the library's NAND fan-ins"),
+            Box::new(move |name, spec| decoder_nand(name, spec, max_width)),
+        );
+    }
+    if p.xnor {
+        derive(
+            "eq-xnor-reduce".to_string(),
+            "equality via XNOR bit slices and an AND reduction".to_string(),
+            Box::new(eq_xnor_reduce),
+        );
     }
     out
 }
@@ -493,8 +588,15 @@ CELL FDE1  REGISTER W 1 OPS LOAD EN AREA 8.0 DELAY 2.1
         databook::parse(NEXT_GEN).expect("synthetic library parses")
     }
 
+    fn names(library: &CellLibrary) -> Vec<String> {
+        derive_library_rules(library)
+            .iter()
+            .map(|r| r.name().to_string())
+            .collect()
+    }
+
     #[test]
-    fn profile_of_lsi_matches_the_hand_written_rules() {
+    fn profile_of_lsi() {
         let p = LibraryProfile::of(&lsi_logic_subset());
         assert_eq!(
             p.adder_widths,
@@ -511,61 +613,51 @@ CELL FDE1  REGISTER W 1 OPS LOAD EN AREA 8.0 DELAY 2.1
             p.gate_fanins,
             [3usize, 4, 8].into_iter().collect::<BTreeSet<_>>()
         );
-    }
-
-    #[test]
-    fn lsi_derivation_includes_cla16_blocks() {
-        let rules = derive_library_rules(&lsi_logic_subset());
-        let names: Vec<&str> = rules.iter().map(|r| r.name()).collect();
-        assert!(names.contains(&"lola-cla-block-16"), "{names:?}");
-        assert!(names.contains(&"lola-register-bank"), "{names:?}");
-        assert!(names.contains(&"lola-gate-radix-8"), "{names:?}");
-        assert!(names.contains(&"lola-addsub-ripple-2"), "{names:?}");
-    }
-
-    #[test]
-    fn derived_rules_adapt_dtas_to_a_new_library() {
-        use crate::{Dtas, RuleSet};
-        let lib = next_gen();
-        // Without LOLA: a 12-bit adder can only ripple by 1... but the
-        // library has no 1/2/4/8-bit plain adder, so the generic slice
-        // rules dead-end at missing widths — except width-3 ripple which
-        // no generic rule generates.
-        let plain = Dtas::builder(lib.clone())
-            .rules(RuleSet::standard())
-            .build();
-        let spec = crate::rules::helpers::adder(12);
-        let without = plain.run(&spec);
-
-        let adapted = Dtas::builder(lib.clone())
-            .rules(with_derived_rules(RuleSet::standard(), &lib))
-            .build();
-        let with = adapted.run(&spec).expect("LOLA adapts the rule base");
-        assert!(!with.alternatives.is_empty());
-        // The adapted engine must strictly extend the unadapted one.
-        match without {
-            Err(_) => {}
-            Ok(set) => {
-                assert!(
-                    with.alternatives.len() >= set.alternatives.len(),
-                    "LOLA lost designs"
-                );
-                let best_with = with.fastest().expect("nonempty").delay;
-                let best_without = set.fastest().expect("nonempty").delay;
-                assert!(best_with <= best_without + 1e-9);
-            }
-        }
-        // The derived CLA rule (2-bit P/G x 3 groups = 6-bit blocks)
-        // applies to the 12-bit adder.
-        let labels: Vec<&str> = with
-            .alternatives
-            .iter()
-            .map(|a| a.implementation.label())
-            .collect();
-        assert!(
-            labels.iter().any(|l| l.starts_with("lola-")),
-            "no LOLA rule used: {labels:?}"
+        assert_eq!(
+            p.nand_fanins,
+            [2usize, 3, 4, 8].into_iter().collect::<BTreeSet<_>>()
         );
+        assert!(p.mux2 && p.xnor);
+    }
+
+    #[test]
+    fn next_gen_derivation() {
+        assert_eq!(
+            names(&next_gen()),
+            [
+                "next-ripple-slice-3",
+                "next-cla6-block-ripple",
+                "next-carry-select-6",
+                "next-register-bank",
+                "next-register-en-bank",
+                "next-counter-enable-ff",
+                "next-gate-radix5",
+                "next-decoder-nand",
+                "next-eq-xnor-reduce",
+            ]
+        );
+    }
+
+    /// A slow and a fast cell of one width, and two (P/G width, group
+    /// count) pairs with one block width, still give one rule per name.
+    #[test]
+    fn derived_names_are_unique() {
+        let book = "\
+LIBRARY twins
+CELL AS3  ADDSUB W 3 OPS ADD SUB CI CO AREA 20.0 DELAY 4.4 CARRY 2.9
+CELL AS3H ADDSUB W 3 OPS ADD SUB CI CO AREA 24.0 DELAY 3.6 CARRY 2.2
+CELL APG2 ADDSUB W 2 OPS ADD CI CO PG AREA 15.0 DELAY 3.4 CARRY 1.6 PGD 2.2
+CELL APG4 ADDSUB W 4 OPS ADD CI CO PG AREA 30.0 DELAY 5.0 CARRY 2.4 PGD 2.2
+CELL CLA2 CLA_GEN N 2 CI AREA 8.0 DELAY 1.4 PGD 1.5
+CELL CLA4 CLA_GEN N 4 CI AREA 14.0 DELAY 1.6 PGD 1.7
+";
+        let lib = databook::parse(book).expect("parses");
+        let mut all = names(&lib);
+        assert_eq!(all[0], "twins-ripple-slice-3");
+        let total = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), total, "duplicate derived names");
     }
 
     #[test]
@@ -573,11 +665,13 @@ CELL FDE1  REGISTER W 1 OPS LOAD EN AREA 8.0 DELAY 2.1
         let rules = derive_library_rules(&next_gen());
         let bank = rules
             .iter()
-            .find(|r| r.name() == "lola-register-bank")
+            .find(|r| r.name() == "next-register-bank")
             .expect("bank rule derived");
         // 13 = 6 + 6 + 1 with the next-gen library's {6, 1} registers.
-        let templates = bank.expand(&crate::rules::helpers::register(13));
+        let templates = bank.expand(&register(13));
         assert_eq!(templates.len(), 1);
         assert_eq!(templates[0].modules.len(), 3);
+        // A stocked width splits into one part: the parent itself.
+        assert!(bank.expand(&register(6)).is_empty());
     }
 }

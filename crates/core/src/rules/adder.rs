@@ -19,8 +19,9 @@ fn canonical_addsub(spec: &ComponentSpec) -> bool {
         && ([Op::Add, Op::Sub].into_iter().collect::<OpSet>()).is_superset(spec.ops)
 }
 
-/// Builds a ripple chain of `w / k` slices of width `k`.
-fn ripple(rule_name: &str, spec: &ComponentSpec, k: usize) -> Option<NetlistTemplate> {
+/// Builds a ripple chain of `w / k` slices of width `k`. Shared with
+/// LOLA's ripple rules for the library's other slice widths.
+pub(crate) fn ripple(rule_name: &str, spec: &ComponentSpec, k: usize) -> Option<NetlistTemplate> {
     if !canonical_addsub(spec) || spec.width <= k || !spec.width.is_multiple_of(k) {
         return None;
     }

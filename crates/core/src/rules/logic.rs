@@ -204,9 +204,9 @@ rule!(
 );
 
 /// Splits a 1-bit gate of fan-in `n` into `groups` subtrees plus a
-/// combiner of the (possibly inverting) parent function. Shared with the
-/// library-specific radix rules.
-pub(super) fn fanin_split_public(
+/// combiner of the (possibly inverting) parent function. Shared with
+/// LOLA's radix rules for the library's gate fan-ins.
+pub(crate) fn fanin_split_public(
     rule_name: &str,
     g: GateOp,
     n: usize,
@@ -245,7 +245,6 @@ pub(super) fn fanin_split_public(
     t.output("O", Signal::net("o"));
     t.build()
 }
-// (fanin_split_public is consumed by both generic and library radix rules.)
 
 rule!(
     pub(super) GateFaninTree,

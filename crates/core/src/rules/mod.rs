@@ -11,21 +11,23 @@
 //! ALUs, shifters, n-by-m multipliers and up/down counters (the paper
 //! reports 86 generic rules; this reproduction has a few more because
 //! some of DTAS's composite rules are split into orthogonal ones here).
-//! [`RuleSet::with_lsi_extensions`] adds the library-specific rules —
-//! nine, matching the paper's count for the LSI Logic subset.
+//! Library-specific rules are not written here: [`crate::lola`] derives
+//! them from a cell library and [`RuleSet::append_library_rules`] adds
+//! them. For the paper's LSI Logic subset that is the nine rules its §7
+//! counts, and an engine built without explicit rules runs the standard
+//! base plus the rules derived for its own library.
 
 use crate::template::NetlistTemplate;
 use genus::spec::ComponentSpec;
 
-mod adder;
+pub(crate) mod adder;
 mod alu;
 mod compare;
 mod decode;
-mod lib_lsi;
-mod logic;
+pub(crate) mod logic;
 mod multiplier;
 mod mux;
-mod seq;
+pub(crate) mod seq;
 mod shift;
 mod wiring;
 
@@ -69,16 +71,6 @@ impl RuleSet {
             generic_count,
             library_count: 0,
         }
-    }
-
-    /// Adds the nine library-specific rules for the LSI-style subset
-    /// (paper §7: "DTAS requires nine library-specific design rules to
-    /// fully utilize the subset of cells from LSI Logic").
-    pub fn with_lsi_extensions(mut self) -> Self {
-        let before = self.rules.len();
-        lib_lsi::register_rules(&mut self.rules);
-        self.library_count += self.rules.len() - before;
-        self
     }
 
     /// Appends externally derived library-specific rules (LOLA's output —
@@ -180,6 +172,12 @@ pub(crate) use rule;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lola::with_derived_rules;
+    use cells::lsi::lsi_logic_subset;
+
+    fn standard_lsi() -> RuleSet {
+        with_derived_rules(RuleSet::standard(), &lsi_logic_subset())
+    }
 
     #[test]
     fn standard_rule_base_is_comparable_to_the_papers_86() {
@@ -192,14 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn lsi_extensions_add_exactly_nine_rules() {
-        let rules = RuleSet::standard().with_lsi_extensions();
-        assert_eq!(rules.library_count(), 9);
+    fn lsi_derivation_adds_exactly_nine_rules() {
+        assert_eq!(standard_lsi().library_count(), 9);
     }
 
     #[test]
     fn rule_names_are_unique() {
-        let rules = RuleSet::standard().with_lsi_extensions();
+        let rules = standard_lsi();
         let mut names: Vec<&str> = rules.iter().map(|r| r.name()).collect();
         let total = names.len();
         names.sort_unstable();
@@ -209,7 +206,7 @@ mod tests {
 
     #[test]
     fn every_rule_has_documentation() {
-        for rule in RuleSet::standard().with_lsi_extensions().iter() {
+        for rule in standard_lsi().iter() {
             assert!(!rule.doc().is_empty(), "{} lacks docs", rule.name());
         }
     }
@@ -225,11 +222,8 @@ mod tests {
     fn fingerprint_tracks_rule_membership() {
         let standard = RuleSet::standard();
         assert_eq!(standard.fingerprint(), RuleSet::standard().fingerprint());
-        let extended = RuleSet::standard().with_lsi_extensions();
+        let extended = standard_lsi();
         assert_ne!(standard.fingerprint(), extended.fingerprint());
-        assert_eq!(
-            extended.fingerprint(),
-            RuleSet::standard().with_lsi_extensions().fingerprint()
-        );
+        assert_eq!(extended.fingerprint(), standard_lsi().fingerprint());
     }
 }

@@ -93,7 +93,7 @@ rule!(
 /// Emits the next-state network shared by the counter rules: the counting
 /// datapath plus the load mux. Returns the next-state signal (before any
 /// enable handling).
-pub(super) fn counter_next_state(
+pub(crate) fn counter_next_state(
     t: &mut TemplateBuilder,
     spec: &ComponentSpec,
     q: Signal,

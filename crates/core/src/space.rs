@@ -1165,7 +1165,7 @@ mod tests {
     use super::*;
     use crate::rules::RuleSet;
     use cells::lsi::lsi_logic_subset;
-    use genus::kind::{ComponentKind, GateOp};
+    use genus::kind::ComponentKind;
     use genus::op::{Op, OpSet};
 
     fn add_spec(w: usize) -> ComponentSpec {
@@ -1383,153 +1383,6 @@ mod tests {
                     .map(|p| (p.area.to_bits(), p.delay().to_bits()))
                     .collect();
                 proptest::prop_assert_eq!(&got, &expect, "policy {:?}", policy);
-            }
-        }
-    }
-
-    /// The spec a benchmark key names (`add:16`, `mux:8:4`, …), built
-    /// the way the benchmark's spec universe builds it.
-    fn benchmark_spec(key: &str) -> ComponentSpec {
-        let mut parts = key.split(':');
-        let family = parts.next().unwrap_or_default();
-        let mut n = || -> usize { parts.next().and_then(|p| p.parse().ok()).expect(key) };
-        let ops = |list: &[Op]| -> OpSet { list.iter().copied().collect() };
-        match family {
-            "add" => add_spec(n()),
-            "alu" => ComponentSpec::new(ComponentKind::Alu, n())
-                .with_ops(Op::paper_alu16())
-                .with_carry_in(true),
-            "nand" | "nor" | "xor" => {
-                let op = match family {
-                    "nand" => GateOp::Nand,
-                    "nor" => GateOp::Nor,
-                    _ => GateOp::Xor,
-                };
-                let (width, inputs) = (n(), n());
-                ComponentSpec::new(ComponentKind::Gate(op), width).with_inputs(inputs)
-            }
-            "mux" => {
-                let (width, inputs) = (n(), n());
-                ComponentSpec::new(ComponentKind::Mux, width).with_inputs(inputs)
-            }
-            "dec" => {
-                let k = n();
-                ComponentSpec::new(ComponentKind::Decoder, k)
-                    .with_width2(1 << k)
-                    .with_style("BINARY")
-            }
-            "bcd" => ComponentSpec::new(ComponentKind::Decoder, 4)
-                .with_width2(10)
-                .with_style("BCD"),
-            "enc" => {
-                let inputs = n();
-                ComponentSpec::new(ComponentKind::Encoder, genus::build::select_width(inputs))
-                    .with_inputs(inputs)
-            }
-            "cmp" => ComponentSpec::new(ComponentKind::Comparator, n()).with_ops(ops(&[
-                Op::Eq,
-                Op::Lt,
-                Op::Gt,
-            ])),
-            "shift" => {
-                ComponentSpec::new(ComponentKind::Shifter, n()).with_ops(ops(&[Op::Shl, Op::Shr]))
-            }
-            "barrel" => {
-                let (width, width2) = (n(), n());
-                ComponentSpec::new(ComponentKind::BarrelShifter, width)
-                    .with_width2(width2)
-                    .with_ops(OpSet::only(Op::Shl))
-            }
-            "mul" => {
-                let (width, width2) = (n(), n());
-                ComponentSpec::new(ComponentKind::Multiplier, width)
-                    .with_width2(width2)
-                    .with_ops(OpSet::only(Op::Mul))
-            }
-            "ctr" => ComponentSpec::new(ComponentKind::Counter, n())
-                .with_ops(ops(&[Op::Load, Op::CountUp, Op::CountDown]))
-                .with_enable(true)
-                .with_style("SYNCHRONOUS"),
-            _ => panic!("unknown family in {key}"),
-        }
-    }
-
-    /// Every spec the benchmark maps, with its uniform count under the
-    /// default rule base; `None` where the count exceeds the default
-    /// configuration's limit (2,000,000).
-    fn uniform_table() -> [(&'static str, Option<u64>); 41] {
-        [
-            ("nand:8:4", Some(88)),
-            ("nand:16:2", Some(11)),
-            ("nor:8:3", Some(97)),
-            ("xor:8:4", Some(24)),
-            ("xor:16:2", Some(9)),
-            ("mux:8:2", Some(1_341)),
-            ("mux:8:4", Some(189_922)),
-            ("mux:16:4", Some(189_922)),
-            ("mux:4:8", None),
-            ("dec:2", Some(11)),
-            ("dec:3", Some(136)),
-            ("dec:4", Some(141)),
-            ("bcd", Some(141)),
-            ("enc:4", Some(88)),
-            ("enc:8", Some(2_532)),
-            ("enc:16", Some(388_727)),
-            ("cmp:4", Some(1_584)),
-            ("cmp:8", Some(1_311_872)),
-            ("cmp:16", None),
-            ("shift:8", Some(1_341)),
-            ("shift:16", Some(1_341)),
-            ("shift:32", Some(1_341)),
-            ("barrel:8:3", Some(29_673)),
-            ("barrel:16:4", Some(2_148)),
-            ("mul:4:4", Some(329_989)),
-            ("mul:6:4", None),
-            ("mul:8:4", None),
-            ("ctr:4", Some(1_842_512)),
-            ("ctr:6", None),
-            ("ctr:8", None),
-            ("add:8", Some(7_498)),
-            ("add:12", Some(10_882)),
-            ("add:16", Some(837_009)),
-            ("add:24", Some(931_392)),
-            ("add:32", None),
-            ("add:48", None),
-            ("add:64", None),
-            ("alu:8", None),
-            ("alu:16", None),
-            ("alu:32", None),
-            ("alu:64", None),
-        ]
-    }
-
-    #[test]
-    fn uniform_counts_match_the_pinned_table() {
-        let rules = RuleSet::standard().with_lsi_extensions();
-        let lib = lsi_logic_subset();
-        let cache = SpecModelCache::new();
-        let default_limit = crate::DtasConfig::default().uniform_count_limit;
-        for (key, pinned) in uniform_table() {
-            let mut space = DesignSpace::new();
-            let id = space
-                .expand(&benchmark_spec(key), &rules, &lib, &cache)
-                .unwrap();
-            let Some(total) = pinned else {
-                assert_eq!(space.uniform_size(id, default_limit), None, "{key}");
-                continue;
-            };
-            // The give-up boundary: one short of the count, the count, one past.
-            let boundary = [
-                (total - 1, None),
-                (total, Some(total)),
-                (total + 1, Some(total)),
-            ];
-            for (limit, expect) in boundary {
-                assert_eq!(
-                    space.uniform_size(id, limit),
-                    expect,
-                    "{key}: limit {limit}"
-                );
             }
         }
     }

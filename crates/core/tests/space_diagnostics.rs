@@ -7,7 +7,7 @@ use genus::spec::ComponentSpec;
 #[test]
 fn add16_front_diagnostics() {
     let mut space = DesignSpace::new();
-    let rules = RuleSet::standard().with_lsi_extensions();
+    let rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     let lib = lsi_logic_subset();
     let cache = SpecModelCache::new();
     let spec = ComponentSpec::new(ComponentKind::AddSub, 16)

@@ -19,6 +19,7 @@
 //! and garbage-collects the tiered warm-start store in a `--cache-dir`.
 
 use cells::CellLibrary;
+use dtas::lola::with_derived_rules;
 use dtas::{
     Admission, DesignSet, Dtas, DtasService, FilterPolicy, LintRegistry, LintReport, LintTarget,
     PersistentStore, Priority, RuleSet, ServeConfig, ServiceConfig, ServiceStats, Severity,
@@ -60,8 +61,9 @@ USAGE:
       multiply-driven nets, width mismatches, combinational loops, ...);
       each --legend document is parsed and its generator descriptions
       checked; --book (or, when no target is named, the embedded data
-      book) is checked for cost-model defects together with the default
-      decomposition rule base. --format json prints one machine-readable
+      book) is checked for cost-model defects together with the rule
+      base an engine on that book runs: the generic rules plus the
+      rules LOLA derives for the book. --format json prints one machine-readable
       dtas-lint/1 document. Exit code: 0 clean (or info-only findings),
       1 when the worst finding is a warning, 2 when any error is found.
   dtas serve [--port P] [--book FILE] [--cache-dir DIR] [--workers W]
@@ -1172,7 +1174,9 @@ fn cmd_lint(args: &Args) -> Result<i32, BridgeError> {
             &book_name,
             registry.run(&LintTarget::Databook(&library)),
         );
-        let rules = RuleSet::standard().with_lsi_extensions();
+        // The rule base an engine on this book runs: the generic rules
+        // plus those LOLA derives for the book.
+        let rules = with_derived_rules(RuleSet::standard(), &library);
         run.add(
             "rules",
             &format!("{} rules vs {book_name}", rules.len()),

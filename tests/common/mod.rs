@@ -66,7 +66,7 @@ impl Rule for SlowRule {
 /// An engine whose `SLOW`-styled specs take `delay` to expand. The cold
 /// solve is serial, so the stall stays on the calling worker thread.
 pub fn slow_engine(delay: Duration) -> Arc<Dtas> {
-    let mut rules = RuleSet::standard().with_lsi_extensions();
+    let mut rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     rules.append_library_rules(vec![Box::new(SlowRule(delay))]);
     Arc::new(Dtas::builder(lsi_logic_subset()).rules(rules).build())
 }

@@ -232,7 +232,7 @@ mod poison {
     /// semantics) — no panic propagation, no stale state.
     #[test]
     fn engine_recovers_from_a_poisoned_state_lock() {
-        let mut rules = RuleSet::standard().with_lsi_extensions();
+        let mut rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
         rules.append_library_rules(vec![Box::new(PanicOnMarker)]);
         // Expansion is serial, so the panic unwinds through the write
         // guard on this thread.

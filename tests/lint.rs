@@ -273,7 +273,7 @@ impl Rule for TestRule {
 }
 
 fn base_with(extra: Vec<Box<dyn Rule>>) -> RuleSet {
-    let mut rules = RuleSet::standard().with_lsi_extensions();
+    let mut rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     rules.append_library_rules(extra);
     rules
 }
@@ -324,7 +324,7 @@ fn not_chain_template(spec: &ComponentSpec, len: usize) -> Vec<NetlistTemplate> 
 
 #[test]
 fn shipped_rule_base_is_clean() {
-    let rules = RuleSet::standard().with_lsi_extensions();
+    let rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     let library = lsi_logic_subset();
     let report = LintRegistry::standard().run(&LintTarget::Rules {
         rules: &rules,

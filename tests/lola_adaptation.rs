@@ -5,7 +5,7 @@
 use cells::databook;
 use cells::CellLibrary;
 use dtas::lola::{derive_library_rules, with_derived_rules, LibraryProfile};
-use dtas::{Dtas, RuleSet};
+use dtas::{DesignSpace, Dtas, RuleSet, SpecModelCache};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
@@ -13,7 +13,7 @@ use rtlsim::equiv::check_implementation;
 
 /// A synthetic "next generation" databook: 3-bit adders, 2-bit P/G adders
 /// with a 3-group lookahead generator, 6-bit registers, 5-input NANDs —
-/// widths the hand-written LSI rules know nothing about.
+/// widths the LSI subset does not stock.
 const NEXT_GEN: &str = "\
 LIBRARY next_gen
 CELL INV   GATE_NOT  W 1 N 1 AREA 0.7 DELAY 0.4
@@ -37,6 +37,10 @@ fn next_gen() -> CellLibrary {
     databook::parse(NEXT_GEN).expect("synthetic library parses")
 }
 
+fn register(w: usize) -> ComponentSpec {
+    ComponentSpec::new(ComponentKind::Register, w).with_ops(OpSet::only(Op::Load))
+}
+
 fn adder(w: usize) -> ComponentSpec {
     ComponentSpec::new(ComponentKind::AddSub, w)
         .with_ops(OpSet::only(Op::Add))
@@ -52,16 +56,50 @@ fn derived_implementations_are_equivalent() {
         .build();
     let specs = vec![
         adder(6),
+        // Carry-select blocks of 6, twice the widest stocked adder: two
+        // at 12 bits (the generic carry-select's split), three at 18.
         adder(12),
-        ComponentSpec::new(ComponentKind::Register, 13).with_ops(OpSet::only(Op::Load)),
+        adder(18),
+        register(13),
+        ComponentSpec::new(ComponentKind::Counter, 4)
+            .with_ops([Op::Load, Op::CountUp, Op::CountDown].into_iter().collect())
+            .with_enable(true),
+        ComponentSpec::new(ComponentKind::Decoder, 2).with_width2(4),
+        ComponentSpec::new(ComponentKind::Comparator, 8).with_ops(OpSet::only(Op::Eq)),
     ];
+    let mut labels = Vec::new();
     for spec in specs {
         let set = engine.run(&spec).expect("synthesizes");
         for alt in &set.alternatives {
             check_implementation(&alt.implementation, 120, 9)
                 .unwrap_or_else(|e| panic!("{spec} via {} fails: {e}", alt.implementation.label()));
+            labels.push(alt.implementation.label().to_string());
         }
     }
+    for rule in [
+        "next-carry-select-6",
+        "next-counter-enable-ff",
+        "next-decoder-nand",
+        "next-eq-xnor-reduce",
+    ] {
+        assert!(
+            labels.iter().any(|l| l == rule),
+            "no {rule} answer in {labels:?}"
+        );
+    }
+}
+
+/// A bank onto a stocked width would be the register itself: expansion
+/// would drop it as a cycle and taint every root reaching it.
+#[test]
+fn stocked_register_width_expands_untainted() {
+    let lib = next_gen();
+    let rules = with_derived_rules(RuleSet::standard(), &lib);
+    let mut space = DesignSpace::new();
+    let root = space
+        .expand(&register(6), &rules, &lib, &SpecModelCache::new())
+        .expect("expands");
+    assert!(!space.tainted_under(root));
 }
 
 #[test]
@@ -85,7 +123,7 @@ fn lola_improves_the_design_space() {
         .map(|a| a.implementation.label())
         .collect();
     assert!(
-        labels.iter().any(|l| l.starts_with("lola-")),
+        labels.iter().any(|l| l.starts_with("next-")),
         "no LOLA design in {labels:?}"
     );
     if let Ok(base) = baseline {
@@ -104,6 +142,22 @@ fn lola_profile_matches_the_papers_lsi_pairing() {
     // The paper's pairing: 4-bit P/G adders with the 4-group CLA.
     assert!(profile.pg_adder_widths.contains(&4));
     assert!(profile.cla_groups.contains(&4));
+    // The paper's count: "DTAS requires nine library-specific design
+    // rules to fully utilize the subset of cells from LSI Logic".
     let rules = derive_library_rules(&cells::lsi::lsi_logic_subset());
-    assert!(rules.iter().any(|r| r.name() == "lola-cla-block-16"));
+    let names: Vec<&str> = rules.iter().map(|r| r.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "lsi-cla16-block-ripple",
+            "lsi-carry-select-8",
+            "lsi-register-bank",
+            "lsi-register-en-bank",
+            "lsi-counter-enable-ff",
+            "lsi-gate-radix3",
+            "lsi-gate-radix8",
+            "lsi-decoder-nand",
+            "lsi-eq-xnor-reduce",
+        ]
+    );
 }

@@ -18,7 +18,7 @@ fn library_is_the_thirty_cell_subset() {
 #[test]
 fn nine_library_specific_rules() {
     // "DTAS requires nine library-specific design rules"
-    let rules = RuleSet::standard().with_lsi_extensions();
+    let rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     assert_eq!(rules.library_count(), 9);
 }
 

@@ -494,13 +494,17 @@ fn updates_answer_like_a_fresh_engine() {
     let cold_spec = ComponentSpec::new(ComponentKind::Mux, 8).with_inputs(4);
     type Update = fn(&mut Dtas);
     type FreshRules = fn() -> RuleSet;
-    let standard_lsi: FreshRules = || RuleSet::standard().with_lsi_extensions();
+    let standard_lsi: FreshRules =
+        || dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     let standard_only: FreshRules = || RuleSet::standard();
     let updates: [(&str, Update, FreshRules, DtasConfig); 5] = [
         (
             "same rules",
             |e| {
-                e.update_rules(RuleSet::standard().with_lsi_extensions());
+                e.update_rules(dtas::lola::with_derived_rules(
+                    RuleSet::standard(),
+                    &lsi_logic_subset(),
+                ));
             },
             standard_lsi,
             DtasConfig::default(),

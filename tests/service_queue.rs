@@ -320,7 +320,7 @@ fn worker_panic_resolves_the_ticket_and_the_service_survives() {
             vec![]
         }
     }
-    let mut rules = RuleSet::standard().with_lsi_extensions();
+    let mut rules = dtas::lola::with_derived_rules(RuleSet::standard(), &lsi_logic_subset());
     rules.append_library_rules(vec![Box::new(PanicRule)]);
     let engine = Arc::new(Dtas::builder(lsi_logic_subset()).rules(rules).build());
     let service = DtasService::start(

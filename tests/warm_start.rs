@@ -906,7 +906,10 @@ fn same_rules_update_keeps_the_chain() {
     let mut engine = Dtas::warm_start(lsi_logic_subset(), &dir);
     // One answer decoded, two still pending on the chain.
     assert_sets_identical(&reference[0], &engine.run(&specs[0]).expect("hit"));
-    let report = engine.update_rules(RuleSet::standard().with_lsi_extensions());
+    let report = engine.update_rules(dtas::lola::with_derived_rules(
+        RuleSet::standard(),
+        &lsi_logic_subset(),
+    ));
     assert_eq!(report.dropped, InvalidationCounts::default(), "{report}");
     assert_eq!(report.retained.results, specs.len(), "{report}");
     assert!(
