@@ -190,15 +190,16 @@ fn gate_value(
 }
 
 /// Noise floor of the `queries[].repeat_ns` checks, in nanoseconds.
-const REPEAT_FLOOR_NS: f64 = 1_000.0;
+const REPEAT_FLOOR_NS: f64 = 2_500.0;
 
 /// Runs every gate check. `tolerance` is the allowed regression factor.
 fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // Hot-path repeats, matched by query name. Floor: above the spread
-    // of one hit's median across snapshots on the reference host, so
-    // only a hit several times slower than the baseline's can fail.
+    // of one hit's median across snapshots on the 2-vCPU reference host
+    // (0.15-0.35 µs; 4 of 396 per-spec medians read 0.5-1.8 µs), so only
+    // a hit several times slower than the baseline's can fail.
     let baseline_queries = baseline.get("queries").and_then(Json::arr).unwrap_or(&[]);
     let current_queries = current.get("queries").and_then(Json::arr).unwrap_or(&[]);
     for bq in baseline_queries {
@@ -479,7 +480,7 @@ mod tests {
 
     #[test]
     fn noise_under_the_floor_passes() {
-        // A 4x repeat regression still under the 1 µs floor, and a 7x
+        // A 4x repeat regression still under the 2.5 µs floor, and a 7x
         // RTT regression still under the 20 ms floor: skip, not fail.
         let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
         let cur = snapshot_with_serve(800.0, 0.02, 100.0, 400_000.0, 40_000.0, 15_000.0);
@@ -599,9 +600,10 @@ mod tests {
                 .map(|f| f.metric)
                 .collect()
         };
-        // A hit that went from 400 ns to 1.6 µs fails; 2.5x passes.
-        assert_eq!(failed(400.0, 1_600.0), ["queries.ALU64.repeat_ns"]);
-        assert!(failed(400.0, 1_000.0).is_empty());
+        // A hit that went from 400 ns to 3 µs fails; 2 µs, under the
+        // floor, passes.
+        assert_eq!(failed(400.0, 3_000.0), ["queries.ALU64.repeat_ns"]);
+        assert!(failed(400.0, 2_000.0).is_empty());
     }
 
     #[test]

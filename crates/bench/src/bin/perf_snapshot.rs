@@ -50,7 +50,7 @@ const HIT_BATCHES: usize = 101;
 
 /// Median per-call nanoseconds of a memo hit on `spec`.
 fn repeat_ns(engine: &Dtas, spec: &ComponentSpec) -> f64 {
-    let mut per_call: Vec<f64> = (0..HIT_BATCHES)
+    let per_call = (0..HIT_BATCHES)
         .map(|_| {
             let t0 = Instant::now();
             for _ in 0..HIT_BATCH {
@@ -59,8 +59,7 @@ fn repeat_ns(engine: &Dtas, spec: &ComponentSpec) -> f64 {
             t0.elapsed().as_nanos() as f64 / f64::from(HIT_BATCH)
         })
         .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[HIT_BATCHES / 2]
+    quartiles(per_call)[1]
 }
 
 fn run_queries(engine: &Dtas, specs: &[(String, ComponentSpec)]) -> Vec<QueryRow> {

@@ -15,19 +15,19 @@
 //! rule per *design principle* the profile supports, deriving only what
 //! the generic base lacks. No principle names a cell or a library:
 //!
-//! 1. **ripple-slicing** to every stocked adder width other than the
-//!    generic 1/2/4/8;
+//! 1. **ripple-slicing** to every stocked adder width the generic ripple
+//!    rules lack;
 //! 2. **lookahead blocks** sized `groups × slice` for every (P/G adder,
 //!    lookahead generator) pair, rippled block to block (a single block
-//!    of 4-bit groups under a 2–4-group generator is `add-cla-groups`);
+//!    `add-cla-groups` builds is left to it);
 //! 3. **carry-select blocks** twice the widest stocked plain adder, given
 //!    a 2:1 multiplexer;
 //! 4. **register banking** greedily, widest first, onto the stocked
 //!    register widths, plain and enabled (a one-part split is the parent
 //!    itself and is skipped);
 //! 5. **enabled-flip-flop counters**, given an enabled register;
-//! 6. **fan-in radix splitting** to the stocked gate fan-ins other than
-//!    the generic 2 and 4;
+//! 6. **fan-in radix splitting** to the stocked gate fan-ins the generic
+//!    splits lack;
 //! 7. **NAND/inverter decoders** for the widths the NAND fan-ins cover
 //!    without a gap from 2;
 //! 8. **XNOR-slice equality** with an AND reduction, given an XNOR.
@@ -36,11 +36,11 @@
 //! For the paper's LSI subset (`lsi_lma9k_subset`) the derivation is
 //! exactly the nine `lsi-*` rules §7 counts.
 
-use crate::rules::adder::ripple;
+use crate::rules::adder::{ripple, CLA_GROUP_COUNTS, CLA_GROUP_SLICE, RIPPLE_SLICE_WIDTHS};
 use crate::rules::helpers::{
     adder, adder_pg, cla, gate, gate_inputs, mux, not_gate, register, register_en,
 };
-use crate::rules::logic::fanin_split_public;
+use crate::rules::logic::{fanin_split_public, FANIN_RADICES};
 use crate::rules::seq::counter_next_state;
 use crate::rules::Rule;
 use crate::template::{NetlistTemplate, Signal, TemplateBuilder};
@@ -457,16 +457,18 @@ pub fn derive_library_rules(library: &CellLibrary) -> Vec<Box<dyn Rule>> {
             expand,
         }));
     };
-    // The generic rules already slice by 1/2/4/8.
-    for &k in p.adder_widths.iter().filter(|k| ![1, 2, 4, 8].contains(*k)) {
+    for &k in p
+        .adder_widths
+        .difference(&BTreeSet::from(RIPPLE_SLICE_WIDTHS))
+    {
         derive(
             format!("ripple-slice-{k}"),
             format!("ripple-carry chain of the library's {k}-bit adder slices"),
             Box::new(move |name, spec| ripple(name, spec, k).into_iter().collect()),
         );
     }
-    // `add-cla-groups` builds one block of 4-bit groups under a 2-4
-    // group generator; past that, blocks chain.
+    // A single block `add-cla-groups` builds is left to it; past that,
+    // blocks chain.
     let blocks: Vec<(usize, usize)> = p
         .pg_adder_widths
         .iter()
@@ -475,7 +477,7 @@ pub fn derive_library_rules(library: &CellLibrary) -> Vec<Box<dyn Rule>> {
     for &(slice, groups) in &blocks {
         let block = slice * groups;
         let shared = blocks.iter().any(|&(s, g)| s != slice && s * g == block);
-        let min_blocks = if slice == 4 && (2..=4).contains(&groups) {
+        let min_blocks = if slice == CLA_GROUP_SLICE && CLA_GROUP_COUNTS.contains(&groups) {
             2
         } else {
             1
@@ -524,8 +526,7 @@ pub fn derive_library_rules(library: &CellLibrary) -> Vec<Box<dyn Rule>> {
             Box::new(counter_enable_ff),
         );
     }
-    // The generic rules split fan-ins by 2 and by 4.
-    for &radix in p.gate_fanins.iter().filter(|&&r| r != 4) {
+    for &radix in p.gate_fanins.difference(&BTreeSet::from(FANIN_RADICES)) {
         derive(
             format!("gate-radix{radix}"),
             format!("fan-in splitting in {radix}s, matching the library's {radix}-input gates"),

@@ -7,6 +7,7 @@ use crate::template::{NetlistTemplate, Signal, TemplateBuilder};
 use genus::kind::{ComponentKind, GateOp};
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
+use std::ops::RangeInclusive;
 
 /// True for a canonical-form adder/subtractor: both carry pins, no P/G,
 /// ops within {ADD, SUB}.
@@ -60,8 +61,12 @@ pub(crate) fn ripple(rule_name: &str, spec: &ComponentSpec, k: usize) -> Option<
     Some(t.build())
 }
 
+/// Slice widths of the generic ripple rules, one `add-ripple-slice-{k}`
+/// each. LOLA derives ripple rules only for a library's other widths.
+pub(crate) const RIPPLE_SLICE_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
 macro_rules! ripple_rule {
-    ($ty:ident, $name:literal, $k:literal, $doc:literal) => {
+    ($ty:ident, $name:literal, $k:expr, $doc:literal) => {
         rule!(pub(super) $ty, $name, $doc, |spec| {
             ripple($name, spec, $k).into_iter().collect()
         });
@@ -71,25 +76,25 @@ macro_rules! ripple_rule {
 ripple_rule!(
     RippleSlice1,
     "add-ripple-slice-1",
-    1,
+    RIPPLE_SLICE_WIDTHS[0],
     "ripple-carry chain of 1-bit adder slices"
 );
 ripple_rule!(
     RippleSlice2,
     "add-ripple-slice-2",
-    2,
+    RIPPLE_SLICE_WIDTHS[1],
     "ripple-carry chain of 2-bit adder slices"
 );
 ripple_rule!(
     RippleSlice4,
     "add-ripple-slice-4",
-    4,
+    RIPPLE_SLICE_WIDTHS[2],
     "ripple-carry chain of 4-bit adder slices"
 );
 ripple_rule!(
     RippleSlice8,
     "add-ripple-slice-8",
-    8,
+    RIPPLE_SLICE_WIDTHS[3],
     "ripple-carry chain of 8-bit adder slices"
 );
 
@@ -196,17 +201,24 @@ rule!(
     }
 );
 
+/// `add-cla-groups` builds one lookahead block of P/G adders this wide,
+/// under a generator of one of these group counts. LOLA derives only the
+/// lookahead blocks this rule does not build.
+pub(crate) const CLA_GROUP_SLICE: usize = 4;
+pub(crate) const CLA_GROUP_COUNTS: RangeInclusive<usize> = 2..=4;
+
 rule!(
     pub(super) ClaGroups,
     "add-cla-groups",
     "4-bit P/G adder groups under one carry-lookahead generator",
     |spec| {
-        if !canonical_addsub(spec) || spec.ops != OpSet::only(Op::Add) || !spec.width.is_multiple_of(4)
+        let k = CLA_GROUP_SLICE;
+        if !canonical_addsub(spec) || spec.ops != OpSet::only(Op::Add) || !spec.width.is_multiple_of(k)
         {
             return vec![];
         }
-        let n = spec.width / 4;
-        if !(2..=4).contains(&n) {
+        let n = spec.width / k;
+        if !CLA_GROUP_COUNTS.contains(&n) {
             return vec![];
         }
         let mut t = TemplateBuilder::new("add-cla-groups");
@@ -221,14 +233,14 @@ rule!(
             };
             t.module(
                 &format!("grp{i}"),
-                adder_pg(4),
+                adder_pg(k),
                 vec![
-                    ("A", Signal::parent("A").slice(4 * i, 4)),
-                    ("B", Signal::parent("B").slice(4 * i, 4)),
+                    ("A", Signal::parent("A").slice(k * i, k)),
+                    ("B", Signal::parent("B").slice(k * i, k)),
                     ("CI", ci),
                 ],
                 vec![
-                    ("O", &format!("o{i}"), 4),
+                    ("O", &format!("o{i}"), k),
                     ("P", &format!("p{i}"), 1),
                     ("G", &format!("g{i}"), 1),
                 ],

@@ -246,6 +246,11 @@ pub(crate) fn fanin_split_public(
     t.build()
 }
 
+/// Fan-in radices of the generic gate splits: `gate-fanin-tree` splits
+/// in 2, `gate-fanin-radix4` in 4. LOLA derives only the library's other
+/// radices.
+pub(crate) const FANIN_RADICES: [usize; 2] = [2, 4];
+
 rule!(
     pub(super) GateFaninTree,
     "gate-fanin-tree",
@@ -254,13 +259,14 @@ rule!(
         let Some(g) = is_gate(spec) else {
             return vec![];
         };
+        let radix = FANIN_RADICES[0];
         if spec.width != 1
-            || spec.inputs < 3
+            || spec.inputs <= radix
             || matches!(g, GateOp::Not | GateOp::Buf)
         {
             return vec![];
         }
-        vec![fanin_split_public("gate-fanin-tree", g, spec.inputs, 2)]
+        vec![fanin_split_public("gate-fanin-tree", g, spec.inputs, radix)]
     }
 );
 
@@ -272,14 +278,15 @@ rule!(
         let Some(g) = is_gate(spec) else {
             return vec![];
         };
+        let radix = FANIN_RADICES[1];
         if spec.width != 1
-            || spec.inputs <= 4
-            || !spec.inputs.is_multiple_of(4)
+            || spec.inputs <= radix
+            || !spec.inputs.is_multiple_of(radix)
             || matches!(g, GateOp::Not | GateOp::Buf | GateOp::Xor | GateOp::Xnor)
         {
             return vec![];
         }
-        vec![fanin_split_public("gate-fanin-radix4", g, spec.inputs, 4)]
+        vec![fanin_split_public("gate-fanin-radix4", g, spec.inputs, radix)]
     }
 );
 

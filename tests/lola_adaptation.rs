@@ -127,6 +127,12 @@ fn lola_improves_the_design_space() {
         "no LOLA design in {labels:?}"
     );
     if let Ok(base) = baseline {
+        assert!(
+            adapted.alternatives.len() >= base.alternatives.len(),
+            "LOLA lost designs: {} vs {}",
+            adapted.alternatives.len(),
+            base.alternatives.len()
+        );
         let fast_base = base.fastest().expect("nonempty").delay;
         let fast_adapted = adapted.fastest().expect("nonempty").delay;
         assert!(
