@@ -14,10 +14,10 @@
 //!   same two timings (`cold_first_ms / warm_first_ms`): a warm first
 //!   answer decodes its own answer section, never the design space, so
 //!   it must stay far under a cold solve;
-//! * `warm_start.cold_first_ms` — the cold ALU64 first answer on a fresh
-//!   engine, gated on its own so a slower cold path cannot hide inside
-//!   the warm-start ratio (a cold regression makes that ratio look
-//!   *better*);
+//! * `warm_start.cold_first_ms` — the cold ALU64 first answer (the
+//!   median of five, each on a fresh engine), gated on its own so a
+//!   slower cold path cannot hide inside the warm-start ratio (a cold
+//!   regression makes that ratio look *better*);
 //! * `service.saturation_qps` — the admission-controlled service's
 //!   saturation throughput;
 //! * `service.deadline_vs_plain` — a self-contained floor (≥ 0.95, no

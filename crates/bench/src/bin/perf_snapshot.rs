@@ -142,6 +142,11 @@ fn batch_vs_loop_ms(specs: &[(String, ComponentSpec)]) -> (f64, f64) {
     (batch_ms, loop_ms)
 }
 
+/// Cold ALU64 solves behind `warm_start.cold_first_ms`, each on a fresh
+/// engine: their median, so one solve in a slow spell on a shared host
+/// does not become the reported figure.
+const COLD_SOLVES: usize = 5;
+
 /// Warm-start + tiered-store metrics: cold first query vs a second
 /// engine loading the persisted chain (the restart / cross-process
 /// scenario), lazy vs full-decode load cost, and full vs delta
@@ -163,9 +168,17 @@ fn warm_start_metrics(spec: &ComponentSpec) -> WarmStart {
     let _ = std::fs::remove_dir_all(&dir);
 
     let cold = Dtas::warm_start(lsi_logic_subset(), &dir);
-    let cold_first_ms = ms(|| {
+    let mut cold_ms = vec![ms(|| {
         cold.run(spec).expect("cold solves");
-    });
+    })];
+    // The other cold solves run on engines that persist nothing.
+    for _ in 1..COLD_SOLVES {
+        let fresh = Dtas::new(lsi_logic_subset());
+        cold_ms.push(ms(|| {
+            fresh.run(spec).expect("cold solves");
+        }));
+    }
+    let cold_first_ms = quartiles(cold_ms)[1];
     // Widen the persisted set so the lazy-vs-full load comparison decodes
     // more than one result.
     for extra in [adder_spec(8), adder_spec(16), adder_spec(32)] {
@@ -360,8 +373,11 @@ struct ServiceMetrics {
     deadline_vs_plain: [f64; 3],
 }
 
-/// Interleaved plain/stamped pairs behind `deadline_vs_plain`.
-const DEADLINE_PAIRS: usize = 11;
+/// Interleaved plain/stamped pairs behind `deadline_vs_plain`: enough
+/// that its median stays clear of the gate's 0.95 floor on a busy host.
+/// Over 24 runs on a 2-vCPU Xeon it read 0.956–0.997 with 81 pairs,
+/// against 0.938–1.024 (two runs under the floor) with 21.
+const DEADLINE_PAIRS: usize = 81;
 
 /// `[q1, median, q3]` of `values`, linearly interpolated.
 fn quartiles(mut values: Vec<f64>) -> [f64; 3] {
@@ -962,7 +978,7 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(
         json,
-        "  \"warm_start\": {{ \"spec\": \"ALU64\", \"cold_first_ms\": {:.3}, \"warm_first_ms\": {:.3}, \"warm_speedup\": {:.0}, \"snapshot_save_ms\": {:.3}, \"snapshot_load_ms\": {:.3}, \"snapshot_bytes\": {}, \"persisted_results\": {}, \"note\": \"second engine over a persisted --cache-dir snapshot: first-query latency after a process restart\" }},",
+        "  \"warm_start\": {{ \"spec\": \"ALU64\", \"cold_first_ms\": {:.3}, \"warm_first_ms\": {:.3}, \"warm_speedup\": {:.0}, \"snapshot_save_ms\": {:.3}, \"snapshot_load_ms\": {:.3}, \"snapshot_bytes\": {}, \"persisted_results\": {}, \"note\": \"second engine over a persisted --cache-dir snapshot: first-query latency after a process restart; cold_first_ms is the median of {COLD_SOLVES} cold solves, each on a fresh engine\" }},",
         warm.cold_first_ms,
         warm.warm_first_ms,
         warm.cold_first_ms / warm.warm_first_ms.max(1e-6),

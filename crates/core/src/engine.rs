@@ -11,9 +11,9 @@ use crate::space::{
     DesignPoint, ExpandError, FilterPolicy, FrontStore, SolveConfig, Solver, SpecId,
 };
 use crate::store::mem::{MemStore, MemoEntry, SharedState, Source, SynthResult};
+use crate::store::segment::WarmSource;
 use crate::store::{
-    DirtySet, LoadOutcome, PersistentStore, Rejection, ResultStore, SaveReport, StoreError,
-    StoreKey, WarmSource,
+    DirtySet, LoadOutcome, PersistentStore, Rejection, SaveReport, StoreError, StoreKey,
 };
 use crate::template::NetlistTemplate;
 use cells::CellLibrary;
@@ -60,7 +60,7 @@ pub struct CacheStats {
     /// Times a poisoned lock (a client panicked mid-update) was detected;
     /// the affected state was dropped and rebuilt (see [`Dtas`]).
     pub poison_recoveries: u64,
-    /// Snapshots successfully loaded from the bound [`ResultStore`]
+    /// Snapshots successfully loaded from the bound [`PersistentStore`]
     /// (0 or 1 per engine lifetime: warm start happens at construction).
     pub snapshot_loads: u64,
     /// Snapshots found but rejected (truncated, corrupt, different format
@@ -234,7 +234,7 @@ pub enum InvalidationReason {
     /// uniform-size accounting, so they were dropped; fronts retained.
     UniformAccountingChanged,
     /// [`DtasConfig::persist_path`] changed; the engine was rebound to
-    /// the new backend.
+    /// the store on the new directory.
     StoreRebound,
     /// The bound store was asked to drop the chain stored under the
     /// engine's key (a rule change invisible to the name-level rule
@@ -314,7 +314,7 @@ struct StoreMetrics {
     /// Fronts kept warm by the most recent `update_rules`/`update_config`.
     fronts_retained: AtomicU64,
     /// [`MemStore::settled`] count at the last checkpoint — the drop
-    /// hook only flushes when solves landed since, so an explicit
+    /// hook only flushes while the two differ, so an explicit
     /// `checkpoint()` is not paid a second time on drop.
     flushed_settled: AtomicU64,
     /// Why the last rejected snapshot was rejected (diagnostics).
@@ -400,8 +400,8 @@ struct FlushState {
 ///
 /// # Warm start
 ///
-/// With [`DtasConfig::persist_path`] set (or a backend attached through
-/// [`Dtas::builder`]), the memoized answers also survive the engine:
+/// With [`DtasConfig::persist_path`] set, the memoized answers also
+/// survive the engine:
 /// construction maps a compatible snapshot of them, and new answers are
 /// flushed back by [`checkpoint`](Self::checkpoint) or on drop. A second
 /// process pointed at the same directory answers a persisted query by
@@ -431,14 +431,14 @@ pub struct Dtas {
     config: DtasConfig,
     fingerprint: u64,
     mem: MemStore,
-    store: Option<Arc<dyn ResultStore>>,
+    store: Option<PersistentStore>,
     metrics: StoreMetrics,
     flush: Mutex<FlushState>,
     canon: Canonicalizer,
 }
 
 /// Constructs a [`Dtas`] in one shot: library (required), then optional
-/// rule base, configuration and snapshot backend. Once built, the engine
+/// rule base and configuration. Once built, the engine
 /// is immutable except through [`Dtas::update_rules`] /
 /// [`Dtas::update_config`], which invalidate *only* the affected cached
 /// state and say exactly what they did ([`InvalidationReport`]).
@@ -446,13 +446,12 @@ pub struct DtasBuilder {
     library: CellLibrary,
     rules: Option<RuleSet>,
     config: DtasConfig,
-    store: Option<Arc<dyn ResultStore>>,
 }
 
 impl DtasBuilder {
     /// Replaces the default rule base: [`RuleSet::standard`] plus the
     /// rules LOLA derives for the engine's library
-    /// ([`with_derived_rules`](crate::lola::with_derived_rules)).
+    /// ([`with_derived_rules`]).
     pub fn rules(mut self, rules: RuleSet) -> Self {
         self.rules = Some(rules);
         self
@@ -464,23 +463,12 @@ impl DtasBuilder {
         self
     }
 
-    /// Binds an explicit snapshot backend, overriding the
-    /// [`DtasConfig::persist_path`] binding.
-    pub fn store(mut self, store: Arc<dyn ResultStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// Builds the engine and warm-starts it from the bound store (if any
-    /// chain is compatible; anything else is a plain cold start).
+    /// Builds the engine and warm-starts it from the store on
+    /// [`DtasConfig::persist_path`] (if one is set and holds a compatible
+    /// chain; anything else is a plain cold start).
     pub fn build(self) -> Dtas {
         let fingerprint = self.library.fingerprint();
-        let store = self.store.or_else(|| {
-            self.config
-                .persist_path
-                .as_ref()
-                .map(|dir| Arc::new(PersistentStore::new(dir)) as Arc<dyn ResultStore>)
-        });
+        let store = self.config.persist_path.as_ref().map(PersistentStore::new);
         let library = self.library;
         let dtas = Dtas {
             rules: self
@@ -508,13 +496,12 @@ impl Dtas {
     }
 
     /// Starts building an engine: `Dtas::builder(lib).rules(…).config(…)
-    /// .store(…).build()`.
+    /// .build()`.
     pub fn builder(library: CellLibrary) -> DtasBuilder {
         DtasBuilder {
             library,
             rules: None,
             config: DtasConfig::default(),
-            store: None,
         }
     }
 
@@ -741,7 +728,8 @@ impl Dtas {
             let dropped_any = dirty_count > 0 || dropped_results > 0;
             if dropped_any && retained_results > 0 {
                 // Make the retained answers look unflushed so the next
-                // checkpoint persists them instead of skipping.
+                // checkpoint, or the drop, persists them instead of
+                // skipping.
                 self.metrics.flushed_settled.store(
                     self.mem.settled.load(Ordering::Relaxed).wrapping_sub(1),
                     Ordering::Relaxed,
@@ -835,23 +823,19 @@ impl Dtas {
         }
         if node_shaping || root_shaping || uniform || storage {
             // Shaping changes the result fingerprint (and a rebind the
-            // backend): the old watermark describes some other chain.
+            // directory): the old watermark describes some other chain.
             *self.lock_flush() = FlushState::default();
         }
         if storage && self.mem.front_counts().1 == 0 {
-            // Nothing live to protect: warm-load from the new backend.
+            // Nothing live to protect: warm-load from the new directory.
             self.try_warm_load();
         }
         report
     }
 
-    /// Rebinds the snapshot backend from [`DtasConfig::persist_path`].
+    /// Rebinds the store from [`DtasConfig::persist_path`].
     fn rebind_store(&mut self) {
-        self.store = self
-            .config
-            .persist_path
-            .as_ref()
-            .map(|dir| Arc::new(PersistentStore::new(dir)) as Arc<dyn ResultStore>);
+        self.store = self.config.persist_path.as_ref().map(PersistentStore::new);
     }
 
     /// The checkpoint-watermark lock, recovering from poison by
@@ -874,11 +858,6 @@ impl Dtas {
             config: self.config.result_fingerprint(),
             canon: canon::canon_fingerprint(),
         }
-    }
-
-    /// The bound snapshot backend, if any.
-    pub fn snapshot_store(&self) -> Option<&Arc<dyn ResultStore>> {
-        self.store.as_ref()
     }
 
     /// Attempts a warm start from the bound store. A missing snapshot is
@@ -955,7 +934,7 @@ impl Dtas {
 
     /// Flushes the memoized answers to the bound store. Returns `Ok(None)`
     /// when no store is bound. Also runs automatically on drop when the
-    /// engine solved anything new since the last load.
+    /// engine holds anything the last flush did not write.
     ///
     /// Flushes are tiered: a checkpoint with nothing new since the last
     /// flush writes nothing ([`CheckpointOutcome::Skipped`]); one with a
@@ -1066,11 +1045,6 @@ impl Dtas {
     /// The configuration.
     pub fn config(&self) -> &DtasConfig {
         &self.config
-    }
-
-    /// The library content fingerprint the cache is keyed by.
-    pub fn library_fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Drops all cross-query synthesis state (design space, fronts,
@@ -1577,17 +1551,22 @@ impl Dtas {
 }
 
 impl Drop for Dtas {
-    /// Best-effort flush to the bound store when the engine solved
-    /// anything new since the last [`checkpoint`](Dtas::checkpoint) (a
-    /// pure-hit warm session, or one already checkpointed explicitly,
-    /// stays clean and writes nothing). Skipped during panics so a
-    /// failing test or crashing client never persists suspect state.
+    /// Best-effort flush to the bound store when the engine has anything
+    /// the last [`checkpoint`](Dtas::checkpoint) did not write: new
+    /// solves, or answers an [`update_rules`](Dtas::update_rules) kept
+    /// under a new key (a pure-hit warm session, or one already
+    /// checkpointed explicitly, stays clean and writes nothing). Skipped
+    /// during panics so a failing test or crashing client never persists
+    /// suspect state.
     fn drop(&mut self) {
         if std::thread::panicking() {
             return;
         }
+        // The same test `checkpoint` skips on: `update_rules` marks kept
+        // answers unflushed by moving the watermark off `settled`, which
+        // on an engine that never solved wraps it *above* `settled`.
         let unflushed = self.mem.settled.load(Ordering::Relaxed)
-            > self.metrics.flushed_settled.load(Ordering::Relaxed);
+            != self.metrics.flushed_settled.load(Ordering::Relaxed);
         if self.store.is_some() && unflushed {
             let _ = self.checkpoint();
         }

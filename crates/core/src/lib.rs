@@ -28,11 +28,10 @@
 //! be updated in place ([`Dtas::update_rules`] / [`Dtas::update_config`])
 //! with delta invalidation that keeps unaffected cached state warm.
 //!
-//! The engine's answers are also *portable*: the [`store`] layer
-//! snapshots the memoized results through the [`store::ResultStore`]
-//! trait, and the on-disk
-//! [`store::PersistentStore`] backend ([`DtasConfig::persist_path`],
-//! `dtas --cache-dir`) warm-starts a fresh process from a previous run in
+//! The engine's answers are also *portable*: with
+//! [`DtasConfig::persist_path`] set (`dtas --cache-dir`), the engine owns a
+//! [`store::PersistentStore`] on that directory, snapshots its memoized
+//! results there, and a fresh process warm-starts from a previous run in
 //! milliseconds instead of re-paying the cold solve.
 //!
 //! For serving that engine to heavy concurrent traffic, the [`service`]
@@ -104,8 +103,7 @@ pub use service::{
 };
 pub use space::{DesignSpace, FilterPolicy, FrontStore, Policy, SolveConfig, Solver};
 pub use store::{
-    AnswerDefect, CacheKeyEntry, DirtySet, EngineSnapshot, GcItem, GcPlan, GcReason, LoadOutcome,
-    MemSnapshotStore, PersistentStore, Rejection, ResultStore, SaveReport, StoreError, StoreKey,
-    WarmSource, FORMAT_VERSION,
+    AnswerDefect, CacheKeyEntry, GcItem, GcPlan, GcReason, PersistentStore, Rejection, SaveReport,
+    StoreError, StoreKey, FORMAT_VERSION,
 };
 pub use template::{NetlistTemplate, Signal, SpecModelCache, TemplateBuilder};

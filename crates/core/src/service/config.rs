@@ -77,8 +77,8 @@ pub struct ServiceConfig {
     /// What to do with a submission that finds the service at capacity.
     pub admission: Admission,
     /// Interval of the background checkpoint thread. `Some(d)` flushes
-    /// the engine's [`ResultStore`](crate::store::ResultStore) every `d`
-    /// while the service runs — without ever blocking the
+    /// the engine's [`PersistentStore`](crate::store::PersistentStore)
+    /// every `d` while the service runs — without ever blocking the
     /// zero-exclusive-lock hit path (the export takes shared locks only).
     /// `None` (the default) checkpoints only at
     /// [`shutdown`](crate::service::DtasService::shutdown). No-op when

@@ -33,7 +33,7 @@
 //!   shed-oldest when workers stall below the configured rate;
 //! * **background checkpointing** —
 //!   [`ServiceConfig::checkpoint_interval`] flushes the engine's bound
-//!   [`ResultStore`](crate::store::ResultStore) on a timer from a
+//!   [`PersistentStore`](crate::store::PersistentStore) on a timer from a
 //!   dedicated thread. The export only takes shared locks, so the
 //!   zero-exclusive-lock hit path keeps serving while the snapshot
 //!   writes;

@@ -1,4 +1,4 @@
-//! The on-disk chain backend: generation-named segment files, atomic
+//! The on-disk chain store: generation-named segment files, atomic
 //! publication, and the cache-directory inventory/GC that `dtas cache`
 //! exposes.
 //!
@@ -27,8 +27,8 @@
 
 use crate::store::mmap::SegmentBytes;
 use crate::store::{
-    fresh_base_id, segment, DirtySet, EngineSnapshot, LoadOutcome, Rejection, ResultStore,
-    SaveReport, StoreError, StoreKey, FORMAT_VERSION,
+    segment, DirtySet, EngineSnapshot, LoadOutcome, Rejection, SaveReport, StoreError, StoreKey,
+    FORMAT_VERSION,
 };
 use std::collections::HashMap;
 use std::io::ErrorKind;
@@ -46,8 +46,24 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// leftover (a save takes milliseconds, not minutes).
 const TMP_SWEEP_AGE: Duration = Duration::from_secs(15 * 60);
 
+/// Process-unique id for a fresh base segment: deltas name it so a chain
+/// can never mix segments from two different bases (e.g. two processes
+/// compacting the same key back to back).
+fn fresh_base_id() -> u64 {
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let nanos = SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0);
+    let mut seed = Vec::with_capacity(24);
+    seed.extend_from_slice(&(std::process::id() as u64).to_le_bytes());
+    seed.extend_from_slice(&nanos.to_le_bytes());
+    seed.extend_from_slice(&COUNTER.fetch_add(1, Ordering::Relaxed).to_le_bytes());
+    rtl_base::hash::fnv1a_64(&seed)
+}
+
 /// What this process knows about the chain it last wrote or loaded for a
-/// key — the append cursor for [`ResultStore::save_delta`].
+/// key — the append cursor for [`PersistentStore::save_delta`].
 struct Chain {
     base_id: u64,
     generation: u32,
@@ -700,12 +716,13 @@ fn live_seqs(files: &[ScannedFile], gen: u32) -> u32 {
     live
 }
 
-impl ResultStore for PersistentStore {
-    fn location(&self) -> String {
-        self.dir.display().to_string()
-    }
-
-    fn load(&self, key: &StoreKey) -> LoadOutcome {
+// The chain protocol the engine drives. Every method is fail-safe: `load`
+// rejects (never panics, never a torn chain) anything it cannot fully
+// validate, and both saves publish by rename, so a concurrent load sees
+// whole files only.
+impl PersistentStore {
+    /// Fetches and validates the chain stored under `key`, if any.
+    pub(crate) fn load(&self, key: &StoreKey) -> LoadOutcome {
         // Two attempts: a file listed and then gone means a concurrent
         // compaction pruned under us; the retry sees the new generation.
         for _ in 0..2 {
@@ -722,7 +739,15 @@ impl ResultStore for PersistentStore {
         }
     }
 
-    fn save_full(
+    /// Persists `snapshot` as a fresh base segment, starting a new chain
+    /// that supersedes any previous one (this is also the compaction
+    /// step: base + deltas fold into one segment).
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when the directory refuses the write; encoding
+    /// itself is infallible.
+    pub(crate) fn save_full(
         &self,
         key: &StoreKey,
         snapshot: &EngineSnapshot,
@@ -764,7 +789,15 @@ impl ResultStore for PersistentStore {
         })
     }
 
-    fn save_delta(
+    /// Appends `dirty` as a delta segment onto the chain this store last
+    /// wrote or loaded for `key`. Returns `Ok(None)` — asking the caller
+    /// to fall back to [`save_full`](Self::save_full) — when there is no
+    /// such chain.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when the directory refuses the write.
+    pub(crate) fn save_delta(
         &self,
         key: &StoreKey,
         snapshot: &EngineSnapshot,
@@ -794,7 +827,16 @@ impl ResultStore for PersistentStore {
         }))
     }
 
-    fn supersede(&self, key: &StoreKey) -> Result<(), StoreError> {
+    /// Drops everything stored under `key`. The engine calls this from
+    /// [`update_rules`](crate::Dtas::update_rules) when a rule change
+    /// lands on the *same* fingerprint (the rule fingerprint hashes names
+    /// and docs, not bodies), so the next checkpoint persists the
+    /// invalidation instead of a stale chain shadowing it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError`] when the directory refuses a removal.
+    pub(crate) fn supersede(&self, key: &StoreKey) -> Result<(), StoreError> {
         // Drop the append cursor first: whatever happens on disk, this
         // process must never extend the superseded chain with a delta.
         self.lock_chains().remove(key);

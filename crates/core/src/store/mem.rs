@@ -2,10 +2,10 @@
 //! table, the one place an answer lives.
 //!
 //! This is the hot-path half of the storage layer. It is its own module
-//! so the memoized answers can be exported to a
-//! [`ResultStore`](crate::store::ResultStore) backend (see
+//! so the memoized answers can be exported to the engine's
+//! [`PersistentStore`](crate::store::PersistentStore) (see
 //! [`EngineSnapshot`]) without the engine knowing how snapshots are
-//! encoded or where they live.
+//! encoded.
 //!
 //! The table is sharded and read-mostly, keyed by the *requested* spec.
 //! A repeat query hashes its spec once, takes exactly one shard *read*

@@ -114,7 +114,7 @@ unsafe impl Sync for Mmap {}
 /// immutable `&[u8]`, so every decoder above this line is
 /// platform-independent.
 pub(crate) enum SegmentBytes {
-    /// Owned copy (the portable fallback, and all in-memory stores).
+    /// Owned copy (the portable fallback).
     Owned(Vec<u8>),
     /// Shared read-only mapping (64-bit unix).
     #[cfg(all(unix, target_pointer_width = "64"))]

@@ -362,7 +362,7 @@ fn verified_result<'a>(
 /// answer decodes from its own section on first request. A warm-started
 /// engine keeps one [`Section`] per persisted answer in its answer table;
 /// the sections share the chain, so it lives as long as any of them.
-pub struct WarmSource {
+pub(crate) struct WarmSource {
     /// The base, then its deltas in chain order.
     segments: Vec<Segment>,
     /// Encoded size of the base segment.
@@ -373,7 +373,7 @@ pub struct WarmSource {
 
 impl WarmSource {
     /// True when the base segment is memory-mapped rather than copied.
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         self.segments[0].bytes.is_mapped()
     }
 
@@ -431,7 +431,7 @@ impl Section {
 /// Validates a base + ordered deltas into a [`WarmSource`].
 ///
 /// `deltas` must already be the *contiguous* sequence starting at seq 1 —
-/// backends stop listing at the first gap (a missing suffix is a valid
+/// the store stops listing at the first gap (a missing suffix is a valid
 /// prefix). Here every present segment is held to the strict chain
 /// contract; any violation rejects the whole chain.
 pub(crate) fn assemble_chain(

@@ -124,6 +124,9 @@ fn worker_panics_resolve_tickets_and_post_chaos_results_are_bit_identical() {
     drop(guard);
     // Chaos off: the same service re-answers every width — including the
     // ones whose dispatch panicked — bit-identically to a fresh engine.
+    // A fault-free regime holds chaos off: another test's regime would
+    // otherwise inject into these dispatches.
+    let _calm = chaos::install(ChaosConfig::default());
     for w in &widths {
         let after = service
             .submit(SynthRequest::new(adder(*w)))

@@ -10,9 +10,7 @@ mod common;
 
 use cells::lsi::lsi_logic_subset;
 use dtas::template::SpecModelCache;
-use dtas::{
-    DesignSet, DesignSpace, Dtas, DtasConfig, MemSnapshotStore, Policy, RuleSet, SynthRequest,
-};
+use dtas::{DesignSet, DesignSpace, Dtas, DtasConfig, Policy, RuleSet, SynthRequest};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
@@ -315,21 +313,34 @@ fn taint_fallback_covers_every_entry_point() {
 
     // A warm-started engine's misses run the same pipeline on its live
     // space, so they reach the taint check in `expand_batch` too.
-    let store = Arc::new(MemSnapshotStore::new());
-    let first = cyclic::builder().store(store.clone()).build();
+    let dir = std::env::temp_dir().join(format!("dtas_taint_warm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let persisted = || {
+        cyclic::builder()
+            .config(DtasConfig {
+                persist_path: Some(dir.clone()),
+                ..DtasConfig::default()
+            })
+            .build()
+    };
+    let first = persisted();
     first
         .run(ComponentSpec::new(ComponentKind::Delay, 4))
         .unwrap();
     first.checkpoint().unwrap().expect("a store is bound");
     drop(first);
-    let warm_run = cyclic::builder().store(store.clone()).build();
+    let warm_run = persisted();
     assert_eq!(warm_run.cache_stats().snapshot_loads, 1);
     warm_run.run(&a).unwrap();
     assert_eq!(answer(&warm_run.run(&b).unwrap()), fresh_b);
-    let warm_batch = cyclic::builder().store(store).build();
+    let warm_batch = persisted();
     let batch = warm_batch.run_batch(&[a, b]);
     assert_eq!(answer(batch[0].as_ref().unwrap()), fresh_a);
     assert_eq!(answer(batch[1].as_ref().unwrap()), fresh_b);
+    // Drop the engines before the directory: a drop-flush after the
+    // delete would recreate it.
+    drop((warm_run, warm_batch));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The old BTreeMap policy-merge semantics, kept as the reference model.

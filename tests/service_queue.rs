@@ -16,7 +16,8 @@ use dtas::{
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
-use hls_rtl_bridge::BridgeError;
+use hls_rtl_bridge::flow::{LinkedFlow, MappedFlow};
+use hls_rtl_bridge::{BridgeError, Flow};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -777,4 +778,45 @@ proptest! {
         }
         service.shutdown();
     }
+}
+
+/// The GCD example's behavioral source through HLS, control compilation
+/// and linking.
+fn gcd_linked() -> Result<LinkedFlow, BridgeError> {
+    Flow::from_hls(include_str!("../examples/gcd.ent"))?
+        .schedule()?
+        .compile_control()?
+        .link()
+}
+
+#[test]
+fn map_service_matches_a_direct_map_of_the_gcd_netlist() {
+    // `LinkedFlow::map_service` submits one bulk request per distinct
+    // component and collects the tickets: the same mapping as
+    // `LinkedFlow::map` on a fresh engine, one admission per component.
+    let direct = gcd_linked()
+        .expect("links")
+        .map(&Dtas::new(lsi_logic_subset()))
+        .expect("maps");
+    let service = DtasService::start(
+        Arc::new(Dtas::new(lsi_logic_subset())),
+        ServiceConfig::default(),
+    );
+    let served = gcd_linked()
+        .expect("links")
+        .map_service(&service)
+        .expect("maps through the service");
+    let stats = service.shutdown();
+
+    let answers = |mapped: &MappedFlow| {
+        mapped
+            .mapping()
+            .iter()
+            .map(|(key, set)| (key.clone(), fingerprint(set)))
+            .collect::<Vec<_>>()
+    };
+    assert!(direct.mapping().len() > 1, "GCD has several components");
+    assert_eq!(answers(&served), answers(&direct));
+    assert_eq!(stats.admitted, direct.mapping().len() as u64, "{stats}");
+    assert_eq!(stats.completed, stats.admitted, "{stats}");
 }

@@ -9,7 +9,7 @@
 use cells::lsi::lsi_logic_subset;
 use dtas::{
     AnswerDefect, CheckpointOutcome, DesignSet, Dtas, DtasConfig, InvalidationCounts,
-    InvalidationReason, MemSnapshotStore, Rejection, RuleSet, SaveReport, SynthRequest,
+    InvalidationReason, Rejection, RuleSet, SaveReport, SynthRequest,
 };
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
@@ -287,13 +287,13 @@ fn delta_checkpoint_is_o_dirty_not_o_space() {
     // writes for that one answer, however large the base it extends.
     reference.push(engine.run(add_spec(4)).expect("solves"));
     let delta = delta_report(engine.checkpoint().expect("writes"));
+    let alone_dir = cache_dir("delta_alone");
     let alone = {
-        let fresh = Dtas::builder(lsi_logic_subset())
-            .store(Arc::new(MemSnapshotStore::new()))
-            .build();
+        let fresh = Dtas::warm_start(lsi_logic_subset(), &alone_dir);
         fresh.run(add_spec(4)).expect("solves");
         full_report(fresh.checkpoint().expect("writes"))
     };
+    let _ = std::fs::remove_dir_all(&alone_dir);
     assert!(
         delta.bytes <= alone.bytes,
         "delta {} bytes vs {} bytes for ADD4 alone (base {} bytes)",
@@ -1230,6 +1230,46 @@ fn drop_only_flushes_when_dirty_since_last_checkpoint() {
 }
 
 #[test]
+fn drop_persists_answers_an_update_kept_before_any_solve() {
+    // `update_rules` on an engine that has solved nothing since its load
+    // keeps some answers under the new rules' key. Dropping the engine
+    // without a checkpoint must still write them there.
+    let dir = cache_dir("update_then_drop");
+    let specs = [add_spec(4), add_spec(16)];
+    {
+        let seed = Dtas::warm_start(lsi_logic_subset(), &dir);
+        for spec in &specs {
+            seed.run(spec).expect("solves");
+        }
+    }
+    let mut engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    assert_eq!(engine.cache_stats().snapshot_loads, 1);
+    let report = engine.update_rules(RuleSet::standard());
+    assert_eq!(report.dropped.results, 1, "{report}");
+    assert_eq!(report.retained.results, 1, "{report}");
+    drop(engine);
+
+    let reloaded = warm_start_standard_rules(&dir);
+    let stats = reloaded.cache_stats();
+    assert_eq!(
+        (stats.snapshot_loads, stats.lazy_results),
+        (1, 1),
+        "{stats}"
+    );
+    let cold = Dtas::builder(lsi_logic_subset())
+        .rules(RuleSet::standard())
+        .build();
+    for spec in &specs {
+        let reference = cold.run(spec).expect("solves");
+        assert_sets_identical(&reference, &reloaded.run(spec).expect("answers"));
+    }
+    let stats = reloaded.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 1), "{stats}");
+    drop(reloaded);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn rejection_reason_is_reportable() {
     let dir = cache_dir("reason");
     let path = persisted_snapshot(&dir);
@@ -1250,54 +1290,28 @@ fn rejection_reason_is_reportable() {
 }
 
 #[test]
-fn mem_snapshot_store_shares_state_between_engines() {
-    let store = Arc::new(MemSnapshotStore::new());
-    let first = Dtas::builder(lsi_logic_subset())
-        .store(store.clone())
-        .build();
-    let cold = first.run(add_spec(16)).expect("solves");
-    first.checkpoint().expect("saves").expect("bound");
-    assert_eq!(store.len(), 1);
-    let key = first.store_key();
-
-    let second = Dtas::builder(lsi_logic_subset())
-        .store(store.clone())
-        .build();
-    let stats = second.cache_stats();
-    assert_eq!(stats.snapshot_loads, 1);
-    let warm = second.run(add_spec(16)).expect("warm hit");
-    assert_sets_identical(&cold, &warm);
-    let stats = second.cache_stats();
-    assert_eq!((stats.hits, stats.misses), (1, 0));
-
-    // The in-memory backend speaks the same chain protocol: a follow-up
-    // checkpoint from the second engine appends a delta.
-    second.run(add_spec(8)).expect("solves");
-    second.checkpoint().expect("saves").expect("bound");
-    assert_eq!(store.delta_count(&key), 1);
-}
-
-#[test]
 fn warm_engine_keeps_growing_and_recheckpoints() {
     // Load a chain, solve something new, flush again, and reload: the
     // chain carries both generations of results.
     let dir = cache_dir("growing");
-    {
+    let cold8 = {
         let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
-        engine.run(add_spec(8)).expect("solves");
-    }
-    {
+        engine.run(add_spec(8)).expect("solves")
+    };
+    assert_eq!(base_files(&dir).len(), 1);
+    let cold16 = {
         let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
         assert_eq!(engine.cache_stats().snapshot_loads, 1);
-        engine.run(add_spec(16)).expect("solves");
         // Drop flushes the new state as a delta on the loaded chain.
-    }
+        engine.run(add_spec(16)).expect("solves")
+    };
+    assert_eq!(base_files(&dir).len(), 1);
     assert_eq!(delta_files(&dir).len(), 1);
     let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
     let stats = engine.cache_stats();
     assert_eq!(stats.lazy_results, 2);
-    engine.run(add_spec(8)).expect("hit");
-    engine.run(add_spec(16)).expect("hit");
+    assert_sets_identical(&cold8, &engine.run(add_spec(8)).expect("hit"));
+    assert_sets_identical(&cold16, &engine.run(add_spec(16)).expect("hit"));
     let stats = engine.cache_stats();
     assert_eq!((stats.hits, stats.misses), (2, 0));
     assert_eq!(stats.lazy_materialized, 2);
