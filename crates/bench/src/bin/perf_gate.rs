@@ -25,7 +25,8 @@
 //!   QPS, both sides measured interleaved in one perf_snapshot run;
 //! * `serve.saturation_qps` and `serve.rtt_p99_us` — the `dtas serve`
 //!   wire protocol end to end over loopback TCP: saturation throughput
-//!   and the client-observed round-trip tail;
+//!   and the client-observed round-trip tail (the median p99 of five
+//!   fresh runs);
 //! * `store.full_over_lazy_load` (≥ 4) and
 //!   `store.base_over_delta_bytes` (≥ 10) — self-contained floors on the
 //!   tiered persistent store: a lazy mmap load must stay ≤ 25% of a

@@ -40,15 +40,6 @@ pub struct DtasConfig {
     /// format version, so an incompatible snapshot is rejected and the
     /// engine simply starts cold.
     pub persist_path: Option<PathBuf>,
-    /// Compaction trigger for the tiered store: when the accumulated
-    /// delta segments exceed this fraction of the base segment's size,
-    /// the next checkpoint rewrites a fresh base (folding the chain)
-    /// instead of appending another delta. Lower values compact more
-    /// eagerly (faster loads, more write amplification); higher values
-    /// let chains grow longer. A non-finite or negative value compacts
-    /// on every dirty checkpoint. Storage-only: excluded from
-    /// [`result_fingerprint`](Self::result_fingerprint).
-    pub compaction_ratio: f64,
     /// Opt-in static pre-flight: when on, flow entry points that accept
     /// external artifacts (the `hls-rtl-bridge` facade's `LinkedFlow::map`)
     /// run the [`analyze`](crate::analyze) netlist lints first and refuse
@@ -75,7 +66,6 @@ impl Default for DtasConfig {
             uniform_count_limit: 2_000_000,
             threads: None,
             persist_path: None,
-            compaction_ratio: 0.5,
             strict_preflight: false,
         }
     }
@@ -84,9 +74,9 @@ impl Default for DtasConfig {
 impl DtasConfig {
     /// Stable fingerprint over every field that shapes *results* (filters,
     /// caps, combination budget and count limit). `threads`,
-    /// `persist_path`, `compaction_ratio` and `strict_preflight` are
-    /// excluded on purpose: `threads` has no effect, and the others do
-    /// not change what a query returns.
+    /// `persist_path` and `strict_preflight` are excluded on purpose:
+    /// `threads` has no effect, and the others do not change what a query
+    /// returns.
     /// Snapshots taken under a different result-shaping configuration
     /// must not be reused — their fronts were filtered differently — so
     /// this fingerprint is part of the snapshot key.
@@ -124,7 +114,6 @@ mod tests {
         let same = DtasConfig {
             threads: Some(7),
             persist_path: Some(PathBuf::from("/tmp/x")),
-            compaction_ratio: 0.1,
             strict_preflight: true,
             ..DtasConfig::default()
         };

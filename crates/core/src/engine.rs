@@ -12,9 +12,7 @@ use crate::space::{
 };
 use crate::store::mem::{MemStore, MemoEntry, SharedState, Source, SynthResult};
 use crate::store::segment::WarmSource;
-use crate::store::{
-    DirtySet, LoadOutcome, PersistentStore, Rejection, SaveReport, StoreError, StoreKey,
-};
+use crate::store::{LoadOutcome, PersistentStore, Rejection, SaveReport, StoreError, StoreKey};
 use crate::template::NetlistTemplate;
 use cells::CellLibrary;
 use genus::netlist::Netlist;
@@ -22,7 +20,7 @@ use genus::spec::ComponentSpec;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Counters for the engine-level cross-query cache and its warm-start
@@ -73,17 +71,17 @@ pub struct CacheStats {
     /// Encoded size in bytes of the most recent segment moved in either
     /// direction (whole chain on load, the written segment on save).
     pub snapshot_bytes: u64,
-    /// Checkpoint calls that wrote nothing because nothing changed since
-    /// the last flush (the background checkpoint thread ticks on a
-    /// timer; an idle service stops paying encode + write).
+    /// Checkpoint calls that wrote nothing because the chain already held
+    /// every answer (the background checkpoint thread ticks on a timer;
+    /// an idle service stops paying encode + write).
     pub checkpoints_skipped: u64,
     /// Checkpoints that appended an O(dirty) delta segment instead of
     /// rewriting the whole chain.
     pub delta_checkpoints: u64,
-    /// Full saves that folded an existing base + delta chain into a
-    /// fresh base (triggered by
-    /// [`DtasConfig::compaction_ratio`](crate::DtasConfig::compaction_ratio),
-    /// or by a chain another process moved underneath this engine).
+    /// Full saves that folded the chain's base and deltas into a fresh
+    /// base, because the deltas had outgrown half the base. A full save
+    /// with no chain under the engine's key (the first flush, or one
+    /// after a key change, rebind or supersede) is not counted.
     pub compactions: u64,
     /// Persisted results indexed by the warm-start chain but not yet
     /// decoded — the lazy read path's backlog. Drains toward zero as
@@ -146,12 +144,15 @@ impl fmt::Display for CacheStats {
 /// still means "no store bound").
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointOutcome {
-    /// Nothing changed since the last flush; no bytes were written.
+    /// The chain under the engine's key already held every answer; no
+    /// bytes were written.
     Skipped,
-    /// An O(dirty) delta segment was appended to the chain.
+    /// An O(dirty) delta segment of the missing answers was appended to
+    /// the chain.
     Delta(SaveReport),
-    /// A full base segment was written (the first flush of a chain, a
-    /// compaction, or a fallback when a delta could not safely append).
+    /// A full base segment was written: the first flush under the
+    /// engine's key (also after a key change, rebind or supersede), or a
+    /// compaction.
     Full(SaveReport),
 }
 
@@ -313,10 +314,6 @@ struct StoreMetrics {
     lazy_materialized: AtomicU64,
     /// Fronts kept warm by the most recent `update_rules`/`update_config`.
     fronts_retained: AtomicU64,
-    /// [`MemStore::settled`] count at the last checkpoint — the drop
-    /// hook only flushes while the two differ, so an explicit
-    /// `checkpoint()` is not paid a second time on drop.
-    flushed_settled: AtomicU64,
     /// Why the last rejected snapshot was rejected (diagnostics).
     reject_reason: std::sync::Mutex<Option<Rejection>>,
 }
@@ -332,7 +329,6 @@ impl StoreMetrics {
         self.compactions.store(0, Ordering::Relaxed);
         self.lazy_materialized.store(0, Ordering::Relaxed);
         self.fronts_retained.store(0, Ordering::Relaxed);
-        self.flushed_settled.store(0, Ordering::Relaxed);
         *self.reject_reason.lock().expect("reject reason poisoned") = None;
     }
 
@@ -340,21 +336,6 @@ impl StoreMetrics {
         self.rejects.fetch_add(1, Ordering::Relaxed);
         *self.reject_reason.lock().expect("reject reason poisoned") = Some(reason);
     }
-}
-
-/// The checkpoint watermark: what the chain on the backing store already
-/// contains, so a checkpoint can emit just the difference. A warm load
-/// sets it from the chain's index; without a known base (a cold start, a
-/// reset, an update) the next checkpoint writes the safe full save.
-#[derive(Default)]
-struct FlushState {
-    /// Specs whose memoized results are already persisted.
-    results: HashSet<ComponentSpec>,
-    /// Encoded size of the chain's base — the compaction denominator —
-    /// or `None` while no chain is known.
-    base_bytes: Option<u64>,
-    /// Total encoded size of the deltas appended since, the numerator.
-    delta_bytes: u64,
 }
 
 /// The DTAS synthesis engine: a rule base plus a target cell library.
@@ -433,7 +414,6 @@ pub struct Dtas {
     mem: MemStore,
     store: Option<PersistentStore>,
     metrics: StoreMetrics,
-    flush: Mutex<FlushState>,
     canon: Canonicalizer,
 }
 
@@ -480,7 +460,6 @@ impl DtasBuilder {
             mem: MemStore::default(),
             store,
             metrics: StoreMetrics::default(),
-            flush: Mutex::new(FlushState::default()),
             canon: Canonicalizer::default(),
         };
         dtas.try_warm_load();
@@ -695,9 +674,6 @@ impl Dtas {
         self.mem.canonical_hits.store(0, Ordering::Relaxed);
         self.mem.specs_collapsed.store(0, Ordering::Relaxed);
         self.rules = rules;
-        // The watermark describes a chain keyed under the old rules;
-        // unprime so the next checkpoint starts a fresh full base.
-        *self.lock_flush() = FlushState::default();
         report.dropped = InvalidationCounts {
             nodes: dirty_count,
             fronts: dropped_fronts,
@@ -725,16 +701,6 @@ impl Dtas {
                     report.reasons.push(InvalidationReason::StoreSuperseded);
                 }
             }
-            let dropped_any = dirty_count > 0 || dropped_results > 0;
-            if dropped_any && retained_results > 0 {
-                // Make the retained answers look unflushed so the next
-                // checkpoint, or the drop, persists them instead of
-                // skipping.
-                self.metrics.flushed_settled.store(
-                    self.mem.settled.load(Ordering::Relaxed).wrapping_sub(1),
-                    Ordering::Relaxed,
-                );
-            }
         }
         self.metrics
             .fronts_retained
@@ -759,8 +725,8 @@ impl Dtas {
     ///   [`uniform_count_limit`](DtasConfig::uniform_count_limit) drop
     ///   only the answers — node fronts stay warm;
     /// * [`persist_path`](DtasConfig::persist_path) rebinds the store;
-    /// * anything else (compaction ratio, preflight, the no-op
-    ///   `threads`) touches nothing cached and returns an empty report.
+    /// * anything else (preflight, the no-op `threads`) touches nothing
+    ///   cached and returns an empty report.
     ///
     /// Every answer dropped takes its aliases' answers with it; an alias
     /// keeps only the name of its canonical spec, which depends on the
@@ -821,11 +787,6 @@ impl Dtas {
             self.rebind_store();
             report.reasons.push(InvalidationReason::StoreRebound);
         }
-        if node_shaping || root_shaping || uniform || storage {
-            // Shaping changes the result fingerprint (and a rebind the
-            // directory): the old watermark describes some other chain.
-            *self.lock_flush() = FlushState::default();
-        }
         if storage && self.mem.front_counts().1 == 0 {
             // Nothing live to protect: warm-load from the new directory.
             self.try_warm_load();
@@ -836,17 +797,6 @@ impl Dtas {
     /// Rebinds the store from [`DtasConfig::persist_path`].
     fn rebind_store(&mut self) {
         self.store = self.config.persist_path.as_ref().map(PersistentStore::new);
-    }
-
-    /// The checkpoint-watermark lock, recovering from poison by
-    /// unpriming — the next checkpoint does a (safe) full save.
-    fn lock_flush(&self) -> MutexGuard<'_, FlushState> {
-        self.flush.lock().unwrap_or_else(|poisoned| {
-            self.flush.clear_poison();
-            let mut guard = poisoned.into_inner();
-            *guard = FlushState::default();
-            guard
-        })
     }
 
     /// The compatibility key this engine's snapshots are stored under.
@@ -874,15 +824,7 @@ impl Dtas {
                 // decoded. Each answer decodes on its first query.
                 self.metrics.loads.fetch_add(1, Ordering::Relaxed);
                 self.metrics.bytes.store(bytes, Ordering::Relaxed);
-                let (base_bytes, delta_bytes) = (source.base_bytes, source.delta_bytes);
                 let sections = Arc::<WarmSource>::from(source).sections();
-                // Everything the chain holds is on the store already, so
-                // the next checkpoint appends only what is new.
-                *self.lock_flush() = FlushState {
-                    results: sections.keys().cloned().collect(),
-                    base_bytes: Some(base_bytes),
-                    delta_bytes,
-                };
                 for (spec, section) in sections {
                     // A live answer for the spec, if any, stands.
                     let _ = self.mem.probe(&spec, || Source::Persisted(section));
@@ -933,16 +875,16 @@ impl Dtas {
     }
 
     /// Flushes the memoized answers to the bound store. Returns `Ok(None)`
-    /// when no store is bound. Also runs automatically on drop when the
-    /// engine holds anything the last flush did not write.
+    /// when no store is bound. Also runs automatically on drop.
     ///
-    /// Flushes are tiered: a checkpoint with nothing new since the last
-    /// flush writes nothing ([`CheckpointOutcome::Skipped`]); one with a
-    /// known on-store chain appends an O(dirty) delta segment
-    /// ([`CheckpointOutcome::Delta`]); and the first flush of a chain —
-    /// or any flush after the accumulated deltas outgrow
-    /// [`DtasConfig::compaction_ratio`](crate::DtasConfig::compaction_ratio)
-    /// times the base — rewrites one fresh base
+    /// The store decides what to write by comparing the answers with the
+    /// one chain it loaded or last wrote: a checkpoint whose answers are
+    /// all on that chain under the engine's current key writes nothing
+    /// ([`CheckpointOutcome::Skipped`]); one with answers missing from it
+    /// appends an O(dirty) delta segment ([`CheckpointOutcome::Delta`]);
+    /// and a flush with no chain under the current key (the first, or one
+    /// after a key change, a rebind or a supersede), or one after the
+    /// accumulated deltas outgrow half the base, rewrites one fresh base
     /// ([`CheckpointOutcome::Full`], folding the chain).
     ///
     /// # Errors
@@ -953,83 +895,25 @@ impl Dtas {
         let Some(store) = &self.store else {
             return Ok(None);
         };
-        // The watermark lock is held across the whole flush so two
-        // checkpoints cannot interleave their delta appends.
-        let mut flush = self.lock_flush();
-        // Sample the settled counter *before* exporting: a solve landing
-        // after the sample is then counted as un-flushed and re-saved on
-        // the next tick (or on drop), rather than possibly lost. The
-        // counter increments only once a solve's effects are fully in the
-        // store, so everything the sample covers is in the export.
-        let settled_at_start = self.mem.settled.load(Ordering::Relaxed);
-        if settled_at_start == self.metrics.flushed_settled.load(Ordering::Relaxed) {
-            self.metrics.skipped.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(CheckpointOutcome::Skipped));
-        }
-        let mut snapshot = self.mem.export_snapshot();
-        let ratio = self.config.compaction_ratio;
-        let chain_base = flush
-            .base_bytes
-            .filter(|_| ratio.is_finite() && ratio >= 0.0);
-        if let Some(base_bytes) = chain_base {
-            let dirty = DirtySet {
-                result_indices: (0..snapshot.results.len())
-                    .filter(|&i| !flush.results.contains(&snapshot.results[i].0))
-                    .collect(),
-            };
-            if dirty.result_indices.is_empty() {
-                // Solves landed but produced no answer that is not
-                // already on the chain (override requests, repeat
-                // solves): the store is up to date.
-                self.metrics
-                    .flushed_settled
-                    .store(settled_at_start, Ordering::Relaxed);
-                self.metrics.skipped.fetch_add(1, Ordering::Relaxed);
-                return Ok(Some(CheckpointOutcome::Skipped));
-            }
-            let compact = (flush.delta_bytes as f64) > ratio * (base_bytes as f64);
-            if !compact {
-                if let Some(report) = store.save_delta(&self.store_key(), &snapshot, &dirty)? {
-                    self.metrics.delta_saves.fetch_add(1, Ordering::Relaxed);
-                    flush.delta_bytes += report.bytes;
-                    for i in dirty.result_indices {
-                        flush.results.insert(snapshot.results[i].0.clone());
-                    }
-                    self.finish_flush(&report, settled_at_start);
-                    return Ok(Some(CheckpointOutcome::Delta(report)));
-                }
-                // The store no longer has the chain this watermark
-                // describes: fall through to the always-safe full rewrite.
-            }
-        }
-        // A full save rewrites the chain from the memo alone, so every
-        // answer still pending on the loaded chain must be in it first.
-        if self.prefault() > 0 {
-            snapshot = self.mem.export_snapshot();
-        }
-        let report = store.save_full(&self.store_key(), &snapshot)?;
-        if chain_base.is_some() {
-            // A full save over a known chain folds its deltas away.
-            self.metrics.compactions.fetch_add(1, Ordering::Relaxed);
-        }
-        *flush = FlushState {
-            results: snapshot.results.into_iter().map(|(spec, _)| spec).collect(),
-            base_bytes: Some(report.bytes),
-            delta_bytes: 0,
+        let answers = self.mem.export_answers();
+        // A full save rewrites the chain from the table alone, so every
+        // answer still pending on the loaded chain must decode first.
+        let (outcome, compaction) = store.checkpoint(&self.store_key(), &answers, || {
+            self.prefault();
+            self.mem.export_answers()
+        })?;
+        let (counter, by) = match outcome {
+            CheckpointOutcome::Skipped => (&self.metrics.skipped, 1),
+            CheckpointOutcome::Delta(_) => (&self.metrics.delta_saves, 1),
+            CheckpointOutcome::Full(_) => (&self.metrics.compactions, u64::from(compaction)),
         };
-        self.finish_flush(&report, settled_at_start);
-        Ok(Some(CheckpointOutcome::Full(report)))
-    }
-
-    /// Post-save metric updates shared by the delta and full paths.
-    fn finish_flush(&self, report: &SaveReport, settled_at_start: u64) {
-        self.metrics
-            .persisted
-            .store(report.results as u64, Ordering::Relaxed);
-        self.metrics.bytes.store(report.bytes, Ordering::Relaxed);
-        self.metrics
-            .flushed_settled
-            .store(settled_at_start, Ordering::Relaxed);
+        counter.fetch_add(by, Ordering::Relaxed);
+        if let Some(report) = outcome.report() {
+            let results = report.results as u64;
+            self.metrics.persisted.store(results, Ordering::Relaxed);
+            self.metrics.bytes.store(report.bytes, Ordering::Relaxed);
+        }
+        Ok(Some(outcome))
     }
 
     /// The rule base.
@@ -1055,7 +939,6 @@ impl Dtas {
         // the loaded chain too: it must not resurrect persisted answers.
         self.mem.clear();
         self.metrics.reset();
-        *self.lock_flush() = FlushState::default();
     }
 
     /// Cross-query cache counters.
@@ -1177,7 +1060,7 @@ impl Dtas {
         start: Instant,
         presolved: &mut Presolved,
     ) -> (SynthResult, bool) {
-        let (mut served, mut solved) = (true, false);
+        let mut served = true;
         let answer = entry.cell.get_or_init(|| {
             if let Source::Alias(canonical) = &entry.source {
                 served = false;
@@ -1197,7 +1080,7 @@ impl Dtas {
                     Err(reason) => self.metrics.reject(reason),
                 }
             }
-            (served, solved) = (false, true);
+            served = false;
             self.mem.misses.fetch_add(1, Ordering::Relaxed);
             presolved.remove(&entry.spec).unwrap_or_else(|| {
                 let shape = (self.config.root_filter, self.config.root_cap);
@@ -1205,12 +1088,6 @@ impl Dtas {
                 answers.pop().expect("one answer per spec")
             })
         });
-        if solved {
-            // Only now — with the answer in its cell and the fronts
-            // merged back — is this solve flushable; a checkpoint that
-            // sampled mid-solve must not have marked it as flushed.
-            self.mem.settled.fetch_add(1, Ordering::Relaxed);
-        }
         (answer.clone(), served)
     }
 
@@ -1551,23 +1428,14 @@ impl Dtas {
 }
 
 impl Drop for Dtas {
-    /// Best-effort flush to the bound store when the engine has anything
-    /// the last [`checkpoint`](Dtas::checkpoint) did not write: new
+    /// Best-effort [`checkpoint`](Dtas::checkpoint) to the bound store. It
+    /// writes what the chain under the engine's key is missing: new
     /// solves, or answers an [`update_rules`](Dtas::update_rules) kept
-    /// under a new key (a pure-hit warm session, or one already
-    /// checkpointed explicitly, stays clean and writes nothing). Skipped
-    /// during panics so a failing test or crashing client never persists
-    /// suspect state.
+    /// under a new key. A pure-hit warm session, or one already
+    /// checkpointed explicitly, writes nothing. Skipped during panics so a
+    /// failing test or crashing client never persists suspect state.
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            return;
-        }
-        // The same test `checkpoint` skips on: `update_rules` marks kept
-        // answers unflushed by moving the watermark off `settled`, which
-        // on an engine that never solved wraps it *above* `settled`.
-        let unflushed = self.mem.settled.load(Ordering::Relaxed)
-            != self.metrics.flushed_settled.load(Ordering::Relaxed);
-        if self.store.is_some() && unflushed {
+        if !std::thread::panicking() {
             let _ = self.checkpoint();
         }
     }
@@ -1841,7 +1709,6 @@ mod tests {
         let mut engine = engine();
         engine.run(add_spec(16)).unwrap();
         let report = engine.update_config(DtasConfig {
-            compaction_ratio: 0.25,
             strict_preflight: true,
             ..DtasConfig::default()
         });

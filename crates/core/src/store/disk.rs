@@ -25,17 +25,21 @@
 //! back to a clean cold solve. No damaged file can panic the decoder or
 //! alter results.
 
+use crate::engine::CheckpointOutcome;
+use crate::store::codec::ResultEntry;
 use crate::store::mmap::SegmentBytes;
-use crate::store::{
-    segment, DirtySet, EngineSnapshot, LoadOutcome, Rejection, SaveReport, StoreError, StoreKey,
-    FORMAT_VERSION,
-};
-use std::collections::HashMap;
+use crate::store::{segment, LoadOutcome, Rejection, StoreError, StoreKey, FORMAT_VERSION};
+use genus::spec::ComponentSpec;
+use std::collections::{HashMap, HashSet};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
+
+/// A dirty checkpoint folds the chain into one fresh base instead of
+/// appending once its deltas have outgrown this fraction of its base.
+const COMPACTION_RATIO: f64 = 0.5;
 
 /// Monotonic discriminator for temporary file names, so concurrent saves
 /// from one process never collide.
@@ -62,13 +66,21 @@ fn fresh_base_id() -> u64 {
     rtl_base::hash::fnv1a_64(&seed)
 }
 
-/// What this process knows about the chain it last wrote or loaded for a
-/// key — the append cursor for [`PersistentStore::save_delta`].
+/// The one chain this store loaded or last wrote: where the next delta
+/// appends, which answers the chain holds, and the sizes the compaction
+/// test weighs.
 struct Chain {
+    key: StoreKey,
     base_id: u64,
     generation: u32,
     next_seq: u32,
     last_link: u64,
+    /// Specs whose answers the chain holds.
+    specs: HashSet<ComponentSpec>,
+    /// Encoded size of the base segment.
+    base_bytes: u64,
+    /// Total encoded size of the deltas appended to it.
+    delta_bytes: u64,
 }
 
 /// The parsed name of one cache file (see the module docs for the
@@ -241,7 +253,7 @@ impl GcPlan {
 /// for the file scheme and atomicity argument.
 pub struct PersistentStore {
     dir: PathBuf,
-    chains: Mutex<HashMap<StoreKey, Chain>>,
+    chain: Mutex<Option<Chain>>,
 }
 
 impl PersistentStore {
@@ -251,7 +263,7 @@ impl PersistentStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         let store = PersistentStore {
             dir: dir.into(),
-            chains: Mutex::new(HashMap::new()),
+            chain: Mutex::new(None),
         };
         store.sweep_orphan_tmp();
         store
@@ -274,14 +286,14 @@ impl PersistentStore {
             .join(format!("{}-g{gen:08}-d{seq:04}.delta", key_stem(key)))
     }
 
-    fn lock_chains(&self) -> std::sync::MutexGuard<'_, HashMap<StoreKey, Chain>> {
+    fn lock_chain(&self) -> std::sync::MutexGuard<'_, Option<Chain>> {
         // A panic mid-save leaves only this process's append cursor
-        // suspect; dropping it degrades deltas to full saves, which is
-        // always correct.
-        self.chains.lock().unwrap_or_else(|poisoned| {
-            self.chains.clear_poison();
+        // suspect; dropping it degrades the next checkpoint to a full
+        // save, which is always correct.
+        self.chain.lock().unwrap_or_else(|poisoned| {
+            self.chain.clear_poison();
             let mut guard = poisoned.into_inner();
-            guard.clear();
+            *guard = None;
             guard
         })
     }
@@ -413,21 +425,23 @@ impl PersistentStore {
             }
         }
         let loaded = deltas.len() as u32;
-        let bytes = base.len() as u64 + deltas.iter().map(|d| d.len() as u64).sum::<u64>();
+        let base_bytes = base.len() as u64;
+        let delta_bytes = deltas.iter().map(|d| d.len() as u64).sum::<u64>();
         match segment::assemble_chain(base, deltas, key) {
             Ok(source) => {
-                self.lock_chains().insert(
-                    *key,
-                    Chain {
-                        base_id: source.base_id(),
-                        generation: gen,
-                        next_seq: loaded + 1,
-                        last_link: source.last_link(),
-                    },
-                );
+                *self.lock_chain() = Some(Chain {
+                    key: *key,
+                    base_id: source.base_id(),
+                    generation: gen,
+                    next_seq: loaded + 1,
+                    last_link: source.last_link(),
+                    specs: source.specs().cloned().collect(),
+                    base_bytes,
+                    delta_bytes,
+                });
                 Ok(LoadOutcome::Loaded {
                     source: Box::new(source),
-                    bytes,
+                    bytes: base_bytes + delta_bytes,
                 })
             }
             Err(reason) => Ok(LoadOutcome::Rejected { reason }),
@@ -718,10 +732,11 @@ fn live_seqs(files: &[ScannedFile], gen: u32) -> u32 {
 
 // The chain protocol the engine drives. Every method is fail-safe: `load`
 // rejects (never panics, never a torn chain) anything it cannot fully
-// validate, and both saves publish by rename, so a concurrent load sees
+// validate, and every write publishes by rename, so a concurrent load sees
 // whole files only.
 impl PersistentStore {
-    /// Fetches and validates the chain stored under `key`, if any.
+    /// Fetches and validates the chain stored under `key`, if any. A
+    /// loaded chain becomes the one this store appends to.
     pub(crate) fn load(&self, key: &StoreKey) -> LoadOutcome {
         // Two attempts: a file listed and then gone means a concurrent
         // compaction pruned under us; the retry sees the new generation.
@@ -739,29 +754,79 @@ impl PersistentStore {
         }
     }
 
-    /// Persists `snapshot` as a fresh base segment, starting a new chain
-    /// that supersedes any previous one (this is also the compaction
-    /// step: base + deltas fold into one segment).
+    /// Brings the chain under `key` up to date with `answers`, the
+    /// engine's answers in spec order, and says what it wrote. The one
+    /// place a checkpoint is decided:
+    ///
+    /// * **skipped** when this store holds a chain under `key` that
+    ///   already has every answer;
+    /// * **delta** when it holds one with answers missing: a segment of
+    ///   just those is appended;
+    /// * **full** otherwise, a fresh base that supersedes every older
+    ///   generation: when no chain under `key` is held (a first flush, or
+    ///   a key change, rebind or supersede since), or when the chain's
+    ///   deltas have outgrown [`COMPACTION_RATIO`] of its base (a
+    ///   compaction, flagged by the returned `bool`). A full save writes
+    ///   what `prefault` returns: every answer, including those still
+    ///   undecoded on a loaded chain, since the new base replaces it.
+    ///   With no chain and no answers at all, nothing is written.
     ///
     /// # Errors
     ///
     /// [`StoreError`] when the directory refuses the write; encoding
     /// itself is infallible.
-    pub(crate) fn save_full(
+    pub(crate) fn checkpoint(
         &self,
         key: &StoreKey,
-        snapshot: &EngineSnapshot,
-    ) -> Result<SaveReport, StoreError> {
-        let mut chains = self.lock_chains();
+        answers: &[ResultEntry],
+        prefault: impl FnOnce() -> Vec<ResultEntry>,
+    ) -> Result<(CheckpointOutcome, bool), StoreError> {
+        // Held across the write, so two checkpoints never interleave
+        // their appends.
+        let mut held = self.lock_chain();
+        let mut compacting = None;
+        if let Some(chain) = held.as_mut().filter(|chain| chain.key == *key) {
+            let missing: Vec<ResultEntry> = answers
+                .iter()
+                .filter(|(spec, _)| !chain.specs.contains(spec))
+                .cloned()
+                .collect();
+            if missing.is_empty() {
+                return Ok((CheckpointOutcome::Skipped, false));
+            }
+            if chain.delta_bytes as f64 <= COMPACTION_RATIO * chain.base_bytes as f64 {
+                let encoded = segment::encode_delta(
+                    key,
+                    chain.base_id,
+                    chain.next_seq,
+                    chain.last_link,
+                    &missing,
+                );
+                let path = self.delta_path(key, chain.generation, chain.next_seq);
+                self.publish(&path, &encoded.bytes)?;
+                let report = encoded.report();
+                chain.next_seq += 1;
+                chain.last_link = encoded.header_checksum;
+                chain.delta_bytes += report.bytes;
+                chain
+                    .specs
+                    .extend(missing.into_iter().map(|(spec, _)| spec));
+                return Ok((CheckpointOutcome::Delta(report), false));
+            }
+            compacting = Some(chain.generation);
+        }
+        let answers = prefault();
+        if answers.is_empty() && compacting.is_none() {
+            return Ok((CheckpointOutcome::Skipped, false));
+        }
         let disk_gen = self
             .list_key_files(key)
             .ok()
             .and_then(|files| files.iter().map(|f| f.generation).max())
             .unwrap_or(0);
-        let known_gen = chains.get(key).map(|c| c.generation).unwrap_or(0);
-        let gen = disk_gen.max(known_gen) + 1;
+        let gen = disk_gen.max(compacting.unwrap_or(0)) + 1;
         let base_id = fresh_base_id();
-        let encoded = segment::encode_base(snapshot, key, base_id);
+        let encoded = segment::encode_base(key, base_id, &answers);
         self.publish(&self.base_path(key, gen), &encoded.bytes)?;
         // Published: prune superseded generations best-effort. Failures
         // leave valid-but-ignored files for the GC.
@@ -774,57 +839,18 @@ impl PersistentStore {
                 let _ = std::fs::remove_file(path);
             }
         }
-        chains.insert(
-            *key,
-            Chain {
-                base_id,
-                generation: gen,
-                next_seq: 1,
-                last_link: encoded.header_checksum,
-            },
-        );
-        Ok(SaveReport {
-            bytes: encoded.bytes.len() as u64,
-            results: encoded.results,
-        })
-    }
-
-    /// Appends `dirty` as a delta segment onto the chain this store last
-    /// wrote or loaded for `key`. Returns `Ok(None)` — asking the caller
-    /// to fall back to [`save_full`](Self::save_full) — when there is no
-    /// such chain.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError`] when the directory refuses the write.
-    pub(crate) fn save_delta(
-        &self,
-        key: &StoreKey,
-        snapshot: &EngineSnapshot,
-        dirty: &DirtySet,
-    ) -> Result<Option<SaveReport>, StoreError> {
-        let mut chains = self.lock_chains();
-        let Some(chain) = chains.get_mut(key) else {
-            return Ok(None);
-        };
-        let encoded = segment::encode_delta(
-            snapshot,
-            dirty,
-            key,
-            chain.base_id,
-            chain.next_seq,
-            chain.last_link,
-        );
-        self.publish(
-            &self.delta_path(key, chain.generation, chain.next_seq),
-            &encoded.bytes,
-        )?;
-        chain.next_seq += 1;
-        chain.last_link = encoded.header_checksum;
-        Ok(Some(SaveReport {
-            bytes: encoded.bytes.len() as u64,
-            results: encoded.results,
-        }))
+        let report = encoded.report();
+        *held = Some(Chain {
+            key: *key,
+            base_id,
+            generation: gen,
+            next_seq: 1,
+            last_link: encoded.header_checksum,
+            specs: answers.into_iter().map(|(spec, _)| spec).collect(),
+            base_bytes: report.bytes,
+            delta_bytes: 0,
+        });
+        Ok((CheckpointOutcome::Full(report), compacting.is_some()))
     }
 
     /// Drops everything stored under `key`. The engine calls this from
@@ -837,9 +863,9 @@ impl PersistentStore {
     ///
     /// [`StoreError`] when the directory refuses a removal.
     pub(crate) fn supersede(&self, key: &StoreKey) -> Result<(), StoreError> {
-        // Drop the append cursor first: whatever happens on disk, this
-        // process must never extend the superseded chain with a delta.
-        self.lock_chains().remove(key);
+        // Forget the chain first: whatever happens on disk, this store
+        // must never extend the superseded chain with a delta.
+        *self.lock_chain() = None;
         let files = match self.list_key_files(key) {
             Ok(files) => files,
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),

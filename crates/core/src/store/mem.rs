@@ -4,8 +4,8 @@
 //! This is the hot-path half of the storage layer. It is its own module
 //! so the memoized answers can be exported to the engine's
 //! [`PersistentStore`](crate::store::PersistentStore) (see
-//! [`EngineSnapshot`]) without the engine knowing how snapshots are
-//! encoded.
+//! [`MemStore::export_answers`]) without the engine knowing how
+//! snapshots are encoded.
 //!
 //! The table is sharded and read-mostly, keyed by the *requested* spec.
 //! A repeat query hashes its spec once, takes exactly one shard *read*
@@ -16,8 +16,8 @@
 
 use crate::report::DesignSet;
 use crate::space::{DesignSpace, FrontStore};
+use crate::store::codec::ResultEntry;
 use crate::store::segment::Section;
-use crate::store::EngineSnapshot;
 use crate::template::SpecModelCache;
 use crate::SynthError;
 use genus::spec::ComponentSpec;
@@ -130,12 +130,6 @@ pub(crate) struct MemStore {
     /// Aliases created: distinct requested specs that canonicalize to
     /// another spec.
     pub(crate) specs_collapsed: AtomicU64,
-    /// Solves whose effects (memoized result, merged fronts) have fully
-    /// landed in this store. `misses` increments when a solve *starts*,
-    /// so the checkpoint skip/flush decision keys on this counter
-    /// instead: a snapshot exported mid-solve must not mark that solve
-    /// as flushed.
-    pub(crate) settled: AtomicU64,
     pub(crate) shard_contention: AtomicU64,
     pub(crate) state_exclusive: AtomicU64,
     pub(crate) poison_recoveries: AtomicU64,
@@ -151,7 +145,6 @@ impl Default for MemStore {
             misses: AtomicU64::new(0),
             canonical_hits: AtomicU64::new(0),
             specs_collapsed: AtomicU64::new(0),
-            settled: AtomicU64::new(0),
             shard_contention: AtomicU64::new(0),
             state_exclusive: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
@@ -274,7 +267,6 @@ impl MemStore {
         self.misses.store(0, Ordering::Relaxed);
         self.canonical_hits.store(0, Ordering::Relaxed);
         self.specs_collapsed.store(0, Ordering::Relaxed);
-        self.settled.store(0, Ordering::Relaxed);
         self.shard_contention.store(0, Ordering::Relaxed);
         self.state_exclusive.store(0, Ordering::Relaxed);
         self.poison_recoveries.store(0, Ordering::Relaxed);
@@ -334,20 +326,21 @@ impl MemStore {
     }
 
     /// Copies the persistable state out: every spec's own answer that is
-    /// set. Aliases never leave the table, and neither do entries still
-    /// being filled by an in-flight client (a later checkpoint persists
-    /// them). Cheap relative to solving: each answer is an `Arc` bump.
-    pub(crate) fn export_snapshot(&self) -> EngineSnapshot {
-        let mut results: Vec<(ComponentSpec, SynthResult)> = self
+    /// set, in spec order. Aliases never leave the table, and neither do
+    /// entries still being filled by an in-flight client (a later
+    /// checkpoint persists them). Cheap relative to solving: each answer
+    /// is an `Arc` bump.
+    pub(crate) fn export_answers(&self) -> Vec<ResultEntry> {
+        let mut results: Vec<ResultEntry> = self
             .entries()
             .iter()
             .filter(|entry| !entry.is_alias())
             .filter_map(|entry| Some((entry.spec.clone(), entry.cell.get()?.clone())))
             .collect();
         // Shard + HashMap iteration order is nondeterministic; keep the
-        // snapshot canonical so identical engine states encode to
-        // identical bytes.
+        // export canonical so identical engine states encode to identical
+        // bytes.
         results.sort_by(|(a, _), (b, _)| a.cmp(b));
-        EngineSnapshot { results }
+        results
     }
 }

@@ -16,9 +16,17 @@
 //! hierarchical netlist (see the `codec` module). Loading yields a
 //! validated but *undecoded* view of the chain: the base is
 //! memory-mapped where the platform supports it, and the engine decodes
-//! each stored answer only when its spec is first requested. Saving is
-//! either a full base rewrite (also the compaction step) or an appended
-//! delta carrying just the answers memoized since the last flush.
+//! each stored answer only when its spec is first requested.
+//!
+//! A store serves one engine and keeps the one chain it loaded or last
+//! wrote: its key, the append cursor, the specs it holds and its base and
+//! delta sizes. One checkpoint decision, in the store, compares the
+//! engine's answers with that chain. It skips when every answer is
+//! already on the chain under the engine's current key, appends a delta
+//! of the missing answers, or writes one fresh base: when there is no
+//! chain under that key (a first flush, or a key change, rebind or
+//! supersede since) or when the deltas have outgrown half the base (a
+//! compaction).
 //!
 //! [`PersistentStore`] keeps chains as files in a directory (the
 //! `--cache-dir` of the `dtas` CLI), so a restarted — or concurrent —
@@ -45,12 +53,8 @@ pub(crate) mod segment;
 pub use codec::FORMAT_VERSION;
 pub use disk::{CacheKeyEntry, GcItem, GcPlan, GcReason, PersistentStore};
 
-use crate::report::DesignSet;
-use crate::SynthError;
-use genus::spec::ComponentSpec;
 use segment::WarmSource;
 use std::fmt;
-use std::sync::Arc;
 
 /// The compatibility key a chain is stored and validated under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,20 +76,6 @@ pub struct StoreKey {
     /// under one scheme's canonical forms must never warm an engine
     /// running another.
     pub canon: u64,
-}
-
-/// The persistable engine state: the memoized whole-query answers, as
-/// exported from the in-memory store for a [`PersistentStore`] save.
-pub(crate) struct EngineSnapshot {
-    /// Memoized whole-query results in canonical (spec-sorted) order.
-    pub(crate) results: Vec<(ComponentSpec, Result<Arc<DesignSet>, SynthError>)>,
-}
-
-/// What an engine memoized since its last flush — the payload of a delta
-/// checkpoint, O(dirty) rather than O(answers).
-pub(crate) struct DirtySet {
-    /// Indices into the snapshot's `results` of entries not yet flushed.
-    pub(crate) result_indices: Vec<usize>,
 }
 
 /// Why the store had no chain to offer, or what it found.

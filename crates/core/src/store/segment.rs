@@ -2,7 +2,7 @@
 //!
 //! A key's persisted state is a *chain*: one immutable **base** segment
 //! (an index of memoized answers) plus zero or more **delta** segments,
-//! each carrying only the answers memoized since the previous flush.
+//! each carrying only answers the chain did not hold yet.
 //! Every segment is self-framing:
 //!
 //! ```text
@@ -33,7 +33,7 @@
 
 use super::codec::{self, Reader, ResultEntry, Writer};
 use super::mmap::SegmentBytes;
-use super::{DirtySet, EngineSnapshot, Rejection, StoreKey};
+use super::{Rejection, SaveReport, StoreKey};
 use crate::report::DesignSet;
 use crate::SynthError;
 use genus::spec::ComponentSpec;
@@ -233,6 +233,16 @@ pub(crate) struct EncodedSegment {
     pub(crate) results: usize,
 }
 
+impl EncodedSegment {
+    /// What writing this segment persists.
+    pub(crate) fn report(&self) -> SaveReport {
+        SaveReport {
+            bytes: self.bytes.len() as u64,
+            results: self.results,
+        }
+    }
+}
+
 /// Frames answer sections into one segment. Two passes: the header's
 /// length does not depend on the (fixed-width) offsets it carries, so
 /// pass one learns the length with zeroed offsets and pass two writes the
@@ -277,32 +287,22 @@ fn encode_segment(
     }
 }
 
-/// Encodes every memoized answer of a snapshot as a base segment under a
-/// fresh `base_id`.
-pub(crate) fn encode_base(
-    snapshot: &EngineSnapshot,
-    key: &StoreKey,
-    base_id: u64,
-) -> EncodedSegment {
-    encode_segment(key, KIND_BASE, base_id, 0, 0, &snapshot.results)
+/// Encodes `answers` (in spec order) as a base segment under a fresh
+/// `base_id`.
+pub(crate) fn encode_base(key: &StoreKey, base_id: u64, answers: &[ResultEntry]) -> EncodedSegment {
+    encode_segment(key, KIND_BASE, base_id, 0, 0, answers)
 }
 
-/// Encodes the dirty answers of a snapshot as delta segment `seq` chained
-/// onto the segment whose header checksum is `prev_link`.
+/// Encodes `answers` as delta segment `seq` chained onto the segment
+/// whose header checksum is `prev_link`.
 pub(crate) fn encode_delta(
-    snapshot: &EngineSnapshot,
-    dirty: &DirtySet,
     key: &StoreKey,
     base_id: u64,
     seq: u32,
     prev_link: u64,
+    answers: &[ResultEntry],
 ) -> EncodedSegment {
-    let entries: Vec<ResultEntry> = dirty
-        .result_indices
-        .iter()
-        .map(|&i| snapshot.results[i].clone())
-        .collect();
-    encode_segment(key, KIND_DELTA, base_id, seq, prev_link, &entries)
+    encode_segment(key, KIND_DELTA, base_id, seq, prev_link, answers)
 }
 
 /// An opened segment: header parsed and verified, body bytes (owned or
@@ -365,10 +365,6 @@ fn verified_result<'a>(
 pub(crate) struct WarmSource {
     /// The base, then its deltas in chain order.
     segments: Vec<Segment>,
-    /// Encoded size of the base segment.
-    pub(crate) base_bytes: u64,
-    /// Total encoded size of the delta segments.
-    pub(crate) delta_bytes: u64,
 }
 
 impl WarmSource {
@@ -377,7 +373,7 @@ impl WarmSource {
         self.segments[0].bytes.is_mapped()
     }
 
-    /// The base's random id (for watermark bookkeeping).
+    /// The base's random id, which every delta appended to it repeats.
     pub(crate) fn base_id(&self) -> u64 {
         self.segments[0].header.base_id
     }
@@ -387,6 +383,13 @@ impl WarmSource {
     pub(crate) fn last_link(&self) -> u64 {
         let last = self.segments.last().expect("a chain holds its base");
         last.header.header_checksum
+    }
+
+    /// Every spec the chain holds an answer for, in any segment.
+    pub(crate) fn specs(&self) -> impl Iterator<Item = &ComponentSpec> {
+        self.segments
+            .iter()
+            .flat_map(|segment| segment.header.results.iter().map(|(spec, _)| spec))
     }
 
     /// Every persisted answer's section, keyed by spec. A spec answered
@@ -439,15 +442,12 @@ pub(crate) fn assemble_chain(
     deltas: Vec<SegmentBytes>,
     key: &StoreKey,
 ) -> Result<WarmSource, Rejection> {
-    let base_bytes = base.len() as u64;
     let base = Segment::open(base, key, KIND_BASE)?;
     let base_id = base.header.base_id;
     let mut link = base.header.header_checksum;
     let mut segments = vec![base];
-    let mut delta_bytes = 0u64;
     for (i, bytes) in deltas.into_iter().enumerate() {
         let expected_seq = (i + 1) as u32;
-        delta_bytes += bytes.len() as u64;
         let delta = Segment::open(bytes, key, KIND_DELTA)?;
         let broken = if delta.header.base_id != base_id {
             Some(format!(
@@ -473,9 +473,5 @@ pub(crate) fn assemble_chain(
         link = delta.header.header_checksum;
         segments.push(delta);
     }
-    Ok(WarmSource {
-        segments,
-        base_bytes,
-        delta_bytes,
-    })
+    Ok(WarmSource { segments })
 }

@@ -357,15 +357,9 @@ fn clean_checkpoints_are_skipped_without_writing() {
 #[test]
 fn compaction_folds_the_chain_back_into_one_base() {
     let dir = cache_dir("compact");
-    // Ratio 0: any accumulated delta triggers compaction on the next
-    // dirty checkpoint.
-    let engine = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            persist_path: Some(dir.clone()),
-            compaction_ratio: 0.0,
-            ..DtasConfig::default()
-        })
-        .build();
+    // A delta larger than half the base triggers compaction on the next
+    // dirty checkpoint: ADD16's answer outgrows half of ADD8's.
+    let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
     let specs = [add_spec(8), add_spec(16), mux_spec(8, 4)];
     let mut reference = Vec::new();
 
@@ -374,7 +368,7 @@ fn compaction_folds_the_chain_back_into_one_base() {
     reference.push(engine.run(&specs[1]).expect("solves"));
     delta_report(engine.checkpoint().expect("writes"));
     reference.push(engine.run(&specs[2]).expect("solves"));
-    // Deltas now outgrow ratio * base: this checkpoint compacts.
+    // The deltas now outgrow half the base: this checkpoint compacts.
     full_report(engine.checkpoint().expect("writes"));
     let stats = engine.cache_stats();
     assert_eq!(stats.compactions, 1);
@@ -737,17 +731,12 @@ fn compaction_from_an_undecoded_chain_keeps_every_answer() {
             .map(|s| seed.run(s).expect("solves"))
             .collect()
     };
-    let engine = Dtas::builder(lsi_logic_subset())
-        .config(DtasConfig {
-            persist_path: Some(dir.clone()),
-            compaction_ratio: 0.0,
-            ..DtasConfig::default()
-        })
-        .build();
+    let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
     // One answer materialized, two still pending, and two misses: a
-    // delta, then a compaction.
+    // delta, then a compaction. ADD24's delta outgrows half the base of
+    // the three persisted answers.
     assert_sets_identical(&reference[0], &engine.run(&persisted[0]).expect("hit"));
-    reference.push(engine.run(add_spec(4)).expect("solves"));
+    reference.push(engine.run(add_spec(24)).expect("solves"));
     delta_report(engine.checkpoint().expect("writes"));
     reference.push(engine.run(add_spec(12)).expect("solves"));
     let report = full_report(engine.checkpoint().expect("compacts"));
@@ -762,7 +751,7 @@ fn compaction_from_an_undecoded_chain_keeps_every_answer() {
         add_spec(8),
         add_spec(16),
         mux_spec(8, 4),
-        add_spec(4),
+        add_spec(24),
         add_spec(12),
     ];
     for (spec, cold_set) in all.iter().zip(&reference) {
@@ -1270,6 +1259,84 @@ fn drop_persists_answers_an_update_kept_before_any_solve() {
 }
 
 #[test]
+fn update_to_a_new_key_that_drops_nothing_persists_the_kept_answers() {
+    // An engine checkpoints under the standard rules, then adds the rules
+    // LOLA derives: nothing it holds is dirty, but the rule-set key
+    // changes. The checkpoint must write the kept answer under the new
+    // key, where a default engine finds it.
+    let dir = cache_dir("new_key_drops_nothing");
+    let mux = mux_spec(4, 2);
+    let mut engine = warm_start_standard_rules(&dir);
+    engine.run(&mux).expect("solves");
+    full_report(engine.checkpoint().expect("writes"));
+    let old_key = engine.store_key();
+    let report = engine.update_rules(dtas::lola::with_derived_rules(
+        RuleSet::standard(),
+        &lsi_logic_subset(),
+    ));
+    assert_eq!(
+        report.reasons,
+        [InvalidationReason::RulesChanged { dirty_nodes: 0 }],
+        "{report}"
+    );
+    assert_eq!(report.dropped, InvalidationCounts::default(), "{report}");
+    assert_eq!(report.retained.results, 1, "{report}");
+    assert_ne!(engine.store_key(), old_key, "the rule-set key changes");
+    let saved = full_report(engine.checkpoint().expect("writes"));
+    assert_eq!(saved.results, 1);
+    drop(engine);
+
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    let stats = warm.cache_stats();
+    assert_eq!(
+        (stats.snapshot_loads, stats.lazy_results),
+        (1, 1),
+        "{stats}"
+    );
+    let cold = Dtas::new(lsi_logic_subset()).run(&mux).expect("solves");
+    assert_sets_identical(&cold, &warm.run(&mux).expect("answers"));
+    let stats = warm.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "{stats}");
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rebinding_persist_path_writes_held_answers_to_the_new_dir() {
+    // An engine that flushed ADD8 to one directory is rebound to another:
+    // the next checkpoint must write what it holds to the new directory.
+    let (old_dir, new_dir) = (cache_dir("rebind_old"), cache_dir("rebind_new"));
+    let mut engine = Dtas::warm_start(lsi_logic_subset(), &old_dir);
+    engine.run(add_spec(8)).expect("solves");
+    full_report(engine.checkpoint().expect("writes"));
+    let report = engine.update_config(DtasConfig {
+        persist_path: Some(new_dir.clone()),
+        ..DtasConfig::default()
+    });
+    assert_eq!(
+        report.reasons,
+        [InvalidationReason::StoreRebound],
+        "{report}"
+    );
+    let saved = full_report(engine.checkpoint().expect("writes"));
+    assert_eq!(saved.results, 1);
+    assert_eq!(base_files(&new_dir).len(), 1, "a base in the new dir");
+    drop(engine);
+
+    let warm = Dtas::warm_start(lsi_logic_subset(), &new_dir);
+    assert_eq!(warm.cache_stats().snapshot_loads, 1);
+    let cold = Dtas::new(lsi_logic_subset())
+        .run(add_spec(8))
+        .expect("solves");
+    assert_sets_identical(&cold, &warm.run(add_spec(8)).expect("answers"));
+    let stats = warm.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "{stats}");
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&old_dir);
+    let _ = std::fs::remove_dir_all(&new_dir);
+}
+
+#[test]
 fn rejection_reason_is_reportable() {
     let dir = cache_dir("reason");
     let path = persisted_snapshot(&dir);
@@ -1338,14 +1405,10 @@ fn reader_survives_writer_compaction_under_its_feet() {
     let old_base = base_files(&dir).pop().expect("base present");
 
     {
-        let writer = Dtas::builder(lsi_logic_subset())
-            .config(DtasConfig {
-                persist_path: Some(dir.clone()),
-                compaction_ratio: 0.0,
-                ..DtasConfig::default()
-            })
-            .build();
-        writer.run(mux_spec(8, 4)).expect("solves");
+        // ADD24's delta outgrows half the base of ADD16 and ADD8, so the
+        // next dirty checkpoint compacts.
+        let writer = Dtas::warm_start(lsi_logic_subset(), &dir);
+        writer.run(add_spec(24)).expect("solves");
         delta_report(writer.checkpoint().expect("writes"));
         writer.run(add_spec(4)).expect("solves");
         full_report(writer.checkpoint().expect("writes"));
@@ -1384,14 +1447,10 @@ fn concurrent_checkpoints_and_loads_are_never_torn() {
     std::thread::scope(|scope| {
         let dir_w = dir.clone();
         scope.spawn(move || {
-            let writer = Dtas::builder(lsi_logic_subset())
-                .config(DtasConfig {
-                    persist_path: Some(dir_w),
-                    compaction_ratio: 0.0,
-                    ..DtasConfig::default()
-                })
-                .build();
-            for width in [4usize, 8, 12, 24] {
+            // Each wide answer's delta outgrows half the base, so the
+            // checkpoints alternate delta, compaction, delta, compaction.
+            let writer = Dtas::warm_start(lsi_logic_subset(), dir_w);
+            for width in [24usize, 4, 32, 8] {
                 writer.run(add_spec(width)).expect("writer solves");
                 writer.checkpoint().expect("writer flushes");
             }
