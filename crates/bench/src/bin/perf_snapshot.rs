@@ -142,10 +142,11 @@ fn batch_vs_loop_ms(specs: &[(String, ComponentSpec)]) -> (f64, f64) {
     (batch_ms, loop_ms)
 }
 
-/// Cold ALU64 solves behind `warm_start.cold_first_ms`, each on a fresh
-/// engine: their median, so one solve in a slow spell on a shared host
-/// does not become the reported figure.
-const COLD_SOLVES: usize = 5;
+/// ALU64 first answers behind `warm_start.cold_first_ms` (cold solves)
+/// and `warm_start.warm_first_ms` (engines restarted over the persisted
+/// chain), each on a fresh engine: their median, so one answer in a slow
+/// spell on a shared host does not become the reported figure.
+const FIRST_ANSWERS: usize = 5;
 
 /// Warm-start + tiered-store metrics: cold first query vs a second
 /// engine loading the persisted chain (the restart / cross-process
@@ -172,7 +173,7 @@ fn warm_start_metrics(spec: &ComponentSpec) -> WarmStart {
         cold.run(spec).expect("cold solves");
     })];
     // The other cold solves run on engines that persist nothing.
-    for _ in 1..COLD_SOLVES {
+    for _ in 1..FIRST_ANSWERS {
         let fresh = Dtas::new(lsi_logic_subset());
         cold_ms.push(ms(|| {
             fresh.run(spec).expect("cold solves");
@@ -225,11 +226,20 @@ fn warm_start_metrics(spec: &ComponentSpec) -> WarmStart {
     let snapshot_load_ms = t0.elapsed().as_secs_f64() * 1e3;
     let stats = warm.cache_stats();
     assert_eq!(stats.snapshot_loads, 1, "snapshot must load");
-    let warm_first_ms = ms(|| {
+    let mut warm_ms = vec![ms(|| {
         warm.run(spec).expect("warm hit");
-    });
+    })];
     let stats = warm.cache_stats();
     assert_eq!((stats.hits, stats.misses), (1, 0), "first query must hit");
+    // The other first answers run on engines restarted over the same
+    // chain; each decodes the ALU64 section afresh.
+    for _ in 1..FIRST_ANSWERS {
+        let restarted = Dtas::warm_start(lsi_logic_subset(), &dir);
+        warm_ms.push(ms(|| {
+            restarted.run(spec).expect("warm hit");
+        }));
+    }
+    let warm_first_ms = quartiles(warm_ms)[1];
     // CI smoke bar: the warm first query must be far under the cold one
     // (in practice it is >1000x faster; 25% leaves room for noise).
     assert!(
@@ -995,7 +1005,7 @@ fn main() {
     let _ = writeln!(json, "  }},");
     let _ = writeln!(
         json,
-        "  \"warm_start\": {{ \"spec\": \"ALU64\", \"cold_first_ms\": {:.3}, \"warm_first_ms\": {:.3}, \"warm_speedup\": {:.0}, \"snapshot_save_ms\": {:.3}, \"snapshot_load_ms\": {:.3}, \"snapshot_bytes\": {}, \"persisted_results\": {}, \"note\": \"second engine over a persisted --cache-dir snapshot: first-query latency after a process restart; cold_first_ms is the median of {COLD_SOLVES} cold solves, each on a fresh engine\" }},",
+        "  \"warm_start\": {{ \"spec\": \"ALU64\", \"cold_first_ms\": {:.3}, \"warm_first_ms\": {:.3}, \"warm_speedup\": {:.0}, \"snapshot_save_ms\": {:.3}, \"snapshot_load_ms\": {:.3}, \"snapshot_bytes\": {}, \"persisted_results\": {}, \"note\": \"engines over a persisted --cache-dir snapshot: first-query latency after a process restart; warm_first_ms is the median of {FIRST_ANSWERS} first queries, each on an engine restarted over the chain, and cold_first_ms the median of {FIRST_ANSWERS} cold solves, each on a fresh engine; warm_speedup is reported, not gated\" }},",
         warm.cold_first_ms,
         warm.warm_first_ms,
         warm.cold_first_ms / warm.warm_first_ms.max(1e-6),
