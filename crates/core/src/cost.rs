@@ -6,13 +6,25 @@
 //! CI→CO arcs rather than the worst-case data path — exactly the
 //! distinction that makes lookahead structures win in the paper's
 //! Figure 3.
+//!
+//! The solver costs every consistent combination of child
+//! implementations against its template, so the template side is
+//! compiled once: expansion turns each netlist template into a
+//! [`TimingGraph`] (integer nodes, every potential edge keyed by its
+//! module's spec and arc classes, one topological order), and a
+//! combination is costed by looking up its children's arcs and relaxing
+//! flat arrays. [`template_cost`] computes the same `(area, timing)`
+//! straight from the template; it is the reference the compiled graph is
+//! tested against, bit for bit.
 
+use crate::space::DesignPoint;
 use crate::template::{NetlistTemplate, Signal, SpecModelCache};
 use cells::Cell;
 use genus::component::{Component, PortClass};
 use genus::spec::ComponentSpec;
 use rtl_base::graph::Digraph;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Pin-class-to-pin-class delay table plus the worst internal path.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -83,7 +95,12 @@ pub struct ChildCost {
 }
 
 /// Computes the (area, timing) of a template given costs for each module
-/// specification.
+/// specification, building the template's net-level timing graph afresh.
+///
+/// The solver does not call this: it costs combinations on the
+/// template's compiled [`TimingGraph`]. This is the reference that graph
+/// is tested against — the same area, `worst` and arcs, bit for bit, and
+/// an error exactly where the graph reports a cycle.
 ///
 /// # Errors
 ///
@@ -99,7 +116,7 @@ pub fn template_cost(
 
     // Gather per-module data.
     struct ModInfo {
-        model: std::sync::Arc<Component>,
+        model: Arc<Component>,
         cost: ChildCost,
     }
     let mut infos = Vec::with_capacity(template.modules.len());
@@ -115,18 +132,15 @@ pub fn template_cost(
     // Build the net-level timing graph. Nodes: parent inputs, internal
     // nets, plus a virtual super-source (last node).
     let mut node_of: BTreeMap<String, usize> = BTreeMap::new();
-    let mut class_of: Vec<PortClass> = Vec::new();
     let mut next = 0usize;
     let mut parent_inputs = Vec::new();
     for p in parent_model.inputs() {
         node_of.insert(format!("P:{}", p.name), next);
-        class_of.push(p.class);
-        parent_inputs.push((p.name.clone(), p.class, next));
+        parent_inputs.push((p.class, next));
         next += 1;
     }
     for net in template.nets.keys() {
         node_of.insert(format!("N:{net}"), next);
-        class_of.push(PortClass::Data);
         next += 1;
     }
     let super_source = next;
@@ -182,8 +196,7 @@ pub fn template_cost(
     // Per-parent-input passes build the arc table.
     let mut timing = Timing::default();
     let outputs: Vec<(&String, &Signal)> = template.outputs.iter().collect();
-    for (pname, pclass, pnode) in &parent_inputs {
-        let _ = pname;
+    for (pclass, pnode) in &parent_inputs {
         let dist = g
             .longest_paths(&[*pnode], &|_| 0.0)
             .map_err(|_| format!("template {} has a combinational cycle", template.rule))?;
@@ -208,7 +221,7 @@ pub fn template_cost(
 
     // Global pass for the worst path: all parent inputs at 0, sequential
     // outputs at their launch delay, via a super-source.
-    for (_, _, pnode) in &parent_inputs {
+    for (_, pnode) in &parent_inputs {
         g.add_edge(super_source, *pnode, 0.0);
     }
     for (n, launch) in &seq_sources {
@@ -234,6 +247,345 @@ pub fn template_cost(
     }
     timing.worst = worst;
     Ok((area, timing))
+}
+
+/// A netlist template's timing graph, compiled once when the design space
+/// expands the template.
+///
+/// The nodes are [`template_cost`]'s: the parent inputs in the parent
+/// model's port order, then the internal nets in name order. Every
+/// *potential* combinational edge is kept, keyed by its module's spec and
+/// (input class, output class); the child timings of a combination decide
+/// which of those arcs exist and what they weigh. Sequential modules'
+/// outputs are launch points, and one topological order covers every
+/// potential edge. The graph holds no design-space ids, so every clone of
+/// a [`DesignSpace`](crate::DesignSpace) shares it.
+#[derive(Debug)]
+pub struct TimingGraph {
+    /// Node count: parent inputs first, then nets.
+    nodes: usize,
+    /// The class of each parent input node.
+    inputs: Vec<PortClass>,
+    /// For each module, the index of its spec among the template's
+    /// distinct module specs (first-use order): the pick it reads.
+    picks: Vec<u32>,
+    /// The first module of each distinct module spec.
+    firsts: Vec<u32>,
+    /// The arcs edges weigh by: (distinct spec, input class, output class).
+    arcs: Vec<(u32, PortClass, PortClass)>,
+    /// Node `u`'s out-edges are `edges[heads[u]..heads[u + 1]]`, each a
+    /// (target node, arc) pair.
+    heads: Vec<u32>,
+    edges: Vec<(u32, u32)>,
+    /// Nets driven by a sequential module, with the distinct spec whose
+    /// `worst` launches them.
+    launches: Vec<(u32, u32)>,
+    /// Each parent output's class and the end of its leaf nodes in
+    /// `leaves`.
+    outputs: Vec<(PortClass, u32)>,
+    leaves: Vec<u32>,
+    /// A topological order over every potential edge, or `None` when they
+    /// close a cycle; then each combination orders only the edges it has.
+    order: Option<Vec<u32>>,
+}
+
+/// Buffers [`TimingGraph::cost`] reuses across combinations.
+#[derive(Default)]
+pub(crate) struct CostScratch {
+    weights: Vec<Option<f64>>,
+    dist: Vec<f64>,
+    indegree: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl TimingGraph {
+    /// Compiles a template that has passed
+    /// [`validate`](NetlistTemplate::validate) against `parent`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the parent's or a module's model cannot be
+    /// built.
+    pub(crate) fn compile(
+        template: &NetlistTemplate,
+        parent: &ComponentSpec,
+        cache: &SpecModelCache,
+    ) -> Result<TimingGraph, String> {
+        let parent_model = cache.model(parent)?;
+        let inputs: Vec<(&str, PortClass)> = parent_model
+            .inputs()
+            .map(|p| (p.name.as_str(), p.class))
+            .collect();
+        let nets: Vec<&str> = template.nets.keys().map(String::as_str).collect();
+        let net_node = |net: &str| {
+            nets.binary_search(&net)
+                .ok()
+                .map(|i| (inputs.len() + i) as u32)
+        };
+        let leaf_nodes = |sig: &Signal, out: &mut Vec<u32>| {
+            sig.for_each_leaf(&mut |leaf| {
+                out.extend(match leaf {
+                    Signal::Net(n) => net_node(n),
+                    Signal::Parent(p) => inputs
+                        .iter()
+                        .position(|(name, _)| name == p)
+                        .map(|i| i as u32),
+                    _ => None,
+                })
+            });
+        };
+
+        let mut specs: Vec<(&ComponentSpec, Arc<Component>)> = Vec::new();
+        let mut picks = Vec::with_capacity(template.modules.len());
+        let mut firsts = Vec::new();
+        let mut arcs: Vec<(u32, PortClass, PortClass)> = Vec::new();
+        let mut edges: Vec<(u32, u32, u32)> = Vec::new();
+        let mut launches = Vec::new();
+        let (mut from, mut outs) = (Vec::new(), Vec::new());
+        for (m, module) in template.modules.iter().enumerate() {
+            let pick = match specs.iter().position(|(spec, _)| **spec == module.spec) {
+                Some(pick) => pick,
+                None => {
+                    specs.push((&module.spec, cache.model(&module.spec)?));
+                    firsts.push(m as u32);
+                    specs.len() - 1
+                }
+            } as u32;
+            picks.push(pick);
+            let model = &specs[pick as usize].1;
+            if model.is_sequential() {
+                for net in module.outputs.values() {
+                    launches.extend(net_node(net).map(|n| (n, pick)));
+                }
+                continue;
+            }
+            outs.clear();
+            outs.extend(
+                module
+                    .outputs
+                    .iter()
+                    .filter_map(|(port, net)| Some((model.port(port)?.class, net_node(net)?))),
+            );
+            for (in_port, sig) in &module.inputs {
+                let Some(pin) = model.port(in_port) else {
+                    continue;
+                };
+                if pin.class == PortClass::Clock {
+                    continue;
+                }
+                // A leaf read twice adds no path.
+                from.clear();
+                leaf_nodes(sig, &mut from);
+                from.sort_unstable();
+                from.dedup();
+                for &(out_class, to) in &outs {
+                    let key = (pick, pin.class, out_class);
+                    let arc = match arcs.iter().position(|a| *a == key) {
+                        Some(arc) => arc,
+                        None => {
+                            arcs.push(key);
+                            arcs.len() - 1
+                        }
+                    } as u32;
+                    edges.extend(from.iter().map(|&f| (f, to, arc)));
+                }
+            }
+        }
+
+        // Bucket the edges by source: count, take prefix sums, place each
+        // edge at its source's cursor, then shift the cursors back into
+        // bucket starts.
+        let nodes = inputs.len() + nets.len();
+        let mut heads = vec![0u32; nodes + 1];
+        for &(f, _, _) in &edges {
+            heads[f as usize + 1] += 1;
+        }
+        for u in 0..nodes {
+            heads[u + 1] += heads[u];
+        }
+        let mut out_edges = vec![(0, 0); edges.len()];
+        for &(f, to, arc) in &edges {
+            out_edges[heads[f as usize] as usize] = (to, arc);
+            heads[f as usize] += 1;
+        }
+        heads.copy_within(..nodes, 1);
+        heads[0] = 0;
+        let mut outputs = Vec::with_capacity(template.outputs.len());
+        let mut leaves = Vec::new();
+        for (name, sig) in &template.outputs {
+            let class = parent_model.port(name).map_or(PortClass::Data, |p| p.class);
+            leaf_nodes(sig, &mut leaves);
+            outputs.push((class, leaves.len() as u32));
+        }
+        let mut graph = TimingGraph {
+            nodes,
+            inputs: inputs.iter().map(|&(_, class)| class).collect(),
+            picks,
+            firsts,
+            arcs,
+            heads,
+            edges: out_edges,
+            launches,
+            outputs,
+            leaves,
+            order: None,
+        };
+        let (mut indegree, mut order) = (Vec::new(), Vec::new());
+        if graph.topological_order(&|_| true, &mut indegree, &mut order) {
+            graph.order = Some(order);
+        }
+        Ok(graph)
+    }
+
+    /// The first module of each distinct module spec, in first-use order:
+    /// [`cost`](Self::cost)'s picks are indexed the same way.
+    pub(crate) fn distinct_modules(&self) -> impl Iterator<Item = usize> + '_ {
+        self.firsts.iter().map(|&m| m as usize)
+    }
+
+    /// Costs one combination, `picks[i]` implementing the template's
+    /// `i`-th distinct module spec: the `(area, timing)` [`template_cost`]
+    /// computes for the same children, or `None` where it reports a
+    /// combinational cycle.
+    pub(crate) fn cost(
+        &self,
+        picks: &[&DesignPoint],
+        scratch: &mut CostScratch,
+    ) -> Option<(f64, Timing)> {
+        // Area in module order, as the reference sums it.
+        let mut area = 0.0;
+        for &pick in &self.picks {
+            area += picks[pick as usize].area;
+        }
+        let CostScratch {
+            weights,
+            dist,
+            indegree,
+            order,
+        } = scratch;
+        weights.clear();
+        weights.extend(
+            self.arcs
+                .iter()
+                .map(|&(pick, from, to)| picks[pick as usize].timing.arc(from, to)),
+        );
+        let order = match &self.order {
+            Some(order) => order,
+            None => {
+                if !self.topological_order(&|arc| weights[arc].is_some(), indegree, order) {
+                    return None;
+                }
+                order
+            }
+        };
+
+        // One pass per parent input builds the arc table.
+        dist.clear();
+        dist.resize(self.nodes, f64::NEG_INFINITY);
+        let mut timing = Timing::default();
+        for (input, &class) in self.inputs.iter().enumerate() {
+            dist.fill(f64::NEG_INFINITY);
+            dist[input] = 0.0;
+            self.relax(order, weights, dist);
+            let mut start = 0;
+            for &(out_class, end) in &self.outputs {
+                let arrival = self.leaves[start..end as usize]
+                    .iter()
+                    .map(|&n| dist[n as usize])
+                    .fold(f64::NEG_INFINITY, f64::max);
+                start = end as usize;
+                if arrival.is_finite() {
+                    let key = (class, out_class);
+                    let cur = timing.arcs.get(&key).copied().unwrap_or(f64::NEG_INFINITY);
+                    if arrival > cur {
+                        timing.arcs.insert(key, arrival);
+                    }
+                }
+            }
+        }
+
+        // The worst path: every parent input at 0, every sequential output
+        // at its launch delay (`0.0 +` as the reference's super-source
+        // edge adds it).
+        dist.fill(f64::NEG_INFINITY);
+        dist[..self.inputs.len()].fill(0.0);
+        for &(net, pick) in &self.launches {
+            let launch = 0.0 + picks[pick as usize].timing.worst;
+            if launch > dist[net as usize] {
+                dist[net as usize] = launch;
+            }
+        }
+        self.relax(order, weights, dist);
+        let mut worst = dist
+            .iter()
+            .copied()
+            .filter(|d| d.is_finite())
+            .fold(0.0f64, f64::max);
+        for &pick in &self.picks {
+            worst = worst.max(picks[pick as usize].timing.worst);
+        }
+        for &a in timing.arcs.values() {
+            worst = worst.max(a);
+        }
+        timing.worst = worst;
+        Some((area, timing))
+    }
+
+    /// Node `u`'s out-edges.
+    fn out_edges(&self, u: u32) -> &[(u32, u32)] {
+        &self.edges[self.heads[u as usize] as usize..self.heads[u as usize + 1] as usize]
+    }
+
+    /// Longest paths from the finite entries of `dist`, over the edges
+    /// whose arc is present, visiting nodes in `order`.
+    fn relax(&self, order: &[u32], weights: &[Option<f64>], dist: &mut [f64]) {
+        for &u in order {
+            let at = dist[u as usize];
+            if at == f64::NEG_INFINITY {
+                continue;
+            }
+            for &(v, arc) in self.out_edges(u) {
+                if let Some(w) = weights[arc as usize] {
+                    let cand = at + w;
+                    if cand > dist[v as usize] {
+                        dist[v as usize] = cand;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Kahn's order of the nodes over the edges whose arc `has`; false
+    /// when those edges close a cycle.
+    fn topological_order(
+        &self,
+        has: &dyn Fn(usize) -> bool,
+        indegree: &mut Vec<u32>,
+        order: &mut Vec<u32>,
+    ) -> bool {
+        indegree.clear();
+        indegree.resize(self.nodes, 0);
+        for &(v, arc) in &self.edges {
+            if has(arc as usize) {
+                indegree[v as usize] += 1;
+            }
+        }
+        order.clear();
+        order.extend((0..self.nodes as u32).filter(|&u| indegree[u as usize] == 0));
+        let mut next = 0;
+        while let Some(&u) = order.get(next) {
+            next += 1;
+            for &(v, arc) in self.out_edges(u) {
+                if has(arc as usize) {
+                    indegree[v as usize] -= 1;
+                    if indegree[v as usize] == 0 {
+                        order.push(v);
+                    }
+                }
+            }
+        }
+        order.len() == self.nodes
+    }
 }
 
 #[cfg(test)]

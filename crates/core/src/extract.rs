@@ -160,7 +160,7 @@ fn extract_shared(
                 name: c.cell.clone(),
             },
         },
-        ImplChoice::Netlist(template) => {
+        ImplChoice::Netlist { template, .. } => {
             let children = node.children[choice_idx]
                 .iter()
                 .map(|&cid| extract_shared(space, cid, policy, memo))

@@ -20,12 +20,12 @@
 //! 2. *performance filters* keep only the best (area, delay) alternatives
 //!    at every specification node ([`FilterPolicy`]).
 
-use crate::cost::{template_cost, ChildCost, Timing};
+use crate::cost::{CostScratch, Timing, TimingGraph};
 use crate::rules::RuleSet;
 use crate::template::{NetlistTemplate, SpecModelCache};
 use cells::CellLibrary;
 use genus::spec::ComponentSpec;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,14 +45,22 @@ pub struct CellChoice {
 
 /// One alternative implementation of a specification.
 ///
-/// Netlist templates are [`Arc`]-shared so extraction and result cloning
-/// are pointer bumps, not deep template copies.
+/// A netlist choice carries its template and the template's
+/// [`TimingGraph`], compiled once at expansion. Both are [`Arc`]-shared,
+/// so cloning a choice (or a whole [`DesignSpace`]), extraction and
+/// result cloning are pointer bumps, not deep copies, and every solve
+/// costs against the one compiled graph.
 #[derive(Clone, Debug)]
 pub enum ImplChoice {
     /// Map directly to a library cell (a leaf of the hierarchy).
     Cell(CellChoice),
     /// Decompose into a netlist of modules.
-    Netlist(Arc<NetlistTemplate>),
+    Netlist {
+        /// The decomposition template.
+        template: Arc<NetlistTemplate>,
+        /// The template's compiled timing graph.
+        timing: Arc<TimingGraph>,
+    },
 }
 
 impl ImplChoice {
@@ -60,7 +68,7 @@ impl ImplChoice {
     pub fn label(&self) -> &str {
         match self {
             ImplChoice::Cell(c) => &c.cell,
-            ImplChoice::Netlist(t) => &t.rule,
+            ImplChoice::Netlist { template, .. } => &template.rule,
         }
     }
 }
@@ -104,11 +112,11 @@ impl std::error::Error for ExpandError {}
 
 /// The AND-OR design space.
 ///
-/// `Clone` is cheap relative to solving: netlist templates inside
-/// implementation choices are [`Arc`]-shared, so a clone copies node and
-/// memo tables but no template bodies. The engine clones the space to
-/// solve cold queries against a private snapshot without holding the
-/// shared-state lock.
+/// `Clone` is cheap relative to solving: netlist templates and their
+/// compiled timing graphs inside implementation choices are
+/// [`Arc`]-shared, so a clone copies node and memo tables but no template
+/// bodies or graphs. The engine clones the space to solve cold queries
+/// against a private snapshot without holding the shared-state lock.
 #[derive(Clone, Default)]
 pub struct DesignSpace {
     /// All specification nodes.
@@ -221,7 +229,12 @@ impl DesignSpace {
                 }
             }
             if ok {
-                impls.push(ImplChoice::Netlist(Arc::new(template)));
+                let timing =
+                    TimingGraph::compile(&template, spec, cache).map_err(ExpandError::BadSpec)?;
+                impls.push(ImplChoice::Netlist {
+                    template: Arc::new(template),
+                    timing: Arc::new(timing),
+                });
                 children.push(ids);
             }
         }
@@ -304,7 +317,7 @@ impl DesignSpace {
         for (choice, child_ids) in node.impls.iter().zip(&node.children) {
             match choice {
                 ImplChoice::Cell(_) => total += 1.0,
-                ImplChoice::Netlist(_) => {
+                ImplChoice::Netlist { .. } => {
                     let mut prod = 1.0;
                     for &cid in child_ids {
                         prod *= self.unconstrained_inner(cid, memo);
@@ -338,7 +351,7 @@ impl DesignSpace {
         for (choice, child_ids) in node.impls.iter().zip(&node.children) {
             match choice {
                 ImplChoice::Cell(_) => logs.push(0.0),
-                ImplChoice::Netlist(_) => {
+                ImplChoice::Netlist { .. } => {
                     let mut sum = 0.0;
                     for &cid in child_ids {
                         sum += self.unconstrained_log10_inner(cid, memo);
@@ -885,17 +898,18 @@ impl Default for SolveConfig {
 }
 
 /// Computes one node's filtered front from its children's already-solved
-/// fronts: a pure function of them (and the model cache).
+/// fronts: a pure function of them. Each netlist choice is costed on its
+/// compiled [`TimingGraph`].
 fn compute_front(
     space: &DesignSpace,
     config: SolveConfig,
     fronts: &[Option<Arc<Vec<DesignPoint>>>],
     id: SpecId,
-    cache: &SpecModelCache,
 ) -> (Vec<DesignPoint>, u64) {
     let node = &space.nodes[id];
     let mut truncated = 0u64;
     let mut points: Vec<DesignPoint> = Vec::new();
+    let mut scratch = CostScratch::default();
     for (i, (choice, child_ids)) in node.impls.iter().zip(&node.children).enumerate() {
         match choice {
             ImplChoice::Cell(c) => {
@@ -907,72 +921,25 @@ fn compute_front(
                     policy,
                 });
             }
-            ImplChoice::Netlist(template) => {
-                // Distinct children, first-use order.
-                let mut distinct: Vec<SpecId> = Vec::new();
-                for &cid in child_ids {
-                    if !distinct.contains(&cid) {
-                        distinct.push(cid);
-                    }
-                }
-                let child_fronts: Vec<&[DesignPoint]> = distinct
-                    .iter()
-                    .map(|&cid| {
-                        fronts[cid]
-                            .as_deref()
-                            .map(Vec::as_slice)
-                            .expect("children are solved before parents")
-                    })
-                    .collect();
-                if child_fronts.iter().any(|f| f.is_empty()) {
+            ImplChoice::Netlist { timing: graph, .. } => {
+                let distinct: Vec<SpecId> =
+                    graph.distinct_modules().map(|m| child_ids[m]).collect();
+                let Some(combos) =
+                    combinations(&distinct, fronts, config.max_combinations, &mut truncated)
+                else {
                     continue; // some module cannot be implemented
-                }
-                // Cartesian product over distinct children with
-                // policy-consistency (uniform-implementation rule); the
-                // merge is a linear scan over the flat policies.
-                let mut combos: Vec<(Policy, Vec<&DesignPoint>)> =
-                    vec![(Policy::new(), Vec::new())];
-                for front in &child_fronts {
-                    let mut next: Vec<(Policy, Vec<&DesignPoint>)> = Vec::new();
-                    for (combo, picks) in &combos {
-                        for p in *front {
-                            if next.len() >= config.max_combinations {
-                                truncated += 1;
-                                continue;
-                            }
-                            let mut merged = combo.clone();
-                            if merged.merge_from(&p.policy) {
-                                let mut picks = picks.clone();
-                                picks.push(p);
-                                next.push((merged, picks));
-                            }
-                        }
-                    }
-                    combos = next;
-                }
+                };
                 for (mut policy, picks) in combos {
-                    let by_spec: BTreeMap<&ComponentSpec, &DesignPoint> = picks
-                        .iter()
-                        .enumerate()
-                        .map(|(ci, p)| (&space.nodes[distinct[ci]].spec, *p))
-                        .collect();
-                    let child_cost = |spec: &ComponentSpec| -> Option<ChildCost> {
-                        by_spec.get(spec).map(|p| ChildCost {
-                            area: p.area,
-                            timing: p.timing.clone(),
-                        })
+                    // `None`: this combination's arcs close a cycle.
+                    let Some((area, timing)) = graph.cost(&picks, &mut scratch) else {
+                        continue;
                     };
-                    match template_cost(template, &node.spec, &child_cost, cache) {
-                        Ok((area, timing)) => {
-                            policy.set(id, i);
-                            points.push(DesignPoint {
-                                area,
-                                timing,
-                                policy,
-                            });
-                        }
-                        Err(_) => continue,
-                    }
+                    policy.set(id, i);
+                    points.push(DesignPoint {
+                        area,
+                        timing,
+                        policy,
+                    });
                 }
             }
         }
@@ -981,6 +948,53 @@ fn compute_front(
         filter_points(points, config.node_filter, config.node_cap),
         truncated,
     )
+}
+
+/// The consistent combinations of the distinct children's solved points,
+/// in costing order: a Cartesian product over the children, in order,
+/// that keeps only policy-consistent merges (the uniform-implementation
+/// rule; the merge is a linear scan over the flat policies). Each
+/// combination carries its merged policy and one point per child.
+/// Combinations past `max_combinations` are counted in `truncated`;
+/// `None` when some child has no points.
+fn combinations<'f>(
+    distinct: &[SpecId],
+    fronts: &'f [Option<Arc<Vec<DesignPoint>>>],
+    max_combinations: usize,
+    truncated: &mut u64,
+) -> Option<Vec<(Policy, Vec<&'f DesignPoint>)>> {
+    let child_fronts: Vec<&[DesignPoint]> = distinct
+        .iter()
+        .map(|&cid| {
+            fronts[cid]
+                .as_deref()
+                .map(Vec::as_slice)
+                .expect("children are solved before parents")
+        })
+        .collect();
+    if child_fronts.iter().any(|f| f.is_empty()) {
+        return None;
+    }
+    let mut combos: Vec<(Policy, Vec<&DesignPoint>)> = vec![(Policy::new(), Vec::new())];
+    for front in &child_fronts {
+        let mut next: Vec<(Policy, Vec<&DesignPoint>)> = Vec::new();
+        for (combo, picks) in &combos {
+            for p in *front {
+                if next.len() >= max_combinations {
+                    *truncated += 1;
+                    continue;
+                }
+                let mut merged = combo.clone();
+                if merged.merge_from(&p.policy) {
+                    let mut picks = picks.clone();
+                    picks.push(p);
+                    next.push((merged, picks));
+                }
+            }
+        }
+        combos = next;
+    }
+    Some(combos)
 }
 
 /// Per-node solve results that outlive one [`Solver`]: the filtered
@@ -1039,6 +1053,10 @@ impl FrontStore {
 /// Fronts are solved in node-id order, which is a topological order of
 /// the spec DAG (expansion pushes children before parents), so every
 /// node's children are solved before it.
+///
+/// Costing reads only the timing graphs expansion compiled, so the
+/// solver no longer reads the [`SpecModelCache`] its methods take; the
+/// parameter stays for the callers that pass it.
 pub struct Solver<'a> {
     space: &'a DesignSpace,
     config: SolveConfig,
@@ -1107,7 +1125,7 @@ impl<'a> Solver<'a> {
     /// unsolved node reachable from any root is solved once, in id order
     /// (children before parents). Identical results to solving the roots
     /// one at a time — every front is a pure function of its children's.
-    pub fn solve_many(&mut self, roots: &[SpecId], cache: &SpecModelCache) {
+    pub fn solve_many(&mut self, roots: &[SpecId], _cache: &SpecModelCache) {
         let mut todo = vec![false; self.space.nodes.len()];
         for &root in roots {
             if self.store.fronts[root].is_none() {
@@ -1117,8 +1135,7 @@ impl<'a> Solver<'a> {
             }
         }
         for n in (0..todo.len()).filter(|&n| todo[n]) {
-            let (front, truncated) =
-                compute_front(self.space, self.config, &self.store.fronts, n, cache);
+            let (front, truncated) = compute_front(self.space, self.config, &self.store.fronts, n);
             self.store.fronts[n] = Some(Arc::new(front));
             self.store.truncated[n] = truncated;
             self.truncated_combinations += truncated;
@@ -1154,7 +1171,7 @@ impl<'a> Solver<'a> {
             node_cap: cap,
             max_combinations: self.config.max_combinations,
         };
-        let (front, truncated) = compute_front(self.space, config, &self.store.fronts, id, cache);
+        let (front, truncated) = compute_front(self.space, config, &self.store.fronts, id);
         self.truncated_combinations += truncated;
         front
     }
@@ -1163,10 +1180,16 @@ impl<'a> Solver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{template_cost, ChildCost};
+    use crate::lola::with_derived_rules;
     use crate::rules::RuleSet;
+    use crate::template::{Signal, TemplateBuilder};
     use cells::lsi::lsi_logic_subset;
-    use genus::kind::ComponentKind;
+    use genus::component::PortClass;
+    use genus::kind::{ComponentKind, GateOp};
     use genus::op::{Op, OpSet};
+    use std::collections::BTreeMap;
+    use std::sync::OnceLock;
 
     fn add_spec(w: usize) -> ComponentSpec {
         ComponentSpec::new(ComponentKind::AddSub, w)
@@ -1206,7 +1229,7 @@ mod tests {
         assert!(node
             .impls
             .iter()
-            .all(|i| matches!(i, ImplChoice::Netlist(_))));
+            .all(|i| matches!(i, ImplChoice::Netlist { .. })));
         assert!(!node.impls.is_empty());
     }
 
@@ -1499,6 +1522,416 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The 41 specs the benchmark maps (the plain keys of
+    /// `perfbench/oracle.tsv`), built as its spec universe builds them.
+    fn benchmark_specs() -> Vec<(&'static str, ComponentSpec)> {
+        const KEYS: &str = "nand:8:4 nand:16:2 nor:8:3 xor:8:4 xor:16:2 mux:8:2 mux:8:4 mux:16:4 \
+            mux:4:8 dec:2 dec:3 dec:4 bcd enc:4 enc:8 enc:16 cmp:4 cmp:8 cmp:16 shift:8 shift:16 \
+            shift:32 barrel:8:3 barrel:16:4 mul:4:4 mul:6:4 mul:8:4 ctr:4 ctr:6 ctr:8 add:8 add:12 \
+            add:16 add:24 add:32 add:48 add:64 alu:8 alu:16 alu:32 alu:64";
+        let spec = |key: &str| {
+            let mut parts = key.split(':');
+            let family = parts.next().unwrap_or_default();
+            let mut n = || -> usize { parts.next().and_then(|p| p.parse().ok()).expect(key) };
+            let ops = |list: &[Op]| -> OpSet { list.iter().copied().collect() };
+            let gate = |op, width, inputs| {
+                ComponentSpec::new(ComponentKind::Gate(op), width).with_inputs(inputs)
+            };
+            match family {
+                "nand" => gate(GateOp::Nand, n(), n()),
+                "nor" => gate(GateOp::Nor, n(), n()),
+                "xor" => gate(GateOp::Xor, n(), n()),
+                "mux" => ComponentSpec::new(ComponentKind::Mux, n()).with_inputs(n()),
+                "dec" => {
+                    let k = n();
+                    ComponentSpec::new(ComponentKind::Decoder, k)
+                        .with_width2(1 << k)
+                        .with_style("BINARY")
+                }
+                "bcd" => ComponentSpec::new(ComponentKind::Decoder, 4)
+                    .with_width2(10)
+                    .with_style("BCD"),
+                "enc" => {
+                    let inputs = n();
+                    ComponentSpec::new(ComponentKind::Encoder, genus::build::select_width(inputs))
+                        .with_inputs(inputs)
+                }
+                "cmp" => ComponentSpec::new(ComponentKind::Comparator, n()).with_ops(ops(&[
+                    Op::Eq,
+                    Op::Lt,
+                    Op::Gt,
+                ])),
+                "shift" => ComponentSpec::new(ComponentKind::Shifter, n())
+                    .with_ops(ops(&[Op::Shl, Op::Shr])),
+                "barrel" => ComponentSpec::new(ComponentKind::BarrelShifter, n())
+                    .with_width2(n())
+                    .with_ops(OpSet::only(Op::Shl)),
+                "mul" => ComponentSpec::new(ComponentKind::Multiplier, n())
+                    .with_width2(n())
+                    .with_ops(OpSet::only(Op::Mul)),
+                "ctr" => ComponentSpec::new(ComponentKind::Counter, n())
+                    .with_ops(ops(&[Op::Load, Op::CountUp, Op::CountDown]))
+                    .with_enable(true)
+                    .with_style("SYNCHRONOUS"),
+                "add" => add_spec(n()),
+                "alu" => ComponentSpec::new(ComponentKind::Alu, n())
+                    .with_ops(Op::paper_alu16())
+                    .with_carry_in(true),
+                _ => panic!("unknown family in {key}"),
+            }
+        };
+        let specs: Vec<_> = KEYS
+            .split_whitespace()
+            .map(|key| (key, spec(key)))
+            .collect();
+        assert_eq!(specs.len(), 41);
+        specs
+    }
+
+    /// [`template_cost`] on one combination: `picks[i]` implements the
+    /// template's `i`-th distinct module spec.
+    fn reference_cost(
+        template: &NetlistTemplate,
+        parent: &ComponentSpec,
+        graph: &TimingGraph,
+        picks: &[&DesignPoint],
+        cache: &SpecModelCache,
+    ) -> Result<(f64, Timing), String> {
+        let by_spec: BTreeMap<&ComponentSpec, &DesignPoint> = graph
+            .distinct_modules()
+            .map(|m| &template.modules[m].spec)
+            .zip(picks.iter().copied())
+            .collect();
+        let child_cost = |spec: &ComponentSpec| {
+            by_spec.get(spec).map(|p| ChildCost {
+                area: p.area,
+                timing: p.timing.clone(),
+            })
+        };
+        template_cost(template, parent, &child_cost, cache)
+    }
+
+    /// Whether the compiled graph's cost equals the reference's: both
+    /// report a cycle, or area, `worst` and every arc agree bit for bit.
+    fn same_cost(
+        compiled: &Option<(f64, Timing)>,
+        reference: &Result<(f64, Timing), String>,
+    ) -> bool {
+        let bits = |(area, timing): &(f64, Timing)| {
+            let arcs: Vec<_> = timing.arcs.iter().map(|(k, v)| (*k, v.to_bits())).collect();
+            (area.to_bits(), timing.worst.to_bits(), arcs)
+        };
+        match (compiled, reference) {
+            (None, Err(_)) => true,
+            (Some(got), Ok(want)) => bits(got) == bits(want),
+            _ => false,
+        }
+    }
+
+    /// Every combination the solver costs on a fresh space for each of the
+    /// benchmark's 41 specs, costed again by the reference from the same
+    /// solved child fronts: the compiled graph's result is identical.
+    #[test]
+    fn compiled_costs_match_the_reference_on_the_benchmark_specs() {
+        let lib = lsi_logic_subset();
+        let rules = with_derived_rules(RuleSet::standard(), &lib);
+        let cache = SpecModelCache::new();
+        let config = SolveConfig::default();
+        let (mut combinations_checked, mut cycles) = (0usize, 0usize);
+        for (key, spec) in benchmark_specs() {
+            let mut space = DesignSpace::new();
+            let root = space.expand(&spec, &rules, &lib, &cache).unwrap();
+            let mut solver = Solver::new(&space, config);
+            solver.solve(root, &cache);
+            for id in space.reachable(root) {
+                let node = &space.nodes[id];
+                for (choice, child_ids) in node.impls.iter().zip(&node.children) {
+                    let ImplChoice::Netlist {
+                        template,
+                        timing: graph,
+                    } = choice
+                    else {
+                        continue;
+                    };
+                    let distinct: Vec<SpecId> =
+                        graph.distinct_modules().map(|m| child_ids[m]).collect();
+                    let fronts = &solver.store.fronts;
+                    let mut truncated = 0;
+                    let Some(combos) =
+                        combinations(&distinct, fronts, config.max_combinations, &mut truncated)
+                    else {
+                        continue;
+                    };
+                    let mut scratch = CostScratch::default();
+                    for (_, picks) in &combos {
+                        let compiled = graph.cost(picks, &mut scratch);
+                        let reference = reference_cost(template, &node.spec, graph, picks, &cache);
+                        assert!(
+                            same_cost(&compiled, &reference),
+                            "{key}: {} under {}: compiled {compiled:?}, reference {reference:?}",
+                            template.rule,
+                            node.spec
+                        );
+                        combinations_checked += 1;
+                        cycles += usize::from(compiled.is_none());
+                    }
+                }
+            }
+        }
+        assert!(
+            combinations_checked > 5_000,
+            "only {combinations_checked} combinations checked"
+        );
+        assert_eq!(cycles, 0, "no benchmark combination closes a cycle");
+    }
+
+    /// One template the benchmark specs reach, compiled.
+    struct Reached {
+        parent: ComponentSpec,
+        template: Arc<NetlistTemplate>,
+        graph: Arc<TimingGraph>,
+    }
+
+    /// Every template the 41 benchmark specs reach in one shared space,
+    /// with the indices of those whose graph of every potential edge
+    /// closes a cycle and of those with a sequential module.
+    struct ReachedTemplates {
+        all: Vec<Reached>,
+        cyclic: Vec<usize>,
+        sequential: Vec<usize>,
+        cache: SpecModelCache,
+    }
+
+    fn reached_templates() -> &'static ReachedTemplates {
+        static REACHED: OnceLock<ReachedTemplates> = OnceLock::new();
+        REACHED.get_or_init(|| {
+            let lib = lsi_logic_subset();
+            let rules = with_derived_rules(RuleSet::standard(), &lib);
+            let cache = SpecModelCache::new();
+            let mut space = DesignSpace::new();
+            for (_, spec) in benchmark_specs() {
+                space.expand(&spec, &rules, &lib, &cache).unwrap();
+            }
+            let (mut all, mut cyclic, mut sequential) = (Vec::new(), Vec::new(), Vec::new());
+            for node in &space.nodes {
+                for choice in &node.impls {
+                    let ImplChoice::Netlist { template, timing } = choice else {
+                        continue;
+                    };
+                    let reached = Reached {
+                        parent: node.spec.clone(),
+                        template: Arc::clone(template),
+                        graph: Arc::clone(timing),
+                    };
+                    // With every arc present the reference errs exactly
+                    // when the potential edges close a cycle.
+                    let points = random_picks(&reached, &cache, &mut || 3);
+                    let picks: Vec<&DesignPoint> = points.iter().collect();
+                    if reference_cost(template, &node.spec, timing, &picks, &cache).is_err() {
+                        cyclic.push(all.len());
+                    }
+                    let model = |m: &crate::template::Module| cache.model(&m.spec).unwrap();
+                    if template.modules.iter().any(|m| model(m).is_sequential()) {
+                        sequential.push(all.len());
+                    }
+                    all.push(reached);
+                }
+            }
+            ReachedTemplates {
+                all,
+                cyclic,
+                sequential,
+                cache,
+            }
+        })
+    }
+
+    /// One point per distinct module spec of a template, from a stream of
+    /// codes in `0..8`: an arc for each (input class, output class) pair
+    /// of the module's model, absent on codes 0 and 1 and otherwise
+    /// `(code - 2) / 2` ns (so 0 and ties are common), then `worst` and
+    /// area from one code each. A sequential model's `worst` is its
+    /// launch delay.
+    fn random_picks(
+        reached: &Reached,
+        cache: &SpecModelCache,
+        draw: &mut dyn FnMut() -> u64,
+    ) -> Vec<DesignPoint> {
+        reached
+            .graph
+            .distinct_modules()
+            .map(|m| {
+                let model = cache.model(&reached.template.modules[m].spec).unwrap();
+                let mut arcs = BTreeMap::new();
+                for pin in model.inputs().filter(|p| p.class != PortClass::Clock) {
+                    for pout in model.outputs() {
+                        let code = draw();
+                        if code >= 2 && !arcs.contains_key(&(pin.class, pout.class)) {
+                            arcs.insert((pin.class, pout.class), (code - 2) as f64 * 0.5);
+                        }
+                    }
+                }
+                let worst = draw() as f64 * 0.75;
+                DesignPoint {
+                    area: draw() as f64 * 1.5,
+                    timing: Timing { arcs, worst },
+                    policy: Policy::new(),
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Random child timings, absent arcs, zero and tied delays and
+        /// sequential launches included, cost the same on the compiled
+        /// graph as in the reference, on the templates the benchmark
+        /// specs reach. A quarter of the cases draw a template whose
+        /// potential edges close a cycle, and a quarter one with a
+        /// sequential module.
+        #[test]
+        fn compiled_costs_match_the_reference_on_random_child_timings(
+            index in 0usize..1 << 20,
+            pool in 0u8..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let reached = reached_templates();
+            let pick = match pool {
+                0 => reached.cyclic[index % reached.cyclic.len()],
+                1 => reached.sequential[index % reached.sequential.len()],
+                _ => index % reached.all.len(),
+            };
+            let (reached, cache) = (&reached.all[pick], &reached.cache);
+            let mut state = seed | 1;
+            let mut draw = || {
+                // xorshift64
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % 8
+            };
+            let points = random_picks(reached, cache, &mut draw);
+            let picks: Vec<&DesignPoint> = points.iter().collect();
+            let compiled = reached.graph.cost(&picks, &mut CostScratch::default());
+            let reference =
+                reference_cost(&reached.template, &reached.parent, &reached.graph, &picks, cache);
+            proptest::prop_assert!(
+                same_cost(&compiled, &reference),
+                "{} under {}: compiled {:?}, reference {:?}",
+                reached.template.rule,
+                reached.parent,
+                compiled,
+                reference
+            );
+        }
+    }
+
+    /// A 4-bit 2-input mux built from a mux whose I1 reads an AND of its
+    /// own output: the graph of every potential edge has the cycle
+    /// a → b → a. An AND point without a data arc breaks it and is costed
+    /// as the reference costs it; one with the arc closes it and, as in
+    /// the reference, yields no point.
+    #[test]
+    fn a_combination_that_closes_a_potential_cycle_is_skipped() {
+        let mux = ComponentSpec::new(ComponentKind::Mux, 4).with_inputs(2);
+        let and = ComponentSpec::new(ComponentKind::Gate(GateOp::And), 4).with_inputs(2);
+        let mut t = TemplateBuilder::new("mux-through-and");
+        t.module(
+            "m",
+            mux.clone(),
+            vec![
+                ("I0", Signal::parent("I0")),
+                ("I1", Signal::net("b")),
+                ("S", Signal::parent("S")),
+            ],
+            vec![("O", "a", 4)],
+        );
+        t.module(
+            "g",
+            and.clone(),
+            vec![("I0", Signal::net("a")), ("I1", Signal::parent("I1"))],
+            vec![("O", "b", 4)],
+        );
+        t.output("O", Signal::net("a"));
+        let template = t.build();
+        let cache = SpecModelCache::new();
+        template.validate(&mux, &cache).unwrap();
+        let graph = Arc::new(TimingGraph::compile(&template, &mux, &cache).unwrap());
+
+        let cell = |name: &str, area: f64, arcs: &[(PortClass, PortClass, f64)], worst: f64| {
+            ImplChoice::Cell(CellChoice {
+                cell: name.to_string(),
+                area,
+                timing: Timing {
+                    arcs: arcs.iter().map(|&(i, o, d)| ((i, o), d)).collect(),
+                    worst,
+                },
+            })
+        };
+        let (data, select) = (PortClass::Data, PortClass::Select);
+        let mut space = DesignSpace::new();
+        let nodes = [
+            (
+                mux.clone(),
+                vec![cell(
+                    "MUX",
+                    10.0,
+                    &[(data, data, 1.0), (select, data, 1.5)],
+                    1.5,
+                )],
+                vec![Vec::new()],
+            ),
+            (
+                and,
+                vec![
+                    cell("AND-ARC", 5.0, &[(data, data, 1.0)], 1.0),
+                    cell("AND-CUT", 4.0, &[], 2.0),
+                ],
+                vec![Vec::new(); 2],
+            ),
+            (
+                mux.clone(),
+                vec![ImplChoice::Netlist {
+                    template: Arc::new(template.clone()),
+                    timing: Arc::clone(&graph),
+                }],
+                vec![vec![0, 1]],
+            ),
+        ];
+        for (spec, impls, children) in nodes {
+            space.nodes.push(SpecNode {
+                spec,
+                impls,
+                children,
+            });
+        }
+
+        let mut solver = Solver::new(&space, SolveConfig::default());
+        let front = solver.front(2, &cache);
+        assert_eq!(front.len(), 1, "one combination is costed");
+        assert_eq!(front[0].policy.get(1), Some(1), "the one with AND-CUT");
+
+        let mux_point = &solver.front(0, &cache)[0];
+        let and_front = solver.front(1, &cache);
+        assert_eq!(and_front.len(), 2, "both AND points survive the filter");
+        let mut scratch = CostScratch::default();
+        for and_point in &and_front {
+            let picks = [mux_point, and_point];
+            let compiled = graph.cost(&picks, &mut scratch);
+            let reference = reference_cost(&template, &mux, &graph, &picks, &cache);
+            assert!(
+                same_cost(&compiled, &reference),
+                "{compiled:?} vs {reference:?}"
+            );
+            let closes_the_cycle = and_point.timing.arc(data, data).is_some();
+            assert_eq!(compiled.is_none(), closes_the_cycle, "{compiled:?}");
         }
     }
 }

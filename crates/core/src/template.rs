@@ -67,11 +67,19 @@ impl Signal {
     /// The nets and parent ports this signal reads, with the bit ranges
     /// used (conservatively the whole leaf).
     pub fn leaves(&self) -> Vec<&Signal> {
+        let mut leaves = Vec::new();
+        self.for_each_leaf(&mut |leaf| leaves.push(leaf));
+        leaves
+    }
+
+    /// Calls `f` on each of [`leaves`](Self::leaves), in order, without
+    /// collecting them.
+    pub(crate) fn for_each_leaf<'a>(&'a self, f: &mut dyn FnMut(&'a Signal)) {
         match self {
-            Signal::Net(_) | Signal::Parent(_) => vec![self],
-            Signal::Const(_) => vec![],
-            Signal::Slice(inner, _, _) | Signal::Replicate(inner, _) => inner.leaves(),
-            Signal::Cat(parts) => parts.iter().flat_map(|p| p.leaves()).collect(),
+            Signal::Net(_) | Signal::Parent(_) => f(self),
+            Signal::Const(_) => {}
+            Signal::Slice(inner, _, _) | Signal::Replicate(inner, _) => inner.for_each_leaf(f),
+            Signal::Cat(parts) => parts.iter().for_each(|p| p.for_each_leaf(f)),
         }
     }
 
