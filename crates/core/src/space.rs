@@ -59,7 +59,7 @@ pub enum ImplChoice {
         /// The decomposition template.
         template: Arc<NetlistTemplate>,
         /// The template's compiled timing graph.
-        timing: Arc<TimingGraph>,
+        graph: Arc<TimingGraph>,
     },
 }
 
@@ -229,11 +229,11 @@ impl DesignSpace {
                 }
             }
             if ok {
-                let timing =
+                let graph =
                     TimingGraph::compile(&template, spec, cache).map_err(ExpandError::BadSpec)?;
                 impls.push(ImplChoice::Netlist {
                     template: Arc::new(template),
-                    timing: Arc::new(timing),
+                    graph: Arc::new(graph),
                 });
                 children.push(ids);
             }
@@ -921,7 +921,7 @@ fn compute_front(
                     policy,
                 });
             }
-            ImplChoice::Netlist { timing: graph, .. } => {
+            ImplChoice::Netlist { graph, .. } => {
                 let distinct: Vec<SpecId> =
                     graph.distinct_modules().map(|m| child_ids[m]).collect();
                 let Some(combos) =
@@ -1649,11 +1649,7 @@ mod tests {
             for id in space.reachable(root) {
                 let node = &space.nodes[id];
                 for (choice, child_ids) in node.impls.iter().zip(&node.children) {
-                    let ImplChoice::Netlist {
-                        template,
-                        timing: graph,
-                    } = choice
-                    else {
+                    let ImplChoice::Netlist { template, graph } = choice else {
                         continue;
                     };
                     let distinct: Vec<SpecId> =
@@ -1718,19 +1714,19 @@ mod tests {
             let (mut all, mut cyclic, mut sequential) = (Vec::new(), Vec::new(), Vec::new());
             for node in &space.nodes {
                 for choice in &node.impls {
-                    let ImplChoice::Netlist { template, timing } = choice else {
+                    let ImplChoice::Netlist { template, graph } = choice else {
                         continue;
                     };
                     let reached = Reached {
                         parent: node.spec.clone(),
                         template: Arc::clone(template),
-                        graph: Arc::clone(timing),
+                        graph: Arc::clone(graph),
                     };
                     // With every arc present the reference errs exactly
                     // when the potential edges close a cycle.
                     let points = random_picks(&reached, &cache, &mut || 3);
                     let picks: Vec<&DesignPoint> = points.iter().collect();
-                    if reference_cost(template, &node.spec, timing, &picks, &cache).is_err() {
+                    if reference_cost(template, &node.spec, graph, &picks, &cache).is_err() {
                         cyclic.push(all.len());
                     }
                     let model = |m: &crate::template::Module| cache.model(&m.spec).unwrap();
@@ -1900,7 +1896,7 @@ mod tests {
                 mux.clone(),
                 vec![ImplChoice::Netlist {
                     template: Arc::new(template.clone()),
-                    timing: Arc::clone(&graph),
+                    graph: Arc::clone(&graph),
                 }],
                 vec![vec![0, 1]],
             ),
