@@ -18,9 +18,9 @@
 //! tested against, bit for bit.
 
 use crate::space::DesignPoint;
-use crate::template::{NetlistTemplate, Signal, SpecModelCache};
+use crate::template::{NetlistTemplate, Signal, SpecModelCache, TemplateError};
 use cells::Cell;
-use genus::component::{Component, PortClass};
+use genus::component::{Component, PortClass, PortDir};
 use genus::spec::ComponentSpec;
 use rtl_base::graph::Digraph;
 use std::collections::BTreeMap;
@@ -299,28 +299,43 @@ pub(crate) struct CostScratch {
 }
 
 impl TimingGraph {
-    /// Compiles a template that has passed
-    /// [`validate`](NetlistTemplate::validate) against `parent`.
+    /// Validates `template` against `parent` and compiles it, in one walk.
+    /// The checks are [`NetlistTemplate::validate`]'s, which calls this
+    /// and drops the graph: every module input wired at its port's width,
+    /// every wired port a module input, every module output driving a
+    /// known net of its width, one driver per net, and every parent output
+    /// produced, at its width, and by that name.
     ///
     /// # Errors
     ///
-    /// Returns a message when the parent's or a module's model cannot be
-    /// built.
+    /// [`TemplateError`] naming the first offending module, port or net.
     pub(crate) fn compile(
         template: &NetlistTemplate,
         parent: &ComponentSpec,
         cache: &SpecModelCache,
-    ) -> Result<TimingGraph, String> {
-        let parent_model = cache.model(parent)?;
+    ) -> Result<TimingGraph, TemplateError> {
+        let fail = |message: String| TemplateError {
+            rule: template.rule.clone(),
+            message,
+        };
+        let parent_model = cache.model(parent).map_err(&fail)?;
         let inputs: Vec<(&str, PortClass)> = parent_model
             .inputs()
             .map(|p| (p.name.as_str(), p.class))
             .collect();
-        let nets: Vec<&str> = template.nets.keys().map(String::as_str).collect();
-        let net_node = |net: &str| {
-            nets.binary_search(&net)
-                .ok()
-                .map(|i| (inputs.len() + i) as u32)
+        let nets: Vec<(&str, usize)> = template
+            .nets
+            .iter()
+            .map(|(net, &width)| (net.as_str(), width))
+            .collect();
+        let net_index = |net: &str| nets.binary_search_by(|&(n, _)| n.cmp(net)).ok();
+        let net_node = |net: &str| net_index(net).map(|i| (inputs.len() + i) as u32);
+        let net_width = |net: &str| net_index(net).map(|i| nets[i].1);
+        let parent_in_width = |p: &str| {
+            parent_model
+                .port(p)
+                .filter(|port| port.dir == PortDir::In)
+                .map(|port| port.width)
         };
         let leaf_nodes = |sig: &Signal, out: &mut Vec<u32>| {
             sig.for_each_leaf(&mut |leaf| {
@@ -341,36 +356,73 @@ impl TimingGraph {
         let mut arcs: Vec<(u32, PortClass, PortClass)> = Vec::new();
         let mut edges: Vec<(u32, u32, u32)> = Vec::new();
         let mut launches = Vec::new();
-        let (mut from, mut outs) = (Vec::new(), Vec::new());
+        let mut drivers = vec![0u32; nets.len()];
+        let (mut pins, mut outs, mut from) = (Vec::new(), Vec::new(), Vec::new());
         for (m, module) in template.modules.iter().enumerate() {
+            let name = &module.name;
             let pick = match specs.iter().position(|(spec, _)| **spec == module.spec) {
                 Some(pick) => pick,
                 None => {
-                    specs.push((&module.spec, cache.model(&module.spec)?));
+                    let model = cache
+                        .model(&module.spec)
+                        .map_err(|e| fail(format!("module {name}: {e}")))?;
+                    specs.push((&module.spec, model));
                     firsts.push(m as u32);
                     specs.len() - 1
                 }
             } as u32;
             picks.push(pick);
             let model = &specs[pick as usize].1;
-            if model.is_sequential() {
-                for net in module.outputs.values() {
-                    launches.extend(net_node(net).map(|n| (n, pick)));
+            for port in model.inputs() {
+                let sig = module.inputs.get(&port.name).ok_or_else(|| {
+                    fail(format!("module {name} input {} unconnected", port.name))
+                })?;
+                let w = sig
+                    .width(&net_width, &parent_in_width)
+                    .map_err(|e| fail(format!("module {name} input {}: {e}", port.name)))?;
+                if w != port.width {
+                    return Err(fail(format!(
+                        "module {name} input {} is {} bits, wired {w}",
+                        port.name, port.width
+                    )));
                 }
-                continue;
+            }
+            pins.clear();
+            for (pname, sig) in &module.inputs {
+                let pin = model
+                    .port(pname)
+                    .filter(|p| p.dir == PortDir::In)
+                    .ok_or_else(|| fail(format!("module {name} wires non-input port {pname}")))?;
+                pins.push((pin.class, sig));
             }
             outs.clear();
-            outs.extend(
-                module
-                    .outputs
-                    .iter()
-                    .filter_map(|(port, net)| Some((model.port(port)?.class, net_node(net)?))),
-            );
-            for (in_port, sig) in &module.inputs {
-                let Some(pin) = model.port(in_port) else {
-                    continue;
-                };
-                if pin.class == PortClass::Clock {
+            for (pname, net) in &module.outputs {
+                let port = model
+                    .port(pname)
+                    .filter(|p| p.dir == PortDir::Out)
+                    .ok_or_else(|| fail(format!("module {name} has no output {pname}")))?;
+                let i = net_index(net).ok_or_else(|| {
+                    fail(format!(
+                        "module {name} output {pname} drives unknown net {net}"
+                    ))
+                })?;
+                let nw = nets[i].1;
+                if nw != port.width {
+                    return Err(fail(format!(
+                        "module {name} output {pname} is {} bits, net {net} is {nw}",
+                        port.width
+                    )));
+                }
+                drivers[i] += 1;
+                outs.push((port.class, (inputs.len() + i) as u32));
+            }
+
+            if model.is_sequential() {
+                launches.extend(outs.iter().map(|&(_, net)| (net, pick)));
+                continue;
+            }
+            for &(in_class, sig) in &pins {
+                if in_class == PortClass::Clock {
                     continue;
                 }
                 // A leaf read twice adds no path.
@@ -379,7 +431,7 @@ impl TimingGraph {
                 from.sort_unstable();
                 from.dedup();
                 for &(out_class, to) in &outs {
-                    let key = (pick, pin.class, out_class);
+                    let key = (pick, in_class, out_class);
                     let arc = match arcs.iter().position(|a| *a == key) {
                         Some(arc) => arc,
                         None => {
@@ -390,6 +442,41 @@ impl TimingGraph {
                     edges.extend(from.iter().map(|&f| (f, to, arc)));
                 }
             }
+        }
+        for (&(net, _), &count) in nets.iter().zip(&drivers) {
+            if count > 1 {
+                return Err(fail(format!("net {net} has {count} drivers")));
+            }
+        }
+        for (&(net, _), &count) in nets.iter().zip(&drivers) {
+            if count == 0 {
+                return Err(fail(format!("net {net} has no driver")));
+            }
+        }
+        for port in parent_model.outputs() {
+            let sig = template
+                .outputs
+                .get(&port.name)
+                .ok_or_else(|| fail(format!("parent output {} not produced", port.name)))?;
+            let w = sig
+                .width(&net_width, &parent_in_width)
+                .map_err(|e| fail(format!("parent output {}: {e}", port.name)))?;
+            if w != port.width {
+                return Err(fail(format!(
+                    "parent output {} is {} bits, produced {w}",
+                    port.name, port.width
+                )));
+            }
+        }
+        let mut outputs = Vec::with_capacity(template.outputs.len());
+        let mut leaves = Vec::new();
+        for (name, sig) in &template.outputs {
+            let port = parent_model
+                .port(name)
+                .filter(|p| p.dir == PortDir::Out)
+                .ok_or_else(|| fail(format!("template produces unknown parent output {name}")))?;
+            leaf_nodes(sig, &mut leaves);
+            outputs.push((port.class, leaves.len() as u32));
         }
 
         // Bucket the edges by source: count, take prefix sums, place each
@@ -410,13 +497,6 @@ impl TimingGraph {
         }
         heads.copy_within(..nodes, 1);
         heads[0] = 0;
-        let mut outputs = Vec::with_capacity(template.outputs.len());
-        let mut leaves = Vec::new();
-        for (name, sig) in &template.outputs {
-            let class = parent_model.port(name).map_or(PortClass::Data, |p| p.class);
-            leaf_nodes(sig, &mut leaves);
-            outputs.push((class, leaves.len() as u32));
-        }
         let mut graph = TimingGraph {
             nodes,
             inputs: inputs.iter().map(|&(_, class)| class).collect(),

@@ -212,8 +212,7 @@ impl DesignSpace {
         // in rule order.
         let mut dropped_cycle = false;
         for template in rules.iter().flat_map(|r| r.expand(spec)) {
-            template
-                .validate(spec, cache)
+            let graph = TimingGraph::compile(&template, spec, cache)
                 .map_err(|e| ExpandError::InvalidTemplate(e.to_string()))?;
             let mut ids = Vec::with_capacity(template.modules.len());
             let mut ok = true;
@@ -229,8 +228,6 @@ impl DesignSpace {
                 }
             }
             if ok {
-                let graph =
-                    TimingGraph::compile(&template, spec, cache).map_err(ExpandError::BadSpec)?;
                 impls.push(ImplChoice::Netlist {
                     template: Arc::new(template),
                     graph: Arc::new(graph),

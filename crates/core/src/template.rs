@@ -14,7 +14,7 @@
 
 use genus::behavior::Env;
 use genus::build::component_for_spec;
-use genus::component::{Component, PortDir};
+use genus::component::Component;
 use genus::spec::ComponentSpec;
 use rtl_base::bits::Bits;
 use std::collections::{BTreeMap, HashMap};
@@ -270,7 +270,9 @@ impl NetlistTemplate {
     /// every module input wired with the right width, every module output
     /// driving a net of the right width, single driver per net, every
     /// parent output produced with the right width, and no dangling parent
-    /// input references.
+    /// input references. The design space runs the same checks in the
+    /// walk that compiles the template's timing graph
+    /// ([`TimingGraph`](crate::cost::TimingGraph)); this drops the graph.
     ///
     /// # Errors
     ///
@@ -280,100 +282,7 @@ impl NetlistTemplate {
         parent: &ComponentSpec,
         cache: &SpecModelCache,
     ) -> Result<(), TemplateError> {
-        let fail = |msg: String| TemplateError {
-            rule: self.rule.clone(),
-            message: msg,
-        };
-        let parent_model = cache.model(parent).map_err(&fail)?;
-        let parent_in_width = |p: &str| {
-            parent_model
-                .port(p)
-                .filter(|port| port.dir == PortDir::In)
-                .map(|port| port.width)
-        };
-        let net_width = |n: &str| self.nets.get(n).copied();
-
-        let mut drivers: BTreeMap<&str, usize> = BTreeMap::new();
-        for m in &self.modules {
-            let model = cache
-                .model(&m.spec)
-                .map_err(|e| fail(format!("module {}: {e}", m.name)))?;
-            for port in model.inputs() {
-                let sig = m.inputs.get(&port.name).ok_or_else(|| {
-                    fail(format!("module {} input {} unconnected", m.name, port.name))
-                })?;
-                let w = sig
-                    .width(&net_width, &parent_in_width)
-                    .map_err(|e| fail(format!("module {} input {}: {e}", m.name, port.name)))?;
-                if w != port.width {
-                    return Err(fail(format!(
-                        "module {} input {} is {} bits, wired {}",
-                        m.name, port.name, port.width, w
-                    )));
-                }
-            }
-            for pname in m.inputs.keys() {
-                if model.port(pname).map(|p| p.dir) != Some(PortDir::In) {
-                    return Err(fail(format!(
-                        "module {} wires non-input port {pname}",
-                        m.name
-                    )));
-                }
-            }
-            for (pname, net) in &m.outputs {
-                let port = model
-                    .port(pname)
-                    .filter(|p| p.dir == PortDir::Out)
-                    .ok_or_else(|| fail(format!("module {} has no output {pname}", m.name)))?;
-                let nw = self.nets.get(net).ok_or_else(|| {
-                    fail(format!(
-                        "module {} output {pname} drives unknown net {net}",
-                        m.name
-                    ))
-                })?;
-                if *nw != port.width {
-                    return Err(fail(format!(
-                        "module {} output {pname} is {} bits, net {net} is {nw}",
-                        m.name, port.width
-                    )));
-                }
-                *drivers.entry(net.as_str()).or_insert(0) += 1;
-            }
-        }
-        for (net, count) in &drivers {
-            if *count > 1 {
-                return Err(fail(format!("net {net} has {count} drivers")));
-            }
-        }
-        for net in self.nets.keys() {
-            if drivers.get(net.as_str()).copied().unwrap_or(0) == 0 {
-                return Err(fail(format!("net {net} has no driver")));
-            }
-        }
-        // Parent outputs must all be produced, at the right width.
-        for port in parent_model.outputs() {
-            let sig = self
-                .outputs
-                .get(&port.name)
-                .ok_or_else(|| fail(format!("parent output {} not produced", port.name)))?;
-            let w = sig
-                .width(&net_width, &parent_in_width)
-                .map_err(|e| fail(format!("parent output {}: {e}", port.name)))?;
-            if w != port.width {
-                return Err(fail(format!(
-                    "parent output {} is {} bits, produced {}",
-                    port.name, port.width, w
-                )));
-            }
-        }
-        for name in self.outputs.keys() {
-            if parent_model.port(name).map(|p| p.dir) != Some(PortDir::Out) {
-                return Err(fail(format!(
-                    "template produces unknown parent output {name}"
-                )));
-            }
-        }
-        Ok(())
+        crate::cost::TimingGraph::compile(self, parent, cache).map(drop)
     }
 }
 
@@ -561,6 +470,36 @@ mod tests {
         let cache = SpecModelCache::new();
         let err = t.validate(&add_spec(8), &cache).unwrap_err();
         assert!(err.message.contains("no driver"));
+    }
+
+    #[test]
+    fn each_wiring_defect_is_named() {
+        let defects: [(&str, fn(&mut NetlistTemplate)); 5] = [
+            ("module lo wires non-input port O", |t| {
+                t.modules[0]
+                    .inputs
+                    .insert("O".into(), Signal::parent("A").slice(0, 4));
+            }),
+            ("module lo has no output ZZ", |t| {
+                t.modules[0].outputs.insert("ZZ".into(), "o_lo".into());
+            }),
+            ("module lo output O drives unknown net nowhere", |t| {
+                t.modules[0].outputs.insert("O".into(), "nowhere".into());
+            }),
+            ("module hi output CO is 1 bits, net o_hi is 4", |t| {
+                t.modules[1].outputs.insert("CO".into(), "o_hi".into());
+            }),
+            ("template produces unknown parent output ZZ", |t| {
+                t.outputs.insert("ZZ".into(), Signal::net("o_lo"));
+            }),
+        ];
+        let cache = SpecModelCache::new();
+        for (message, defect) in defects {
+            let mut t = ripple8();
+            defect(&mut t);
+            let err = t.validate(&add_spec(8), &cache).unwrap_err();
+            assert_eq!(err.message, message);
+        }
     }
 
     #[test]
