@@ -70,6 +70,10 @@
 //! ```
 
 pub mod analyze;
+// Test support: the benchmark's spec keys, shared by this crate's unit
+// tests and the workspace's answer oracle.
+#[doc(hidden)]
+pub mod bench_specs;
 pub mod canon;
 pub mod config;
 pub mod cost;

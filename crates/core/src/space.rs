@@ -1522,67 +1522,12 @@ mod tests {
         }
     }
 
-    /// The 41 specs the benchmark maps (the plain keys of
-    /// `perfbench/oracle.tsv`), built as its spec universe builds them.
+    /// The 41 specs the benchmark maps: the plain keys of
+    /// `perfbench/oracle.tsv`, built as its spec universe builds them.
     fn benchmark_specs() -> Vec<(&'static str, ComponentSpec)> {
-        const KEYS: &str = "nand:8:4 nand:16:2 nor:8:3 xor:8:4 xor:16:2 mux:8:2 mux:8:4 mux:16:4 \
-            mux:4:8 dec:2 dec:3 dec:4 bcd enc:4 enc:8 enc:16 cmp:4 cmp:8 cmp:16 shift:8 shift:16 \
-            shift:32 barrel:8:3 barrel:16:4 mul:4:4 mul:6:4 mul:8:4 ctr:4 ctr:6 ctr:8 add:8 add:12 \
-            add:16 add:24 add:32 add:48 add:64 alu:8 alu:16 alu:32 alu:64";
-        let spec = |key: &str| {
-            let mut parts = key.split(':');
-            let family = parts.next().unwrap_or_default();
-            let mut n = || -> usize { parts.next().and_then(|p| p.parse().ok()).expect(key) };
-            let ops = |list: &[Op]| -> OpSet { list.iter().copied().collect() };
-            let gate = |op, width, inputs| {
-                ComponentSpec::new(ComponentKind::Gate(op), width).with_inputs(inputs)
-            };
-            match family {
-                "nand" => gate(GateOp::Nand, n(), n()),
-                "nor" => gate(GateOp::Nor, n(), n()),
-                "xor" => gate(GateOp::Xor, n(), n()),
-                "mux" => ComponentSpec::new(ComponentKind::Mux, n()).with_inputs(n()),
-                "dec" => {
-                    let k = n();
-                    ComponentSpec::new(ComponentKind::Decoder, k)
-                        .with_width2(1 << k)
-                        .with_style("BINARY")
-                }
-                "bcd" => ComponentSpec::new(ComponentKind::Decoder, 4)
-                    .with_width2(10)
-                    .with_style("BCD"),
-                "enc" => {
-                    let inputs = n();
-                    ComponentSpec::new(ComponentKind::Encoder, genus::build::select_width(inputs))
-                        .with_inputs(inputs)
-                }
-                "cmp" => ComponentSpec::new(ComponentKind::Comparator, n()).with_ops(ops(&[
-                    Op::Eq,
-                    Op::Lt,
-                    Op::Gt,
-                ])),
-                "shift" => ComponentSpec::new(ComponentKind::Shifter, n())
-                    .with_ops(ops(&[Op::Shl, Op::Shr])),
-                "barrel" => ComponentSpec::new(ComponentKind::BarrelShifter, n())
-                    .with_width2(n())
-                    .with_ops(OpSet::only(Op::Shl)),
-                "mul" => ComponentSpec::new(ComponentKind::Multiplier, n())
-                    .with_width2(n())
-                    .with_ops(OpSet::only(Op::Mul)),
-                "ctr" => ComponentSpec::new(ComponentKind::Counter, n())
-                    .with_ops(ops(&[Op::Load, Op::CountUp, Op::CountDown]))
-                    .with_enable(true)
-                    .with_style("SYNCHRONOUS"),
-                "add" => add_spec(n()),
-                "alu" => ComponentSpec::new(ComponentKind::Alu, n())
-                    .with_ops(Op::paper_alu16())
-                    .with_carry_in(true),
-                _ => panic!("unknown family in {key}"),
-            }
-        };
-        let specs: Vec<_> = KEYS
-            .split_whitespace()
-            .map(|key| (key, spec(key)))
+        let specs: Vec<_> = crate::bench_specs::pinned_answers()
+            .into_iter()
+            .map(|(key, _)| (key, crate::bench_specs::spec(key)))
             .collect();
         assert_eq!(specs.len(), 41);
         specs

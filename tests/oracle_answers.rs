@@ -4,31 +4,11 @@
 //! plus the pinned uniform design count of each of those specs.
 
 use cells::lsi::lsi_logic_subset;
+use dtas::bench_specs::{pinned_answers, spec as benchmark_spec};
 use dtas::lola::with_derived_rules;
 use dtas::net::WireDesignSet;
 use dtas::{DesignSet, DesignSpace, Dtas, DtasConfig, RuleSet, SpecModelCache};
-use genus::kind::{ComponentKind, GateOp};
-use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
-
-/// Answer digests recorded by the benchmark (`--record-oracle`).
-const ORACLE: &str = include_str!("../perfbench/oracle.tsv");
-
-/// The plain-spec lines of the oracle: `(key, digest)`. Override lines
-/// (`key|override`) and the `gcd` design digest are not spec answers.
-fn pinned_answers() -> Vec<(&'static str, u64)> {
-    ORACLE
-        .lines()
-        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-        .filter_map(|line| {
-            let (key, hex) = line
-                .split_once('\t')
-                .expect("oracle line is key<TAB>digest");
-            let digest = u64::from_str_radix(hex.trim(), 16).expect("hex digest");
-            (!key.contains('|') && key != "gcd").then_some((key, digest))
-        })
-        .collect()
-}
 
 /// The benchmark's digest of an answer: its wire form's fingerprint.
 fn digest(set: &DesignSet) -> u64 {
@@ -66,76 +46,6 @@ fn one_shared_batch_answers_the_pinned_digests() {
         })
         .collect();
     assert!(mismatches.is_empty(), "{mismatches:#?}");
-}
-
-/// The spec a benchmark key names (`add:16`, `mux:8:4`, …), built
-/// the way the benchmark's spec universe builds it.
-fn benchmark_spec(key: &str) -> ComponentSpec {
-    let mut parts = key.split(':');
-    let family = parts.next().unwrap_or_default();
-    let mut n = || -> usize { parts.next().and_then(|p| p.parse().ok()).expect(key) };
-    let ops = |list: &[Op]| -> OpSet { list.iter().copied().collect() };
-    match family {
-        "add" => ComponentSpec::new(ComponentKind::AddSub, n())
-            .with_ops(OpSet::only(Op::Add))
-            .with_carry_in(true)
-            .with_carry_out(true),
-        "alu" => ComponentSpec::new(ComponentKind::Alu, n())
-            .with_ops(Op::paper_alu16())
-            .with_carry_in(true),
-        "nand" | "nor" | "xor" => {
-            let op = match family {
-                "nand" => GateOp::Nand,
-                "nor" => GateOp::Nor,
-                _ => GateOp::Xor,
-            };
-            let (width, inputs) = (n(), n());
-            ComponentSpec::new(ComponentKind::Gate(op), width).with_inputs(inputs)
-        }
-        "mux" => {
-            let (width, inputs) = (n(), n());
-            ComponentSpec::new(ComponentKind::Mux, width).with_inputs(inputs)
-        }
-        "dec" => {
-            let k = n();
-            ComponentSpec::new(ComponentKind::Decoder, k)
-                .with_width2(1 << k)
-                .with_style("BINARY")
-        }
-        "bcd" => ComponentSpec::new(ComponentKind::Decoder, 4)
-            .with_width2(10)
-            .with_style("BCD"),
-        "enc" => {
-            let inputs = n();
-            ComponentSpec::new(ComponentKind::Encoder, genus::build::select_width(inputs))
-                .with_inputs(inputs)
-        }
-        "cmp" => ComponentSpec::new(ComponentKind::Comparator, n()).with_ops(ops(&[
-            Op::Eq,
-            Op::Lt,
-            Op::Gt,
-        ])),
-        "shift" => {
-            ComponentSpec::new(ComponentKind::Shifter, n()).with_ops(ops(&[Op::Shl, Op::Shr]))
-        }
-        "barrel" => {
-            let (width, width2) = (n(), n());
-            ComponentSpec::new(ComponentKind::BarrelShifter, width)
-                .with_width2(width2)
-                .with_ops(OpSet::only(Op::Shl))
-        }
-        "mul" => {
-            let (width, width2) = (n(), n());
-            ComponentSpec::new(ComponentKind::Multiplier, width)
-                .with_width2(width2)
-                .with_ops(OpSet::only(Op::Mul))
-        }
-        "ctr" => ComponentSpec::new(ComponentKind::Counter, n())
-            .with_ops(ops(&[Op::Load, Op::CountUp, Op::CountDown]))
-            .with_enable(true)
-            .with_style("SYNCHRONOUS"),
-        _ => panic!("unknown family in {key}"),
-    }
 }
 
 /// Every spec the benchmark maps, with its uniform count under the
@@ -193,6 +103,11 @@ fn uniform_counts_match_the_pinned_table() {
     let lib = lsi_logic_subset();
     let cache = SpecModelCache::new();
     let default_limit = DtasConfig::default().uniform_count_limit;
+    let mut keys: Vec<&str> = uniform_table().iter().map(|&(key, _)| key).collect();
+    let mut oracle_keys: Vec<&str> = pinned_answers().iter().map(|&(key, _)| key).collect();
+    keys.sort_unstable();
+    oracle_keys.sort_unstable();
+    assert_eq!(keys, oracle_keys, "the table pins the oracle's specs");
     for (key, pinned) in uniform_table() {
         let mut space = DesignSpace::new();
         let id = space
