@@ -474,7 +474,8 @@ mod tests {
 
     #[test]
     fn each_wiring_defect_is_named() {
-        let defects: [(&str, fn(&mut NetlistTemplate)); 5] = [
+        type Defect = fn(&mut NetlistTemplate);
+        let defects: [(&str, Defect); 5] = [
             ("module lo wires non-input port O", |t| {
                 t.modules[0]
                     .inputs
