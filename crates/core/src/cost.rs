@@ -11,7 +11,8 @@
 //! implementations against its template, so the template side is
 //! compiled once: expansion turns each netlist template into a
 //! [`TimingGraph`] (integer nodes, every potential edge keyed by its
-//! module's spec and arc classes, one topological order), and a
+//! module's spec and arc classes, one topological order) in the walk
+//! that validates the template's wiring, and a
 //! combination is costed by looking up its children's arcs and relaxing
 //! flat arrays. [`template_cost`] computes the same `(area, timing)`
 //! straight from the template; it is the reference the compiled graph is
