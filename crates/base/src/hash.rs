@@ -1,4 +1,5 @@
-//! A stable, process-independent hasher for content fingerprints.
+//! Stable, process-independent digests: a hasher for content
+//! fingerprints and a word-wide checksum for stored bytes.
 //!
 //! `std::collections::hash_map::DefaultHasher` makes no stability promise
 //! across Rust releases, which is unacceptable for fingerprints that key
@@ -7,6 +8,10 @@
 //! 64-bit FNV-1a — fully specified here, byte-for-byte reproducible on
 //! every platform of the same pointer width and endianness, and never
 //! going to change without a deliberate constant bump.
+//!
+//! FNV-1a takes one multiply per byte. [`word_sum`] takes one per 8-byte
+//! word, on four independent lanes, and checksums the store's segment
+//! headers and answer sections, where it runs on every warm first answer.
 
 use std::hash::Hasher;
 
@@ -77,10 +82,115 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// Multiplier of a [`word_sum`] step (the 64-bit golden ratio). It is
+/// odd, so multiplying by it is a bijection of `u64`.
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Rotation of a [`word_sum`] step: carries the multiply's well-mixed
+/// high bits down into the low bits the next step's multiply spreads.
+const WORD_ROT: u32 = 31;
+/// The four lanes' starting values.
+const WORD_SEED: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+
+/// One step: a bijection of `lane` for a fixed `word`, and of `word` for
+/// a fixed `lane`.
+fn word_step(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(WORD_MUL).rotate_left(WORD_ROT)
+}
+
+/// A 64-bit checksum of `bytes` that reads a little-endian word at a
+/// time. Word `i` feeds lane `i % 4`; a partial last word is
+/// zero-padded. The sum folds the byte length and then the four lanes.
+///
+/// Every step is a bijection of its lane, so changing any one word — any
+/// run of bit flips inside one aligned 8-byte word, a single flip
+/// included — always changes the sum. The four lanes are independent
+/// chains, so their multiplies overlap. It detects damage; content
+/// fingerprints use [`StableHasher`]. Its values are pinned by tests,
+/// because persisted checksums depend on them.
+///
+/// # Examples
+///
+/// ```
+/// use rtl_base::hash::word_sum;
+///
+/// let mut section = vec![0u8; 97];
+/// let sum = word_sum(&section);
+/// section[96] ^= 1;
+/// assert_ne!(word_sum(&section), sum);
+/// ```
+pub fn word_sum(bytes: &[u8]) -> u64 {
+    let mut lanes = WORD_SEED;
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = word_step(
+                *lane,
+                u64::from_le_bytes(word.try_into().expect("8-byte word")),
+            );
+        }
+    }
+    for (lane, word) in lanes.iter_mut().zip(stripes.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        *lane = word_step(*lane, u64::from_le_bytes(padded));
+    }
+    lanes.into_iter().fold(bytes.len() as u64, word_step)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::hash::Hash;
+
+    /// `len` deterministic bytes that differ from word to word.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn word_sum_known_vectors() {
+        // Pinned: every persisted segment carries these sums, so a change
+        // to the function must fail here, not reject every stored chain
+        // as damaged.
+        let pinned: [(usize, u64); 6] = [
+            (0, 0x7eb8_c580_49c8_7e16),
+            (7, 0x82bf_6619_60d8_1fce),
+            (31, 0xc639_9c8d_5f65_fbaf),
+            (32, 0x3878_6ab1_eb23_3bae),
+            (33, 0x1cbd_147a_d2ec_1d1b),
+            (1_000, 0x3442_2c7f_2d89_cf25),
+        ];
+        for (len, want) in pinned {
+            assert_eq!(word_sum(&pattern(len)), want, "{len} bytes");
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_word_sum() {
+        // 97 bytes: three full 32-byte stripes through all four lanes,
+        // then a one-byte tail.
+        let bytes = pattern(97);
+        let sum = word_sum(&bytes);
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(word_sum(&flipped), sum, "byte {at} bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_sum_counts_zero_padding() {
+        // The tail is zero-padded, so the length is what tells these apart.
+        assert_ne!(word_sum(b"ab"), word_sum(b"ab\0"));
+        assert_ne!(word_sum(b""), word_sum(&[0u8; 8]));
+    }
 
     #[test]
     fn known_vectors() {

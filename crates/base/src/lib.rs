@@ -16,7 +16,7 @@
 //!   regenerates the paper's tables and figures.
 //! * [`hash`] — a stable (FNV-1a) hasher for content fingerprints that key
 //!   persisted artifacts, where `DefaultHasher`'s cross-release drift
-//!   would orphan them.
+//!   would orphan them, and the word-wide checksum of stored segments.
 //!
 //! # Examples
 //!

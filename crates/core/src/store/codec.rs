@@ -21,8 +21,11 @@
 //! section holds the de-duplicated DAG of its alternatives — one node per
 //! distinct (spec, cell or template + children) — and only the templates
 //! that DAG uses, so it decodes straight into [`Implementation`] trees.
-//! Answers are all a segment persists: the design space and its solved
-//! fronts live only in the engine that explored them.
+//! A section's specs and names are tabled once each: nodes and templates
+//! refer to them by index, so a decode parses each spec and validates each
+//! name once however many modules repeat it. Answers are all a segment
+//! persists: the design space and its solved fronts live only in the
+//! engine that explored them.
 
 use super::{AnswerDefect, Rejection};
 use crate::cost::Timing;
@@ -35,7 +38,9 @@ use genus::kind::{ComponentKind, GateOp};
 use genus::op::Op;
 use genus::spec::ComponentSpec;
 use rtl_base::bits::Bits;
+use rtl_base::hash::StableHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,8 +61,11 @@ pub(crate) type ResultEntry = (ComponentSpec, Result<Arc<DesignSet>, SynthError>
 /// DAG instead of per-alternative policies over the space; v5 drops the
 /// space, fronts, space-extension and front-update sections and the
 /// header's node counts: a segment is its header plus one section per
-/// memoized answer.
-pub const FORMAT_VERSION: u32 = 5;
+/// memoized answer; v6 gives each answer section one spec table and one
+/// string table that its nodes and templates index into, and checksums
+/// headers and sections with [`word_sum`](rtl_base::hash::word_sum)
+/// instead of FNV-1a.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Recursion guard for [`Signal`] trees (real wiring nests a handful of
 /// levels; anything deeper is a damaged file).
@@ -67,6 +75,7 @@ const MAX_SIGNAL_DEPTH: usize = 64;
 // Primitives.
 
 /// Little-endian byte sink.
+#[derive(Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
 }
@@ -193,9 +202,14 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn str(&mut self, what: &str) -> Result<String, String> {
+        self.str_ref(what).map(str::to_owned)
+    }
+
+    /// A string borrowed from the buffer, validated but not copied.
+    fn str_ref(&mut self, what: &str) -> Result<&'a str, String> {
         let n = self.len(what)?;
         let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("non-UTF-8 {what}"))
+        std::str::from_utf8(bytes).map_err(|_| format!("non-UTF-8 {what}"))
     }
 }
 
@@ -407,151 +421,6 @@ fn get_bits(r: &mut Reader) -> Result<Bits, String> {
     Ok(Bits::from_fn(width, |i| raw[i / 8] & (1 << (i % 8)) != 0))
 }
 
-fn put_signal(w: &mut Writer, signal: &Signal) {
-    match signal {
-        Signal::Net(n) => {
-            w.u8(0);
-            w.str(n);
-        }
-        Signal::Parent(p) => {
-            w.u8(1);
-            w.str(p);
-        }
-        Signal::Const(b) => {
-            w.u8(2);
-            put_bits(w, b);
-        }
-        Signal::Slice(inner, lo, len) => {
-            w.u8(3);
-            put_signal(w, inner);
-            w.u64(*lo as u64);
-            w.u64(*len as u64);
-        }
-        Signal::Cat(parts) => {
-            w.u8(4);
-            w.usize32(parts.len());
-            for p in parts {
-                put_signal(w, p);
-            }
-        }
-        Signal::Replicate(inner, n) => {
-            w.u8(5);
-            put_signal(w, inner);
-            w.u64(*n as u64);
-        }
-    }
-}
-
-fn get_signal(r: &mut Reader, depth: usize) -> Result<Signal, String> {
-    if depth > MAX_SIGNAL_DEPTH {
-        return Err("signal nesting exceeds the codec depth limit".into());
-    }
-    Ok(match r.u8("signal tag")? {
-        0 => Signal::Net(r.str("net name")?),
-        1 => Signal::Parent(r.str("parent port")?),
-        2 => Signal::Const(get_bits(r)?),
-        3 => {
-            let inner = get_signal(r, depth + 1)?;
-            let lo = r.u64("slice lo")? as usize;
-            let len = r.u64("slice len")? as usize;
-            Signal::Slice(Box::new(inner), lo, len)
-        }
-        4 => {
-            let parts = r.len("cat part")?;
-            let mut out = Vec::with_capacity(parts);
-            for _ in 0..parts {
-                out.push(get_signal(r, depth + 1)?);
-            }
-            Signal::Cat(out)
-        }
-        5 => {
-            let inner = get_signal(r, depth + 1)?;
-            let n = r.u64("replicate count")? as usize;
-            Signal::Replicate(Box::new(inner), n)
-        }
-        other => Err(format!("unknown signal tag {other}"))?,
-    })
-}
-
-fn put_template(w: &mut Writer, template: &NetlistTemplate) {
-    w.str(&template.rule);
-    w.usize32(template.nets.len());
-    for (net, width) in &template.nets {
-        w.str(net);
-        w.u64(*width as u64);
-    }
-    w.usize32(template.modules.len());
-    for module in &template.modules {
-        w.str(&module.name);
-        put_spec(w, &module.spec);
-        w.usize32(module.inputs.len());
-        for (port, signal) in &module.inputs {
-            w.str(port);
-            put_signal(w, signal);
-        }
-        w.usize32(module.outputs.len());
-        for (port, net) in &module.outputs {
-            w.str(port);
-            w.str(net);
-        }
-    }
-    w.usize32(template.outputs.len());
-    for (port, signal) in &template.outputs {
-        w.str(port);
-        put_signal(w, signal);
-    }
-}
-
-fn get_template(r: &mut Reader) -> Result<NetlistTemplate, String> {
-    let rule = r.str("rule name")?;
-    let nets_len = r.len("net")?;
-    let mut nets = BTreeMap::new();
-    for _ in 0..nets_len {
-        let net = r.str("net name")?;
-        let width = r.u64("net width")? as usize;
-        nets.insert(net, width);
-    }
-    let modules_len = r.len("module")?;
-    let mut modules = Vec::with_capacity(modules_len);
-    for _ in 0..modules_len {
-        let name = r.str("module name")?;
-        let spec = get_spec(r)?;
-        let inputs_len = r.len("module input")?;
-        let mut inputs = BTreeMap::new();
-        for _ in 0..inputs_len {
-            let port = r.str("input port")?;
-            let signal = get_signal(r, 0)?;
-            inputs.insert(port, signal);
-        }
-        let outputs_len = r.len("module output")?;
-        let mut outputs = BTreeMap::new();
-        for _ in 0..outputs_len {
-            let port = r.str("output port")?;
-            let net = r.str("output net")?;
-            outputs.insert(port, net);
-        }
-        modules.push(Module {
-            name,
-            spec,
-            inputs,
-            outputs,
-        });
-    }
-    let outputs_len = r.len("template output")?;
-    let mut outputs = BTreeMap::new();
-    for _ in 0..outputs_len {
-        let port = r.str("parent output")?;
-        let signal = get_signal(r, 0)?;
-        outputs.insert(port, signal);
-    }
-    Ok(NetlistTemplate {
-        rule,
-        nets,
-        modules,
-        outputs,
-    })
-}
-
 pub(crate) fn put_synth_error(w: &mut Writer, error: &SynthError) {
     match error {
         SynthError::Expand(m) => {
@@ -602,18 +471,26 @@ pub(crate) fn encode_result_sections(results: &[ResultEntry]) -> Vec<(ComponentS
         .collect()
 }
 
+/// An encoder interning table. It hashes with FNV-1a, which on names
+/// this short costs less than the default keyed hash and keeps a full
+/// checkpoint as fast as format 5's; its keys are the specs and names of
+/// the engine's own answers.
+type Table<K> = HashMap<K, u32, BuildHasherDefault<StableHasher>>;
+
 /// Hash-conses the alternatives' implementation trees into one DAG whose
-/// nodes are `(spec, choice)` pairs. Nodes are pushed bottom-up, so every
-/// child index is below its parent's. Specs, cell names and templates
-/// are interned into tables of their own, so the node table is plain
-/// integers.
+/// nodes are `(spec, choice)` pairs, and tables what the section stores
+/// once. Nodes are pushed bottom-up, so every child index is below its
+/// parent's. The spec table holds every node and module spec, the string
+/// table every cell, rule, module, port and net name, each in first-seen
+/// order. Templates are encoded as they are first seen, into a buffer of
+/// their own, because the tables they add to precede them in the section.
 #[derive(Default)]
-struct DagWriter<'a> {
+struct SectionWriter<'a> {
     specs: Vec<&'a ComponentSpec>,
-    spec_index: HashMap<&'a ComponentSpec, u32>,
-    names: Vec<&'a str>,
-    name_index: HashMap<&'a str, u32>,
-    templates: Vec<&'a NetlistTemplate>,
+    spec_index: Table<&'a ComponentSpec>,
+    strings: Vec<&'a str>,
+    string_index: Table<&'a str>,
+    templates: Writer,
     template_index: HashMap<*const NetlistTemplate, u32>,
     nodes: Vec<DagNode>,
     node_index: HashMap<DagNode, u32>,
@@ -628,15 +505,15 @@ struct DagWriter<'a> {
 struct DagNode {
     spec: u32,
     netlist: bool,
-    /// Cell-name index for a cell, template index for a netlist.
+    /// String index of a cell's name, template index of a netlist.
     index: u32,
     children: Vec<u32>,
 }
 
 /// Interns `key` into `table`, returning its index.
-fn intern<K: std::hash::Hash + Eq, V>(
+fn intern<K: Hash + Eq, V, S: BuildHasher>(
     table: &mut Vec<V>,
-    index: &mut HashMap<K, u32>,
+    index: &mut HashMap<K, u32, S>,
     key: K,
     value: V,
 ) -> u32 {
@@ -646,26 +523,28 @@ fn intern<K: std::hash::Hash + Eq, V>(
     })
 }
 
-impl<'a> DagWriter<'a> {
+impl<'a> SectionWriter<'a> {
+    fn spec(&mut self, spec: &'a ComponentSpec) -> u32 {
+        intern(&mut self.specs, &mut self.spec_index, spec, spec)
+    }
+
+    fn string(&mut self, s: &'a str) -> u32 {
+        intern(&mut self.strings, &mut self.string_index, s, s)
+    }
+
     fn node(&mut self, implementation: &'a Implementation) -> u32 {
-        let spec = &implementation.spec;
-        let spec = intern(&mut self.specs, &mut self.spec_index, spec, spec);
+        let spec = self.spec(&implementation.spec);
         let node = match &implementation.kind {
             ImplKind::Cell { name } => DagNode {
                 spec,
                 netlist: false,
-                index: intern(&mut self.names, &mut self.name_index, name, name),
+                index: self.string(name),
                 children: Vec::new(),
             },
             ImplKind::Netlist { template, children } => DagNode {
                 spec,
                 netlist: true,
-                index: intern(
-                    &mut self.templates,
-                    &mut self.template_index,
-                    Arc::as_ptr(template),
-                    template,
-                ),
+                index: self.template(template),
                 children: children.iter().map(|child| self.shared(child)).collect(),
             },
         };
@@ -681,23 +560,100 @@ impl<'a> DagWriter<'a> {
         self.by_ptr.insert(ptr, id);
         id
     }
+
+    /// A template's index, encoding it on first sight: its rule, nets,
+    /// modules and outputs with every name and module spec as a table
+    /// index.
+    fn template(&mut self, template: &'a Arc<NetlistTemplate>) -> u32 {
+        let ptr = Arc::as_ptr(template);
+        if let Some(&id) = self.template_index.get(&ptr) {
+            return id;
+        }
+        let mut w = std::mem::take(&mut self.templates);
+        w.u32(self.string(&template.rule));
+        w.usize32(template.nets.len());
+        for (net, width) in &template.nets {
+            w.u32(self.string(net));
+            w.u64(*width as u64);
+        }
+        w.usize32(template.modules.len());
+        for module in &template.modules {
+            w.u32(self.string(&module.name));
+            w.u32(self.spec(&module.spec));
+            w.usize32(module.inputs.len());
+            for (port, signal) in &module.inputs {
+                w.u32(self.string(port));
+                self.signal(&mut w, signal);
+            }
+            w.usize32(module.outputs.len());
+            for (port, net) in &module.outputs {
+                w.u32(self.string(port));
+                w.u32(self.string(net));
+            }
+        }
+        w.usize32(template.outputs.len());
+        for (port, signal) in &template.outputs {
+            w.u32(self.string(port));
+            self.signal(&mut w, signal);
+        }
+        self.templates = w;
+        let id = self.template_index.len() as u32;
+        self.template_index.insert(ptr, id);
+        id
+    }
+
+    fn signal(&mut self, w: &mut Writer, signal: &'a Signal) {
+        match signal {
+            Signal::Net(n) => {
+                w.u8(0);
+                w.u32(self.string(n));
+            }
+            Signal::Parent(p) => {
+                w.u8(1);
+                w.u32(self.string(p));
+            }
+            Signal::Const(b) => {
+                w.u8(2);
+                put_bits(w, b);
+            }
+            Signal::Slice(inner, lo, len) => {
+                w.u8(3);
+                self.signal(w, inner);
+                w.u64(*lo as u64);
+                w.u64(*len as u64);
+            }
+            Signal::Cat(parts) => {
+                w.u8(4);
+                w.usize32(parts.len());
+                for p in parts {
+                    self.signal(w, p);
+                }
+            }
+            Signal::Replicate(inner, n) => {
+                w.u8(5);
+                self.signal(w, inner);
+                w.u64(*n as u64);
+            }
+        }
+    }
 }
 
 /// Writes an `Ok` answer. The node table comes first and is fixed-width
 /// but for its child lists: per node, spec index, kind (0 cell, 1
-/// netlist), cell-name or template index, child count, child refs. Then
-/// the spec, cell-name and template tables, the alternatives (each
-/// pointing at its root node) and the accounting.
+/// netlist), cell-name string index or template index, child count,
+/// child refs. Then the spec table, the string table, the templates
+/// (wiring by string index, module specs by spec index), the
+/// alternatives (each pointing at its root node) and the accounting.
 fn put_answer(w: &mut Writer, set: &DesignSet) {
-    let mut dag = DagWriter::default();
+    let mut section = SectionWriter::default();
     let roots: Vec<u32> = set
         .alternatives
         .iter()
-        .map(|alt| dag.node(&alt.implementation))
+        .map(|alt| section.node(&alt.implementation))
         .collect();
-    w.usize32(dag.specs.len());
-    w.usize32(dag.nodes.len());
-    for node in &dag.nodes {
+    w.usize32(section.specs.len());
+    w.usize32(section.nodes.len());
+    for node in &section.nodes {
         w.u32(node.spec);
         w.bool(node.netlist);
         w.u32(node.index);
@@ -706,17 +662,15 @@ fn put_answer(w: &mut Writer, set: &DesignSet) {
             w.u32(child);
         }
     }
-    for spec in &dag.specs {
+    for spec in &section.specs {
         put_spec(w, spec);
     }
-    w.usize32(dag.names.len());
-    for name in &dag.names {
-        w.str(name);
+    w.usize32(section.strings.len());
+    for s in &section.strings {
+        w.str(s);
     }
-    w.usize32(dag.templates.len());
-    for template in &dag.templates {
-        put_template(w, template);
-    }
+    w.usize32(section.template_index.len());
+    w.bytes(section.templates.as_slice());
     w.usize32(set.alternatives.len());
     for (alt, root) in set.alternatives.iter().zip(roots) {
         w.f64(alt.area);
@@ -738,10 +692,117 @@ fn put_answer(w: &mut Writer, set: &DesignSet) {
     w.u64(set.stats.truncated_combinations);
 }
 
-/// Decodes an implementation DAG and checks it node by node: every child
-/// below its parent, every template index in range, one child per module
-/// (none for a cell), and each child implementing exactly its module's
-/// spec.
+/// A section's decoded spec table and its string table, borrowed from
+/// the section bytes. Every index into either is checked here.
+struct Tables<'a> {
+    specs: Vec<ComponentSpec>,
+    strings: Vec<&'a str>,
+}
+
+impl Tables<'_> {
+    fn spec(&self, index: u32) -> Result<&ComponentSpec, AnswerDefect> {
+        self.specs
+            .get(index as usize)
+            .ok_or(AnswerDefect::SpecOutOfRange {
+                index: index as usize,
+                specs: self.specs.len(),
+            })
+    }
+
+    fn string(&self, index: u32) -> Result<String, AnswerDefect> {
+        self.strings
+            .get(index as usize)
+            .map(|s| s.to_string())
+            .ok_or(AnswerDefect::StringOutOfRange {
+                index: index as usize,
+                strings: self.strings.len(),
+            })
+    }
+
+    /// Reads a string index and returns its string.
+    fn get_string(&self, r: &mut Reader, what: &str) -> Result<String, Rejection> {
+        Ok(self.string(r.u32(what)?)?)
+    }
+
+    fn get_signal(&self, r: &mut Reader, depth: usize) -> Result<Signal, Rejection> {
+        if depth > MAX_SIGNAL_DEPTH {
+            let reason = "signal nesting exceeds the codec depth limit";
+            return Err(Rejection::Damaged(reason.into()));
+        }
+        Ok(match r.u8("signal tag")? {
+            0 => Signal::Net(self.get_string(r, "net name")?),
+            1 => Signal::Parent(self.get_string(r, "parent port")?),
+            2 => Signal::Const(get_bits(r)?),
+            3 => {
+                let inner = self.get_signal(r, depth + 1)?;
+                let lo = r.u64("slice lo")? as usize;
+                let len = r.u64("slice len")? as usize;
+                Signal::Slice(Box::new(inner), lo, len)
+            }
+            4 => {
+                let parts = r.len("cat part")?;
+                let mut out = Vec::with_capacity(parts);
+                for _ in 0..parts {
+                    out.push(self.get_signal(r, depth + 1)?);
+                }
+                Signal::Cat(out)
+            }
+            5 => {
+                let inner = self.get_signal(r, depth + 1)?;
+                let n = r.u64("replicate count")? as usize;
+                Signal::Replicate(Box::new(inner), n)
+            }
+            other => return Err(format!("unknown signal tag {other}").into()),
+        })
+    }
+
+    fn get_template(&self, r: &mut Reader) -> Result<NetlistTemplate, Rejection> {
+        let rule = self.get_string(r, "rule name")?;
+        let mut nets = BTreeMap::new();
+        for _ in 0..r.len("net")? {
+            let net = self.get_string(r, "net name")?;
+            nets.insert(net, r.u64("net width")? as usize);
+        }
+        let modules_len = r.len("module")?;
+        let mut modules = Vec::with_capacity(modules_len);
+        for _ in 0..modules_len {
+            let name = self.get_string(r, "module name")?;
+            let spec = self.spec(r.u32("module spec")?)?.clone();
+            let mut inputs = BTreeMap::new();
+            for _ in 0..r.len("module input")? {
+                let port = self.get_string(r, "input port")?;
+                inputs.insert(port, self.get_signal(r, 0)?);
+            }
+            let mut outputs = BTreeMap::new();
+            for _ in 0..r.len("module output")? {
+                let port = self.get_string(r, "output port")?;
+                outputs.insert(port, self.get_string(r, "output net")?);
+            }
+            modules.push(Module {
+                name,
+                spec,
+                inputs,
+                outputs,
+            });
+        }
+        let mut outputs = BTreeMap::new();
+        for _ in 0..r.len("template output")? {
+            let port = self.get_string(r, "parent output")?;
+            outputs.insert(port, self.get_signal(r, 0)?);
+        }
+        Ok(NetlistTemplate {
+            rule,
+            nets,
+            modules,
+            outputs,
+        })
+    }
+}
+
+/// Decodes an implementation DAG and checks it node by node: every spec,
+/// string and template index in range, every child below its parent, one
+/// child per module (none for a cell), and each child implementing
+/// exactly its module's spec.
 fn get_dag(r: &mut Reader) -> Result<Vec<Arc<Implementation>>, Rejection> {
     let spec_count = r.len("answer spec")?;
     let node_count = r.len("implementation node")?;
@@ -763,17 +824,16 @@ fn get_dag(r: &mut Reader) -> Result<Vec<Arc<Implementation>>, Rejection> {
     let specs = (0..spec_count)
         .map(|_| get_spec(r))
         .collect::<Result<Vec<_>, String>>()?;
-    let names = (0..r.len("cell name")?)
-        .map(|_| r.str("cell name"))
+    let strings = (0..r.len("string")?)
+        .map(|_| r.str_ref("string"))
         .collect::<Result<Vec<_>, String>>()?;
+    let tables = Tables { specs, strings };
     let templates = (0..r.len("template")?)
-        .map(|_| get_template(r).map(Arc::new))
-        .collect::<Result<Vec<_>, String>>()?;
+        .map(|_| tables.get_template(r).map(Arc::new))
+        .collect::<Result<Vec<_>, Rejection>>()?;
     let mut nodes: Vec<Arc<Implementation>> = Vec::with_capacity(node_count);
     for (node, entry) in table.into_iter().enumerate() {
-        let spec = specs
-            .get(entry.spec as usize)
-            .ok_or_else(|| format!("node {node} names spec {} of {spec_count}", entry.spec))?;
+        let spec = tables.spec(entry.spec)?;
         let index = entry.index as usize;
         let kind = if entry.netlist {
             let template = templates
@@ -816,10 +876,9 @@ fn get_dag(r: &mut Reader) -> Result<Vec<Arc<Implementation>>, Rejection> {
                     modules: 0,
                 }));
             }
-            let name = names
-                .get(index)
-                .ok_or_else(|| format!("node {node} names cell {index} of {}", names.len()))?;
-            ImplKind::Cell { name: name.clone() }
+            ImplKind::Cell {
+                name: tables.string(entry.index)?,
+            }
         };
         nodes.push(Arc::new(Implementation {
             spec: spec.clone(),
@@ -890,4 +949,351 @@ pub(crate) fn decode_result_body(
         return Err(format!("{} trailing bytes after result", r.remaining()).into());
     }
     Ok(result)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cells::lsi::lsi_logic_subset;
+    use genus::op::ALL_OPS;
+    use proptest::prelude::*;
+
+    fn encode(set: &DesignSet) -> Vec<u8> {
+        let entry: ResultEntry = (set.spec.clone(), Ok(Arc::new(set.clone())));
+        let mut sections = encode_result_sections(std::slice::from_ref(&entry));
+        sections.pop().expect("one section").1
+    }
+
+    fn decode(bytes: &[u8], spec: &ComponentSpec) -> Result<Arc<DesignSet>, Rejection> {
+        Ok(decode_result_body(bytes, spec)?.expect("an Ok answer"))
+    }
+
+    /// Asserts two answers equal in every persisted field, down to each
+    /// template's wiring.
+    fn assert_same(a: &DesignSet, b: &DesignSet) {
+        fn tree(a: &Implementation, b: &Implementation) {
+            assert_eq!(a.spec, b.spec);
+            match (&a.kind, &b.kind) {
+                (ImplKind::Cell { name: x }, ImplKind::Cell { name: y }) => assert_eq!(x, y),
+                (
+                    ImplKind::Netlist {
+                        template: tx,
+                        children: cx,
+                    },
+                    ImplKind::Netlist {
+                        template: ty,
+                        children: cy,
+                    },
+                ) => {
+                    assert_eq!(tx, ty);
+                    assert_eq!(cx.len(), cy.len());
+                    cx.iter().zip(cy).for_each(|(x, y)| tree(x, y));
+                }
+                _ => panic!("{} against {}", a.label(), b.label()),
+            }
+        }
+        assert_eq!(a.spec, b.spec);
+        assert_eq!(a.alternatives.len(), b.alternatives.len());
+        for (x, y) in a.alternatives.iter().zip(&b.alternatives) {
+            assert_eq!(x.area.to_bits(), y.area.to_bits());
+            assert_eq!(x.delay.to_bits(), y.delay.to_bits());
+            assert_eq!(x.timing, y.timing);
+            tree(&x.implementation, &y.implementation);
+        }
+        assert_eq!(
+            a.unconstrained_size.to_bits(),
+            b.unconstrained_size.to_bits()
+        );
+        assert_eq!(
+            a.unconstrained_log10.to_bits(),
+            b.unconstrained_log10.to_bits()
+        );
+        assert_eq!(a.uniform_size, b.uniform_size);
+        assert_eq!(a.stats.spec_nodes, b.stats.spec_nodes);
+        assert_eq!(a.stats.impl_choices, b.stats.impl_choices);
+        assert_eq!(
+            a.stats.truncated_combinations,
+            b.stats.truncated_combinations
+        );
+    }
+
+    fn cell(spec: &ComponentSpec, name: &str) -> Arc<Implementation> {
+        Arc::new(Implementation {
+            spec: spec.clone(),
+            kind: ImplKind::Cell { name: name.into() },
+        })
+    }
+
+    fn netlist(
+        spec: &ComponentSpec,
+        template: NetlistTemplate,
+        children: Vec<Arc<Implementation>>,
+    ) -> Arc<Implementation> {
+        Arc::new(Implementation {
+            spec: spec.clone(),
+            kind: ImplKind::Netlist {
+                template: Arc::new(template),
+                children,
+            },
+        })
+    }
+
+    fn module(name: &str, spec: &ComponentSpec, inputs: Vec<(&str, Signal)>) -> Module {
+        Module {
+            name: name.into(),
+            spec: spec.clone(),
+            inputs: inputs.into_iter().map(|(p, s)| (p.into(), s)).collect(),
+            outputs: [("y".to_string(), format!("{name}_y"))].into(),
+        }
+    }
+
+    fn answer(spec: ComponentSpec, roots: Vec<Implementation>) -> DesignSet {
+        DesignSet {
+            spec,
+            alternatives: roots
+                .into_iter()
+                .enumerate()
+                .map(|(k, implementation)| Alternative {
+                    area: 10.5 * (k + 1) as f64,
+                    delay: 3.25 / (k + 1) as f64,
+                    timing: Timing {
+                        arcs: [((PortClass::Data, PortClass::Data), 1.5 + k as f64)].into(),
+                        worst: 2.5,
+                    },
+                    implementation,
+                })
+                .collect(),
+            unconstrained_size: 1e30,
+            unconstrained_log10: 30.0,
+            uniform_size: Some(12),
+            stats: SynthStats {
+                spec_nodes: 7,
+                impl_choices: 11,
+                elapsed: Duration::ZERO,
+                truncated_combinations: 3,
+            },
+        }
+    }
+
+    #[test]
+    fn a_hand_built_answer_round_trips_equal() {
+        let adder = ComponentSpec::new(ComponentKind::AddSub, 4)
+            .with_ops(genus::op::OpSet::only(Op::Add))
+            .with_carry_in(true)
+            .with_style("RIPPLE");
+        let nand = ComponentSpec::new(ComponentKind::Gate(GateOp::Nand), 1).with_inputs(2);
+        let top = ComponentSpec::new(ComponentKind::AddSub, 8)
+            .with_ops(genus::op::OpSet::only(Op::Add))
+            .with_carry_out(true);
+        // Every signal variant, nested three deep.
+        let nested = Signal::Cat(vec![
+            Signal::Slice(
+                Box::new(Signal::Replicate(Box::new(Signal::parent("a")), 2)),
+                1,
+                3,
+            ),
+            Signal::Const(Bits::from_u64(3, 0b101)),
+            Signal::net("lo_y"),
+        ]);
+        // "a", "b" and "y" name ports of both templates, and the styled
+        // adder spec is used by two modules.
+        let inner = NetlistTemplate {
+            rule: "nand-pair".into(),
+            nets: [("g_y".to_string(), 1)].into(),
+            modules: vec![module("g", &nand, vec![("a", Signal::parent("b"))])],
+            outputs: [("y".to_string(), Signal::net("g_y"))].into(),
+        };
+        let shared = netlist(&adder, inner, vec![cell(&nand, "ND2")]);
+        let outer = NetlistTemplate {
+            rule: "split-ripple".into(),
+            nets: [("lo_y".to_string(), 4), ("hi_y".to_string(), 4)].into(),
+            modules: vec![
+                module("lo", &adder, vec![("a", Signal::parent("a").slice(0, 4))]),
+                module(
+                    "hi",
+                    &adder,
+                    vec![("a", nested), ("b", Signal::cuint(4, 9))],
+                ),
+                module("fix", &nand, vec![]),
+            ],
+            outputs: [(
+                "y".to_string(),
+                Signal::Cat(vec![Signal::net("lo_y"), Signal::net("hi_y")]),
+            )]
+            .into(),
+        };
+        let root = netlist(
+            &top,
+            outer,
+            vec![Arc::clone(&shared), shared, cell(&nand, "ND2")],
+        );
+        let set = answer(top.clone(), vec![Implementation::clone(&root)]);
+        let bytes = encode(&set);
+        assert_same(&set, &decode(&bytes, &top).expect("decodes"));
+        // A net, two wires and a module output name "lo_y"; the section
+        // spells it once.
+        let spelled = bytes.windows(4).filter(|w| w == b"lo_y").count();
+        assert_eq!(spelled, 1);
+    }
+
+    #[test]
+    fn damaged_bytes_of_a_real_answer_decode_to_errors_never_panics() {
+        let spec = crate::bench_specs::spec("add:8");
+        let set = crate::Dtas::new(lsi_logic_subset())
+            .run(&spec)
+            .expect("ADD8 solves");
+        let bytes = encode(&set);
+        assert_same(&set, &decode(&bytes, &spec).expect("decodes"));
+        for len in 0..bytes.len() {
+            assert!(
+                decode_result_body(&bytes[..len], &spec).is_err(),
+                "a {len}-byte prefix decoded"
+            );
+        }
+        let mut damaged = bytes.clone();
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x80] {
+                damaged[at] ^= mask;
+                let _ = decode_result_body(&damaged, &spec);
+                damaged[at] ^= mask;
+            }
+        }
+    }
+
+    /// A splitmix64 stream: the proptest draws one seed per case and
+    /// builds the whole answer from it.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn flip(&mut self) -> bool {
+            self.next() & 1 == 1
+        }
+
+        /// One to three characters from a small pool of one- to four-byte
+        /// UTF-8 characters, so names repeat within and across templates.
+        fn name(&mut self) -> String {
+            const CHARS: [char; 8] = ['a', 'b', 'y', '_', 'é', 'Ω', '漢', '🦀'];
+            (0..1 + self.below(3))
+                .map(|_| CHARS[self.below(CHARS.len())])
+                .collect()
+        }
+
+        fn spec(&mut self) -> ComponentSpec {
+            let kind = match self.below(4) {
+                0 => ComponentKind::Gate([GateOp::And, GateOp::Nor, GateOp::Xnor][self.below(3)]),
+                1 => ComponentKind::AddSub,
+                2 => ComponentKind::Mux,
+                _ => ComponentKind::Register,
+            };
+            let mut spec = ComponentSpec::new(kind, 1 + self.below(64))
+                .with_width2(self.below(3))
+                .with_inputs(self.below(5))
+                .with_carry_in(self.flip())
+                .with_carry_out(self.flip())
+                .with_enable(self.flip())
+                .with_async_set_reset(self.flip())
+                .with_group_pg(self.flip());
+            for _ in 0..self.below(3) {
+                spec.ops.insert(ALL_OPS[self.below(ALL_OPS.len())]);
+            }
+            if self.flip() {
+                spec.style = Some(self.name());
+            }
+            spec
+        }
+
+        /// A signal of any variant; at `depth` 4 only a leaf.
+        fn signal(&mut self, depth: usize) -> Signal {
+            match self.below(if depth == 4 { 3 } else { 6 }) {
+                0 => Signal::Net(self.name()),
+                1 => Signal::Parent(self.name()),
+                2 => {
+                    let width = self.below(80);
+                    let bits = self.next();
+                    Signal::Const(Bits::from_fn(width, |i| bits >> (i % 64) & 1 == 1))
+                }
+                3 => Signal::Slice(
+                    Box::new(self.signal(depth + 1)),
+                    self.below(64),
+                    self.below(64),
+                ),
+                4 => Signal::Cat((0..self.below(4)).map(|_| self.signal(depth + 1)).collect()),
+                _ => Signal::Replicate(Box::new(self.signal(depth + 1)), self.below(5)),
+            }
+        }
+
+        fn ports(&mut self) -> BTreeMap<String, Signal> {
+            (0..self.below(4))
+                .map(|_| (self.name(), self.signal(0)))
+                .collect()
+        }
+
+        /// A template whose module specs come from `specs`, so specs
+        /// repeat across modules.
+        fn template(&mut self, specs: &[ComponentSpec]) -> NetlistTemplate {
+            NetlistTemplate {
+                rule: self.name(),
+                nets: (0..self.below(5))
+                    .map(|_| (self.name(), self.below(128)))
+                    .collect(),
+                modules: (0..1 + self.below(3))
+                    .map(|_| Module {
+                        name: self.name(),
+                        spec: specs[self.below(specs.len())].clone(),
+                        inputs: self.ports(),
+                        outputs: (0..self.below(3))
+                            .map(|_| (self.name(), self.name()))
+                            .collect(),
+                    })
+                    .collect(),
+                outputs: self.ports(),
+            }
+        }
+
+        /// An implementation of `spec`: a cell, or below `depth` 2 a
+        /// netlist of a random template over `specs`.
+        fn implementation(
+            &mut self,
+            spec: &ComponentSpec,
+            depth: usize,
+            specs: &[ComponentSpec],
+        ) -> Arc<Implementation> {
+            if depth == 2 || self.below(3) == 0 {
+                return cell(spec, &self.name());
+            }
+            let template = self.template(specs);
+            let children = template
+                .modules
+                .iter()
+                .map(|m| self.implementation(&m.spec, depth + 1, specs))
+                .collect();
+            netlist(spec, template, children)
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_answers_round_trip_equal(seed in any::<u64>()) {
+            let mut g = Gen(seed);
+            let specs: Vec<ComponentSpec> = (0..1 + g.below(4)).map(|_| g.spec()).collect();
+            let spec = g.spec();
+            let roots = (0..1 + g.below(3))
+                .map(|_| Implementation::clone(&g.implementation(&spec, 0, &specs)))
+                .collect();
+            let set = answer(spec.clone(), roots);
+            assert_same(&set, &decode(&encode(&set), &spec).expect("decodes"));
+        }
+    }
 }

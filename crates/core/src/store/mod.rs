@@ -13,7 +13,8 @@
 //! immutable *base* segment plus zero or more O(dirty) *delta* segments
 //! (see the `segment` module). Since format version 5 a segment is its
 //! header plus one section per memoized answer, each stored as its own
-//! hierarchical netlist (see the `codec` module). Loading yields a
+//! hierarchical netlist (see the `codec` module); since version 6 each
+//! section tables its specs and names once. Loading yields a
 //! validated but *undecoded* view of the chain: the base is
 //! memory-mapped where the platform supports it, and the engine decodes
 //! each stored answer only when its spec is first requested.
@@ -124,7 +125,8 @@ pub enum Rejection {
     Damaged(String),
     /// The backing medium could not be read.
     Unreadable(String),
-    /// An answer section whose implementation DAG is inconsistent.
+    /// An answer section with an index past one of its tables or an
+    /// inconsistent implementation DAG.
     Answer(AnswerDefect),
 }
 
@@ -155,8 +157,9 @@ impl fmt::Display for Rejection {
     }
 }
 
-/// A structural defect in a persisted answer's implementation DAG. DAG
-/// nodes are numbered bottom-up: children always precede their parent.
+/// A structural defect in a persisted answer section: an index past one
+/// of its tables, or an inconsistent implementation DAG. DAG nodes are
+/// numbered bottom-up: children always precede their parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AnswerDefect {
     /// A child reference that does not point below its parent.
@@ -165,6 +168,20 @@ pub enum AnswerDefect {
         node: usize,
         /// The offending child reference.
         child: usize,
+    },
+    /// A spec index past the section's spec table.
+    SpecOutOfRange {
+        /// The offending index.
+        index: usize,
+        /// Specs the section holds.
+        specs: usize,
+    },
+    /// A string index past the section's string table.
+    StringOutOfRange {
+        /// The offending index.
+        index: usize,
+        /// Strings the section holds.
+        strings: usize,
     },
     /// A template index past the section's template table.
     TemplateOutOfRange {
@@ -205,6 +222,12 @@ impl fmt::Display for AnswerDefect {
         match self {
             AnswerDefect::ChildNotBelowParent { node, child } => {
                 write!(f, "child {child} not below node {node}")
+            }
+            AnswerDefect::SpecOutOfRange { index, specs } => {
+                write!(f, "spec index {index} past a table of {specs}")
+            }
+            AnswerDefect::StringOutOfRange { index, strings } => {
+                write!(f, "string index {index} past a table of {strings}")
             }
             AnswerDefect::TemplateOutOfRange {
                 node,

@@ -10,9 +10,12 @@
 //! library/rule-set/config/canonicalization fingerprints
 //! base id · seq · prev link
 //! result index: (spec, section desc) per memoized result
-//! header checksum (FNV-1a over everything above)
+//! header checksum (word_sum over everything above)
 //! ...packed answer sections (each desc = absolute offset, length, checksum)...
 //! ```
+//!
+//! Both checksums are [`word_sum`]: it reads a word at a time, and a warm
+//! first answer checksums its whole section before decoding it.
 //!
 //! Loading a base verifies only the header checksum and the section
 //! bounds, then leaves the body bytes untouched (and, on 64-bit unix,
@@ -37,7 +40,7 @@ use super::{Rejection, SaveReport, StoreKey};
 use crate::report::DesignSet;
 use crate::SynthError;
 use genus::spec::ComponentSpec;
-use rtl_base::hash::fnv1a_64;
+use rtl_base::hash::word_sum;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -57,7 +60,7 @@ pub(crate) struct SectionDesc {
     off: u64,
     /// Section length in bytes.
     len: u64,
-    /// FNV-1a-64 over the section bytes.
+    /// [`word_sum`] over the section bytes.
     sum: u64,
 }
 
@@ -80,7 +83,7 @@ impl SectionDesc {
         SectionDesc {
             off: off as u64,
             len: bytes.len() as u64,
-            sum: fnv1a_64(bytes),
+            sum: word_sum(bytes),
         }
     }
 }
@@ -183,7 +186,7 @@ pub(crate) fn parse_header(bytes: &[u8], key: &StoreKey) -> Result<SegmentHeader
     }
     let checksum_at = bytes.len() - r.remaining();
     let stored = r.u64("header checksum")?;
-    let computed = fnv1a_64(&bytes[..checksum_at]);
+    let computed = word_sum(&bytes[..checksum_at]);
     if stored != computed {
         return Err(format!(
             "header checksum mismatch (stored {stored:016x}, computed {computed:016x})"
@@ -273,7 +276,7 @@ fn encode_segment(
     let mut w = Writer::new();
     put_header_fields(&mut w, key, kind, base_id, seq, prev_link, &index);
     debug_assert_eq!(w.len() + 8, header_len);
-    let header_checksum = fnv1a_64(w.as_slice());
+    let header_checksum = word_sum(w.as_slice());
     w.u64(header_checksum);
     let mut bytes = w.into_bytes();
     bytes.reserve(off - header_len);
@@ -348,7 +351,7 @@ fn verified_result<'a>(
 ) -> Result<&'a [u8], String> {
     let (spec, desc) = &header.results[index];
     let slice = &bytes[desc.off as usize..(desc.off + desc.len) as usize];
-    let computed = fnv1a_64(slice);
+    let computed = word_sum(slice);
     if computed != desc.sum {
         return Err(format!(
             "result {spec} section checksum mismatch (stored {:016x}, computed {computed:016x})",

@@ -6,12 +6,83 @@ pub mod flaky_proxy;
 
 use cells::lsi::lsi_logic_subset;
 use dtas::template::NetlistTemplate;
-use dtas::{Dtas, Rule, RuleSet};
+use dtas::{DesignSet, Dtas, ImplKind, Implementation, Rule, RuleSet};
 use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Full bit-identity over everything a client can observe, except the
+/// per-call wall time: the accounting, and per alternative its area,
+/// delay and timing bits and its implementation down to the wiring (see
+/// [`assert_trees_identical`]).
+pub fn assert_sets_identical(a: &DesignSet, b: &DesignSet) {
+    assert_eq!(a.spec, b.spec);
+    assert_eq!(a.alternatives.len(), b.alternatives.len(), "{}", a.spec);
+    for (x, y) in a.alternatives.iter().zip(&b.alternatives) {
+        assert_eq!(x.area.to_bits(), y.area.to_bits());
+        assert_eq!(x.delay.to_bits(), y.delay.to_bits());
+        assert_eq!(x.timing, y.timing);
+        assert_trees_identical(&x.implementation, &y.implementation);
+    }
+    assert_eq!(
+        a.unconstrained_size.to_bits(),
+        b.unconstrained_size.to_bits()
+    );
+    assert_eq!(
+        a.unconstrained_log10.to_bits(),
+        b.unconstrained_log10.to_bits()
+    );
+    assert_eq!(a.uniform_size, b.uniform_size);
+    assert_eq!(a.stats.spec_nodes, b.stats.spec_nodes);
+    assert_eq!(a.stats.impl_choices, b.stats.impl_choices);
+    assert_eq!(
+        a.stats.truncated_combinations,
+        b.stats.truncated_combinations
+    );
+}
+
+/// Walks two implementation trees in step: the same spec at every node,
+/// the same cell at every leaf, and at every netlist node an equal
+/// [`NetlistTemplate`] (rule, nets, modules with their specs and wiring,
+/// outputs). A pair of shared subtrees is compared once.
+fn assert_trees_identical(a: &Implementation, b: &Implementation) {
+    fn walk<'a>(
+        a: &'a Implementation,
+        b: &'a Implementation,
+        seen: &mut HashSet<(*const Implementation, *const Implementation)>,
+    ) {
+        if !seen.insert((a, b)) {
+            return;
+        }
+        assert_eq!(a.spec, b.spec);
+        match (&a.kind, &b.kind) {
+            (ImplKind::Cell { name: x }, ImplKind::Cell { name: y }) => {
+                assert_eq!(x, y, "{}", a.spec)
+            }
+            (
+                ImplKind::Netlist {
+                    template: tx,
+                    children: cx,
+                },
+                ImplKind::Netlist {
+                    template: ty,
+                    children: cy,
+                },
+            ) => {
+                assert!(tx == ty, "{}: rule {} wired differently", a.spec, tx.rule);
+                assert_eq!(cx.len(), cy.len(), "{}", a.spec);
+                for (x, y) in cx.iter().zip(cy) {
+                    walk(x, y, seen);
+                }
+            }
+            _ => panic!("{}: {} against {}", a.spec, a.label(), b.label()),
+        }
+    }
+    walk(a, b, &mut HashSet::new());
+}
 
 /// Everything observable about one design set, bit-exact: per
 /// alternative `(area bits, delay bits, implementation label, cell

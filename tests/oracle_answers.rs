@@ -1,9 +1,14 @@
 //! The answer oracle in tier 1: every plain spec `perfbench/oracle.tsv`
 //! pins must get exactly its pinned answer digest from a fresh default
 //! engine, and from one shared engine mapping all of them in one batch,
-//! plus the pinned uniform design count of each of those specs.
+//! plus the pinned uniform design count of each of those specs. The
+//! shared batch is also checkpointed, and an engine warm-started on it
+//! must answer every spec from the store identically, down to the wiring.
+
+mod common;
 
 use cells::lsi::lsi_logic_subset;
+use common::assert_sets_identical;
 use dtas::bench_specs::{pinned_answers, spec as benchmark_spec};
 use dtas::lola::with_derived_rules;
 use dtas::net::WireDesignSet;
@@ -36,7 +41,10 @@ fn fresh_engines_answer_the_pinned_digests() {
 fn one_shared_batch_answers_the_pinned_digests() {
     let pinned = pinned_answers();
     let specs: Vec<ComponentSpec> = pinned.iter().map(|&(key, _)| benchmark_spec(key)).collect();
-    let answers = Dtas::new(lsi_logic_subset()).run_batch(&specs);
+    let dir = std::env::temp_dir().join(format!("dtas_oracle_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold = Dtas::warm_start(lsi_logic_subset(), &dir);
+    let answers = cold.run_batch(&specs);
     let mismatches: Vec<String> = pinned
         .iter()
         .zip(&answers)
@@ -46,6 +54,18 @@ fn one_shared_batch_answers_the_pinned_digests() {
         })
         .collect();
     assert!(mismatches.is_empty(), "{mismatches:#?}");
+
+    cold.checkpoint().expect("the batch persists");
+    drop(cold);
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    for (spec, answer) in specs.iter().zip(&answers) {
+        let stored = warm.run(spec).expect("a stored answer");
+        assert_sets_identical(answer.as_ref().expect("solved"), &stored);
+    }
+    let stats = warm.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (41, 0), "{stats}");
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Every spec the benchmark maps, with its uniform count under the

@@ -6,7 +6,10 @@
 //! wrong fingerprints, random bytes, crash leftovers) falls back to a
 //! clean cold solve without ever panicking.
 
+mod common;
+
 use cells::lsi::lsi_logic_subset;
+use common::assert_sets_identical;
 use dtas::{
     AnswerDefect, CheckpointOutcome, DesignSet, Dtas, DtasConfig, InvalidationCounts,
     InvalidationReason, Rejection, RuleSet, SaveReport, SynthRequest,
@@ -15,7 +18,7 @@ use genus::kind::ComponentKind;
 use genus::op::{Op, OpSet};
 use genus::spec::ComponentSpec;
 use proptest::prelude::*;
-use rtl_base::hash::fnv1a_64;
+use rtl_base::hash::word_sum;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -58,38 +61,6 @@ fn cache_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dtas_warm_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Full bit-identity over everything a client can observe, except the
-/// per-call wall time.
-fn assert_sets_identical(a: &DesignSet, b: &DesignSet) {
-    assert_eq!(a.spec, b.spec);
-    assert_eq!(a.alternatives.len(), b.alternatives.len(), "{}", a.spec);
-    for (x, y) in a.alternatives.iter().zip(&b.alternatives) {
-        assert_eq!(x.area.to_bits(), y.area.to_bits());
-        assert_eq!(x.delay.to_bits(), y.delay.to_bits());
-        assert_eq!(x.timing, y.timing);
-        assert_eq!(x.implementation.to_string(), y.implementation.to_string());
-        assert_eq!(
-            x.implementation.cell_census(),
-            y.implementation.cell_census()
-        );
-    }
-    assert_eq!(
-        a.unconstrained_size.to_bits(),
-        b.unconstrained_size.to_bits()
-    );
-    assert_eq!(
-        a.unconstrained_log10.to_bits(),
-        b.unconstrained_log10.to_bits()
-    );
-    assert_eq!(a.uniform_size, b.uniform_size);
-    assert_eq!(a.stats.spec_nodes, b.stats.spec_nodes);
-    assert_eq!(a.stats.impl_choices, b.stats.impl_choices);
-    assert_eq!(
-        a.stats.truncated_combinations,
-        b.stats.truncated_combinations
-    );
 }
 
 /// Cache files in `dir` carrying the given extension, sorted by name.
@@ -576,8 +547,8 @@ fn edit_answer_section(path: &Path, restamp: bool, edit: impl FnOnce(&mut Vec<u8
     file.extend_from_slice(&section);
     if restamp {
         file[desc + 8..desc + 16].copy_from_slice(&(section.len() as u64).to_le_bytes());
-        file[desc + 16..desc + 24].copy_from_slice(&fnv1a_64(&section).to_le_bytes());
-        let header = fnv1a_64(&file[..checksum_at]);
+        file[desc + 16..desc + 24].copy_from_slice(&word_sum(&section).to_le_bytes());
+        let header = word_sum(&file[..checksum_at]);
         file[checksum_at..checksum_at + 8].copy_from_slice(&header.to_le_bytes());
     }
     std::fs::write(path, &file).expect("writes");
@@ -626,13 +597,24 @@ fn put_u32(section: &mut [u8], at: usize, value: u32) {
     section[at..at + 4].copy_from_slice(&value.to_le_bytes());
 }
 
+/// The length of an `Ok` answer section's string table, which follows
+/// its node table and spec table.
+fn string_count(section: &[u8]) -> u32 {
+    let last = node_table(section).pop().expect("a node");
+    let mut pos = last.at + 13 + 4 * last.children.len();
+    for _ in 0..u32_at(section, 1) {
+        skip_spec(section, &mut pos);
+    }
+    u32_at(section, pos)
+}
+
 #[test]
 fn damaged_answer_sections_reject_and_resolve_cold() {
     let cold = Dtas::new(lsi_logic_subset())
         .run(add_spec(16))
         .expect("reference solves");
     type Case = (&'static str, bool, fn(&mut Vec<u8>) -> Rejection);
-    let cases: [Case; 6] = [
+    let cases: [Case; 8] = [
         ("child_not_below_parent", true, |section| {
             let (node, entry) = first_netlist(section);
             put_u32(section, entry.at + 13, node as u32);
@@ -679,6 +661,25 @@ fn damaged_answer_sections_reject_and_resolve_cold() {
             let other = (u32_at(section, child.at) + 1) % specs;
             put_u32(section, child.at, other);
             Rejection::Answer(AnswerDefect::ChildSpec { node, module: 0 })
+        }),
+        ("spec_out_of_range", true, |section| {
+            let node = &node_table(section)[0];
+            put_u32(section, node.at, 0x7fff_ffff);
+            Rejection::Answer(AnswerDefect::SpecOutOfRange {
+                index: 0x7fff_ffff,
+                specs: u32_at(section, 1) as usize,
+            })
+        }),
+        ("cell_name_out_of_range", true, |section| {
+            let cell = node_table(section)
+                .into_iter()
+                .find(|n| !n.netlist)
+                .expect("a cell node");
+            put_u32(section, cell.at + 5, 0x7fff_ffff);
+            Rejection::Answer(AnswerDefect::StringOutOfRange {
+                index: 0x7fff_ffff,
+                strings: string_count(section) as usize,
+            })
         }),
         ("truncated", true, |section| {
             section.truncate(section.len() / 2);
