@@ -24,11 +24,13 @@
 //!   wire protocol end to end over loopback TCP: saturation throughput
 //!   and the client-observed round-trip tail (the median p99 of five
 //!   fresh runs);
-//! * `store.full_over_lazy_load` (≥ 4) and
-//!   `store.base_over_delta_bytes` (≥ 10) — self-contained floors on the
-//!   tiered persistent store: a lazy mmap load must stay ≤ 25% of a
-//!   full-decode load, and a one-result delta checkpoint under 10% of
-//!   the base snapshot's bytes;
+//! * `store.load_ms` — the lazy load of a persisted chain (the median of
+//!   five restarts), on its own time like the two first answers;
+//! * `store.load_materialized` (exactly 0) and
+//!   `store.base_over_delta_bytes` (≥ 10) — self-contained checks on the
+//!   tiered persistent store: the lazy load decodes no answer, and a
+//!   one-result delta checkpoint stays under 10% of the base snapshot's
+//!   bytes;
 //! * `incremental.retained_after_update` (≥ 0.5) — a self-contained
 //!   floor on delta invalidation: a one-rule-set addition
 //!   (standard → standard+lsi) over a warm ALU64 space must keep at
@@ -125,6 +127,32 @@ fn gate_throughput(
     });
 }
 
+/// Self-contained exact check: fail unless the *current* run's value is
+/// `expected` (a count the run must keep at a fixed value). The baseline
+/// column reports the expected value.
+fn gate_exact(metric: String, expected: f64, current: Option<f64>, findings: &mut Vec<Finding>) {
+    match current {
+        Some(c) => findings.push(Finding {
+            metric,
+            baseline: expected,
+            current: c,
+            regression: if c == expected { 1.0 } else { f64::INFINITY },
+            verdict: if c == expected {
+                Verdict::Pass
+            } else {
+                Verdict::Fail
+            },
+        }),
+        None => findings.push(Finding {
+            metric: format!("{metric} (missing from current run)"),
+            baseline: expected,
+            current: f64::NAN,
+            regression: f64::INFINITY,
+            verdict: Verdict::Fail,
+        }),
+    }
+}
+
 /// Self-contained floor check: fail when the *current* run's value sits
 /// below `floor`, independent of the baseline (used for ratios measured
 /// within one run, where machine speed already cancels). The baseline
@@ -189,6 +217,9 @@ fn gate_value(
 
 /// Noise floor of the `queries[].repeat_ns` checks, in nanoseconds.
 const REPEAT_FLOOR_NS: f64 = 2_500.0;
+
+/// Noise floor of the `store.load_ms` check, in milliseconds.
+const LOAD_FLOOR_MS: f64 = 1.0;
 
 /// Runs every gate check. `tolerance` is the allowed regression factor.
 fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
@@ -309,17 +340,26 @@ fn run_gate(baseline: &Json, current: &Json, tolerance: f64) -> Vec<Finding> {
         &mut findings,
     );
 
-    // Tiered-store load cost, self-contained in the current run: the
-    // lazy (mmap + index-validate) load must stay <= 25% of a
-    // full-decode load of the same chain, i.e. the stored
-    // full-over-lazy ratio must stay >= 4. Both sides are measured
-    // back-to-back in one perf_snapshot process, so machine speed
-    // cancels.
-    gate_floor(
-        "store.full_over_lazy_load".to_string(),
-        4.0,
+    // The lazy (mmap + index-validate) load on its own time, at the
+    // default tolerance. Floor: above the spread of its median across
+    // snapshots on the 2-vCPU reference host (LOAD_FLOOR_MS).
+    gate_latency(
+        "store.load_ms".to_string(),
+        baseline.at(&["store", "load_ms"]).and_then(Json::num),
+        current.at(&["store", "load_ms"]).and_then(Json::num),
+        tolerance,
+        LOAD_FLOOR_MS,
+        &mut findings,
+    );
+
+    // What the lazy load decoded, self-contained in the current run: a
+    // load that materializes any answer has moved decode work to the
+    // open, whatever its time reads.
+    gate_exact(
+        "store.load_materialized".to_string(),
+        0.0,
         current
-            .at(&["store", "full_over_lazy_load"])
+            .at(&["store", "load_materialized"])
             .and_then(Json::num),
         &mut findings,
     );
@@ -444,7 +484,7 @@ mod tests {
                  "warm_start": {{ "warm_first_ms": {warm_ms}, "cold_first_ms": {cold_ms} }},
                  "service": {{ "saturation_qps": {qps}, "deadline_vs_plain": 0.99 }},
                  "serve": {{ "saturation_qps": {serve_qps}, "rtt_p99_us": {rtt_p99_us} }},
-                 "store": {{ "full_over_lazy_load": 50.0, "base_over_delta_bytes": 40.0 }},
+                 "store": {{ "load_ms": 0.2, "load_materialized": 0, "base_over_delta_bytes": 40.0 }},
                  "incremental": {{ "retained_after_update": 0.69 }} }}"#
         ))
         .expect("test snapshot parses")
@@ -485,25 +525,25 @@ mod tests {
         let cur = snapshot_with_serve(50e6, 90.0, 100.0, 5_000.0, 500.0, 500_000.0);
         let findings = run_gate(&base, &cur, 3.0);
         // The cold first answer (3rd finding: cold stayed at 100 ms),
-        // the deadline floor (5th) and the store and incremental floors
-        // (last three) stay healthy in this scenario.
+        // the deadline floor (5th) and the store and incremental checks
+        // (last four) stay healthy in this scenario.
         assert_eq!(
             verdicts(&findings),
-            vec![true, true, false, true, false, true, true, false, false, false]
+            vec![true, true, false, true, false, true, true, false, false, false, false]
         );
     }
 
     #[test]
-    fn store_floors_gate_the_current_run() {
+    fn store_checks_gate_the_current_run() {
         let base = snapshot(200.0, 0.01, 100.0, 500_000.0);
-        // Lazy load degraded to 2x-of-full (floor is 4x) and deltas grew
-        // to a third of the base (floor is a tenth): both floors fail
-        // regardless of the baseline.
+        // The lazy load decoded one answer (it must decode none) and
+        // deltas grew to a third of the base (floor is a tenth): both fail
+        // regardless of the baseline, though the load's time is fine.
         let cur_text = r#"{ "queries": [ { "name": "ALU64", "repeat_ns": 200.0 } ],
              "warm_start": { "warm_first_ms": 0.01, "cold_first_ms": 100.0 },
              "service": { "saturation_qps": 500000.0, "deadline_vs_plain": 0.99 },
              "serve": { "saturation_qps": 50000.0, "rtt_p99_us": 2000.0 },
-             "store": { "full_over_lazy_load": 2.0, "base_over_delta_bytes": 3.0 },
+             "store": { "load_ms": 0.2, "load_materialized": 1, "base_over_delta_bytes": 3.0 },
              "incremental": { "retained_after_update": 0.69 } }"#;
         let findings = run_gate(&base, &Json::parse(cur_text).unwrap(), 3.0);
         let failed: Vec<&str> = findings
@@ -513,8 +553,38 @@ mod tests {
             .collect();
         assert_eq!(
             failed,
-            ["store.full_over_lazy_load", "store.base_over_delta_bytes"]
+            ["store.load_materialized", "store.base_over_delta_bytes"]
         );
+    }
+
+    #[test]
+    fn lazy_load_regressions_fail() {
+        let failed = |base_ms: f64, load_ms: f64| -> Vec<String> {
+            let text = |ms: f64| {
+                format!(
+                    r#"{{ "queries": [],
+                         "warm_start": {{ "warm_first_ms": 0.5, "cold_first_ms": 50.0 }},
+                         "service": {{ "saturation_qps": 500000.0, "deadline_vs_plain": 0.99 }},
+                         "serve": {{ "saturation_qps": 50000.0, "rtt_p99_us": 2000.0 }},
+                         "store": {{ "load_ms": {ms}, "load_materialized": 0, "base_over_delta_bytes": 40.0 }},
+                         "incremental": {{ "retained_after_update": 0.69 }} }}"#
+                )
+            };
+            let base = Json::parse(&text(base_ms)).unwrap();
+            let current = Json::parse(&text(load_ms)).unwrap();
+            run_gate(&base, &current, 3.0)
+                .into_iter()
+                .filter(|f| f.verdict == Verdict::Fail)
+                .map(|f| f.metric)
+                .collect()
+        };
+        // A load that decodes the chain's answers up front (1.5 ms against
+        // a 0.2 ms baseline) fails; a faster full decode does not matter.
+        assert_eq!(failed(0.2, 1.5), ["store.load_ms"]);
+        // 2.5x is inside the default tolerance.
+        assert!(failed(0.2, 0.5).is_empty());
+        // 4x but still under the noise floor skips.
+        assert!(failed(0.2, 0.8).is_empty());
     }
 
     #[test]
@@ -546,7 +616,7 @@ mod tests {
              "warm_start": { "warm_first_ms": 0.01, "cold_first_ms": 100.0 },
              "service": { "saturation_qps": 500000.0, "deadline_vs_plain": 0.80 },
              "serve": { "saturation_qps": 50000.0, "rtt_p99_us": 2000.0 },
-             "store": { "full_over_lazy_load": 50.0, "base_over_delta_bytes": 40.0 },
+             "store": { "load_ms": 0.2, "load_materialized": 0, "base_over_delta_bytes": 40.0 },
              "incremental": { "retained_after_update": 0.69 } }"#
             .to_string();
         let cur = Json::parse(&cur_text).unwrap();

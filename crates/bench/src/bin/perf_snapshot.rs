@@ -150,12 +150,16 @@ const FIRST_ANSWERS: usize = 5;
 
 /// Warm-start + tiered-store metrics: cold first query vs a second
 /// engine loading the persisted chain (the restart / cross-process
-/// scenario), lazy vs full-decode load cost, and full vs delta
-/// checkpoint cost.
+/// scenario), the lazy load's own cost and what it decoded, a full-decode
+/// load, and full vs delta checkpoint cost.
 struct WarmStart {
     cold_first_ms: f64,
     snapshot_save_ms: f64,
     snapshot_load_ms: f64,
+    /// Answers the lazy load decoded: must be 0.
+    load_materialized: u64,
+    /// Answers the lazy load left pending: every persisted one.
+    load_lazy_results: usize,
     warm_first_ms: f64,
     snapshot_bytes: u64,
     persisted_results: u64,
@@ -221,24 +225,37 @@ fn warm_start_metrics(spec: &ComponentSpec) -> WarmStart {
 
     // A second engine (the restarted process): construction maps the
     // chain and validates the index but decodes nothing — the lazy load.
+    // CI bar (acceptance): it leaves every persisted answer pending and
+    // materializes none. The perf gate re-asserts the count from the
+    // emitted `load_materialized` field.
+    let persisted = report.results + delta.results;
     let t0 = Instant::now();
     let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
-    let snapshot_load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut load_ms = vec![t0.elapsed().as_secs_f64() * 1e3];
     let stats = warm.cache_stats();
     assert_eq!(stats.snapshot_loads, 1, "snapshot must load");
+    let (load_materialized, load_lazy_results) = (stats.lazy_materialized, stats.lazy_results);
+    assert_eq!(load_materialized, 0, "the lazy load must decode no answer");
+    assert_eq!(
+        load_lazy_results, persisted,
+        "the lazy load must leave every persisted answer pending"
+    );
     let mut warm_ms = vec![ms(|| {
         warm.run(spec).expect("warm hit");
     })];
     let stats = warm.cache_stats();
     assert_eq!((stats.hits, stats.misses), (1, 0), "first query must hit");
-    // The other first answers run on engines restarted over the same
-    // chain; each decodes the ALU64 section afresh.
+    // The other loads and first answers run on engines restarted over the
+    // same chain; each decodes the ALU64 section afresh.
     for _ in 1..FIRST_ANSWERS {
+        let t0 = Instant::now();
         let restarted = Dtas::warm_start(lsi_logic_subset(), &dir);
+        load_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         warm_ms.push(ms(|| {
             restarted.run(spec).expect("warm hit");
         }));
     }
+    let snapshot_load_ms = quartiles(load_ms)[1];
     let warm_first_ms = quartiles(warm_ms)[1];
     // CI smoke bar: the warm first query must be far under the cold one
     // (in practice it is >1000x faster; 25% leaves room for noise).
@@ -247,26 +264,13 @@ fn warm_start_metrics(spec: &ComponentSpec) -> WarmStart {
         "warm-start first query ({warm_first_ms:.3} ms) must be <25% of cold ({cold_first_ms:.3} ms)"
     );
 
-    // A third engine decoding every persisted answer up front, and the
-    // denominator of the lazy-load acceptance bar. Each answer decodes
-    // from its own section.
+    // A third engine decoding every persisted answer up front. Each
+    // answer decodes from its own section.
     let t0 = Instant::now();
     let full = Dtas::warm_start(lsi_logic_subset(), &dir);
     let decoded = full.prefault();
     let load_full_decode_ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        decoded,
-        report.results + delta.results,
-        "prefault must decode the whole chain"
-    );
-    // CI bar (acceptance): the lazy load must cost <=25% of a
-    // full-decode load. The perf gate re-asserts the same floor from the
-    // emitted `full_over_lazy_load` field.
-    assert!(
-        snapshot_load_ms <= 0.25 * load_full_decode_ms,
-        "lazy load ({snapshot_load_ms:.3} ms) must be <=25% of a full decode \
-         ({load_full_decode_ms:.3} ms)"
-    );
+    assert_eq!(decoded, persisted, "prefault must decode the whole chain");
 
     // Drop every engine BEFORE deleting the directory: a drop-flush
     // after the delete would resurrect it.
@@ -278,6 +282,8 @@ fn warm_start_metrics(spec: &ComponentSpec) -> WarmStart {
         cold_first_ms,
         snapshot_save_ms,
         snapshot_load_ms,
+        load_materialized,
+        load_lazy_results,
         warm_first_ms,
         snapshot_bytes: report.bytes,
         persisted_results: report.results as u64,
@@ -1016,10 +1022,11 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"store\": {{ \"spec\": \"ALU64+ADD8/16/32 base, ADD4 delta\", \"load_ms\": {:.3}, \"load_full_decode_ms\": {:.3}, \"full_over_lazy_load\": {:.1}, \"checkpoint_full_ms\": {:.3}, \"checkpoint_delta_ms\": {:.3}, \"snapshot_bytes\": {}, \"delta_bytes\": {}, \"base_over_delta_bytes\": {:.1}, \"note\": \"tiered store: load_ms is a lazy (mmap + index-validate, O(index)) load, load_full_decode_ms additionally prefaults every persisted answer (each decodes its own implementation-DAG section; a segment holds answers only); checkpoint_delta_ms appends the one-dirty-result delta vs checkpoint_full_ms rewriting the base. full_over_lazy_load >= 4 and base_over_delta_bytes >= 10 are asserted here and re-gated from the stored fields\" }},",
+        "  \"store\": {{ \"spec\": \"ALU64+ADD8/16/32 base, ADD4 delta\", \"load_ms\": {:.3}, \"load_materialized\": {}, \"load_lazy_results\": {}, \"load_full_decode_ms\": {:.3}, \"checkpoint_full_ms\": {:.3}, \"checkpoint_delta_ms\": {:.3}, \"snapshot_bytes\": {}, \"delta_bytes\": {}, \"base_over_delta_bytes\": {:.1}, \"note\": \"tiered store: load_ms is a lazy (mmap + index-validate, O(index)) load, the median of {FIRST_ANSWERS} engines restarted over the chain; load_materialized counts the answers that load decoded and load_lazy_results those it left pending (asserted here: 0, and every persisted answer); load_full_decode_ms additionally prefaults every persisted answer (each decodes its own implementation-DAG section; a segment holds answers only) and is reported, not gated; checkpoint_delta_ms appends the one-dirty-result delta vs checkpoint_full_ms rewriting the base. load_materialized == 0 and base_over_delta_bytes >= 10 are asserted here and re-gated from the stored fields, and load_ms is gated on its own time\" }},",
         warm.snapshot_load_ms,
+        warm.load_materialized,
+        warm.load_lazy_results,
         warm.load_full_decode_ms,
-        warm.load_full_decode_ms / warm.snapshot_load_ms.max(1e-6),
         warm.snapshot_save_ms,
         warm.checkpoint_delta_ms,
         warm.snapshot_bytes,
