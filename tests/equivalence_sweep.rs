@@ -361,3 +361,37 @@ fn small_adders_exhaustively() {
         }
     }
 }
+
+/// The Figure-3 ALU64 front simulated twice: every alternative as solved
+/// cold, and as decoded by an engine restarted over a checkpointed chain,
+/// each against the GENUS model on the same seeded vectors.
+#[test]
+fn alu64_front_simulates_cold_and_warm() {
+    let spec = dtas::bench_specs::spec("alu:64");
+    let dir = std::env::temp_dir().join(format!("dtas_alu64_sim_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold_engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    let cold = cold_engine.run(&spec).expect("solves");
+    cold_engine
+        .checkpoint()
+        .expect("writes")
+        .expect("store bound");
+    drop(cold_engine);
+    let warm_engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+    let warm = warm_engine.run(&spec).expect("warm hit");
+    let stats = warm_engine.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (1, 0), "{stats}");
+    drop(warm_engine);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(cold.alternatives.len(), warm.alternatives.len());
+    for (side, set) in [("cold", &cold), ("warm", &warm)] {
+        for alt in &set.alternatives {
+            check_implementation(&alt.implementation, 16, 0x5eed).unwrap_or_else(|e| {
+                panic!(
+                    "{side} ALU64 via {} not equivalent:\n{e}",
+                    alt.implementation.label()
+                )
+            });
+        }
+    }
+}

@@ -2,9 +2,10 @@
 //! family and hierarchical structural output for synthesized designs.
 
 use cells::lsi::lsi_logic_subset;
-use dtas::Dtas;
+use dtas::{DesignSet, Dtas};
 use genus::op::{Op, OpSet};
 use genus::stdlib::GenusLibrary;
+use rtl_base::hash::fnv1a_64;
 use vhdl::{emit_behavioral, emit_implementation, emit_netlist, parse_structural};
 
 #[test]
@@ -86,4 +87,87 @@ fn hls_netlist_roundtrips_through_vhdl() {
     // Width fidelity on a known port.
     let x = parsed.ports.iter().find(|p| p.name == "x").unwrap();
     assert_eq!(x.width, 8);
+}
+
+/// FNV-1a digests of the structural VHDL `emit_implementation` writes for
+/// every alternative of ADD16 and of ALU64, in answer order, recorded
+/// before netlist templates became index-addressed.
+const VHDL_DIGESTS: [(&str, &[u64]); 2] = [
+    (
+        "add:16",
+        &[
+            0x423b1d902ae2f0e5,
+            0x51c1e53a9a023653,
+            0x26b80cc29d20bc36,
+            0x8426c518a8d20dcc,
+            0x903f6115ad3f4d8d,
+        ],
+    ),
+    (
+        "alu:64",
+        &[
+            0xad339c86b0cff291,
+            0x7516e5adf5178b0a,
+            0xb80fa608884dcd96,
+            0xc944e2026a33991e,
+            0xd7ea946d71c757fa,
+            0x8e93d595a9343a81,
+            0x4f3ad967239ff924,
+            0x0d7ed7d0f65295b4,
+            0x6d737a742506b40c,
+            0xb5ed6d3ce0e5da16,
+            0xd60ebdbd4fc4697a,
+            0x480652dd190bbba4,
+            0xbdb3b5975803f11c,
+            0xa527a3cc9f0bea2c,
+            0x9f04ae88c4b9309c,
+            0xa892dd9cb45f0e24,
+        ],
+    ),
+];
+
+fn vhdl_digests(set: &DesignSet) -> Vec<u64> {
+    set.alternatives
+        .iter()
+        .map(|alt| {
+            let text = emit_implementation(&alt.implementation).expect("emits");
+            fnv1a_64(text.as_bytes())
+        })
+        .collect()
+}
+
+fn assert_pinned_vhdl(key: &str, pinned: &[u64], set: &DesignSet, side: &str) {
+    let digests = vhdl_digests(set);
+    let hex: Vec<String> = digests.iter().map(|d| format!("0x{d:016x}")).collect();
+    assert_eq!(
+        digests,
+        pinned,
+        "{side} {key}: emitted VHDL digests are [{}]",
+        hex.join(", ")
+    );
+}
+
+#[test]
+fn emitted_vhdl_is_pinned_cold_and_warm() {
+    let dir = std::env::temp_dir().join(format!("dtas_vhdl_digests_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cold = Dtas::warm_start(lsi_logic_subset(), &dir);
+    for (key, pinned) in VHDL_DIGESTS {
+        let set = cold.run(dtas::bench_specs::spec(key)).expect("solves");
+        assert_pinned_vhdl(key, pinned, &set, "cold");
+        // The text repeats: emitting the same answer twice agrees.
+        assert_eq!(vhdl_digests(&set), vhdl_digests(&set), "{key}");
+    }
+    cold.checkpoint().expect("writes").expect("store bound");
+    drop(cold);
+    // An engine restarted over the chain answers from decoded sections.
+    let warm = Dtas::warm_start(lsi_logic_subset(), &dir);
+    for (key, pinned) in VHDL_DIGESTS {
+        let set = warm.run(dtas::bench_specs::spec(key)).expect("warm hit");
+        assert_pinned_vhdl(key, pinned, &set, "warm");
+    }
+    let stats = warm.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (2, 0), "{stats}");
+    drop(warm);
+    let _ = std::fs::remove_dir_all(&dir);
 }
