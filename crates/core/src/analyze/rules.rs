@@ -74,12 +74,6 @@ struct ClosureAnalysis {
 /// not hang the lint.
 const SPEC_CAP: usize = 50_000;
 
-fn normalized(t: &NetlistTemplate) -> NetlistTemplate {
-    let mut c = t.clone();
-    c.rule = String::new();
-    c
-}
-
 fn closure(rules: &RuleSet, library: &CellLibrary) -> ClosureAnalysis {
     let rule_list: Vec<&dyn crate::rules::Rule> = rules.iter().collect();
     let n = rule_list.len();
@@ -108,7 +102,7 @@ fn closure(rules: &RuleSet, library: &CellLibrary) -> ClosureAnalysis {
     while let Some(spec) = frontier.pop() {
         analysis.specs_explored += 1;
         let spec_id = spec.identifier();
-        // (rule index, normalized templates) for rules that fired here.
+        // (rule index, templates) for rules that fired here.
         let mut fired_here: Vec<(usize, Vec<NetlistTemplate>)> = Vec::new();
         for (i, rule) in rule_list.iter().enumerate() {
             let templates = rule.expand(&spec);
@@ -118,7 +112,7 @@ fn closure(rules: &RuleSet, library: &CellLibrary) -> ClosureAnalysis {
             analysis.fired[i] = true;
             expandable.insert(spec_id.clone());
             for t in &templates {
-                if t.modules.iter().any(|m| m.spec == spec) {
+                if t.modules().any(|m| *m.spec() == spec) {
                     analysis
                         .self_recursive
                         .insert((rule.name().to_string(), spec.to_string()));
@@ -128,23 +122,23 @@ fn closure(rules: &RuleSet, library: &CellLibrary) -> ClosureAnalysis {
                         .invalid
                         .insert((rule.name().to_string(), e.message));
                 }
-                for m in &t.modules {
-                    let id = m.spec.identifier();
+                for m in t.modules() {
+                    let id = m.spec().identifier();
                     if i >= generic {
                         library_produced
                             .entry(id.clone())
-                            .or_insert_with(|| (m.spec.clone(), i));
+                            .or_insert_with(|| (m.spec().clone(), i));
                     }
                     if visited.len() < SPEC_CAP {
                         if visited.insert(id) {
-                            frontier.push(m.spec.clone());
+                            frontier.push(m.spec().clone());
                         }
                     } else {
                         analysis.truncated = true;
                     }
                 }
             }
-            fired_here.push((i, templates.iter().map(normalized).collect()));
+            fired_here.push((i, templates));
         }
         // Shadow bookkeeping: a later rule stays "shadowed by j" only if
         // on every spec it fires on, rule j (earlier) produced a superset
@@ -153,7 +147,9 @@ fn closure(rules: &RuleSet, library: &CellLibrary) -> ClosureAnalysis {
             let (i, ref mine) = fired_here[idx];
             let covering: BTreeSet<usize> = fired_here[..idx]
                 .iter()
-                .filter(|(j, theirs)| *j < i && mine.iter().all(|t| theirs.contains(t)))
+                .filter(|(j, theirs)| {
+                    *j < i && mine.iter().all(|t| theirs.iter().any(|u| u.same_wiring(t)))
+                })
                 .map(|(j, _)| *j)
                 .collect();
             match &mut analysis.shadowers[i] {

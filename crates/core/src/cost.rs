@@ -19,7 +19,7 @@
 //! tested against, bit for bit.
 
 use crate::space::DesignPoint;
-use crate::template::{NetlistTemplate, Signal, SpecModelCache, TemplateError};
+use crate::template::{find_pin, NetlistTemplate, Node, Signal, SpecModelCache, TemplateError};
 use cells::Cell;
 use genus::component::{Component, PortClass, PortDir};
 use genus::spec::ComponentSpec;
@@ -120,12 +120,12 @@ pub fn template_cost(
         model: Arc<Component>,
         cost: ChildCost,
     }
-    let mut infos = Vec::with_capacity(template.modules.len());
+    let mut infos = Vec::with_capacity(template.module_count());
     let mut area = 0.0;
-    for m in &template.modules {
-        let model = cache.model(&m.spec)?;
-        let cost = child_cost(&m.spec)
-            .ok_or_else(|| format!("module {} [{}] has no cost", m.name, m.spec))?;
+    for m in template.modules() {
+        let model = cache.model(m.spec())?;
+        let cost = child_cost(m.spec())
+            .ok_or_else(|| format!("module {} [{}] has no cost", m.name(), m.spec()))?;
         area += cost.area;
         infos.push(ModInfo { model, cost });
     }
@@ -140,7 +140,7 @@ pub fn template_cost(
         parent_inputs.push((p.class, next));
         next += 1;
     }
-    for net in template.nets.keys() {
+    for (net, _) in template.nets() {
         node_of.insert(format!("N:{net}"), next);
         next += 1;
     }
@@ -159,25 +159,26 @@ pub fn template_cost(
     };
 
     let mut seq_sources: Vec<(usize, f64)> = Vec::new();
-    for (m, info) in template.modules.iter().zip(&infos) {
+    for (m, info) in template.modules().zip(&infos) {
         let sequential = info.model.is_sequential();
         if sequential {
             // Outputs launch from the internal clock boundary.
-            for net in m.outputs.values() {
+            for (_, net) in m.outputs() {
                 if let Some(&n) = node_of.get(&format!("N:{net}")) {
                     seq_sources.push((n, info.cost.timing.worst));
                 }
             }
             continue;
         }
-        for (in_port, sig) in &m.inputs {
+        for (in_port, wire) in m.inputs() {
+            let sig = wire.to_signal();
             let Some(pin) = info.model.port(in_port) else {
                 continue;
             };
             if pin.class == PortClass::Clock {
                 continue;
             }
-            for (out_port, net) in &m.outputs {
+            for (out_port, net) in m.outputs() {
                 let Some(pout) = info.model.port(out_port) else {
                     continue;
                 };
@@ -187,7 +188,7 @@ pub fn template_cost(
                 let Some(&to) = node_of.get(&format!("N:{net}")) else {
                     continue;
                 };
-                for from in leaf_nodes(sig) {
+                for from in leaf_nodes(&sig) {
                     g.add_edge(from, to, arc);
                 }
             }
@@ -196,11 +197,14 @@ pub fn template_cost(
 
     // Per-parent-input passes build the arc table.
     let mut timing = Timing::default();
-    let outputs: Vec<(&String, &Signal)> = template.outputs.iter().collect();
+    let outputs: Vec<(&str, Signal)> = template
+        .outputs()
+        .map(|(name, wire)| (name, wire.to_signal()))
+        .collect();
     for (pclass, pnode) in &parent_inputs {
         let dist = g
             .longest_paths(&[*pnode], &|_| 0.0)
-            .map_err(|_| format!("template {} has a combinational cycle", template.rule))?;
+            .map_err(|_| format!("template {} has a combinational cycle", template.rule()))?;
         for (oname, sig) in &outputs {
             let oclass = parent_model
                 .port(oname)
@@ -230,7 +234,7 @@ pub fn template_cost(
     }
     let dist = g
         .longest_paths(&[super_source], &|_| 0.0)
-        .map_err(|_| format!("template {} has a combinational cycle", template.rule))?;
+        .map_err(|_| format!("template {} has a combinational cycle", template.rule()))?;
     let mut worst = dist
         .iter()
         .take(next) // exclude the super-source itself
@@ -248,6 +252,32 @@ pub fn template_cost(
     }
     timing.worst = worst;
     Ok((area, timing))
+}
+
+/// Why a wiring node has no width: what [`Signal::width`] reports for the
+/// same expression, kept as indices until a message is needed.
+#[derive(Clone, Copy)]
+enum WidthError {
+    UnknownNet(u32),
+    UnknownParent(u32),
+    Slice { lo: u32, len: u32, width: usize },
+}
+
+impl WidthError {
+    fn message(self, template: &NetlistTemplate) -> String {
+        match self {
+            WidthError::UnknownNet(net) => {
+                let name = template.names.get(template.nets[net as usize].name);
+                format!("unknown net {name}")
+            }
+            WidthError::UnknownParent(port) => {
+                format!("unknown parent port {}", template.names.get(port))
+            }
+            WidthError::Slice { lo, len, width } => {
+                format!("slice [{lo},{lo}+{len}) out of width {width}")
+            }
+        }
+    }
 }
 
 /// A netlist template's timing graph, compiled once when the design space
@@ -315,8 +345,9 @@ impl TimingGraph {
         parent: &ComponentSpec,
         cache: &SpecModelCache,
     ) -> Result<TimingGraph, TemplateError> {
+        let t = template;
         let fail = |message: String| TemplateError {
-            rule: template.rule.clone(),
+            rule: t.rule().to_string(),
             message,
         };
         let parent_model = cache.model(parent).map_err(&fail)?;
@@ -324,43 +355,69 @@ impl TimingGraph {
             .inputs()
             .map(|p| (p.name.as_str(), p.class))
             .collect();
-        let nets: Vec<(&str, usize)> = template
-            .nets
-            .iter()
-            .map(|(net, &width)| (net.as_str(), width))
-            .collect();
-        let net_index = |net: &str| nets.binary_search_by(|&(n, _)| n.cmp(net)).ok();
-        let net_node = |net: &str| net_index(net).map(|i| (inputs.len() + i) as u32);
-        let net_width = |net: &str| net_index(net).map(|i| nets[i].1);
-        let parent_in_width = |p: &str| {
-            parent_model
-                .port(p)
-                .filter(|port| port.dir == PortDir::In)
-                .map(|port| port.width)
-        };
-        let leaf_nodes = |sig: &Signal, out: &mut Vec<u32>| {
-            sig.for_each_leaf(&mut |leaf| {
-                out.extend(match leaf {
-                    Signal::Net(n) => net_node(n),
-                    Signal::Parent(p) => inputs
+        // Every wiring node's width and graph leaf, in one pass over the
+        // arena: a node's children precede it.
+        let mut widths: Vec<Result<usize, WidthError>> = Vec::with_capacity(t.nodes.len());
+        let mut leaf_of: Vec<Option<u32>> = Vec::with_capacity(t.nodes.len());
+        for node in &t.nodes {
+            let (width, leaf) = match *node {
+                Node::Net(net) => (
+                    t.nets[net as usize]
+                        .width
+                        .map(|w| w as usize)
+                        .ok_or(WidthError::UnknownNet(net)),
+                    Some((inputs.len() + net as usize) as u32),
+                ),
+                Node::Parent(port) => {
+                    let name = t.names.get(port);
+                    let width = parent_model
+                        .port(name)
+                        .filter(|p| p.dir == PortDir::In)
+                        .map(|p| p.width)
+                        .ok_or(WidthError::UnknownParent(port));
+                    let leaf = inputs.iter().position(|&(n, _)| n == name);
+                    (width, leaf.map(|i| i as u32))
+                }
+                Node::Const(c) => (Ok(t.consts[c as usize].width()), None),
+                Node::Slice { of, lo, len } => {
+                    let width = widths[of as usize].and_then(|w| {
+                        if lo as usize + len as usize > w {
+                            Err(WidthError::Slice { lo, len, width: w })
+                        } else {
+                            Ok(len as usize)
+                        }
+                    });
+                    (width, None)
+                }
+                Node::Cat { start, end } => {
+                    let parts = &t.parts[start as usize..end as usize];
+                    let width = parts
                         .iter()
-                        .position(|(name, _)| name == p)
-                        .map(|i| i as u32),
-                    _ => None,
-                })
-            });
+                        .try_fold(0, |acc, &p| widths[p as usize].map(|w| acc + w));
+                    (width, None)
+                }
+                Node::Replicate { of, n } => (widths[of as usize].map(|w| w * n as usize), None),
+            };
+            widths.push(width);
+            leaf_of.push(leaf);
+        }
+        let wire_width = |node: u32| widths[node as usize].map_err(|e| e.message(t));
+        let leaf_nodes = |node: u32, out: &mut Vec<u32>| {
+            t.for_each_leaf(node, &mut |n| {
+                out.extend(leaf_of[n as usize]);
+            })
         };
 
         let mut specs: Vec<(&ComponentSpec, Arc<Component>)> = Vec::new();
-        let mut picks = Vec::with_capacity(template.modules.len());
+        let mut picks = Vec::with_capacity(t.modules.len());
         let mut firsts = Vec::new();
         let mut arcs: Vec<(u32, PortClass, PortClass)> = Vec::new();
         let mut edges: Vec<(u32, u32, u32)> = Vec::new();
         let mut launches = Vec::new();
-        let mut drivers = vec![0u32; nets.len()];
+        let mut drivers = vec![0u32; t.nets.len()];
         let (mut pins, mut outs, mut from) = (Vec::new(), Vec::new(), Vec::new());
-        for (m, module) in template.modules.iter().enumerate() {
-            let name = &module.name;
+        for (m, (module, view)) in t.modules.iter().zip(t.modules()).enumerate() {
+            let name = view.name();
             let pick = match specs.iter().position(|(spec, _)| **spec == module.spec) {
                 Some(pick) => pick,
                 None => {
@@ -374,12 +431,13 @@ impl TimingGraph {
             } as u32;
             picks.push(pick);
             let model = &specs[pick as usize].1;
+            let (start, end) = module.pins;
+            let wired = &t.pins[start as usize..end as usize];
             for port in model.inputs() {
-                let sig = module.inputs.get(&port.name).ok_or_else(|| {
+                let node = find_pin(&t.names, wired, &port.name).ok_or_else(|| {
                     fail(format!("module {name} input {} unconnected", port.name))
                 })?;
-                let w = sig
-                    .width(&net_width, &parent_in_width)
+                let w = wire_width(node)
                     .map_err(|e| fail(format!("module {name} input {}: {e}", port.name)))?;
                 if w != port.width {
                     return Err(fail(format!(
@@ -389,46 +447,50 @@ impl TimingGraph {
                 }
             }
             pins.clear();
-            for (pname, sig) in &module.inputs {
-                let pin = model
+            for pin in wired {
+                let pname = t.names.get(pin.port);
+                let port = model
                     .port(pname)
                     .filter(|p| p.dir == PortDir::In)
                     .ok_or_else(|| fail(format!("module {name} wires non-input port {pname}")))?;
-                pins.push((pin.class, sig));
+                pins.push((port.class, pin.node));
             }
             outs.clear();
-            for (pname, net) in &module.outputs {
+            let (start, end) = module.drives;
+            for drive in &t.drives[start as usize..end as usize] {
+                let pname = t.names.get(drive.port);
                 let port = model
                     .port(pname)
                     .filter(|p| p.dir == PortDir::Out)
                     .ok_or_else(|| fail(format!("module {name} has no output {pname}")))?;
-                let i = net_index(net).ok_or_else(|| {
+                let net = t.nets[drive.net as usize];
+                let net_name = t.names.get(net.name);
+                let nw = net.width.ok_or_else(|| {
                     fail(format!(
-                        "module {name} output {pname} drives unknown net {net}"
+                        "module {name} output {pname} drives unknown net {net_name}"
                     ))
-                })?;
-                let nw = nets[i].1;
+                })? as usize;
                 if nw != port.width {
                     return Err(fail(format!(
-                        "module {name} output {pname} is {} bits, net {net} is {nw}",
+                        "module {name} output {pname} is {} bits, net {net_name} is {nw}",
                         port.width
                     )));
                 }
-                drivers[i] += 1;
-                outs.push((port.class, (inputs.len() + i) as u32));
+                drivers[drive.net as usize] += 1;
+                outs.push((port.class, (inputs.len() + drive.net as usize) as u32));
             }
 
             if model.is_sequential() {
                 launches.extend(outs.iter().map(|&(_, net)| (net, pick)));
                 continue;
             }
-            for &(in_class, sig) in &pins {
+            for &(in_class, node) in &pins {
                 if in_class == PortClass::Clock {
                     continue;
                 }
                 // A leaf read twice adds no path.
                 from.clear();
-                leaf_nodes(sig, &mut from);
+                leaf_nodes(node, &mut from);
                 from.sort_unstable();
                 from.dedup();
                 for &(out_class, to) in &outs {
@@ -444,24 +506,24 @@ impl TimingGraph {
                 }
             }
         }
-        for (&(net, _), &count) in nets.iter().zip(&drivers) {
-            if count > 1 {
-                return Err(fail(format!("net {net} has {count} drivers")));
-            }
+        let declared = || {
+            t.nets
+                .iter()
+                .zip(&drivers)
+                .filter(|(net, _)| net.width.is_some())
+                .map(|(net, &count)| (t.names.get(net.name), count))
+        };
+        if let Some((net, count)) = declared().find(|&(_, count)| count > 1) {
+            return Err(fail(format!("net {net} has {count} drivers")));
         }
-        for (&(net, _), &count) in nets.iter().zip(&drivers) {
-            if count == 0 {
-                return Err(fail(format!("net {net} has no driver")));
-            }
+        if let Some((net, _)) = declared().find(|&(_, count)| count == 0) {
+            return Err(fail(format!("net {net} has no driver")));
         }
         for port in parent_model.outputs() {
-            let sig = template
-                .outputs
-                .get(&port.name)
+            let node = find_pin(&t.names, &t.outputs, &port.name)
                 .ok_or_else(|| fail(format!("parent output {} not produced", port.name)))?;
-            let w = sig
-                .width(&net_width, &parent_in_width)
-                .map_err(|e| fail(format!("parent output {}: {e}", port.name)))?;
+            let w =
+                wire_width(node).map_err(|e| fail(format!("parent output {}: {e}", port.name)))?;
             if w != port.width {
                 return Err(fail(format!(
                     "parent output {} is {} bits, produced {w}",
@@ -469,21 +531,22 @@ impl TimingGraph {
                 )));
             }
         }
-        let mut outputs = Vec::with_capacity(template.outputs.len());
+        let mut outputs = Vec::with_capacity(t.outputs.len());
         let mut leaves = Vec::new();
-        for (name, sig) in &template.outputs {
+        for pin in &t.outputs {
+            let name = t.names.get(pin.port);
             let port = parent_model
                 .port(name)
                 .filter(|p| p.dir == PortDir::Out)
                 .ok_or_else(|| fail(format!("template produces unknown parent output {name}")))?;
-            leaf_nodes(sig, &mut leaves);
+            leaf_nodes(pin.node, &mut leaves);
             outputs.push((port.class, leaves.len() as u32));
         }
 
         // Bucket the edges by source: count, take prefix sums, place each
         // edge at its source's cursor, then shift the cursors back into
         // bucket starts.
-        let nodes = inputs.len() + nets.len();
+        let nodes = inputs.len() + t.nets.len();
         let mut heads = vec![0u32; nodes + 1];
         for &(f, _, _) in &edges {
             heads[f as usize + 1] += 1;

@@ -50,7 +50,7 @@ impl Implementation {
     pub fn label(&self) -> &str {
         match &self.kind {
             ImplKind::Cell { name } => name,
-            ImplKind::Netlist { template, .. } => &template.rule,
+            ImplKind::Netlist { template, .. } => template.rule(),
         }
     }
 
@@ -96,7 +96,7 @@ impl Implementation {
                 writeln!(f, "{pad}{} -> cell {name}", self.spec)
             }
             ImplKind::Netlist { template, children } => {
-                writeln!(f, "{pad}{} -> rule {}", self.spec, template.rule)?;
+                writeln!(f, "{pad}{} -> rule {}", self.spec, template.rule())?;
                 // Print each distinct child once with its multiplicity.
                 let mut seen: Vec<(&Implementation, usize)> = Vec::new();
                 for c in children {

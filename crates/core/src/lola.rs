@@ -671,7 +671,7 @@ CELL CLA4 CLA_GEN N 4 CI AREA 14.0 DELAY 1.6 PGD 1.7
         // 13 = 6 + 6 + 1 with the next-gen library's {6, 1} registers.
         let templates = bank.expand(&register(13));
         assert_eq!(templates.len(), 1);
-        assert_eq!(templates[0].modules.len(), 3);
+        assert_eq!(templates[0].module_count(), 3);
         // A stocked width splits into one part: the parent itself.
         assert!(bank.expand(&register(6)).is_empty());
     }

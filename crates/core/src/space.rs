@@ -68,7 +68,7 @@ impl ImplChoice {
     pub fn label(&self) -> &str {
         match self {
             ImplChoice::Cell(c) => &c.cell,
-            ImplChoice::Netlist { template, .. } => &template.rule,
+            ImplChoice::Netlist { template, .. } => template.rule(),
         }
     }
 }
@@ -81,7 +81,7 @@ pub struct SpecNode {
     /// Alternative implementations.
     pub impls: Vec<ImplChoice>,
     /// For each implementation, the spec node of every module (aligned
-    /// with `template.modules`; empty for cells).
+    /// with the template's modules; empty for cells).
     pub children: Vec<Vec<SpecId>>,
 }
 
@@ -214,10 +214,10 @@ impl DesignSpace {
         for template in rules.iter().flat_map(|r| r.expand(spec)) {
             let graph = TimingGraph::compile(&template, spec, cache)
                 .map_err(|e| ExpandError::InvalidTemplate(e.to_string()))?;
-            let mut ids = Vec::with_capacity(template.modules.len());
+            let mut ids = Vec::with_capacity(template.module_count());
             let mut ok = true;
-            for module in &template.modules {
-                match self.expand_inner(&module.spec, rules, library, cache, in_progress) {
+            for module in template.modules() {
+                match self.expand_inner(module.spec(), rules, library, cache, in_progress) {
                     Ok(id) => ids.push(id),
                     Err(ExpandError::Cycle) => {
                         ok = false;
@@ -1544,7 +1544,7 @@ mod tests {
     ) -> Result<(f64, Timing), String> {
         let by_spec: BTreeMap<&ComponentSpec, &DesignPoint> = graph
             .distinct_modules()
-            .map(|m| &template.modules[m].spec)
+            .map(|m| template.module(m).spec())
             .zip(picks.iter().copied())
             .collect();
         let child_cost = |spec: &ComponentSpec| {
@@ -1610,7 +1610,7 @@ mod tests {
                         assert!(
                             same_cost(&compiled, &reference),
                             "{key}: {} under {}: compiled {compiled:?}, reference {reference:?}",
-                            template.rule,
+                            template.rule(),
                             node.spec
                         );
                         combinations_checked += 1;
@@ -1671,8 +1671,10 @@ mod tests {
                     if reference_cost(template, &node.spec, graph, &picks, &cache).is_err() {
                         cyclic.push(all.len());
                     }
-                    let model = |m: &crate::template::Module| cache.model(&m.spec).unwrap();
-                    if template.modules.iter().any(|m| model(m).is_sequential()) {
+                    if template
+                        .modules()
+                        .any(|m| cache.model(m.spec()).unwrap().is_sequential())
+                    {
                         sequential.push(all.len());
                     }
                     all.push(reached);
@@ -1702,7 +1704,7 @@ mod tests {
             .graph
             .distinct_modules()
             .map(|m| {
-                let model = cache.model(&reached.template.modules[m].spec).unwrap();
+                let model = cache.model(reached.template.module(m).spec()).unwrap();
                 let mut arcs = BTreeMap::new();
                 for pin in model.inputs().filter(|p| p.class != PortClass::Clock) {
                     for pout in model.outputs() {
@@ -1763,7 +1765,7 @@ mod tests {
             proptest::prop_assert!(
                 same_cost(&compiled, &reference),
                 "{} under {}: compiled {:?}, reference {:?}",
-                reached.template.rule,
+                reached.template.rule(),
                 reached.parent,
                 compiled,
                 reference

@@ -31,7 +31,7 @@ use super::{AnswerDefect, Rejection};
 use crate::cost::Timing;
 use crate::extract::{ImplKind, Implementation};
 use crate::report::{Alternative, DesignSet, SynthStats};
-use crate::template::{Module, NetlistTemplate, Signal};
+use crate::template::{Drive, Module, Names, Net, NetlistTemplate, Node, Pin};
 use crate::SynthError;
 use genus::component::PortClass;
 use genus::kind::{ComponentKind, GateOp};
@@ -39,7 +39,7 @@ use genus::op::Op;
 use genus::spec::ComponentSpec;
 use rtl_base::bits::Bits;
 use rtl_base::hash::StableHasher;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,12 +64,12 @@ pub(crate) type ResultEntry = (ComponentSpec, Result<Arc<DesignSet>, SynthError>
 /// memoized answer; v6 gives each answer section one spec table and one
 /// string table that its nodes and templates index into, and checksums
 /// headers and sections with [`word_sum`](rtl_base::hash::word_sum)
-/// instead of FNV-1a.
-pub const FORMAT_VERSION: u32 = 6;
-
-/// Recursion guard for [`Signal`] trees (real wiring nests a handful of
-/// levels; anything deeper is a damaged file).
-const MAX_SIGNAL_DEPTH: usize = 64;
+/// instead of FNV-1a; v7 stores templates index-addressed, as they are
+/// held: the name table is sorted and cut by end offsets, and each
+/// template's nets, wiring arena (nodes referring to nets by index and to
+/// earlier nodes by index), module pins and drives and parent outputs
+/// are arrays read straight into place.
+pub const FORMAT_VERSION: u32 = 7;
 
 // ---------------------------------------------------------------------
 // Primitives.
@@ -480,18 +480,21 @@ type Table<K> = HashMap<K, u32, BuildHasherDefault<StableHasher>>;
 /// Hash-conses the alternatives' implementation trees into one DAG whose
 /// nodes are `(spec, choice)` pairs, and tables what the section stores
 /// once. Nodes are pushed bottom-up, so every child index is below its
-/// parent's. The spec table holds every node and module spec, the string
-/// table every cell, rule, module, port and net name, each in first-seen
-/// order. Templates are encoded as they are first seen, into a buffer of
-/// their own, because the tables they add to precede them in the section.
+/// parent's. The spec table holds every node and module spec in
+/// first-seen order; the name table every cell name and every name of
+/// every template's own table, sorted when the section is written, so
+/// each template's symbols map onto it in order.
 #[derive(Default)]
 struct SectionWriter<'a> {
     specs: Vec<&'a ComponentSpec>,
     spec_index: Table<&'a ComponentSpec>,
+    /// Names in first-seen order: a provisional symbol is a position here.
     strings: Vec<&'a str>,
     string_index: Table<&'a str>,
-    templates: Writer,
+    templates: Vec<&'a NetlistTemplate>,
     template_index: HashMap<*const NetlistTemplate, u32>,
+    /// Each distinct template name table's provisional symbols.
+    tables: HashMap<*const Names, Vec<u32>>,
     nodes: Vec<DagNode>,
     node_index: HashMap<DagNode, u32>,
     /// Shared subtrees are walked once (extraction `Arc`-shares every
@@ -505,7 +508,7 @@ struct SectionWriter<'a> {
 struct DagNode {
     spec: u32,
     netlist: bool,
-    /// String index of a cell's name, template index of a netlist.
+    /// Name symbol of a cell, template index of a netlist.
     index: u32,
     children: Vec<u32>,
 }
@@ -561,89 +564,120 @@ impl<'a> SectionWriter<'a> {
         id
     }
 
-    /// A template's index, encoding it on first sight: its rule, nets,
-    /// modules and outputs with every name and module spec as a table
-    /// index.
+    /// A template's index, tabling its module specs and its name table's
+    /// names on first sight.
     fn template(&mut self, template: &'a Arc<NetlistTemplate>) -> u32 {
         let ptr = Arc::as_ptr(template);
         if let Some(&id) = self.template_index.get(&ptr) {
             return id;
         }
-        let mut w = std::mem::take(&mut self.templates);
-        w.u32(self.string(&template.rule));
-        w.usize32(template.nets.len());
-        for (net, width) in &template.nets {
-            w.u32(self.string(net));
-            w.u64(*width as u64);
+        let names: &'a Names = &template.names;
+        if !self.tables.contains_key(&(names as *const Names)) {
+            let symbols = (0..names.len() as u32)
+                .map(|sym| self.string(names.get(sym)))
+                .collect();
+            self.tables.insert(names as *const Names, symbols);
         }
-        w.usize32(template.modules.len());
         for module in &template.modules {
-            w.u32(self.string(&module.name));
-            w.u32(self.spec(&module.spec));
-            w.usize32(module.inputs.len());
-            for (port, signal) in &module.inputs {
-                w.u32(self.string(port));
-                self.signal(&mut w, signal);
-            }
-            w.usize32(module.outputs.len());
-            for (port, net) in &module.outputs {
-                w.u32(self.string(port));
-                w.u32(self.string(net));
-            }
+            self.spec(&module.spec);
         }
-        w.usize32(template.outputs.len());
-        for (port, signal) in &template.outputs {
-            w.u32(self.string(port));
-            self.signal(&mut w, signal);
-        }
-        self.templates = w;
-        let id = self.template_index.len() as u32;
+        let id = self.templates.len() as u32;
+        self.templates.push(template);
         self.template_index.insert(ptr, id);
         id
     }
+}
 
-    fn signal(&mut self, w: &mut Writer, signal: &'a Signal) {
-        match signal {
-            Signal::Net(n) => {
+/// Writes one template, every name as a section symbol (`symbols` maps
+/// its own table's symbols there, in order) and every module spec as a
+/// spec index: the rule, the nets, the wiring arena (constants inline),
+/// the modules with their pins and drives, and the parent outputs.
+fn put_template(
+    w: &mut Writer,
+    t: &NetlistTemplate,
+    symbols: &[u32],
+    spec_index: &Table<&ComponentSpec>,
+) {
+    let sym = |s: u32| symbols[s as usize];
+    w.u32(sym(t.rule));
+    w.usize32(t.nets.len());
+    for net in &t.nets {
+        w.u32(sym(net.name));
+        match net.width {
+            Some(width) => {
+                w.bool(true);
+                w.u32(width);
+            }
+            None => w.bool(false),
+        }
+    }
+    w.usize32(t.nodes.len());
+    w.usize32(t.parts.len());
+    for &part in &t.parts {
+        w.u32(part);
+    }
+    for node in &t.nodes {
+        match *node {
+            Node::Net(net) => {
                 w.u8(0);
-                w.u32(self.string(n));
+                w.u32(net);
             }
-            Signal::Parent(p) => {
+            Node::Parent(port) => {
                 w.u8(1);
-                w.u32(self.string(p));
+                w.u32(sym(port));
             }
-            Signal::Const(b) => {
+            Node::Const(c) => {
                 w.u8(2);
-                put_bits(w, b);
+                put_bits(w, &t.consts[c as usize]);
             }
-            Signal::Slice(inner, lo, len) => {
+            Node::Slice { of, lo, len } => {
                 w.u8(3);
-                self.signal(w, inner);
-                w.u64(*lo as u64);
-                w.u64(*len as u64);
+                w.u32(of);
+                w.u32(lo);
+                w.u32(len);
             }
-            Signal::Cat(parts) => {
+            Node::Cat { start, end } => {
                 w.u8(4);
-                w.usize32(parts.len());
-                for p in parts {
-                    self.signal(w, p);
-                }
+                w.u32(start);
+                w.u32(end);
             }
-            Signal::Replicate(inner, n) => {
+            Node::Replicate { of, n } => {
                 w.u8(5);
-                self.signal(w, inner);
-                w.u64(*n as u64);
+                w.u32(of);
+                w.u32(n);
             }
         }
+    }
+    w.usize32(t.modules.len());
+    for module in &t.modules {
+        w.u32(sym(module.name));
+        w.u32(spec_index[&module.spec]);
+        let (start, end) = module.pins;
+        w.usize32((end - start) as usize);
+        for pin in &t.pins[start as usize..end as usize] {
+            w.u32(sym(pin.port));
+            w.u32(pin.node);
+        }
+        let (start, end) = module.drives;
+        w.usize32((end - start) as usize);
+        for drive in &t.drives[start as usize..end as usize] {
+            w.u32(sym(drive.port));
+            w.u32(drive.net);
+        }
+    }
+    w.usize32(t.outputs.len());
+    for pin in &t.outputs {
+        w.u32(sym(pin.port));
+        w.u32(pin.node);
     }
 }
 
 /// Writes an `Ok` answer. The node table comes first and is fixed-width
 /// but for its child lists: per node, spec index, kind (0 cell, 1
-/// netlist), cell-name string index or template index, child count,
-/// child refs. Then the spec table, the string table, the templates
-/// (wiring by string index, module specs by spec index), the
-/// alternatives (each pointing at its root node) and the accounting.
+/// netlist), cell-name symbol or template index, child count, child refs.
+/// Then the spec table, the name table (count, each name's end offset,
+/// the names back to back, sorted), the templates, the alternatives (each
+/// pointing at its root node) and the accounting.
 fn put_answer(w: &mut Writer, set: &DesignSet) {
     let mut section = SectionWriter::default();
     let roots: Vec<u32> = set
@@ -651,12 +685,23 @@ fn put_answer(w: &mut Writer, set: &DesignSet) {
         .iter()
         .map(|alt| section.node(&alt.implementation))
         .collect();
+    // Sort the names; `rank` takes a provisional symbol to its place.
+    let mut order: Vec<u32> = (0..section.strings.len() as u32).collect();
+    order.sort_unstable_by_key(|&s| section.strings[s as usize]);
+    let mut rank = vec![0u32; order.len()];
+    for (place, &s) in order.iter().enumerate() {
+        rank[s as usize] = place as u32;
+    }
     w.usize32(section.specs.len());
     w.usize32(section.nodes.len());
     for node in &section.nodes {
         w.u32(node.spec);
         w.bool(node.netlist);
-        w.u32(node.index);
+        w.u32(if node.netlist {
+            node.index
+        } else {
+            rank[node.index as usize]
+        });
         w.usize32(node.children.len());
         for &child in &node.children {
             w.u32(child);
@@ -665,12 +710,23 @@ fn put_answer(w: &mut Writer, set: &DesignSet) {
     for spec in &section.specs {
         put_spec(w, spec);
     }
-    w.usize32(section.strings.len());
-    for s in &section.strings {
-        w.str(s);
+    w.usize32(order.len());
+    let mut end = 0;
+    for &s in &order {
+        end += section.strings[s as usize].len();
+        w.usize32(end);
     }
-    w.usize32(section.template_index.len());
-    w.bytes(section.templates.as_slice());
+    for &s in &order {
+        w.bytes(section.strings[s as usize].as_bytes());
+    }
+    w.usize32(section.templates.len());
+    for template in &section.templates {
+        let symbols: Vec<u32> = section.tables[&Arc::as_ptr(&template.names)]
+            .iter()
+            .map(|&s| rank[s as usize])
+            .collect();
+        put_template(w, template, &symbols, &section.spec_index);
+    }
     w.usize32(set.alternatives.len());
     for (alt, root) in set.alternatives.iter().zip(roots) {
         w.f64(alt.area);
@@ -692,14 +748,41 @@ fn put_answer(w: &mut Writer, set: &DesignSet) {
     w.u64(set.stats.truncated_combinations);
 }
 
-/// A section's decoded spec table and its string table, borrowed from
-/// the section bytes. Every index into either is checked here.
-struct Tables<'a> {
-    specs: Vec<ComponentSpec>,
-    strings: Vec<&'a str>,
+/// Reads a section's name table: the names' end offsets, then the names
+/// back to back. Every end must fall on a character boundary and the
+/// names must strictly increase, so a symbol's order is its name's.
+fn get_names(r: &mut Reader) -> Result<Names, String> {
+    let count = r.len("name")?;
+    let mut ends = Vec::with_capacity(count);
+    for _ in 0..count {
+        let end = r.u32("name end")?;
+        if ends.last().is_some_and(|&prev| end < prev) {
+            return Err("name ends out of order".into());
+        }
+        ends.push(end);
+    }
+    let len = ends.last().map_or(0, |&end| end as usize);
+    let text = std::str::from_utf8(r.take(len, "names")?).map_err(|_| "non-UTF-8 names")?;
+    if !ends.iter().all(|&end| text.is_char_boundary(end as usize)) {
+        return Err("a name ends inside a character".into());
+    }
+    let names = Names::new(text.to_owned(), ends);
+    for sym in 1..names.len() as u32 {
+        if names.get(sym - 1) >= names.get(sym) {
+            return Err("names out of order".into());
+        }
+    }
+    Ok(names)
 }
 
-impl Tables<'_> {
+/// A section's decoded spec table and its name table. Every index into
+/// either is checked here.
+struct Tables {
+    specs: Vec<ComponentSpec>,
+    names: Arc<Names>,
+}
+
+impl Tables {
     fn spec(&self, index: u32) -> Result<&ComponentSpec, AnswerDefect> {
         self.specs
             .get(index as usize)
@@ -709,92 +792,185 @@ impl Tables<'_> {
             })
     }
 
-    fn string(&self, index: u32) -> Result<String, AnswerDefect> {
-        self.strings
-            .get(index as usize)
-            .map(|s| s.to_string())
-            .ok_or(AnswerDefect::StringOutOfRange {
+    fn sym(&self, index: u32) -> Result<u32, AnswerDefect> {
+        if (index as usize) < self.names.len() {
+            Ok(index)
+        } else {
+            Err(AnswerDefect::SymbolOutOfRange {
                 index: index as usize,
-                strings: self.strings.len(),
+                symbols: self.names.len(),
             })
-    }
-
-    /// Reads a string index and returns its string.
-    fn get_string(&self, r: &mut Reader, what: &str) -> Result<String, Rejection> {
-        Ok(self.string(r.u32(what)?)?)
-    }
-
-    fn get_signal(&self, r: &mut Reader, depth: usize) -> Result<Signal, Rejection> {
-        if depth > MAX_SIGNAL_DEPTH {
-            let reason = "signal nesting exceeds the codec depth limit";
-            return Err(Rejection::Damaged(reason.into()));
         }
-        Ok(match r.u8("signal tag")? {
-            0 => Signal::Net(self.get_string(r, "net name")?),
-            1 => Signal::Parent(self.get_string(r, "parent port")?),
-            2 => Signal::Const(get_bits(r)?),
-            3 => {
-                let inner = self.get_signal(r, depth + 1)?;
-                let lo = r.u64("slice lo")? as usize;
-                let len = r.u64("slice len")? as usize;
-                Signal::Slice(Box::new(inner), lo, len)
+    }
+
+    /// Reads a symbol and checks it against the name table.
+    fn get_sym(&self, r: &mut Reader, what: &str) -> Result<u32, Rejection> {
+        Ok(self.sym(r.u32(what)?)?)
+    }
+
+    /// Reads a port-to-node binding list, sorted by port name, of nodes
+    /// below `nodes`.
+    fn get_pins(
+        &self,
+        r: &mut Reader,
+        template: usize,
+        nodes: usize,
+        pins: &mut Vec<Pin>,
+    ) -> Result<(u32, u32), Rejection> {
+        let start = pins.len();
+        for _ in 0..r.len("pin")? {
+            let port = self.get_sym(r, "pin port")?;
+            let node = r.u32("pin node")?;
+            if node as usize >= nodes {
+                return Err(Rejection::Answer(AnswerDefect::NodeOutOfRange {
+                    template,
+                    index: node as usize,
+                    nodes,
+                }));
             }
-            4 => {
-                let parts = r.len("cat part")?;
-                let mut out = Vec::with_capacity(parts);
-                for _ in 0..parts {
-                    out.push(self.get_signal(r, depth + 1)?);
+            if pins.len() > start && pins[pins.len() - 1].port >= port {
+                return Err("pins out of name order".to_string().into());
+            }
+            pins.push(Pin { port, node });
+        }
+        Ok((start as u32, pins.len() as u32))
+    }
+
+    /// Reads the `template`-th template straight into its arrays,
+    /// range-checking every symbol, spec, net, node and part index and
+    /// checking that every array is sorted by name and that every wiring
+    /// node refers only to nodes below it.
+    fn get_template(&self, r: &mut Reader, template: usize) -> Result<NetlistTemplate, Rejection> {
+        let rule = self.get_sym(r, "rule name")?;
+        let net_count = r.len("net")?;
+        let mut nets: Vec<Net> = Vec::with_capacity(net_count);
+        for _ in 0..net_count {
+            let name = self.get_sym(r, "net name")?;
+            let width = match r.bool("net declared")? {
+                true => Some(r.u32("net width")?),
+                false => None,
+            };
+            if nets.last().is_some_and(|prev| prev.name >= name) {
+                return Err("nets out of name order".to_string().into());
+            }
+            nets.push(Net { name, width });
+        }
+        let node_count = r.len("wiring node")?;
+        let part_count = r.len("cat part")?;
+        let mut parts = Vec::with_capacity(part_count);
+        for _ in 0..part_count {
+            let part = r.u32("cat part")?;
+            if part as usize >= node_count {
+                return Err(Rejection::Answer(AnswerDefect::NodeOutOfRange {
+                    template,
+                    index: part as usize,
+                    nodes: node_count,
+                }));
+            }
+            parts.push(part);
+        }
+        let mut nodes = Vec::with_capacity(node_count);
+        let mut consts = Vec::new();
+        for node in 0..node_count {
+            let below = |child: u32| {
+                if (child as usize) < node {
+                    Ok(child)
+                } else {
+                    Err(Rejection::Answer(AnswerDefect::WiringNotBelow {
+                        template,
+                        node,
+                        child: child as usize,
+                    }))
                 }
-                Signal::Cat(out)
-            }
-            5 => {
-                let inner = self.get_signal(r, depth + 1)?;
-                let n = r.u64("replicate count")? as usize;
-                Signal::Replicate(Box::new(inner), n)
-            }
-            other => return Err(format!("unknown signal tag {other}").into()),
-        })
-    }
-
-    fn get_template(&self, r: &mut Reader) -> Result<NetlistTemplate, Rejection> {
-        let rule = self.get_string(r, "rule name")?;
-        let mut nets = BTreeMap::new();
-        for _ in 0..r.len("net")? {
-            let net = self.get_string(r, "net name")?;
-            nets.insert(net, r.u64("net width")? as usize);
+            };
+            nodes.push(match r.u8("wiring tag")? {
+                0 => {
+                    let net = r.u32("net index")?;
+                    if net as usize >= nets.len() {
+                        return Err(Rejection::Answer(AnswerDefect::NetOutOfRange {
+                            template,
+                            index: net as usize,
+                            nets: nets.len(),
+                        }));
+                    }
+                    Node::Net(net)
+                }
+                1 => Node::Parent(self.get_sym(r, "parent port")?),
+                2 => {
+                    consts.push(get_bits(r)?);
+                    Node::Const(consts.len() as u32 - 1)
+                }
+                3 => Node::Slice {
+                    of: below(r.u32("slice of")?)?,
+                    lo: r.u32("slice lo")?,
+                    len: r.u32("slice len")?,
+                },
+                4 => {
+                    let start = r.u32("cat start")?;
+                    let end = r.u32("cat end")?;
+                    if start > end || end as usize > parts.len() {
+                        return Err(Rejection::Answer(AnswerDefect::PartOutOfRange {
+                            template,
+                            node,
+                            end: end as usize,
+                            parts: parts.len(),
+                        }));
+                    }
+                    for &part in &parts[start as usize..end as usize] {
+                        below(part)?;
+                    }
+                    Node::Cat { start, end }
+                }
+                5 => Node::Replicate {
+                    of: below(r.u32("replicate of")?)?,
+                    n: r.u32("replicate count")?,
+                },
+                other => return Err(format!("unknown wiring tag {other}").into()),
+            });
         }
-        let modules_len = r.len("module")?;
-        let mut modules = Vec::with_capacity(modules_len);
-        for _ in 0..modules_len {
-            let name = self.get_string(r, "module name")?;
+        let module_count = r.len("module")?;
+        let mut modules = Vec::with_capacity(module_count);
+        let (mut pins, mut drives): (Vec<Pin>, Vec<Drive>) = (Vec::new(), Vec::new());
+        for _ in 0..module_count {
+            let name = self.get_sym(r, "module name")?;
             let spec = self.spec(r.u32("module spec")?)?.clone();
-            let mut inputs = BTreeMap::new();
-            for _ in 0..r.len("module input")? {
-                let port = self.get_string(r, "input port")?;
-                inputs.insert(port, self.get_signal(r, 0)?);
-            }
-            let mut outputs = BTreeMap::new();
+            let module_pins = self.get_pins(r, template, node_count, &mut pins)?;
+            let start = drives.len();
             for _ in 0..r.len("module output")? {
-                let port = self.get_string(r, "output port")?;
-                outputs.insert(port, self.get_string(r, "output net")?);
+                let port = self.get_sym(r, "output port")?;
+                let net = r.u32("output net")?;
+                if net as usize >= nets.len() {
+                    return Err(Rejection::Answer(AnswerDefect::NetOutOfRange {
+                        template,
+                        index: net as usize,
+                        nets: nets.len(),
+                    }));
+                }
+                if drives.len() > start && drives[drives.len() - 1].port >= port {
+                    return Err("module outputs out of name order".to_string().into());
+                }
+                drives.push(Drive { port, net });
             }
             modules.push(Module {
                 name,
                 spec,
-                inputs,
-                outputs,
+                pins: module_pins,
+                drives: (start as u32, drives.len() as u32),
             });
         }
-        let mut outputs = BTreeMap::new();
-        for _ in 0..r.len("template output")? {
-            let port = self.get_string(r, "parent output")?;
-            outputs.insert(port, self.get_signal(r, 0)?);
-        }
+        let mut outputs = Vec::new();
+        self.get_pins(r, template, node_count, &mut outputs)?;
         Ok(NetlistTemplate {
+            names: Arc::clone(&self.names),
             rule,
             nets,
             modules,
+            pins,
+            drives,
             outputs,
+            nodes,
+            parts,
+            consts,
         })
     }
 }
@@ -824,12 +1000,12 @@ fn get_dag(r: &mut Reader) -> Result<Vec<Arc<Implementation>>, Rejection> {
     let specs = (0..spec_count)
         .map(|_| get_spec(r))
         .collect::<Result<Vec<_>, String>>()?;
-    let strings = (0..r.len("string")?)
-        .map(|_| r.str_ref("string"))
-        .collect::<Result<Vec<_>, String>>()?;
-    let tables = Tables { specs, strings };
+    let tables = Tables {
+        specs,
+        names: Arc::new(get_names(r)?),
+    };
     let templates = (0..r.len("template")?)
-        .map(|_| tables.get_template(r).map(Arc::new))
+        .map(|t| tables.get_template(r, t).map(Arc::new))
         .collect::<Result<Vec<_>, Rejection>>()?;
     let mut nodes: Vec<Arc<Implementation>> = Vec::with_capacity(node_count);
     for (node, entry) in table.into_iter().enumerate() {
@@ -877,7 +1053,7 @@ fn get_dag(r: &mut Reader) -> Result<Vec<Arc<Implementation>>, Rejection> {
                 }));
             }
             ImplKind::Cell {
-                name: tables.string(entry.index)?,
+                name: tables.names.get(tables.sym(entry.index)?).to_string(),
             }
         };
         nodes.push(Arc::new(Implementation {
@@ -954,6 +1130,7 @@ pub(crate) fn decode_result_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::template::{Signal, TemplateBuilder};
     use cells::lsi::lsi_logic_subset;
     use genus::op::ALL_OPS;
     use proptest::prelude::*;
@@ -1038,13 +1215,15 @@ mod tests {
         })
     }
 
-    fn module(name: &str, spec: &ComponentSpec, inputs: Vec<(&str, Signal)>) -> Module {
-        Module {
-            name: name.into(),
-            spec: spec.clone(),
-            inputs: inputs.into_iter().map(|(p, s)| (p.into(), s)).collect(),
-            outputs: [("y".to_string(), format!("{name}_y"))].into(),
-        }
+    /// A module whose one output `y` drives the net `{name}_y`.
+    fn module(
+        t: &mut TemplateBuilder,
+        name: &str,
+        spec: &ComponentSpec,
+        inputs: Vec<(&str, Signal)>,
+    ) {
+        let net = format!("{name}_y");
+        t.module(name, spec.clone(), inputs, vec![("y", net.as_str(), 1)]);
     }
 
     fn answer(spec: ComponentSpec, roots: Vec<Implementation>) -> DesignSet {
@@ -1097,31 +1276,30 @@ mod tests {
         ]);
         // "a", "b" and "y" name ports of both templates, and the styled
         // adder spec is used by two modules.
-        let inner = NetlistTemplate {
-            rule: "nand-pair".into(),
-            nets: [("g_y".to_string(), 1)].into(),
-            modules: vec![module("g", &nand, vec![("a", Signal::parent("b"))])],
-            outputs: [("y".to_string(), Signal::net("g_y"))].into(),
-        };
-        let shared = netlist(&adder, inner, vec![cell(&nand, "ND2")]);
-        let outer = NetlistTemplate {
-            rule: "split-ripple".into(),
-            nets: [("lo_y".to_string(), 4), ("hi_y".to_string(), 4)].into(),
-            modules: vec![
-                module("lo", &adder, vec![("a", Signal::parent("a").slice(0, 4))]),
-                module(
-                    "hi",
-                    &adder,
-                    vec![("a", nested), ("b", Signal::cuint(4, 9))],
-                ),
-                module("fix", &nand, vec![]),
-            ],
-            outputs: [(
-                "y".to_string(),
-                Signal::Cat(vec![Signal::net("lo_y"), Signal::net("hi_y")]),
-            )]
-            .into(),
-        };
+        let mut inner = TemplateBuilder::new("nand-pair");
+        module(&mut inner, "g", &nand, vec![("a", Signal::parent("b"))]);
+        inner.output("y", Signal::net("g_y"));
+        let shared = netlist(&adder, inner.build(), vec![cell(&nand, "ND2")]);
+        let mut outer = TemplateBuilder::new("split-ripple");
+        outer.net("hi_y", 4);
+        module(
+            &mut outer,
+            "lo",
+            &adder,
+            vec![("a", Signal::parent("a").slice(0, 4))],
+        );
+        module(
+            &mut outer,
+            "hi",
+            &adder,
+            vec![("a", nested), ("b", Signal::cuint(4, 9))],
+        );
+        module(&mut outer, "fix", &nand, vec![]);
+        outer.output(
+            "y",
+            Signal::Cat(vec![Signal::net("lo_y"), Signal::net("hi_y")]),
+        );
+        let outer = outer.build();
         let root = netlist(
             &top,
             outer,
@@ -1136,12 +1314,28 @@ mod tests {
         assert_eq!(spelled, 1);
     }
 
-    #[test]
-    fn damaged_bytes_of_a_real_answer_decode_to_errors_never_panics() {
-        let spec = crate::bench_specs::spec("add:8");
+    /// Whether any template of `set` holds a wiring node `is` accepts.
+    fn uses_wiring(set: &DesignSet, is: fn(&Node) -> bool) -> bool {
+        fn walk(i: &Implementation, is: fn(&Node) -> bool) -> bool {
+            match &i.kind {
+                ImplKind::Cell { .. } => false,
+                ImplKind::Netlist { template, children } => {
+                    template.nodes.iter().any(is) || children.iter().any(|c| walk(c, is))
+                }
+            }
+        }
+        set.alternatives
+            .iter()
+            .any(|alt| walk(&alt.implementation, is))
+    }
+
+    /// Every truncation of a real answer's section decodes to `Err`, and
+    /// every byte XOR 0x01 and XOR 0x80 decodes without a panic.
+    fn sweep_damage(key: &str) -> Vec<u8> {
+        let spec = crate::bench_specs::spec(key);
         let set = crate::Dtas::new(lsi_logic_subset())
             .run(&spec)
-            .expect("ADD8 solves");
+            .expect("solves");
         let bytes = encode(&set);
         assert_same(&set, &decode(&bytes, &spec).expect("decodes"));
         for len in 0..bytes.len() {
@@ -1158,6 +1352,23 @@ mod tests {
                 damaged[at] ^= mask;
             }
         }
+        bytes
+    }
+
+    #[test]
+    fn damaged_bytes_of_a_real_answer_decode_to_errors_never_panics() {
+        sweep_damage("add:8");
+    }
+
+    #[test]
+    fn damaged_wiring_of_a_real_answer_decodes_to_errors_never_panics() {
+        let spec = crate::bench_specs::spec("cmp:4");
+        let set = crate::Dtas::new(lsi_logic_subset())
+            .run(&spec)
+            .expect("CMP4 solves");
+        assert!(uses_wiring(&set, |n| matches!(n, Node::Cat { .. })));
+        assert!(uses_wiring(&set, |n| matches!(n, Node::Const(_))));
+        sweep_damage("cmp:4");
     }
 
     /// A splitmix64 stream: the proptest draws one seed per case and
@@ -1234,32 +1445,51 @@ mod tests {
             }
         }
 
-        fn ports(&mut self) -> BTreeMap<String, Signal> {
+        fn ports(&mut self) -> Vec<(String, Signal)> {
             (0..self.below(4))
                 .map(|_| (self.name(), self.signal(0)))
                 .collect()
         }
 
         /// A template whose module specs come from `specs`, so specs
-        /// repeat across modules.
+        /// repeat across modules. Ports may repeat, and wiring may read
+        /// nets nothing declares.
         fn template(&mut self, specs: &[ComponentSpec]) -> NetlistTemplate {
-            NetlistTemplate {
-                rule: self.name(),
-                nets: (0..self.below(5))
-                    .map(|_| (self.name(), self.below(128)))
-                    .collect(),
-                modules: (0..1 + self.below(3))
-                    .map(|_| Module {
-                        name: self.name(),
-                        spec: specs[self.below(specs.len())].clone(),
-                        inputs: self.ports(),
-                        outputs: (0..self.below(3))
-                            .map(|_| (self.name(), self.name()))
-                            .collect(),
-                    })
-                    .collect(),
-                outputs: self.ports(),
+            let mut t = TemplateBuilder::new(&self.name());
+            let mut nets: Vec<String> = Vec::new();
+            for _ in 0..self.below(5) {
+                let net = self.name();
+                if !nets.contains(&net) {
+                    t.net(&net, self.below(128));
+                    nets.push(net);
+                }
             }
+            let mut modules: Vec<String> = Vec::new();
+            for _ in 0..1 + self.below(3) {
+                let name = self.name();
+                if modules.contains(&name) {
+                    continue;
+                }
+                let spec = specs[self.below(specs.len())].clone();
+                let inputs = self.ports();
+                let outputs: Vec<(String, String, usize)> = (0..self.below(3))
+                    .map(|_| (self.name(), self.name(), self.below(128)))
+                    .collect();
+                t.module(
+                    &name,
+                    spec,
+                    inputs,
+                    outputs
+                        .iter()
+                        .map(|(p, n, w)| (p.as_str(), n.as_str(), *w))
+                        .collect(),
+                );
+                modules.push(name);
+            }
+            for (port, signal) in self.ports() {
+                t.output(&port, signal);
+            }
+            t.build()
         }
 
         /// An implementation of `spec`: a cell, or below `depth` 2 a
@@ -1275,9 +1505,8 @@ mod tests {
             }
             let template = self.template(specs);
             let children = template
-                .modules
-                .iter()
-                .map(|m| self.implementation(&m.spec, depth + 1, specs))
+                .modules()
+                .map(|m| self.implementation(m.spec(), depth + 1, specs))
                 .collect();
             netlist(spec, template, children)
         }

@@ -158,8 +158,9 @@ impl fmt::Display for Rejection {
 }
 
 /// A structural defect in a persisted answer section: an index past one
-/// of its tables, or an inconsistent implementation DAG. DAG nodes are
-/// numbered bottom-up: children always precede their parent.
+/// of its tables, an inconsistent implementation DAG, or a template's
+/// wiring arena out of order. DAG nodes and wiring nodes are numbered
+/// bottom-up: children always precede their parent.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AnswerDefect {
     /// A child reference that does not point below its parent.
@@ -176,12 +177,50 @@ pub enum AnswerDefect {
         /// Specs the section holds.
         specs: usize,
     },
-    /// A string index past the section's string table.
-    StringOutOfRange {
+    /// A name symbol past the section's name table.
+    SymbolOutOfRange {
+        /// The offending symbol.
+        index: usize,
+        /// Names the section holds.
+        symbols: usize,
+    },
+    /// A net index past its template's nets.
+    NetOutOfRange {
+        /// The template's position in the section.
+        template: usize,
         /// The offending index.
         index: usize,
-        /// Strings the section holds.
-        strings: usize,
+        /// Nets the template holds.
+        nets: usize,
+    },
+    /// A wiring-node index past its template's wiring arena.
+    NodeOutOfRange {
+        /// The template's position in the section.
+        template: usize,
+        /// The offending index.
+        index: usize,
+        /// Wiring nodes the template holds.
+        nodes: usize,
+    },
+    /// A concatenation whose parts run past its template's part table.
+    PartOutOfRange {
+        /// The template's position in the section.
+        template: usize,
+        /// The concatenation's wiring node.
+        node: usize,
+        /// Where its parts end.
+        end: usize,
+        /// Parts the template holds.
+        parts: usize,
+    },
+    /// A wiring node that refers to itself or to a later node.
+    WiringNotBelow {
+        /// The template's position in the section.
+        template: usize,
+        /// The referring node.
+        node: usize,
+        /// The node it refers to.
+        child: usize,
     },
     /// A template index past the section's template table.
     TemplateOutOfRange {
@@ -226,9 +265,39 @@ impl fmt::Display for AnswerDefect {
             AnswerDefect::SpecOutOfRange { index, specs } => {
                 write!(f, "spec index {index} past a table of {specs}")
             }
-            AnswerDefect::StringOutOfRange { index, strings } => {
-                write!(f, "string index {index} past a table of {strings}")
+            AnswerDefect::SymbolOutOfRange { index, symbols } => {
+                write!(f, "name symbol {index} past a table of {symbols}")
             }
+            AnswerDefect::NetOutOfRange {
+                template,
+                index,
+                nets,
+            } => write!(f, "template {template} names net {index} of {nets}"),
+            AnswerDefect::NodeOutOfRange {
+                template,
+                index,
+                nodes,
+            } => write!(
+                f,
+                "template {template} names wiring node {index} of {nodes}"
+            ),
+            AnswerDefect::PartOutOfRange {
+                template,
+                node,
+                end,
+                parts,
+            } => write!(
+                f,
+                "template {template} wiring node {node} concatenates parts up to {end} of {parts}"
+            ),
+            AnswerDefect::WiringNotBelow {
+                template,
+                node,
+                child,
+            } => write!(
+                f,
+                "template {template} wiring node {node} refers to node {child}, not below it"
+            ),
             AnswerDefect::TemplateOutOfRange {
                 node,
                 index,

@@ -6,7 +6,7 @@
 //! Flattening substitutes parent-port references with the signals wired to
 //! them at each level, so arbitrary slicing/concatenation wiring composes.
 
-use dtas::template::Signal;
+use dtas::template::{Signal, Wire, WireKind};
 use dtas::{ImplKind, Implementation};
 use genus::build::component_for_spec;
 use genus::component::{Component, PortDir};
@@ -53,33 +53,28 @@ impl fmt::Display for FlattenError {
 
 impl std::error::Error for FlattenError {}
 
-/// Rewrites a template-level signal into flat-net space: internal nets get
-/// the `path` prefix; parent ports substitute to the signals bound at the
+/// Rewrites a template wire into flat-net space: internal nets get the
+/// `path` prefix; parent ports substitute to the signals bound at the
 /// instantiation site.
 fn substitute(
-    sig: &Signal,
+    wire: Wire,
     path: &str,
     bindings: &BTreeMap<String, Signal>,
 ) -> Result<Signal, FlattenError> {
-    Ok(match sig {
-        Signal::Net(n) => Signal::Net(format!("{path}{n}")),
-        Signal::Parent(p) => bindings
+    Ok(match wire.kind() {
+        WireKind::Net(n) => Signal::Net(format!("{path}{n}")),
+        WireKind::Parent(p) => bindings
             .get(p)
             .cloned()
             .ok_or_else(|| FlattenError(format!("unbound parent port {p} at {path}")))?,
-        Signal::Const(b) => Signal::Const(b.clone()),
-        Signal::Slice(inner, lo, len) => {
-            Signal::Slice(Box::new(substitute(inner, path, bindings)?), *lo, *len)
-        }
-        Signal::Cat(parts) => Signal::Cat(
+        WireKind::Const(b) => Signal::Const(b.clone()),
+        WireKind::Slice(inner, lo, len) => substitute(inner, path, bindings)?.slice(lo, len),
+        WireKind::Cat(parts) => Signal::Cat(
             parts
-                .iter()
                 .map(|p| substitute(p, path, bindings))
                 .collect::<Result<_, _>>()?,
         ),
-        Signal::Replicate(inner, n) => {
-            Signal::Replicate(Box::new(substitute(inner, path, bindings)?), *n)
-        }
+        WireKind::Replicate(inner, n) => substitute(inner, path, bindings)?.replicate(n),
     })
 }
 
@@ -113,19 +108,18 @@ fn flatten_into(
         ImplKind::Netlist { template, children } => {
             // Template-internal nets keep their (prefixed) names; module
             // outputs drive them.
-            for (module, child) in template.modules.iter().zip(children) {
+            for (module, child) in template.modules().zip(children) {
                 let mut child_bindings = BTreeMap::new();
-                for (port, sig) in &module.inputs {
-                    child_bindings.insert(port.clone(), substitute(sig, path, bindings)?);
+                for (port, wire) in module.inputs() {
+                    child_bindings.insert(port.to_string(), substitute(wire, path, bindings)?);
                 }
                 let child_outs: BTreeMap<String, String> = module
-                    .outputs
-                    .iter()
-                    .map(|(port, net)| (port.clone(), format!("{path}{net}")))
+                    .outputs()
+                    .map(|(port, net)| (port.to_string(), format!("{path}{net}")))
                     .collect();
                 flatten_into(
                     child,
-                    &format!("{path}{}/", module.name),
+                    &format!("{path}{}/", module.name()),
                     &child_bindings,
                     &child_outs,
                     design,
@@ -134,13 +128,12 @@ fn flatten_into(
             // The template's parent outputs alias onto the nets (or
             // primary outputs) the instantiation site expects.
             for (port, net) in out_bindings {
-                let sig = template
-                    .outputs
-                    .get(port)
+                let wire = template
+                    .output(port)
                     .ok_or_else(|| FlattenError(format!("{path}: template lacks output {port}")))?;
                 design
                     .aliases
-                    .insert(net.clone(), substitute(sig, path, bindings)?);
+                    .insert(net.clone(), substitute(wire, path, bindings)?);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Structural VHDL emission.
 
-use dtas::template::Signal;
+use dtas::template::{Wire, WireKind};
 use dtas::{ImplKind, Implementation};
 use genus::build::component_for_spec;
 use genus::component::PortDir;
@@ -26,32 +26,31 @@ fn vhdl_const(bits: &Bits) -> String {
     }
 }
 
-/// Renders a template wiring signal as a VHDL expression. Multi-part
-/// signals concatenate MSB-first with `&` (VHDL's concatenation order).
-fn vhdl_signal(sig: &Signal, width_of: &dyn Fn(&Signal) -> usize) -> String {
-    match sig {
-        Signal::Net(n) => n.clone(),
-        Signal::Parent(p) => p.clone(),
-        Signal::Const(b) => vhdl_const(b),
-        Signal::Slice(inner, lo, len) => {
+/// Renders a template wire as a VHDL expression. Multi-part wires
+/// concatenate MSB-first with `&` (VHDL's concatenation order).
+fn vhdl_signal(wire: Wire, width_of: &dyn Fn(Wire) -> usize) -> String {
+    match wire.kind() {
+        WireKind::Net(n) => n.to_string(),
+        WireKind::Parent(p) => p.to_string(),
+        WireKind::Const(b) => vhdl_const(b),
+        WireKind::Slice(inner, lo, len) => {
             let base = vhdl_signal(inner, width_of);
-            if *len == 1 && width_of(inner) == 1 {
+            if len == 1 && width_of(inner) == 1 {
                 base
-            } else if *len == 1 {
+            } else if len == 1 {
                 format!("{base}({lo})")
             } else {
                 format!("{base}({} downto {lo})", lo + len - 1)
             }
         }
-        Signal::Cat(parts) => parts
-            .iter()
+        WireKind::Cat(parts) => parts
             .rev()
             .map(|p| vhdl_signal(p, width_of))
             .collect::<Vec<_>>()
             .join(" & "),
-        Signal::Replicate(inner, n) => {
+        WireKind::Replicate(inner, n) => {
             let one = vhdl_signal(inner, width_of);
-            vec![one; *n].join(" & ")
+            vec![one; n].join(" & ")
         }
     }
 }
@@ -224,43 +223,40 @@ fn emit_impl_entities(
             let _ = writeln!(
                 out,
                 "architecture {} of {name} is",
-                sanitize(&template.rule)
+                sanitize(template.rule())
             );
-            for (net, width) in &template.nets {
-                let _ = writeln!(out, "  signal {net} : {};", vhdl_type(*width));
+            for (net, width) in template.nets() {
+                let _ = writeln!(out, "  signal {net} : {};", vhdl_type(width));
             }
             out.push_str("begin\n");
-            let width_of = |sig: &Signal| -> usize {
-                let nw = |n: &str| template.nets.get(n).copied();
+            let width_of = |wire: Wire| -> usize {
                 let pw = |p: &str| {
                     component_for_spec(&implementation.spec)
                         .ok()
                         .and_then(|m| m.port(p).map(|port| port.width))
                 };
-                sig.width(&nw, &pw).unwrap_or(1)
+                wire.width(&pw).unwrap_or(1)
             };
-            for (module, child) in template.modules.iter().zip(children) {
+            for (module, child) in template.modules().zip(children) {
                 let centity = child.spec.identifier();
-                let _ = writeln!(out, "  {}: entity work.{centity}", sanitize(&module.name));
+                let _ = writeln!(out, "  {}: entity work.{centity}", sanitize(module.name()));
                 out.push_str("    port map (\n");
                 let mut maps: Vec<String> = module
-                    .inputs
-                    .iter()
-                    .map(|(port, sig)| format!("      {port} => {}", vhdl_signal(sig, &width_of)))
+                    .inputs()
+                    .map(|(port, wire)| format!("      {port} => {}", vhdl_signal(wire, &width_of)))
                     .collect();
                 maps.extend(
                     module
-                        .outputs
-                        .iter()
+                        .outputs()
                         .map(|(port, net)| format!("      {port} => {net}")),
                 );
                 out.push_str(&maps.join(",\n"));
                 out.push_str("\n    );\n");
             }
-            for (port, sig) in &template.outputs {
-                let _ = writeln!(out, "  {port} <= {};", vhdl_signal(sig, &width_of));
+            for (port, wire) in template.outputs() {
+                let _ = writeln!(out, "  {port} <= {};", vhdl_signal(wire, &width_of));
             }
-            let _ = writeln!(out, "end architecture {};\n", sanitize(&template.rule));
+            let _ = writeln!(out, "end architecture {};\n", sanitize(template.rule()));
         }
     }
     Ok(())

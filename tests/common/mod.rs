@@ -72,7 +72,7 @@ fn assert_trees_identical(a: &Implementation, b: &Implementation) {
                     children: cy,
                 },
             ) => {
-                assert!(tx == ty, "{}: rule {} wired differently", a.spec, tx.rule);
+                assert!(tx == ty, "{}: rule {} wired differently", a.spec, tx.rule());
                 assert_eq!(cx.len(), cy.len(), "{}", a.spec);
                 for (x, y) in cx.iter().zip(cy) {
                     walk(x, y, seen);

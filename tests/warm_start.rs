@@ -597,15 +597,108 @@ fn put_u32(section: &mut [u8], at: usize, value: u32) {
     section[at..at + 4].copy_from_slice(&value.to_le_bytes());
 }
 
-/// The length of an `Ok` answer section's string table, which follows
-/// its node table and spec table.
-fn string_count(section: &[u8]) -> u32 {
+/// Where an `Ok` answer section's name table starts: after its node
+/// table and spec table.
+fn names_at(section: &[u8]) -> usize {
     let last = node_table(section).pop().expect("a node");
     let mut pos = last.at + 13 + 4 * last.children.len();
     for _ in 0..u32_at(section, 1) {
         skip_spec(section, &mut pos);
     }
-    u32_at(section, pos)
+    pos
+}
+
+/// The length of an `Ok` answer section's name table.
+fn string_count(section: &[u8]) -> u32 {
+    u32_at(section, names_at(section))
+}
+
+/// Where the fields of one template of an answer section sit.
+struct TemplateLayout {
+    rule_at: usize,
+    nets: usize,
+    /// `(tag, position)` of every wiring node, in arena order.
+    nodes: Vec<(u8, usize)>,
+    parts: usize,
+    /// Position of the first module's first pin, if it has one.
+    first_pin_at: Option<usize>,
+}
+
+/// Walks the templates after an `Ok` answer section's name table: per
+/// template the rule symbol, the nets, the wiring arena (node and part
+/// counts, the parts, then tagged nodes), the modules and the outputs.
+fn template_layouts(section: &[u8]) -> Vec<TemplateLayout> {
+    let mut pos = names_at(section);
+    let names = u32_at(section, pos) as usize;
+    let text = match names {
+        0 => 0,
+        n => u32_at(section, pos + 4 * n) as usize,
+    };
+    pos += 4 + 4 * names + text;
+    let count = u32_at(section, pos);
+    pos += 4;
+    (0..count)
+        .map(|_| {
+            let rule_at = pos;
+            pos += 4;
+            let nets = u32_at(section, pos) as usize;
+            pos += 4;
+            for _ in 0..nets {
+                pos += if section[pos + 4] == 1 { 9 } else { 5 };
+            }
+            let node_count = u32_at(section, pos) as usize;
+            let parts = u32_at(section, pos + 4) as usize;
+            pos += 8 + 4 * parts;
+            let nodes = (0..node_count)
+                .map(|_| {
+                    let (tag, at) = (section[pos], pos);
+                    pos += 1 + match tag {
+                        0 | 1 => 4,
+                        2 => 8 + (u64_at(section, pos + 1) as usize).div_ceil(8),
+                        3 => 12,
+                        _ => 8,
+                    };
+                    (tag, at)
+                })
+                .collect();
+            let modules = u32_at(section, pos);
+            pos += 4;
+            let mut first_pin_at = None;
+            for m in 0..modules {
+                let pins = u32_at(section, pos + 8) as usize;
+                if m == 0 && pins > 0 {
+                    first_pin_at = Some(pos + 12);
+                }
+                pos += 12 + 8 * pins;
+                pos += 4 + 8 * u32_at(section, pos) as usize;
+            }
+            pos += 4 + 8 * u32_at(section, pos) as usize;
+            TemplateLayout {
+                rule_at,
+                nets,
+                nodes,
+                parts,
+                first_pin_at,
+            }
+        })
+        .collect()
+}
+
+/// The first template holding a wiring node tagged `tag`, with that
+/// node's index and position.
+fn first_wiring(section: &[u8], tag: u8) -> (usize, TemplateLayout, usize, usize) {
+    template_layouts(section)
+        .into_iter()
+        .enumerate()
+        .find_map(|(t, layout)| {
+            let (node, &(_, at)) = layout
+                .nodes
+                .iter()
+                .enumerate()
+                .find(|(_, (node_tag, _))| *node_tag == tag)?;
+            Some((t, layout, node, at))
+        })
+        .expect("a template with such a wiring node")
 }
 
 #[test]
@@ -614,7 +707,7 @@ fn damaged_answer_sections_reject_and_resolve_cold() {
         .run(add_spec(16))
         .expect("reference solves");
     type Case = (&'static str, bool, fn(&mut Vec<u8>) -> Rejection);
-    let cases: [Case; 8] = [
+    let cases: [Case; 13] = [
         ("child_not_below_parent", true, |section| {
             let (node, entry) = first_netlist(section);
             put_u32(section, entry.at + 13, node as u32);
@@ -676,9 +769,59 @@ fn damaged_answer_sections_reject_and_resolve_cold() {
                 .find(|n| !n.netlist)
                 .expect("a cell node");
             put_u32(section, cell.at + 5, 0x7fff_ffff);
-            Rejection::Answer(AnswerDefect::StringOutOfRange {
+            Rejection::Answer(AnswerDefect::SymbolOutOfRange {
                 index: 0x7fff_ffff,
-                strings: string_count(section) as usize,
+                symbols: string_count(section) as usize,
+            })
+        }),
+        ("rule_symbol_out_of_range", true, |section| {
+            let layout = template_layouts(section).remove(0);
+            put_u32(section, layout.rule_at, 0x7fff_ffff);
+            Rejection::Answer(AnswerDefect::SymbolOutOfRange {
+                index: 0x7fff_ffff,
+                symbols: string_count(section) as usize,
+            })
+        }),
+        ("net_out_of_range", true, |section| {
+            let (template, layout, _, at) = first_wiring(section, 0);
+            put_u32(section, at + 1, 0x7fff_ffff);
+            Rejection::Answer(AnswerDefect::NetOutOfRange {
+                template,
+                index: 0x7fff_ffff,
+                nets: layout.nets,
+            })
+        }),
+        ("node_out_of_range", true, |section| {
+            let (template, layout) = template_layouts(section)
+                .into_iter()
+                .enumerate()
+                .find(|(_, layout)| layout.first_pin_at.is_some())
+                .expect("a module with a wired input");
+            put_u32(section, layout.first_pin_at.unwrap() + 4, 0x7fff_ffff);
+            Rejection::Answer(AnswerDefect::NodeOutOfRange {
+                template,
+                index: 0x7fff_ffff,
+                nodes: layout.nodes.len(),
+            })
+        }),
+        ("cat_part_out_of_range", true, |section| {
+            let (template, layout, node, at) = first_wiring(section, 4);
+            let end = layout.parts + 1;
+            put_u32(section, at + 5, end as u32);
+            Rejection::Answer(AnswerDefect::PartOutOfRange {
+                template,
+                node,
+                end,
+                parts: layout.parts,
+            })
+        }),
+        ("wiring_refers_to_itself", true, |section| {
+            let (template, _, node, at) = first_wiring(section, 3);
+            put_u32(section, at + 1, node as u32);
+            Rejection::Answer(AnswerDefect::WiringNotBelow {
+                template,
+                node,
+                child: node,
             })
         }),
         ("truncated", true, |section| {
