@@ -6,8 +6,8 @@
 //! *generation* number:
 //!
 //! ```text
-//! dtas-v6-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003.base
-//! dtas-v6-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003-d0001.delta
+//! dtas-v7-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003.base
+//! dtas-v7-{lib:016x}-{rules:016x}-{cfg:016x}-{canon:016x}-g00000003-d0001.delta
 //! ```
 //!
 //! Every write goes to a dot-prefixed temporary in the same directory and

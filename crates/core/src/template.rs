@@ -258,10 +258,10 @@ pub(crate) struct Module {
 }
 
 /// One level of decomposition of a parent specification, index-addressed:
-/// every name is a symbol into one shared [`Names`] table; the nets, each
-/// module's input pins and output drives, and the parent outputs sit in
-/// arrays sorted by name; and the wiring expressions share one arena of
-/// [`Node`]s. Build one with a [`TemplateBuilder`]; read it through the
+/// every name is a symbol into one shared, sorted name table; the nets,
+/// each module's input pins and output drives, and the parent outputs sit
+/// in arrays sorted by name; and the wiring expressions share one arena of
+/// nodes. Build one with a [`TemplateBuilder`]; read it through the
 /// accessors, which answer in name order.
 #[derive(Clone)]
 pub struct NetlistTemplate {
@@ -396,17 +396,10 @@ impl NetlistTemplate {
             && self.modules().zip(other.modules()).all(|(a, b)| {
                 a.name() == b.name()
                     && a.spec() == b.spec()
-                    && a.inputs().len() == b.inputs().len()
-                    && a.inputs()
-                        .zip(b.inputs())
-                        .all(|((p, x), (q, y))| p == q && x == y)
+                    && a.inputs().eq(b.inputs())
                     && a.outputs().eq(b.outputs())
             })
-            && self.outputs.len() == other.outputs.len()
-            && self
-                .outputs()
-                .zip(other.outputs())
-                .all(|((p, x), (q, y))| p == q && x == y)
+            && self.outputs().eq(other.outputs())
     }
 }
 
@@ -593,7 +586,7 @@ impl PartialEq for Wire<'_> {
             (WireKind::Slice(a, lo, len), WireKind::Slice(b, lo2, len2)) => {
                 lo == lo2 && len == len2 && a == b
             }
-            (WireKind::Cat(a), WireKind::Cat(b)) => a.len() == b.len() && a.eq(b),
+            (WireKind::Cat(a), WireKind::Cat(b)) => a.eq(b),
             (WireKind::Replicate(a, n), WireKind::Replicate(b, m)) => n == m && a == b,
             _ => false,
         }

@@ -1097,21 +1097,27 @@ fn warm_misses_share_the_live_space() {
 
 #[test]
 fn old_format_chains_reject_with_a_typed_error() {
-    let dir = cache_dir("old_format");
-    let path = persisted_snapshot(&dir);
-    let mut bytes = std::fs::read(&path).expect("reads");
-    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("writes");
-    let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
-    assert_eq!(
-        engine.last_snapshot_rejection(),
-        Some(Rejection::FormatVersion {
-            found: 4,
-            supported: dtas::FORMAT_VERSION
-        })
-    );
-    drop(engine);
-    let _ = std::fs::remove_dir_all(&dir);
+    // Format 4, and format 6: the last one whose templates were stored
+    // with a string per name, before they were index-addressed.
+    for found in [4u32, 6] {
+        let dir = cache_dir(&format!("old_format_{found}"));
+        let path = persisted_snapshot(&dir);
+        let mut bytes = std::fs::read(&path).expect("reads");
+        bytes[8..12].copy_from_slice(&found.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("writes");
+        let engine = Dtas::warm_start(lsi_logic_subset(), &dir);
+        assert_eq!(
+            engine.last_snapshot_rejection(),
+            Some(Rejection::FormatVersion {
+                found,
+                supported: dtas::FORMAT_VERSION
+            })
+        );
+        engine.run(add_spec(16)).expect("solves cold");
+        assert_eq!(engine.cache_stats().misses, 1, "v{found}");
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
