@@ -27,10 +27,9 @@ use genus::build::component_for_spec;
 use genus::component::Component;
 use genus::spec::ComponentSpec;
 use rtl_base::bits::Bits;
-use rtl_base::hash::StableHasher;
+use rtl_base::hash::fnv1a_64;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::sync::{Arc, RwLock};
 
 /// A wiring expression as a rule writes it, for a module input or a
@@ -172,7 +171,7 @@ pub(crate) type Sym = u32;
 /// symbol orders before another exactly when its name does. A built
 /// template owns one; the templates decoded from one answer section share
 /// the section's.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Names {
     /// The names, back to back.
     text: String,
@@ -664,9 +663,59 @@ impl fmt::Display for TemplateError {
 
 impl std::error::Error for TemplateError {}
 
-/// A name-interning table keyed by FNV-1a, which on names this short
-/// costs less than the default keyed hash.
-type Interner = HashMap<Box<str>, Sym, BuildHasherDefault<StableHasher>>;
+/// A builder's names in first-seen order, found again through an
+/// open-addressing table of their FNV-1a hashes: a name is copied once
+/// into one buffer, with no allocation of its own.
+#[derive(Clone, Debug, Default)]
+struct Interner {
+    names: Names,
+    /// `sym + 1` per occupied slot, 0 when free; a power of two in
+    /// length, at most half full.
+    slots: Vec<Sym>,
+}
+
+impl Interner {
+    /// `name`'s symbol, and whether it is new.
+    fn intern(&mut self, name: &str) -> (Sym, bool) {
+        if 2 * (self.names.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mut slot = self.slot(name);
+        loop {
+            match self.slots[slot] {
+                0 => {
+                    let sym = self.names.len() as Sym;
+                    self.names.text.push_str(name);
+                    self.names.ends.push(stored(self.names.text.len()));
+                    self.slots[slot] = sym + 1;
+                    return (sym, true);
+                }
+                taken if self.names.get(taken - 1) == name => return (taken - 1, false),
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    /// Where the probe for `name` starts: the top bits of its hash,
+    /// spread by the golden-ratio multiplier.
+    fn slot(&self, name: &str) -> usize {
+        let hash = fnv1a_64(name.as_bytes()).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Doubles the table and re-seats every name.
+    fn grow(&mut self) {
+        self.slots = vec![0; (2 * self.slots.len()).max(64)];
+        let mask = self.slots.len() - 1;
+        for sym in 0..self.names.len() as Sym {
+            let mut slot = self.slot(self.names.get(sym));
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = sym + 1;
+        }
+    }
+}
 
 /// Fluent construction of templates inside decomposition rules. Names are
 /// interned as they arrive and wiring goes into the arena at once; `build`
@@ -714,19 +763,16 @@ impl TemplateBuilder {
     }
 
     fn intern(&mut self, name: &str) -> Sym {
-        if let Some(&sym) = self.interner.get(name) {
-            return sym;
-        }
-        self.intern_owned(name.into())
+        self.intern_new(name).0
     }
 
-    fn intern_owned(&mut self, name: Box<str>) -> Sym {
-        let next = self.interner.len() as Sym;
-        let sym = *self.interner.entry(name).or_insert(next);
-        if sym == next {
+    /// `name`'s provisional symbol, and whether it is new.
+    fn intern_new(&mut self, name: &str) -> (Sym, bool) {
+        let (sym, new) = self.interner.intern(name);
+        if new {
             self.declared.push(None);
         }
-        sym
+        (sym, new)
     }
 
     /// Declares an internal net.
@@ -749,27 +795,25 @@ impl TemplateBuilder {
     /// # Panics
     ///
     /// Panics on duplicate module names (a rule-authoring bug).
-    pub fn module<S: Into<String>>(
+    pub fn module<S: AsRef<str>>(
         &mut self,
         name: &str,
         spec: ComponentSpec,
         inputs: Vec<(S, Signal)>,
         outputs: Vec<(&str, &str, usize)>,
     ) -> &mut Self {
-        let name_sym = self.intern(name);
+        let (name_sym, new) = self.intern_new(name);
         assert!(
-            !self.modules.iter().any(|m| m.name == name_sym),
+            new || !self.modules.iter().any(|m| m.name == name_sym),
             "duplicate module {name}"
         );
-        let inputs: Vec<(Sym, Signal)> = inputs
-            .into_iter()
-            .map(|(port, signal)| (self.intern_owned(port.into().into()), signal))
-            .collect();
         let pin_start = self.pins.len() as u32;
         for (i, (port, signal)) in inputs.iter().enumerate() {
-            if inputs[i + 1..].iter().all(|(later, _)| later != port) {
+            let port = port.as_ref();
+            if inputs[i + 1..].iter().all(|(later, _)| later.as_ref() != port) {
+                let port = self.intern(port);
                 let node = self.wire(signal);
-                self.pins.push(Pin { port: *port, node });
+                self.pins.push(Pin { port, node });
             }
         }
         let drive_start = self.drives.len() as u32;
@@ -845,14 +889,15 @@ impl TemplateBuilder {
             .map(|(port, signal)| (*port, self.wire(signal)))
             .collect();
 
-        let mut sorted: Vec<(Box<str>, Sym)> = self.interner.into_iter().collect();
-        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let seen = &self.interner.names;
+        let mut sorted: Vec<Sym> = (0..seen.len() as Sym).collect();
+        sorted.sort_unstable_by(|&a, &b| seen.get(a).cmp(seen.get(b)));
         let mut remap = vec![0 as Sym; sorted.len()];
-        let mut text = String::with_capacity(sorted.iter().map(|(name, _)| name.len()).sum());
+        let mut text = String::with_capacity(seen.text.len());
         let mut ends = Vec::with_capacity(sorted.len());
-        for (sym, (name, provisional)) in sorted.iter().enumerate() {
-            remap[*provisional as usize] = sym as Sym;
-            text.push_str(name);
+        for (sym, &provisional) in sorted.iter().enumerate() {
+            remap[provisional as usize] = sym as Sym;
+            text.push_str(seen.get(provisional));
             ends.push(text.len() as u32);
         }
 
@@ -867,8 +912,8 @@ impl TemplateBuilder {
         }
         let mut nets = Vec::new();
         let mut net_index = vec![u32::MAX; remap.len()];
-        for (sym, (_, provisional)) in sorted.iter().enumerate() {
-            let p = *provisional as usize;
+        for (sym, &provisional) in sorted.iter().enumerate() {
+            let p = provisional as usize;
             if is_net[p] {
                 net_index[p] = nets.len() as u32;
                 nets.push(Net {
