@@ -810,7 +810,10 @@ impl TemplateBuilder {
         let pin_start = self.pins.len() as u32;
         for (i, (port, signal)) in inputs.iter().enumerate() {
             let port = port.as_ref();
-            if inputs[i + 1..].iter().all(|(later, _)| later.as_ref() != port) {
+            if inputs[i + 1..]
+                .iter()
+                .all(|(later, _)| later.as_ref() != port)
+            {
                 let port = self.intern(port);
                 let node = self.wire(signal);
                 self.pins.push(Pin { port, node });
