@@ -68,8 +68,13 @@ pub(crate) type ResultEntry = (ComponentSpec, Result<Arc<DesignSet>, SynthError>
 /// held: the name table is sorted and cut by end offsets, and each
 /// template's nets, wiring arena (nodes referring to nets by index and to
 /// earlier nodes by index), module pins and drives and parent outputs
-/// are arrays read straight into place.
+/// are arrays read straight into place, and a decode rejects wiring that
+/// is not a forest of trees at most 64 deep.
 pub const FORMAT_VERSION: u32 = 7;
+
+/// How deep a decoded template's wiring may nest. Rules' wiring nests a
+/// handful of levels; anything deeper is a damaged file.
+pub(crate) const MAX_WIRING_DEPTH: u8 = 64;
 
 // ---------------------------------------------------------------------
 // Primitives.
@@ -808,24 +813,30 @@ impl Tables {
         Ok(self.sym(r.u32(what)?)?)
     }
 
-    /// Reads a port-to-node binding list, sorted by port name, of nodes
-    /// below `nodes`.
+    /// Reads a port-to-node binding list, sorted by port name, each pin
+    /// taking the one reference to a node of the arena `referenced` marks.
     fn get_pins(
         &self,
         r: &mut Reader,
         template: usize,
-        nodes: usize,
+        referenced: &mut [bool],
         pins: &mut Vec<Pin>,
     ) -> Result<(u32, u32), Rejection> {
         let start = pins.len();
         for _ in 0..r.len("pin")? {
             let port = self.get_sym(r, "pin port")?;
             let node = r.u32("pin node")?;
-            if node as usize >= nodes {
+            let Some(taken) = referenced.get_mut(node as usize) else {
                 return Err(Rejection::Answer(AnswerDefect::NodeOutOfRange {
                     template,
                     index: node as usize,
-                    nodes,
+                    nodes: referenced.len(),
+                }));
+            };
+            if std::mem::replace(taken, true) {
+                return Err(Rejection::Answer(AnswerDefect::WiringShared {
+                    template,
+                    node: node as usize,
                 }));
             }
             if pins.len() > start && pins[pins.len() - 1].port >= port {
@@ -838,8 +849,12 @@ impl Tables {
 
     /// Reads the `template`-th template straight into its arrays,
     /// range-checking every symbol, spec, net, node and part index and
-    /// checking that every array is sorted by name and that every wiring
-    /// node refers only to nodes below it.
+    /// checking that every array is sorted by name and that the wiring is
+    /// a forest of shallow trees: every node refers only to nodes below
+    /// it, nests at most [`MAX_WIRING_DEPTH`] deep, and is referred to at
+    /// most once, by one node, pin or output, as a builder writes it. The
+    /// walkers of a template recurse, so a decoded one must be no deeper
+    /// and no larger unfolded than a built one.
     fn get_template(&self, r: &mut Reader, template: usize) -> Result<NetlistTemplate, Rejection> {
         let rule = self.get_sym(r, "rule name")?;
         let net_count = r.len("net")?;
@@ -871,19 +886,30 @@ impl Tables {
         }
         let mut nodes = Vec::with_capacity(node_count);
         let mut consts = Vec::new();
+        // Each node's depth (a leaf is 1), and whether anything refers to
+        // it yet.
+        let mut depths: Vec<u8> = Vec::with_capacity(node_count);
+        let mut referenced = vec![false; node_count];
         for node in 0..node_count {
-            let below = |child: u32| {
-                if (child as usize) < node {
-                    Ok(child)
-                } else {
+            // Takes the one reference to `child` and gives its depth.
+            let mut refer = |child: u32| {
+                let child = child as usize;
+                if child >= node {
                     Err(Rejection::Answer(AnswerDefect::WiringNotBelow {
                         template,
                         node,
-                        child: child as usize,
+                        child,
                     }))
+                } else if std::mem::replace(&mut referenced[child], true) {
+                    Err(Rejection::Answer(AnswerDefect::WiringShared {
+                        template,
+                        node: child,
+                    }))
+                } else {
+                    Ok(depths[child])
                 }
             };
-            nodes.push(match r.u8("wiring tag")? {
+            let (wiring, below) = match r.u8("wiring tag")? {
                 0 => {
                     let net = r.u32("net index")?;
                     if net as usize >= nets.len() {
@@ -893,18 +919,20 @@ impl Tables {
                             nets: nets.len(),
                         }));
                     }
-                    Node::Net(net)
+                    (Node::Net(net), 0)
                 }
-                1 => Node::Parent(self.get_sym(r, "parent port")?),
+                1 => (Node::Parent(self.get_sym(r, "parent port")?), 0),
                 2 => {
                     consts.push(get_bits(r)?);
-                    Node::Const(consts.len() as u32 - 1)
+                    (Node::Const(consts.len() as u32 - 1), 0)
                 }
-                3 => Node::Slice {
-                    of: below(r.u32("slice of")?)?,
-                    lo: r.u32("slice lo")?,
-                    len: r.u32("slice len")?,
-                },
+                3 => {
+                    let of = r.u32("slice of")?;
+                    let below = refer(of)?;
+                    let lo = r.u32("slice lo")?;
+                    let len = r.u32("slice len")?;
+                    (Node::Slice { of, lo, len }, below)
+                }
                 4 => {
                     let start = r.u32("cat start")?;
                     let end = r.u32("cat end")?;
@@ -916,17 +944,29 @@ impl Tables {
                             parts: parts.len(),
                         }));
                     }
+                    let mut below = 0;
                     for &part in &parts[start as usize..end as usize] {
-                        below(part)?;
+                        below = below.max(refer(part)?);
                     }
-                    Node::Cat { start, end }
+                    (Node::Cat { start, end }, below)
                 }
-                5 => Node::Replicate {
-                    of: below(r.u32("replicate of")?)?,
-                    n: r.u32("replicate count")?,
-                },
+                5 => {
+                    let of = r.u32("replicate of")?;
+                    let below = refer(of)?;
+                    let n = r.u32("replicate count")?;
+                    (Node::Replicate { of, n }, below)
+                }
                 other => return Err(format!("unknown wiring tag {other}").into()),
-            });
+            };
+            if below >= MAX_WIRING_DEPTH {
+                return Err(Rejection::Answer(AnswerDefect::WiringTooDeep {
+                    template,
+                    node,
+                    depth: below as usize + 1,
+                }));
+            }
+            nodes.push(wiring);
+            depths.push(below + 1);
         }
         let module_count = r.len("module")?;
         let mut modules = Vec::with_capacity(module_count);
@@ -934,7 +974,7 @@ impl Tables {
         for _ in 0..module_count {
             let name = self.get_sym(r, "module name")?;
             let spec = self.spec(r.u32("module spec")?)?.clone();
-            let module_pins = self.get_pins(r, template, node_count, &mut pins)?;
+            let module_pins = self.get_pins(r, template, &mut referenced, &mut pins)?;
             let start = drives.len();
             for _ in 0..r.len("module output")? {
                 let port = self.get_sym(r, "output port")?;
@@ -959,7 +999,7 @@ impl Tables {
             });
         }
         let mut outputs = Vec::new();
-        self.get_pins(r, template, node_count, &mut outputs)?;
+        self.get_pins(r, template, &mut referenced, &mut outputs)?;
         Ok(NetlistTemplate {
             names: Arc::clone(&self.names),
             rule,

@@ -222,6 +222,23 @@ pub enum AnswerDefect {
         /// The node it refers to.
         child: usize,
     },
+    /// A wiring node referred to twice: by two nodes, pins or outputs.
+    /// A template's wiring is a tree.
+    WiringShared {
+        /// The template's position in the section.
+        template: usize,
+        /// The node referred to twice.
+        node: usize,
+    },
+    /// A wiring node nested deeper than a decode allows (64 levels).
+    WiringTooDeep {
+        /// The template's position in the section.
+        template: usize,
+        /// The node nested too deep.
+        node: usize,
+        /// Its depth, a leaf being 1.
+        depth: usize,
+    },
     /// A template index past the section's template table.
     TemplateOutOfRange {
         /// The netlist node.
@@ -297,6 +314,18 @@ impl fmt::Display for AnswerDefect {
             } => write!(
                 f,
                 "template {template} wiring node {node} refers to node {child}, not below it"
+            ),
+            AnswerDefect::WiringShared { template, node } => {
+                write!(f, "template {template} refers to wiring node {node} twice")
+            }
+            AnswerDefect::WiringTooDeep {
+                template,
+                node,
+                depth,
+            } => write!(
+                f,
+                "template {template} wiring node {node} nests {depth} deep, past {}",
+                codec::MAX_WIRING_DEPTH
             ),
             AnswerDefect::TemplateOutOfRange {
                 node,

@@ -617,9 +617,14 @@ fn string_count(section: &[u8]) -> u32 {
 struct TemplateLayout {
     rule_at: usize,
     nets: usize,
+    /// Position of the node count, which the part count and the parts
+    /// follow.
+    arena_at: usize,
     /// `(tag, position)` of every wiring node, in arena order.
     nodes: Vec<(u8, usize)>,
     parts: usize,
+    /// Position of the module count, just past the arena.
+    modules_at: usize,
     /// Position of the first module's first pin, if it has one.
     first_pin_at: Option<usize>,
 }
@@ -646,6 +651,7 @@ fn template_layouts(section: &[u8]) -> Vec<TemplateLayout> {
             for _ in 0..nets {
                 pos += if section[pos + 4] == 1 { 9 } else { 5 };
             }
+            let arena_at = pos;
             let node_count = u32_at(section, pos) as usize;
             let parts = u32_at(section, pos + 4) as usize;
             pos += 8 + 4 * parts;
@@ -661,6 +667,7 @@ fn template_layouts(section: &[u8]) -> Vec<TemplateLayout> {
                     (tag, at)
                 })
                 .collect();
+            let modules_at = pos;
             let modules = u32_at(section, pos);
             pos += 4;
             let mut first_pin_at = None;
@@ -676,12 +683,43 @@ fn template_layouts(section: &[u8]) -> Vec<TemplateLayout> {
             TemplateLayout {
                 rule_at,
                 nets,
+                arena_at,
                 nodes,
                 parts,
+                modules_at,
                 first_pin_at,
             }
         })
         .collect()
+}
+
+/// Appends wiring to the first template's arena: `parts` after its Cat
+/// parts, and `count` nodes, encoded in `nodes`, after its nodes.
+fn extend_first_arena(section: &mut Vec<u8>, parts: &[u32], nodes: &[u8], count: usize) {
+    let layout = template_layouts(section).remove(0);
+    section.splice(layout.modules_at..layout.modules_at, nodes.iter().copied());
+    let parts_end = layout.arena_at + 8 + 4 * layout.parts;
+    section.splice(
+        parts_end..parts_end,
+        parts.iter().flat_map(|p| p.to_le_bytes()),
+    );
+    put_u32(
+        section,
+        layout.arena_at,
+        (layout.nodes.len() + count) as u32,
+    );
+    put_u32(
+        section,
+        layout.arena_at + 4,
+        (layout.parts + parts.len()) as u32,
+    );
+}
+
+/// Encodes a parent-port wiring node, a leaf, naming symbol `sym`.
+fn parent_node(sym: u32) -> Vec<u8> {
+    let mut node = vec![1];
+    node.extend(sym.to_le_bytes());
+    node
 }
 
 /// The first template holding a wiring node tagged `tag`, with that
@@ -707,7 +745,7 @@ fn damaged_answer_sections_reject_and_resolve_cold() {
         .run(add_spec(16))
         .expect("reference solves");
     type Case = (&'static str, bool, fn(&mut Vec<u8>) -> Rejection);
-    let cases: [Case; 13] = [
+    let cases: [Case; 15] = [
         ("child_not_below_parent", true, |section| {
             let (node, entry) = first_netlist(section);
             put_u32(section, entry.at + 13, node as u32);
@@ -822,6 +860,45 @@ fn damaged_answer_sections_reject_and_resolve_cold() {
                 template,
                 node,
                 child: node,
+            })
+        }),
+        ("slice_chain_too_deep", true, |section| {
+            // A leaf and a chain of 100 slices over it: node k of the
+            // chain nests k + 1 deep.
+            let layout = template_layouts(section).remove(0);
+            let base = layout.nodes.len() as u32;
+            let mut nodes = parent_node(u32_at(section, layout.rule_at));
+            for k in 0..100 {
+                nodes.push(3);
+                for field in [base + k, 0, 1] {
+                    nodes.extend(field.to_le_bytes());
+                }
+            }
+            extend_first_arena(section, &[], &nodes, 101);
+            Rejection::Answer(AnswerDefect::WiringTooDeep {
+                template: 0,
+                node: base as usize + 64,
+                depth: 65,
+            })
+        }),
+        ("cat_chain_shares_nodes", true, |section| {
+            // A leaf and 40 concatenations, each of two copies of the one
+            // before: unfolded, 2^40 leaves.
+            let layout = template_layouts(section).remove(0);
+            let (base, first_part) = (layout.nodes.len() as u32, layout.parts as u32);
+            let mut nodes = parent_node(u32_at(section, layout.rule_at));
+            let mut parts = Vec::new();
+            for k in 0..40 {
+                parts.extend([base + k, base + k]);
+                nodes.push(4);
+                for field in [first_part + 2 * k, first_part + 2 * k + 2] {
+                    nodes.extend(field.to_le_bytes());
+                }
+            }
+            extend_first_arena(section, &parts, &nodes, 41);
+            Rejection::Answer(AnswerDefect::WiringShared {
+                template: 0,
+                node: base as usize,
             })
         }),
         ("truncated", true, |section| {
