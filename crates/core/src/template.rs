@@ -27,9 +27,10 @@ use genus::build::component_for_spec;
 use genus::component::Component;
 use genus::spec::ComponentSpec;
 use rtl_base::bits::Bits;
-use rtl_base::hash::fnv1a_64;
+use rtl_base::hash::StableHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 use std::sync::{Arc, RwLock};
 
 /// A wiring expression as a rule writes it, for a module input or a
@@ -171,7 +172,7 @@ pub(crate) type Sym = u32;
 /// symbol orders before another exactly when its name does. A built
 /// template owns one; the templates decoded from one answer section share
 /// the section's.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Names {
     /// The names, back to back.
     text: String,
@@ -452,11 +453,6 @@ impl<'a> ModuleRef<'a> {
             .map(move |pin| (t.names.get(pin.port), t.wire(pin.node)))
     }
 
-    /// The wiring of one input port.
-    pub fn input(self, port: &str) -> Option<Wire<'a>> {
-        find_pin(&self.template.names, self.pins(), port).map(|node| self.template.wire(node))
-    }
-
     /// Output port → the internal net it drives, in port-name order.
     /// Unlisted outputs dangle.
     pub fn outputs(self) -> impl ExactSizeIterator<Item = (&'a str, &'a str)> {
@@ -663,59 +659,9 @@ impl fmt::Display for TemplateError {
 
 impl std::error::Error for TemplateError {}
 
-/// A builder's names in first-seen order, found again through an
-/// open-addressing table of their FNV-1a hashes: a name is copied once
-/// into one buffer, with no allocation of its own.
-#[derive(Clone, Debug, Default)]
-struct Interner {
-    names: Names,
-    /// `sym + 1` per occupied slot, 0 when free; a power of two in
-    /// length, at most half full.
-    slots: Vec<Sym>,
-}
-
-impl Interner {
-    /// `name`'s symbol, and whether it is new.
-    fn intern(&mut self, name: &str) -> (Sym, bool) {
-        if 2 * (self.names.len() + 1) > self.slots.len() {
-            self.grow();
-        }
-        let mut slot = self.slot(name);
-        loop {
-            match self.slots[slot] {
-                0 => {
-                    let sym = self.names.len() as Sym;
-                    self.names.text.push_str(name);
-                    self.names.ends.push(stored(self.names.text.len()));
-                    self.slots[slot] = sym + 1;
-                    return (sym, true);
-                }
-                taken if self.names.get(taken - 1) == name => return (taken - 1, false),
-                _ => slot = (slot + 1) & (self.slots.len() - 1),
-            }
-        }
-    }
-
-    /// Where the probe for `name` starts: the top bits of its hash,
-    /// spread by the golden-ratio multiplier.
-    fn slot(&self, name: &str) -> usize {
-        let hash = fnv1a_64(name.as_bytes()).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// Doubles the table and re-seats every name.
-    fn grow(&mut self) {
-        self.slots = vec![0; (2 * self.slots.len()).max(64)];
-        let mask = self.slots.len() - 1;
-        for sym in 0..self.names.len() as Sym {
-            let mut slot = self.slot(self.names.get(sym));
-            while self.slots[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = sym + 1;
-        }
-    }
-}
+/// A name-interning table keyed by FNV-1a, which on names this short
+/// costs less than the default keyed hash.
+type Interner = HashMap<Box<str>, Sym, BuildHasherDefault<StableHasher>>;
 
 /// Fluent construction of templates inside decomposition rules. Names are
 /// interned as they arrive and wiring goes into the arena at once; `build`
@@ -768,11 +714,13 @@ impl TemplateBuilder {
 
     /// `name`'s provisional symbol, and whether it is new.
     fn intern_new(&mut self, name: &str) -> (Sym, bool) {
-        let (sym, new) = self.interner.intern(name);
-        if new {
-            self.declared.push(None);
+        if let Some(&sym) = self.interner.get(name) {
+            return (sym, false);
         }
-        (sym, new)
+        let sym = self.interner.len() as Sym;
+        self.interner.insert(name.into(), sym);
+        self.declared.push(None);
+        (sym, true)
     }
 
     /// Declares an internal net.
@@ -892,15 +840,15 @@ impl TemplateBuilder {
             .map(|(port, signal)| (*port, self.wire(signal)))
             .collect();
 
-        let seen = &self.interner.names;
-        let mut sorted: Vec<Sym> = (0..seen.len() as Sym).collect();
-        sorted.sort_unstable_by(|&a, &b| seen.get(a).cmp(seen.get(b)));
+        let mut sorted: Vec<(Box<str>, Sym)> =
+            std::mem::take(&mut self.interner).into_iter().collect();
+        sorted.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut remap = vec![0 as Sym; sorted.len()];
-        let mut text = String::with_capacity(seen.text.len());
+        let mut text = String::with_capacity(sorted.iter().map(|(name, _)| name.len()).sum());
         let mut ends = Vec::with_capacity(sorted.len());
-        for (sym, &provisional) in sorted.iter().enumerate() {
-            remap[provisional as usize] = sym as Sym;
-            text.push_str(seen.get(provisional));
+        for (sym, (name, provisional)) in sorted.iter().enumerate() {
+            remap[*provisional as usize] = sym as Sym;
+            text.push_str(name);
             ends.push(text.len() as u32);
         }
 
@@ -915,8 +863,8 @@ impl TemplateBuilder {
         }
         let mut nets = Vec::new();
         let mut net_index = vec![u32::MAX; remap.len()];
-        for (sym, &provisional) in sorted.iter().enumerate() {
-            let p = provisional as usize;
+        for (sym, (_, provisional)) in sorted.iter().enumerate() {
+            let p = *provisional as usize;
             if is_net[p] {
                 net_index[p] = nets.len() as u32;
                 nets.push(Net {
@@ -1251,11 +1199,8 @@ mod tests {
         assert_eq!(hi.name(), "hi");
         let ports: Vec<&str> = hi.inputs().map(|(p, _)| p).collect();
         assert_eq!(ports, ["A", "B", "CI"]);
-        assert_eq!(
-            hi.input("A").unwrap().to_signal(),
-            Signal::parent("A").slice(4, 4)
-        );
-        assert!(hi.input("D").is_none());
+        let (_, a) = hi.inputs().find(|(p, _)| *p == "A").unwrap();
+        assert_eq!(a.to_signal(), Signal::parent("A").slice(4, 4));
         assert_eq!(
             t.output("O").unwrap().to_signal(),
             Signal::Cat(vec![Signal::net("o_lo"), Signal::net("o_hi")])
@@ -1538,9 +1483,6 @@ mod tests {
                 .collect();
             let model_inputs: Vec<(String, Signal)> = mm.inputs.clone().into_iter().collect();
             assert_eq!(inputs, model_inputs);
-            for (port, signal) in &mm.inputs {
-                assert_eq!(m.input(port).map(Wire::to_signal).as_ref(), Some(signal));
-            }
             let outputs: Vec<(String, String)> = m
                 .outputs()
                 .map(|(p, n)| (p.to_string(), n.to_string()))
